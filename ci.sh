@@ -38,6 +38,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> benchmark package tests (public-API drift against the pinned e2e benchmark)"
+# benchmark/ is a package of its own (empty [workspace]) that drives the
+# workspace through public items only; building and testing it here makes
+# an API break fail tier-1 CI instead of the bench pipeline.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy -- -D warnings"
 # The pre-0.2 QueryEngine methods and TelemetryBus::subscribe are gone;
 # odalint's deprecated-api rule keeps them from coming back.
@@ -77,14 +83,14 @@ if [ "$FULL" = 1 ]; then
     echo "      (rustup +nightly component add miri; the hosted sanitizers job always runs it)" >&2
   fi
 
-  echo "==> thread sanitizer (cluster + serving concurrency tests)"
+  echo "==> thread sanitizer (telemetry + serving concurrency tests)"
   # TSan needs the standard library rebuilt with -Zsanitizer=thread, which
   # requires the nightly rust-src component (-Zbuild-std).
   if rustup component list --toolchain nightly 2>/dev/null | grep -q '^rust-src.*(installed)'; then
     TSAN_TARGET="$(rustc -vV | sed -n 's/^host: //p')"
     # oda-telemetry carries the thread-stress tests (concurrent store
     # writers, concurrent metric recording); oda-serve's server tests
-    # stand up a real coordinator with live shard threads.
+    # drive the poll loop over SimNet and a real loopback socket.
     RUSTFLAGS="-Zsanitizer=thread" \
       cargo +nightly test -q -Zbuild-std --target "$TSAN_TARGET" \
       -p oda-telemetry --lib

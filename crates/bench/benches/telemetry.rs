@@ -9,8 +9,19 @@ use oda_telemetry::query::Aggregation;
 use std::hint::black_box;
 use std::sync::Arc;
 
+/// A default-tier store with an explicit lock-shard count (the ablation
+/// axis; `1` degenerates to a single global lock).
+fn store_with_shards(capacity: usize, shards: usize) -> TimeSeriesStore {
+    TimeSeriesStore::with_rollups(
+        capacity,
+        shards,
+        MetricsRegistry::global(),
+        RollupConfig::default(),
+    )
+}
+
 fn prefilled_store(sensors: u32, samples: u64, shards: usize) -> TimeSeriesStore {
-    let store = TimeSeriesStore::with_capacity_and_shards(samples as usize + 8, shards);
+    let store = store_with_shards(samples as usize + 8, shards);
     for s in 0..sensors {
         for t in 0..samples {
             store.insert(
@@ -110,7 +121,7 @@ fn bench_ingest(c: &mut Criterion) {
             &shards,
             |b, &shards| {
                 b.iter_with_setup(
-                    || TimeSeriesStore::with_capacity_and_shards(16_384, shards),
+                    || store_with_shards(16_384, shards),
                     |store| {
                         for t in 0..10_000u64 {
                             store.insert(
@@ -150,7 +161,7 @@ fn bench_ingest(c: &mut Criterion) {
             &shards,
             |b, &shards| {
                 b.iter_with_setup(
-                    || Arc::new(TimeSeriesStore::with_capacity_and_shards(4_096, shards)),
+                    || Arc::new(store_with_shards(4_096, shards)),
                     |store| {
                         std::thread::scope(|scope| {
                             for w in 0..8u32 {

@@ -6,8 +6,9 @@
 //! synthetic sensor space, printing ONE JSON object to stdout (the
 //! `BENCH_scale.json` baseline shape). Exits non-zero if any worker
 //! count's output diverges from the serial baseline or any shard count's
-//! query digest diverges from the single-shard baseline — the speedup
-//! floors themselves are gated downstream by `ci/check_bench.py`.
+//! query digest diverges from the single-shard baseline — the worker
+//! speedup floor itself is gated downstream by `ci/check_bench.py`; the
+//! per-shard-count ingest throughput is informational.
 //!
 //! Usage: `scale [caps] [passes] [wait_us]` — defaults 48 caps, 7 timed
 //! passes, 500 µs simulated collector wait, sweeping workers 1/2/4/8 and
@@ -41,7 +42,6 @@ fn main() {
         "points": report.points,
         "shard_sensors": shard_report.sensors,
         "shard_ticks": shard_report.ticks,
-        "shard_io_wait_us": shard_report.io_wait_us,
         "shard_producers": shard_report.producers,
         "shard_points": shard_report.points,
         "shard_digests_equal": shard_report.digests_equal,
@@ -67,15 +67,7 @@ fn main() {
                 format!("shard_rps_{}", p.shards),
                 serde_json::json!(p.ingest_rps),
             ));
-            entries.push((
-                format!("shard_speedup_x_{}", p.shards),
-                serde_json::json!(p.speedup_x),
-            ));
         }
-        entries.push((
-            "shard_scaling_x".to_string(),
-            serde_json::json!(shard_report.speedup_at(4).unwrap_or(0.0)),
-        ));
     }
     println!(
         "{}",

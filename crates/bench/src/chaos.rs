@@ -28,6 +28,7 @@ use oda_core::cells;
 use oda_core::runtime::{OdaRuntime, RuntimeConfig, SimControlPlane};
 use oda_sim::prelude::*;
 use oda_telemetry::alert::{AlertEngine, AlertRule, AlertSeverity, Condition};
+use oda_telemetry::hash::{fnv1a_fold, FNV_OFFSET};
 use oda_telemetry::metrics::MetricsRegistry;
 use oda_telemetry::pattern::SensorPattern;
 use oda_telemetry::reading::Timestamp;
@@ -234,14 +235,6 @@ pub fn demo_schedule(seed: u64, ticks: u64, tick_ms: u64) -> FaultSchedule {
         )
 }
 
-/// FNV-1a, the workspace's stock order-sensitive digest.
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 struct Watched {
     sensor: SensorId,
     forecaster: GapTolerant<Holt>,
@@ -366,7 +359,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         runtime_passes: 0,
         prescriptions_applied: 0,
         prescriptions_deferred: 0,
-        digest: 0xcbf2_9ce4_8422_2325, // FNV offset basis
+        digest: FNV_OFFSET,
     };
     let expected_per_window = (cfg.window_ticks / sample_every).max(1);
 
@@ -388,9 +381,9 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         while let Ok(batch) = sub.rx.try_recv() {
             let sensor = batch.sensor;
             for &reading in &batch.readings {
-                fnv1a(&mut report.digest, &sensor.0.to_le_bytes());
-                fnv1a(&mut report.digest, &reading.ts.0.to_le_bytes());
-                fnv1a(&mut report.digest, &reading.value.to_bits().to_le_bytes());
+                fnv1a_fold(&mut report.digest, &sensor.0.to_le_bytes());
+                fnv1a_fold(&mut report.digest, &reading.ts.0.to_le_bytes());
+                fnv1a_fold(&mut report.digest, &reading.value.to_bits().to_le_bytes());
                 for event in alerts.observe(sensor, reading) {
                     report.alert_events += 1;
                     if event.active {
@@ -399,8 +392,8 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
                     if !event.reading.value.is_finite() {
                         report.nan_alert_events += 1;
                     }
-                    fnv1a(&mut report.digest, event.rule.as_bytes());
-                    fnv1a(&mut report.digest, &[event.active as u8]);
+                    fnv1a_fold(&mut report.digest, event.rule.as_bytes());
+                    fnv1a_fold(&mut report.digest, &[event.active as u8]);
                 }
                 if let Some(&i) = by_sensor.get(&sensor) {
                     watched[i].frame_value = Some(reading.value);
@@ -449,9 +442,9 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             report.runtime_passes += 1;
             report.prescriptions_applied += pass.applied as u64;
             report.prescriptions_deferred += pass.deferred as u64;
-            fnv1a(&mut report.digest, &pass.run.output_digest().to_le_bytes());
-            fnv1a(&mut report.digest, &(pass.applied as u64).to_le_bytes());
-            fnv1a(&mut report.digest, &(pass.deferred as u64).to_le_bytes());
+            fnv1a_fold(&mut report.digest, &pass.run.output_digest().to_le_bytes());
+            fnv1a_fold(&mut report.digest, &(pass.applied as u64).to_le_bytes());
+            fnv1a_fold(&mut report.digest, &(pass.deferred as u64).to_le_bytes());
 
             // Archive restart drill: at the configured window boundary (all
             // published batches drained, pass complete), tear the bus + hot
@@ -484,8 +477,8 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     report.bus_delivered = dc.bus().delivered_total();
     report.bus_dropped = dc.bus().dropped_total();
     report.jobs_completed = dc.finished_jobs().len();
-    fnv1a(&mut report.digest, &report.suppressed.to_le_bytes());
-    fnv1a(&mut report.digest, &report.corrupted.to_le_bytes());
+    fnv1a_fold(&mut report.digest, &report.suppressed.to_le_bytes());
+    fnv1a_fold(&mut report.digest, &report.corrupted.to_le_bytes());
     report
 }
 

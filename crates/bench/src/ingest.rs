@@ -26,7 +26,7 @@ use oda_telemetry::metrics::{MetricsRegistry, MetricsSnapshot};
 use oda_telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
 use oda_telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use oda_telemetry::sensor::{SensorKind, SensorRegistry, Unit};
-use oda_telemetry::store::TimeSeriesStore;
+use oda_telemetry::store::{RollupConfig, TimeSeriesStore};
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
@@ -149,10 +149,11 @@ pub fn run_ingest(cfg: &IngestConfig, metrics: MetricsRegistry) -> (IngestReport
             )
         })
         .collect();
-    let store = Arc::new(TimeSeriesStore::with_capacity_shards_metrics(
+    let store = Arc::new(TimeSeriesStore::with_rollups(
         cfg.store_capacity,
         TimeSeriesStore::DEFAULT_SHARDS,
         metrics.clone(),
+        RollupConfig::default(),
     ));
     let bus = TelemetryBus::with_parts(registry, Some(Arc::clone(&store)), metrics.clone());
     // One live subscriber so the fan-out path is exercised; drained each

@@ -31,6 +31,7 @@ use oda_serve::net::SimNet;
 use oda_serve::server::Server;
 use oda_telemetry::bus::TelemetryBus;
 use oda_telemetry::metrics::MetricsRegistry;
+use oda_telemetry::plane::LocalPlane;
 use oda_telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
 use oda_telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use oda_telemetry::sensor::{SensorId, SensorKind, SensorRegistry, Unit};
@@ -275,8 +276,10 @@ pub fn run_serving(cfg: &ServingBenchConfig) -> ServingReport {
     let mut server = Server::new(
         Arc::clone(&net),
         serving,
-        registry.clone(),
-        Arc::clone(&store),
+        Arc::new(LocalPlane {
+            store: Arc::clone(&store),
+            registry: registry.clone(),
+        }),
     )
     .with_bus(Arc::clone(&bus))
     .with_metrics(MetricsRegistry::new());

@@ -10,7 +10,6 @@
 //! `Forecast` artifacts from earlier stages and become proactive.
 
 use crate::grid::GridFootprint;
-use oda_telemetry::cluster::ClusterCoordinator;
 use oda_telemetry::query::TimeRange;
 use oda_telemetry::reading::Timestamp;
 use oda_telemetry::sensor::SensorRegistry;
@@ -115,16 +114,6 @@ pub struct CapabilityContext {
     /// would break replay). Capabilities that want randomness must seed
     /// their generator from this value and nothing else.
     pub rng_seed: u64,
-    /// The sharded collector hierarchy, when the site runs one.
-    ///
-    /// Edge capabilities (per-node anomaly detection) push their logic
-    /// to the shards with [`ClusterCoordinator::run_edge`] so each shard
-    /// scans only its own slice; global capabilities (site forecasting)
-    /// run [`ClusterCoordinator::query`] and consume the gathered
-    /// aggregates. `None` on unsharded sites — capabilities must fall
-    /// back to `store` then, and queries answer bit-identically either
-    /// way.
-    pub cluster: Option<Arc<ClusterCoordinator>>,
 }
 
 impl CapabilityContext {
@@ -142,7 +131,6 @@ impl CapabilityContext {
             now,
             upstream: Vec::new(),
             rng_seed: 0,
-            cluster: None,
         }
     }
 
@@ -150,13 +138,6 @@ impl CapabilityContext {
     #[must_use]
     pub fn with_rng_seed(mut self, rng_seed: u64) -> Self {
         self.rng_seed = rng_seed;
-        self
-    }
-
-    /// Attaches the sharded collector hierarchy. Builder-style.
-    #[must_use]
-    pub fn with_cluster(mut self, cluster: Arc<ClusterCoordinator>) -> Self {
-        self.cluster = Some(cluster);
         self
     }
 

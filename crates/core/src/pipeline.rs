@@ -14,6 +14,7 @@
 use crate::analytics_type::AnalyticsType;
 use crate::capability::{Artifact, Capability, CapabilityContext};
 use crate::runtime::{CapabilityScheduler, RuntimeConfig};
+use oda_telemetry::hash::{fnv1a_fold, FNV_OFFSET};
 use oda_telemetry::metrics::MetricsRegistry;
 use serde::Serialize;
 
@@ -73,13 +74,8 @@ impl PipelineRun {
     /// count; the scale bench and the determinism property tests gate on
     /// exactly this.
     pub fn output_digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut hash = FNV_OFFSET;
+        let mut fold = |bytes: &[u8]| fnv1a_fold(&mut hash, bytes);
         for (stage, name, artifacts) in &self.stages {
             fold(&[stage.index() as u8]);
             fold(name.as_bytes());

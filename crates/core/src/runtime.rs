@@ -45,6 +45,7 @@ use crate::analytics_type::AnalyticsType;
 use crate::capability::{Artifact, Capability, CapabilityContext};
 use crate::grid::GridFootprint;
 use crate::pipeline::{PipelineRun, StageSpan, StagedPipeline};
+use oda_telemetry::hash::splitmix64;
 use oda_telemetry::metrics::MetricsRegistry;
 use oda_telemetry::query::TimeRange;
 use oda_telemetry::reading::Timestamp;
@@ -105,15 +106,6 @@ impl RuntimeConfig {
         self.seed = seed;
         self
     }
-}
-
-/// SplitMix64 — the stock seed-derivation permutation (Steele et al.),
-/// used to derive pass seeds and per-slot RNG streams.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// One concurrency layer of the capability DAG: every slot in `slots` may
@@ -589,7 +581,6 @@ impl CapabilityScheduler {
                             now: ctx.now,
                             upstream: snapshot.clone(),
                             rng_seed: splitmix64(pass_seed ^ (slot as u64 + 1)),
-                            cluster: ctx.cluster.clone(),
                         },
                     }
                 })
@@ -1254,11 +1245,7 @@ mod tests {
         if baseline == 0 {
             return; // no /proc on this platform; covered on Linux CI
         }
-        let store = std::sync::Arc::new(TimeSeriesStore::with_capacity_shards_metrics(
-            8,
-            1,
-            MetricsRegistry::disabled(),
-        ));
+        let store = std::sync::Arc::new(TimeSeriesStore::with_capacity(8));
         struct Deaf;
         impl ControlPlane for Deaf {
             fn apply(&mut self, _: &str, _: &str) -> bool {

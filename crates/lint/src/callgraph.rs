@@ -329,7 +329,6 @@ pub fn analyze(files: &[(usize, &str, &Lexed, &ParsedFile)]) -> Analysis {
                 Some(ep) if chans.is_bounded(ep) => Some(BlockKind::SendBounded),
                 _ => None,
             },
-            BlockKind::Await => None, // handled by its own rule, not propagated
             k => Some(k),
         }
     };
@@ -573,7 +572,7 @@ pub fn analyze(files: &[(usize, &str, &Lexed, &ParsedFile)]) -> Analysis {
         }
     }
 
-    // ---- rules: guard-across-blocking / guard-across-await-point --------
+    // ---- rule: guard-across-blocking ------------------------------------
     for (ni, n) in nodes.iter().enumerate() {
         for a in &n.summary.acquires {
             let (start, end) = a.extent;
@@ -581,22 +580,6 @@ pub fn analyze(files: &[(usize, &str, &Lexed, &ParsedFile)]) -> Analysis {
             for bi in 0..n.summary.blocks.len() {
                 let b = &n.summary.blocks[bi];
                 if b.tok <= start || b.tok >= end {
-                    continue;
-                }
-                if b.kind == BlockKind::Await {
-                    out.findings.push((
-                        n.file_id,
-                        Finding {
-                            rule: "guard-across-await-point",
-                            line: b.line,
-                            col: b.col,
-                            message: format!(
-                                "guard on `{}` (acquired line {}) is live across an \
-                                 .await point",
-                                a.lock, a.line
-                            ),
-                        },
-                    ));
                     continue;
                 }
                 if let Some(kind) = site_blocks(ni, bi) {

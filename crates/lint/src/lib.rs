@@ -87,6 +87,7 @@ impl Config {
                 "crates/telemetry/src/cluster/coordinator.rs",
                 "crates/telemetry/src/cluster/placement.rs",
                 "crates/telemetry/src/cluster/shard.rs",
+                "crates/telemetry/src/plane.rs",
                 "crates/telemetry/src/query.rs",
                 "crates/telemetry/src/store.rs",
                 "crates/telemetry/src/storage/mod.rs",

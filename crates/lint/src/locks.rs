@@ -37,8 +37,6 @@ pub enum BlockKind {
     Flush,
     /// `Server::poll()` — the serving readiness loop.
     Poll,
-    /// `.await` — reserved for future async support.
-    Await,
 }
 
 impl BlockKind {
@@ -50,7 +48,6 @@ impl BlockKind {
             BlockKind::Join => "join",
             BlockKind::Flush => "flush/sync_all",
             BlockKind::Poll => "Server::poll",
-            BlockKind::Await => "await point",
         }
     }
 }
@@ -495,16 +492,6 @@ pub fn summarize(toks: &[Tok], item: &FnItem, resolver: &LockResolver<'_>) -> Fn
                 out.blocks.push(BlockSite {
                     kind,
                     recv_path: receiver_path(toks, i - 1),
-                    tok: i,
-                    line: t.line,
-                    col: t.col,
-                });
-            }
-            // `.await` postfix (reserved rule).
-            if name == "await" {
-                out.blocks.push(BlockSite {
-                    kind: BlockKind::Await,
-                    recv_path: Vec::new(),
                     tok: i,
                     line: t.line,
                     col: t.col,

@@ -168,16 +168,6 @@ pub const RULES: &[RuleMeta] = &[
                   tx.send(cmd);   // bounded: blocks while holding `state`",
     },
     RuleMeta {
-        id: "guard-across-await-point",
-        description: "a lock guard is live across an .await point — the future can be \
-                      parked indefinitely (or moved threads) with the lock held. \
-                      Reserved: the workspace is currently sync-only, but the rule is \
-                      fully evaluated so the first async code inherits it",
-        scope: "workspace (non-shim), non-test code",
-        example: "let g = self.state.lock();\n\
-                  socket.read_frame().await;   // parked with the lock held",
-    },
-    RuleMeta {
         id: "channel-cycle",
         description: "a send on a bounded channel is reachable (via the call graph) \
                       from that channel's own consumer: when the channel fills, the \

@@ -52,7 +52,8 @@
 //! store.insert(id, Reading::new(Timestamp::from_millis(1), 120.0));
 //!
 //! let net = Arc::new(SimNet::new());
-//! let mut server = Server::new(net.clone(), ServingConfig::default(), registry, store);
+//! let plane = Arc::new(LocalPlane { store, registry });
+//! let mut server = Server::new(net.clone(), ServingConfig::default(), plane);
 //! let conn = net.connect();
 //! net.client_send(conn, b"GET /healthz HTTP/1.1\r\n\r\n");
 //! server.poll();

@@ -30,9 +30,9 @@
 //! saturation reflects real downstream pressure.
 //!
 //! Query responses carry `X-Cache: hit|miss` and `X-Result-Digest` (the
-//! [`QueryResult::digest`] of the rendered result), so a client — or the
-//! serving bench's exit gate — can verify the cache's bit-equality
-//! contract externally.
+//! [`oda_telemetry::query::QueryResult::digest`] of the rendered result),
+//! so a client — or the serving bench's exit gate — can verify the cache's
+//! bit-equality contract externally.
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::config::ServingConfig;
@@ -41,12 +41,10 @@ use crate::http::{error_body, parse_request, response, streaming_head, HttpReque
 use crate::net::{ConnId, IoResult, ServerNet};
 use crate::tenant::{Admission, AdmissionController, TenantCounters};
 use oda_telemetry::bus::TelemetryBus;
-use oda_telemetry::cluster::ClusterCoordinator;
 use oda_telemetry::metrics::MetricsRegistry;
 use oda_telemetry::pattern::SensorPattern;
-use oda_telemetry::query::{Query, QueryEngine, QueryResult};
-use oda_telemetry::sensor::SensorRegistry;
-use oda_telemetry::store::TimeSeriesStore;
+use oda_telemetry::plane::QueryPlane;
+use oda_telemetry::query::Query;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -107,10 +105,8 @@ impl Conn {
 pub struct Server<N: ServerNet> {
     net: Arc<N>,
     config: ServingConfig,
-    registry: SensorRegistry,
-    store: Arc<TimeSeriesStore>,
+    plane: Arc<dyn QueryPlane>,
     bus: Option<Arc<TelemetryBus>>,
-    cluster: Option<Arc<ClusterCoordinator>>,
     metrics: Option<MetricsRegistry>,
     admission: AdmissionController,
     cache: QueryCache,
@@ -120,26 +116,22 @@ pub struct Server<N: ServerNet> {
 }
 
 impl<N: ServerNet> Server<N> {
-    /// Creates a server over `net` answering queries from `store`, with
-    /// pattern selectors resolved against `registry`. Attach a bus with
-    /// [`Server::with_bus`] to enable `/api/v1/subscribe`, and a metrics
-    /// registry with [`Server::with_metrics`] to enable `/metrics`.
-    pub fn new(
-        net: Arc<N>,
-        config: ServingConfig,
-        registry: SensorRegistry,
-        store: Arc<TimeSeriesStore>,
-    ) -> Self {
+    /// Creates a server over `net` answering queries from `plane` — a
+    /// [`oda_telemetry::plane::LocalPlane`] over one store or a collector
+    /// cluster's coordinator; responses and digests are bit-identical
+    /// either way, and a plane with shards adds a per-shard occupancy
+    /// section to `/api/v1/stats`. Attach a bus with [`Server::with_bus`]
+    /// to enable `/api/v1/subscribe`, and a metrics registry with
+    /// [`Server::with_metrics`] to enable `/metrics`.
+    pub fn new(net: Arc<N>, config: ServingConfig, plane: Arc<dyn QueryPlane>) -> Self {
         let cache = QueryCache::new(config.cache_capacity);
         let admission = AdmissionController::new(config.clone());
-        let fanout = FanoutHub::new(registry.clone());
+        let fanout = FanoutHub::new(plane.registry().clone());
         Server {
             net,
             config,
-            registry,
-            store,
+            plane,
             bus: None,
-            cluster: None,
             metrics: None,
             admission,
             cache,
@@ -152,16 +144,6 @@ impl<N: ServerNet> Server<N> {
     /// Attaches the telemetry bus, enabling live subscription fan-out.
     pub fn with_bus(mut self, bus: Arc<TelemetryBus>) -> Self {
         self.bus = Some(bus);
-        self
-    }
-
-    /// Attaches a collector cluster: queries fan out over its shards via
-    /// scatter-gather (transparently to clients — responses and digests
-    /// are bit-identical to single-store execution), result-cache
-    /// versioning consults the owning shards, and `/api/v1/stats` gains a
-    /// per-shard occupancy section.
-    pub fn with_cluster(mut self, cluster: Arc<ClusterCoordinator>) -> Self {
-        self.cluster = Some(cluster);
         self
     }
 
@@ -422,16 +404,17 @@ impl<N: ServerNet> Server<N> {
     }
 
     fn handle_sensors(&mut self, key: u64, request: &HttpRequest) {
+        let registry = self.plane.registry();
         let metas = match request.query_param("pattern") {
             Some(p) => {
                 let pattern = SensorPattern::new(&p);
-                let mut ids = self.registry.matching(&pattern);
+                let mut ids = registry.matching(&pattern);
                 ids.sort_unstable();
                 ids.iter()
-                    .filter_map(|id| self.registry.meta(*id))
+                    .filter_map(|id| registry.meta(*id))
                     .collect::<Vec<_>>()
             }
-            None => self.registry.all(),
+            None => registry.all(),
         };
         let sensors = Value::Array(
             metas
@@ -501,24 +484,10 @@ impl<N: ServerNet> Server<N> {
         // One wire form: the canonical rendering is the cache key, so any
         // two spellings of the same query share an entry.
         let key = query.to_json();
-        // Clustered serving fans resolution, versioning and execution out
-        // over the shard set; the merge is deterministic, so cache bodies
-        // and digests stay bit-identical to single-store execution.
-        let sensors = match &self.cluster {
-            Some(cluster) => cluster.resolve(&query),
-            None => QueryEngine::new(&self.store)
-                .with_registry(self.registry.clone())
-                .resolve_sensors(&query),
-        };
+        let sensors = self.plane.resolve(&query);
         // Versions snapshotted BEFORE execution: a concurrent fold can only
         // force a conservative miss later, never a stale hit (cache docs).
-        let versions: Vec<u64> = match &self.cluster {
-            Some(cluster) => cluster.sensor_versions(&sensors),
-            None => sensors
-                .iter()
-                .map(|s| self.store.sensor_version(*s))
-                .collect(),
-        };
+        let versions = self.plane.sensor_versions(&sensors);
         if let Some((body, digest)) = self.cache.lookup(&key, &sensors, &versions) {
             self.count_metric("serving_cache_lookup_total", &[("outcome", "hit")]);
             let headers = vec![
@@ -528,10 +497,7 @@ impl<N: ServerNet> Server<N> {
             return (200, headers, body.to_vec());
         }
         self.count_metric("serving_cache_lookup_total", &[("outcome", "miss")]);
-        let result: QueryResult = match &self.cluster {
-            Some(cluster) => cluster.query(query),
-            None => query.run(&QueryEngine::new(&self.store).with_registry(self.registry.clone())),
-        };
+        let result = self.plane.query(query);
         let digest = result.digest();
         let body = Arc::new(result.to_json().into_bytes());
         self.cache
@@ -652,10 +618,10 @@ impl<N: ServerNet> Server<N> {
                 ]),
             ),
         ];
-        if let Some(cluster) = &self.cluster {
-            let shards = Value::Array(
-                cluster
-                    .occupancy()
+        if let Some(shards) = self.plane.shard_stats() {
+            let occupancy = Value::Array(
+                shards
+                    .occupancy
                     .iter()
                     .map(|o| {
                         Value::Object(vec![
@@ -673,11 +639,11 @@ impl<N: ServerNet> Server<N> {
             sections.push((
                 "shards".to_string(),
                 Value::Object(vec![
-                    ("count".to_string(), u(cluster.shard_count() as u64)),
-                    ("alive".to_string(), u(cluster.alive_shards().len() as u64)),
-                    ("epoch".to_string(), u(cluster.epoch())),
-                    ("rebalances".to_string(), u(cluster.rebalances())),
-                    ("occupancy".to_string(), shards),
+                    ("count".to_string(), u(shards.count as u64)),
+                    ("alive".to_string(), u(shards.alive as u64)),
+                    ("epoch".to_string(), u(shards.epoch)),
+                    ("rebalances".to_string(), u(shards.rebalances)),
+                    ("occupancy".to_string(), occupancy),
                 ]),
             ));
         }
@@ -824,9 +790,13 @@ mod tests {
         }
         let net = Arc::new(SimNet::new());
         let metrics = MetricsRegistry::new();
-        let server = Server::new(Arc::clone(&net), config, registry, store)
-            .with_bus(Arc::clone(&bus))
-            .with_metrics(metrics);
+        let server = Server::new(
+            Arc::clone(&net),
+            config,
+            Arc::new(LocalPlane { store, registry }),
+        )
+        .with_bus(Arc::clone(&bus))
+        .with_metrics(metrics);
         World {
             net,
             server,
@@ -1050,82 +1020,6 @@ mod tests {
     }
 
     #[test]
-    fn cluster_backed_queries_match_unsharded_digests_and_stats_report_shards() {
-        use oda_telemetry::cluster::{ClusterConfig, ClusterCoordinator};
-
-        // Unsharded world answers the query; record its digest.
-        let q_for = |id: u32| {
-            format!("{{\"selector\":{{\"ids\":[{id}]}},\"shape\":{{\"kind\":\"scalars\",\"agg\":\"mean\"}}}}")
-        };
-        let mut plain = world(ServingConfig::default());
-        let sensor = plain.sensors[0];
-        let q = q_for(sensor.0);
-        let raw = format!(
-            "POST /api/v1/query HTTP/1.1\r\ncontent-length: {}\r\n\r\n{}",
-            q.len(),
-            q
-        );
-        let (_, headers, body_plain) = request(&mut plain, &raw);
-        let digest_plain = header(&headers, "x-result-digest")
-            .expect("digest")
-            .to_string();
-
-        // Clustered world over 3 shards, fed the identical stream.
-        let registry = SensorRegistry::new();
-        let sensors = vec![
-            registry.register("/hw/n0/power", SensorKind::Power, Unit::Watts),
-            registry.register("/hw/n1/power", SensorKind::Power, Unit::Watts),
-            registry.register("/facility/pue", SensorKind::Count, Unit::Dimensionless),
-        ];
-        let cluster = Arc::new(
-            ClusterCoordinator::new(ClusterConfig::with_shards(3), registry.clone())
-                .expect("cluster"),
-        );
-        for i in 0..10u64 {
-            for &s in &sensors {
-                cluster.ingest(ReadingBatch::single(
-                    s,
-                    Reading::new(Timestamp::from_millis(100 * i), i as f64 + f64::from(s.0)),
-                ));
-            }
-        }
-        cluster.fence();
-        let net = Arc::new(SimNet::new());
-        let store = Arc::new(TimeSeriesStore::with_capacity(16));
-        let mut server = Server::new(Arc::clone(&net), ServingConfig::default(), registry, store)
-            .with_cluster(Arc::clone(&cluster));
-
-        let conn = net.connect();
-        net.client_send(conn, raw.as_bytes());
-        for _ in 0..64 {
-            server.poll();
-        }
-        let (status, headers, body_cluster) = parse_response(&net.client_recv(conn));
-        assert_eq!(status, 200);
-        assert_eq!(
-            header(&headers, "x-result-digest"),
-            Some(digest_plain.as_str()),
-            "scatter-gather digest must be bit-identical to unsharded"
-        );
-        assert_eq!(body_plain, body_cluster);
-        net.client_close(conn);
-        server.poll();
-
-        // Stats gain a per-shard occupancy section.
-        let conn = net.connect();
-        net.client_send(conn, b"GET /api/v1/stats HTTP/1.1\r\n\r\n");
-        for _ in 0..64 {
-            server.poll();
-        }
-        let (status, _, body) = parse_response(&net.client_recv(conn));
-        assert_eq!(status, 200);
-        let text = String::from_utf8_lossy(&body);
-        assert!(text.contains("\"shards\""), "{text}");
-        assert!(text.contains("\"occupancy\""), "{text}");
-        assert!(text.contains("\"count\":3"), "{text}");
-    }
-
-    #[test]
     fn tenants_are_isolated_by_header() {
         let mut w = world(
             ServingConfig {
@@ -1308,7 +1202,8 @@ mod tests {
         let store = Arc::new(TimeSeriesStore::with_capacity(64));
         let net = Arc::new(RealNet::bind("127.0.0.1:0").expect("bind loopback"));
         let addr = net.local_addr().expect("local addr");
-        let mut server = Server::new(Arc::clone(&net), ServingConfig::default(), registry, store);
+        let plane = Arc::new(LocalPlane { store, registry });
+        let mut server = Server::new(Arc::clone(&net), ServingConfig::default(), plane);
 
         let mut client = std::net::TcpStream::connect(addr).expect("connect");
         client

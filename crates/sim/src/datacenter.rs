@@ -42,6 +42,7 @@ use oda_serve::server::Server;
 use oda_telemetry::bus::TelemetryBus;
 use oda_telemetry::cluster::{ClusterConfig, ClusterCoordinator};
 use oda_telemetry::metrics::MetricsRegistry;
+use oda_telemetry::plane::{LocalPlane, QueryPlane};
 use oda_telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use oda_telemetry::sensor::{SensorId, SensorKind, SensorRegistry, Unit};
 use oda_telemetry::storage::{
@@ -784,23 +785,30 @@ impl DataCenter {
     }
 
     /// Builds a multi-tenant query/subscription frontend over `net`, wired
-    /// to this site's registry, hot store, telemetry bus and metrics
-    /// registry. Quotas and cache sizing come from
+    /// to this site's query plane ([`Self::plane`]), telemetry bus and
+    /// metrics registry. Quotas and cache sizing come from
     /// [`DataCenterBuilder::serving`]. Drive it with
     /// [`Server::poll`] from the experiment loop (or a
     /// [`oda_serve::net::RealNet`] listener thread).
     pub fn serve<N: ServerNet>(&self, net: Arc<N>) -> Server<N> {
-        let server = Server::new(
-            net,
-            self.serving.clone(),
-            self.registry.clone(),
-            Arc::clone(self.store()),
-        )
-        .with_bus(Arc::clone(&self.bus))
-        .with_metrics(self.metrics().clone());
+        Server::new(net, self.serving.clone(), self.plane())
+            .with_bus(Arc::clone(&self.bus))
+            .with_metrics(self.metrics().clone())
+    }
+
+    /// The site's query plane: the collector cluster's coordinator on a
+    /// sharded site, the site store otherwise — the one place that choice
+    /// is made (from `config.shards`, via [`Self::cluster`]). The unsharded
+    /// store stays the default because it answers and ingests without the
+    /// shard channel hop and flush-per-command. A plane handed out before
+    /// [`Self::restart_archive`] keeps reading the pre-restart store.
+    pub fn plane(&self) -> Arc<dyn QueryPlane> {
         match &self.cluster {
-            Some(cluster) => server.with_cluster(Arc::clone(cluster)),
-            None => server,
+            Some(cluster) => Arc::clone(cluster) as Arc<dyn QueryPlane>,
+            None => Arc::new(LocalPlane {
+                store: Arc::clone(self.store()),
+                registry: self.registry.clone(),
+            }),
         }
     }
 

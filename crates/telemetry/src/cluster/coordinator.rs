@@ -45,12 +45,15 @@ use crate::cluster::placement::{PlacementMap, ShardId};
 use crate::cluster::shard::{EdgeTask, ShardCmd, ShardHandle, ShardHealth};
 use crate::cluster::ClusterConfig;
 use crate::metrics::MetricsRegistry;
-use crate::query::{align_buckets, Bucket, Query, QueryResult, ResultData, SensorSelector, Shape};
+use crate::plane::{QueryPlane, ShardStats};
+use crate::query::{
+    align_buckets, Aggregation, Query, QueryResult, ResultData, SensorSelector, Shape,
+};
 use crate::reading::{Reading, ReadingBatch, Timestamp};
 use crate::sensor::{SensorId, SensorRegistry};
 use crate::storage::engine::PersistentEngine;
 use crate::storage::{FsError, SimFs, StorageFs};
-use crossbeam_channel::bounded;
+use crossbeam_channel::{bounded, Receiver, Sender};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -186,18 +189,7 @@ impl ClusterCoordinator {
     /// given; patterns matched against the registry in ascending id
     /// order).
     pub fn resolve(&self, query: &Query) -> Vec<SensorId> {
-        self.resolve_selector(&query.selector)
-    }
-
-    fn resolve_selector(&self, selector: &SensorSelector) -> Vec<SensorId> {
-        match selector {
-            SensorSelector::Ids(ids) => ids.clone(),
-            SensorSelector::Pattern(pattern) => {
-                let mut ids = self.registry.matching(pattern);
-                ids.sort_unstable_by_key(|s| s.index());
-                ids
-            }
-        }
+        query.selector.clone().resolve(Some(&self.registry))
     }
 
     /// Snapshots per-sensor store versions from the owning shards, in
@@ -206,39 +198,16 @@ impl ClusterCoordinator {
     /// serving layer's result cache.
     pub fn sensor_versions(&self, sensors: &[SensorId]) -> Vec<u64> {
         let state = self.state.read();
-        let mut parts: BTreeMap<ShardId, Vec<(usize, SensorId)>> = BTreeMap::new();
-        for (pos, &s) in sensors.iter().enumerate() {
-            parts
-                .entry(state.placement.owner(s))
-                .or_default()
-                .push((pos, s));
-        }
-        let mut out = vec![0u64; sensors.len()];
-        let mut pending = Vec::new();
-        for (shard, slice) in &parts {
-            let Some(Some(h)) = state.shards.get(shard.index()) else {
-                continue;
-            };
-            let (reply, rx) = bounded(1);
-            let sensors: Vec<SensorId> = slice.iter().map(|&(_, s)| s).collect();
-            if h.tx.send(ShardCmd::Versions { sensors, reply }).is_ok() {
-                pending.push((slice, rx));
-            }
-        }
+        let parts = partition(&state.placement, sensors);
+        let pending = scatter(&state, &parts, |sensors, reply| ShardCmd::Versions {
+            sensors,
+            reply,
+        });
         // Gather outside the lock: a slow shard must not stall placement
         // writers. Replies are routed by `reply` channel, not identity,
         // so a concurrent failover cannot misdirect them.
         drop(state);
-        for (slice, rx) in pending {
-            if let Ok(versions) = rx.recv() {
-                for (&(pos, _), v) in slice.iter().zip(versions) {
-                    if let Some(slot) = out.get_mut(pos) {
-                        *slot = v;
-                    }
-                }
-            }
-        }
-        out
+        gather(sensors.len(), pending, |versions| versions)
     }
 
     /// Executes `query` by scatter-gather: resolve centrally, send each
@@ -247,128 +216,62 @@ impl ClusterCoordinator {
     /// into the sensor's resolved position. Bit-identical to unsharded
     /// execution at any shard count (see the module docs).
     pub fn query(&self, query: Query) -> QueryResult {
-        let sensors = self.resolve_selector(&query.selector);
-        let state = self.state.read();
-        let mut parts: BTreeMap<ShardId, Vec<(usize, SensorId)>> = BTreeMap::new();
-        for (pos, &s) in sensors.iter().enumerate() {
-            parts
-                .entry(state.placement.owner(s))
-                .or_default()
-                .push((pos, s));
-        }
+        let Query {
+            selector,
+            range,
+            rate,
+            raw_only,
+            shape,
+        } = query;
+        let sensors = selector.resolve(Some(&self.registry));
         // Aligned queries cannot be executed per-shard directly (the
         // union grid spans all sensors), but their per-sensor core —
         // mean-bucketing at the requested width — is exactly a bucket
         // query, so scatter that and run the final alignment centrally.
-        let sub_shape = match query.shape {
+        let sub_shape = match shape {
             Shape::Aligned { bucket_ms } => Shape::Buckets {
                 bucket_ms,
-                agg: crate::query::Aggregation::Mean,
+                agg: Aggregation::Mean,
             },
             other => other,
         };
-        // Scatter in ascending shard-id order (BTreeMap iteration)...
-        let mut pending = Vec::new();
-        for (shard, slice) in &parts {
-            let Some(Some(h)) = state.shards.get(shard.index()) else {
-                continue;
-            };
-            let sub = Query {
-                selector: SensorSelector::Ids(slice.iter().map(|&(_, s)| s).collect()),
-                range: query.range,
-                rate: query.rate,
-                raw_only: query.raw_only,
+        let state = self.state.read();
+        let parts = partition(&state.placement, &sensors);
+        let pending = scatter(&state, &parts, |ids, reply| ShardCmd::Query {
+            query: Query {
+                selector: SensorSelector::Ids(ids),
+                range,
+                rate,
+                raw_only,
                 shape: sub_shape,
-            };
-            let (reply, rx) = bounded(1);
-            if h.tx.send(ShardCmd::Query { query: sub, reply }).is_ok() {
-                pending.push((slice, rx));
-            }
-        }
-        // ...and gather in the same order: a shard-id-sorted fold into
-        // position-addressed slots, independent of reply timing. The
-        // guard drops first — shard-local query execution must not block
-        // placement writers.
+            },
+            reply,
+        });
+        // The guard drops before the gather — shard-local query execution
+        // must not block placement writers.
         drop(state);
-        match query.shape {
-            Shape::Readings => {
-                let mut slots: Vec<Vec<Reading>> = vec![Vec::new(); sensors.len()];
-                for (slice, rx) in pending {
-                    if let Ok(partial) = rx.recv() {
-                        if let ResultData::Series(series) = partial.shape {
-                            slot_back(&mut slots, slice, series);
-                        }
-                    }
-                }
-                QueryResult {
-                    sensors,
-                    shape: ResultData::Series(slots),
-                }
-            }
+        let n = sensors.len();
+        let shape = match shape {
+            Shape::Readings => ResultData::Series(gather(n, pending, QueryResult::series)),
             Shape::Buckets { .. } => {
-                let mut slots: Vec<Vec<Bucket>> = vec![Vec::new(); sensors.len()];
-                for (slice, rx) in pending {
-                    if let Ok(partial) = rx.recv() {
-                        if let ResultData::Buckets(series) = partial.shape {
-                            slot_back(&mut slots, slice, series);
-                        }
-                    }
-                }
-                QueryResult {
-                    sensors,
-                    shape: ResultData::Buckets(slots),
-                }
+                ResultData::Buckets(gather(n, pending, QueryResult::bucket_series))
             }
-            Shape::Scalars(_) => {
-                let mut slots: Vec<Option<f64>> = vec![None; sensors.len()];
-                for (slice, rx) in pending {
-                    if let Ok(partial) = rx.recv() {
-                        if let ResultData::Scalars(values) = partial.shape {
-                            slot_back(&mut slots, slice, values);
-                        }
-                    }
-                }
-                QueryResult {
-                    sensors,
-                    shape: ResultData::Scalars(slots),
-                }
-            }
+            Shape::Scalars(_) => ResultData::Scalars(gather(n, pending, QueryResult::scalars)),
             Shape::Aligned { .. } => {
-                let mut slots: Vec<Vec<Bucket>> = vec![Vec::new(); sensors.len()];
-                for (slice, rx) in pending {
-                    if let Ok(partial) = rx.recv() {
-                        if let ResultData::Buckets(series) = partial.shape {
-                            slot_back(&mut slots, slice, series);
-                        }
-                    }
-                }
-                let (grid, matrix) = align_buckets(&slots);
-                QueryResult {
-                    sensors,
-                    shape: ResultData::Aligned { grid, matrix },
-                }
+                let (grid, matrix) = align_buckets(&gather(n, pending, QueryResult::bucket_series));
+                ResultData::Aligned { grid, matrix }
             }
-        }
+        };
+        QueryResult { sensors, shape }
     }
 
     /// Health reports from every alive shard, in ascending shard order.
     pub fn health(&self) -> Vec<ShardHealth> {
-        let state = self.state.read();
-        let mut pending = Vec::new();
-        for id in state.placement.alive() {
-            let Some(Some(h)) = state.shards.get(id.index()) else {
-                continue;
-            };
-            let (reply, rx) = bounded(1);
-            if h.tx.send(ShardCmd::Health { reply }).is_ok() {
-                pending.push(rx);
-            }
-        }
-        // Gather with the lock released; see `query`.
-        drop(state);
+        let pending = ask_alive(&self.state.read(), |reply| ShardCmd::Health { reply });
+        // Gathered with the lock released; see `query`.
         pending
             .into_iter()
-            .filter_map(|rx| rx.recv().ok())
+            .filter_map(|(_, rx)| rx.recv().ok())
             .collect()
     }
 
@@ -410,23 +313,11 @@ impl ClusterCoordinator {
     /// store (edge placement), gathering `(shard, samples)` in ascending
     /// shard order.
     pub fn run_edge(&self, task: EdgeTask) -> Vec<(ShardId, Vec<(String, f64)>)> {
-        let state = self.state.read();
-        let mut pending = Vec::new();
-        for id in state.placement.alive() {
-            let Some(Some(h)) = state.shards.get(id.index()) else {
-                continue;
-            };
-            let (reply, rx) = bounded(1);
-            let cmd = ShardCmd::Edge {
-                task: Arc::clone(&task),
-                reply,
-            };
-            if h.tx.send(cmd).is_ok() {
-                pending.push((id, rx));
-            }
-        }
-        // Gather with the lock released; see `query`.
-        drop(state);
+        let pending = ask_alive(&self.state.read(), |reply| ShardCmd::Edge {
+            task: Arc::clone(&task),
+            reply,
+        });
+        // Gathered with the lock released; see `query`.
         pending
             .into_iter()
             .filter_map(|(id, rx)| rx.recv().ok().map(|samples| (id, samples)))
@@ -548,31 +439,110 @@ impl Drop for ClusterCoordinator {
     }
 }
 
-/// Sends a fence to every alive shard and waits for all replies.
-fn fence_alive(state: &State) {
+impl QueryPlane for ClusterCoordinator {
+    fn registry(&self) -> &SensorRegistry {
+        &self.registry
+    }
+
+    fn sensor_versions(&self, sensors: &[SensorId]) -> Vec<u64> {
+        ClusterCoordinator::sensor_versions(self, sensors)
+    }
+
+    fn query(&self, query: Query) -> QueryResult {
+        ClusterCoordinator::query(self, query)
+    }
+
+    fn shard_stats(&self) -> Option<ShardStats> {
+        Some(ShardStats {
+            count: self.shard_count(),
+            alive: self.alive_shards().len(),
+            epoch: self.epoch(),
+            rebalances: self.rebalances(),
+            occupancy: self.occupancy(),
+        })
+    }
+}
+
+/// Sends every alive shard the command `make` builds around a fresh
+/// reply channel; returns the pending replies in ascending shard order.
+fn ask_alive<R>(
+    state: &State,
+    make: impl Fn(Sender<R>) -> ShardCmd,
+) -> Vec<(ShardId, Receiver<R>)> {
     let mut pending = Vec::new();
     for id in state.placement.alive() {
         let Some(Some(h)) = state.shards.get(id.index()) else {
             continue;
         };
         let (reply, rx) = bounded(1);
-        if h.tx.send(ShardCmd::Fence { reply }).is_ok() {
-            pending.push(rx);
+        if h.tx.send(make(reply)).is_ok() {
+            pending.push((id, rx));
         }
     }
-    for rx in pending {
+    pending
+}
+
+/// Sends a fence to every alive shard and waits for all replies.
+fn fence_alive(state: &State) {
+    for (_, rx) in ask_alive(state, |reply| ShardCmd::Fence { reply }) {
         let _ = rx.recv();
     }
 }
 
-/// Writes each per-sensor partial into its sensor's position in the
-/// resolved order. `slice` pairs positions with sensors in the exact
-/// order the sub-query listed them, so `partials[k]` is the result for
-/// `slice[k]`'s sensor.
-fn slot_back<T>(slots: &mut [T], slice: &[(usize, SensorId)], partials: Vec<T>) {
-    for (&(pos, _), partial) in slice.iter().zip(partials) {
-        if let Some(slot) = slots.get_mut(pos) {
-            *slot = partial;
+/// `sensors` grouped by owning shard, each tagged with its position in
+/// the input order. `BTreeMap` iteration is what makes scatter and gather
+/// run in ascending shard-id order.
+type Parts = BTreeMap<ShardId, Vec<(usize, SensorId)>>;
+
+fn partition(placement: &PlacementMap, sensors: &[SensorId]) -> Parts {
+    let mut parts = Parts::new();
+    for (pos, &s) in sensors.iter().enumerate() {
+        parts.entry(placement.owner(s)).or_default().push((pos, s));
+    }
+    parts
+}
+
+/// One shard's slice of a scatter, paired with its pending reply.
+type Pending<'p, R> = Vec<(&'p [(usize, SensorId)], Receiver<R>)>;
+
+/// Sends each owning shard the command `make` builds for its slice of
+/// sensors; a failed shard's slice is skipped (its slots stay empty).
+fn scatter<'p, R>(
+    state: &State,
+    parts: &'p Parts,
+    make: impl Fn(Vec<SensorId>, Sender<R>) -> ShardCmd,
+) -> Pending<'p, R> {
+    let mut pending = Vec::new();
+    for (shard, slice) in parts {
+        let Some(Some(h)) = state.shards.get(shard.index()) else {
+            continue;
+        };
+        let (reply, rx) = bounded(1);
+        let ids = slice.iter().map(|&(_, s)| s).collect();
+        if h.tx.send(make(ids, reply)).is_ok() {
+            pending.push((slice.as_slice(), rx));
         }
     }
+    pending
+}
+
+/// Receives each shard's reply in scatter order, `unpack`s it into
+/// per-sensor partials (in the order the sub-command listed the sensors)
+/// and writes each into its sensor's position among `len` slots — a
+/// shard-id-sorted fold independent of reply timing.
+fn gather<R, T: Clone + Default>(
+    len: usize,
+    pending: Pending<'_, R>,
+    unpack: impl Fn(R) -> Vec<T>,
+) -> Vec<T> {
+    let mut slots = vec![T::default(); len];
+    for (slice, rx) in pending {
+        let Ok(reply) = rx.recv() else { continue };
+        for (&(pos, _), partial) in slice.iter().zip(unpack(reply)) {
+            if let Some(slot) = slots.get_mut(pos) {
+                *slot = partial;
+            }
+        }
+    }
+    slots
 }

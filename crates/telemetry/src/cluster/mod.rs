@@ -8,9 +8,9 @@
 //!
 //! * [`PlacementMap`] — a consistent-hash ring assigns every sensor to
 //!   exactly one shard; failing a shard remaps only its slice.
-//! * `shard` (internal) — each shard owns a private `TelemetryBus` +
-//!   `TimeSeriesStore` + rollup tiers + durable archive behind a command
-//!   channel; no shared locks across shards.
+//! * `shard` (internal) — each shard owns a private `TimeSeriesStore`
+//!   (with its rollup tiers) fronted by a durable archive backend, behind
+//!   a command channel; no shared locks across shards.
 //! * [`ClusterCoordinator`] — routes ingest by placement, executes
 //!   queries via scatter-gather with a shard-id-sorted deterministic
 //!   merge (digests bit-identical at any shard count, including
@@ -53,11 +53,6 @@ pub struct ClusterConfig {
     pub storage: StorageConfig,
     /// Command-queue depth per shard (ingest backpressure threshold).
     pub queue_depth: usize,
-    /// Simulated per-batch collector I/O wait in microseconds (network
-    /// round-trip + media sync). Zero in production configs; the scale
-    /// bench sets it to model the per-collector latency that sharding
-    /// overlaps across shard threads.
-    pub io_wait_us: u64,
 }
 
 impl Default for ClusterConfig {
@@ -69,7 +64,6 @@ impl Default for ClusterConfig {
             rollups: RollupConfig::default(),
             storage: StorageConfig::hybrid(),
             queue_depth: 1024,
-            io_wait_us: 0,
         }
     }
 }

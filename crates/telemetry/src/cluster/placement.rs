@@ -14,6 +14,7 @@
 //! rebalance proportional to the failed shard's slice instead of the
 //! whole sensor space.
 
+use crate::hash::{avalanche, fnv1a_fold, FNV_OFFSET};
 use crate::sensor::SensorId;
 
 /// Identifier of one collector shard: its index in the coordinator's
@@ -36,30 +37,17 @@ impl std::fmt::Display for ShardId {
     }
 }
 
-/// FNV-1a over little-endian `u64`s, then a murmur-style avalanche
-/// finalizer. Deterministic across platforms and independent of any
-/// process-global hasher state.
-///
-/// The finalizer matters: plain FNV-1a is *affine* over small inputs
-/// (the trailing zero bytes of a small `u64` only multiply by a
-/// constant), so without it every ring point for sequential shard,
-/// vnode and sensor indices lands on the same arithmetic lattice and
-/// nearly all sensors resolve to one owner. The xor-shift/multiply
-/// rounds break that linearity and restore the uniform slice sizes
-/// consistent hashing is supposed to give.
+/// FNV-1a over little-endian `u64`s, finished with [`avalanche`] — plain
+/// FNV-1a is affine over small sequential shard, vnode and sensor
+/// indices, which collapses nearly all sensors onto one owner.
+/// Deterministic across platforms and independent of any process-global
+/// hasher state.
 fn fnv64(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for w in words {
-        for byte in w.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        fnv1a_fold(&mut h, &w.to_le_bytes());
     }
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
+    avalanche(h)
 }
 
 /// Ring point for `(shard, vnode)`. Both inputs pass through `u32` —

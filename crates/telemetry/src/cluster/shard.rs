@@ -1,4 +1,4 @@
-//! One collector shard: a bus + store + durable tier owned by a single
+//! One collector shard: a store + durable backend owned by a single
 //! worker thread, reachable only through a command channel.
 //!
 //! The channel is the shard's entire public surface — no other thread
@@ -15,7 +15,6 @@
 //! a failed shard's slice from its surviving filesystem without losing
 //! a single accepted reading.
 
-use crate::bus::TelemetryBus;
 use crate::cluster::placement::ShardId;
 use crate::cluster::ClusterConfig;
 use crate::health::HealthReport;
@@ -28,7 +27,6 @@ use crate::store::TimeSeriesStore;
 use crossbeam_channel::{bounded, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// What a shard-local (edge-placed) task sees: the shard's own store and
 /// the cluster-wide registry. Edge tasks run *inside* the shard's worker
@@ -58,7 +56,7 @@ pub struct ShardHealth {
     pub report: HealthReport,
     /// Readings durably stored by the shard's archive tier.
     pub durable_len: u64,
-    /// Batches published through the shard's bus since spawn.
+    /// Ingest commands the shard has processed since spawn.
     pub published: u64,
 }
 
@@ -114,20 +112,17 @@ impl ShardHandle {
         // Each shard gets its own metrics registry: shard stores reuse the
         // store's internal lock-shard labels, which would collide across
         // collector shards on a shared registry.
-        let metrics = MetricsRegistry::new();
         let store = Arc::new(TimeSeriesStore::with_rollups(
             cfg.per_sensor_capacity,
             TimeSeriesStore::DEFAULT_SHARDS,
-            metrics.clone(),
+            MetricsRegistry::new(),
             cfg.rollups.clone(),
         ));
         let archive = open_backend(&cfg.storage, Arc::clone(&fs), store)?;
-        let bus = TelemetryBus::with_archive(registry.clone(), Arc::clone(&archive), metrics);
         let (tx, rx) = bounded::<ShardCmd>(cfg.queue_depth.max(1));
-        let io_wait = Duration::from_micros(cfg.io_wait_us);
         let join = std::thread::Builder::new()
             .name(format!("oda-{id}"))
-            .spawn(move || run(id, &rx, &bus, &archive, &registry, io_wait))
+            .spawn(move || run(id, &rx, &archive, &registry))
             .map_err(|e| FsError::Io(format!("spawn {id}: {e}")))?;
         Ok(ShardHandle {
             tx,
@@ -155,20 +150,15 @@ impl ShardHandle {
 fn run(
     id: ShardId,
     rx: &Receiver<ShardCmd>,
-    bus: &TelemetryBus,
     archive: &Arc<dyn StorageBackend>,
     registry: &SensorRegistry,
-    io_wait: Duration,
 ) {
+    let mut published = 0u64;
     while let Ok(cmd) = rx.recv() {
         match cmd {
             ShardCmd::Ingest(batch) => {
-                if !io_wait.is_zero() {
-                    // Simulated collector round-trip (network + media sync)
-                    // for the scale bench; zero in production configs.
-                    std::thread::sleep(io_wait);
-                }
-                bus.publish(batch);
+                published += 1;
+                archive.insert_batch(batch.sensor, &batch.readings);
                 // Ack == durable: WAL-sync what this command accepted
                 // before the next command can observe or extend it.
                 let _ = archive.flush();
@@ -187,7 +177,7 @@ fn run(
                     shard: id,
                     report: archive.health_report(),
                     durable_len: archive.durable_len(),
-                    published: bus.published(),
+                    published,
                 });
             }
             ShardCmd::Edge { task, reply } => {

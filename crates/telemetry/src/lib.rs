@@ -36,6 +36,9 @@
 //!    routed ingest, deterministic scatter-gather queries (bit-identical
 //!    digests at any shard count) and failure-driven rebalance that
 //!    replays the durable tier so no accepted reading is lost.
+//!    [`plane::QueryPlane`] is the one read-side interface over either
+//!    shape: a site picks its plane (the local store or the coordinator)
+//!    once, and consumers such as the serving layer never branch on it.
 //! 8. [`metrics`] — the stack's *self*-telemetry: every bus publish, store
 //!    write, and query scan records into a [`metrics::MetricsRegistry`]
 //!    (counters, gauges, deterministic log-linear latency histograms) with
@@ -69,9 +72,11 @@ pub mod alert;
 pub mod bus;
 pub mod cluster;
 pub mod export;
+pub mod hash;
 pub mod health;
 pub mod metrics;
 pub mod pattern;
+pub mod plane;
 pub mod query;
 pub mod reading;
 pub mod sensor;
@@ -89,6 +94,7 @@ pub mod prelude {
     pub use crate::health::{HealthReport, SensorHealth, TierOccupancy};
     pub use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Timer};
     pub use crate::pattern::SensorPattern;
+    pub use crate::plane::{LocalPlane, QueryPlane, ShardStats};
     pub use crate::query::{
         Aggregation, Query, QueryEngine, QueryParseError, QueryResult, SensorSelector, TimeRange,
     };

@@ -49,11 +49,11 @@
 //! has been removed; the builder is the only query surface. `odalint`'s
 //! `deprecated-api` rule keeps the removed names from coming back.
 
+use crate::hash::fnv1a64;
 use crate::metrics::{Counter, Histogram};
 use crate::pattern::SensorPattern;
 use crate::reading::{Reading, Timestamp};
 use crate::sensor::{SensorId, SensorRegistry};
-use crate::storage::codec::fnv1a64;
 use crate::store::{RollupBucket, TierScanResult, TimeSeriesStore};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize, Value};
@@ -147,6 +147,32 @@ pub enum SensorSelector {
     /// All sensors whose name matches, in ascending id order (deterministic).
     /// Requires an engine built with [`QueryEngine::with_registry`].
     Pattern(SensorPattern),
+}
+
+impl SensorSelector {
+    /// Resolves to the concrete ordered sensor list every query plane
+    /// scans: explicit ids as given; patterns matched against `registry`
+    /// in ascending id order.
+    ///
+    /// # Panics
+    /// Panics if the selector is a pattern and `registry` is `None`.
+    pub(crate) fn resolve(self, registry: Option<&SensorRegistry>) -> Vec<SensorId> {
+        match self {
+            SensorSelector::Ids(ids) => ids,
+            SensorSelector::Pattern(pattern) => {
+                let registry = registry.unwrap_or_else(|| {
+                    panic!(
+                        "pattern query {:?} needs a registry; build the engine with \
+                         QueryEngine::new(store).with_registry(registry)",
+                        pattern.as_str()
+                    )
+                });
+                let mut ids = registry.matching(&pattern);
+                ids.sort_unstable_by_key(|s| s.index());
+                ids
+            }
+        }
+    }
 }
 
 impl From<SensorId> for SensorSelector {
@@ -979,30 +1005,12 @@ impl<'a> QueryEngine<'a> {
     /// Panics if the selector is a pattern and the engine has no registry
     /// attached, exactly as [`Query::run`] would.
     pub fn resolve_sensors(&self, query: &Query) -> Vec<SensorId> {
-        self.resolve(query.selector.clone())
-    }
-
-    fn resolve(&self, selector: SensorSelector) -> Vec<SensorId> {
-        match selector {
-            SensorSelector::Ids(ids) => ids,
-            SensorSelector::Pattern(pattern) => {
-                let registry = self.registry.as_ref().unwrap_or_else(|| {
-                    panic!(
-                        "pattern query {:?} needs a registry; build the engine with \
-                         QueryEngine::new(store).with_registry(registry)",
-                        pattern.as_str()
-                    )
-                });
-                let mut ids = registry.matching(&pattern);
-                ids.sort_unstable_by_key(|s| s.index());
-                ids
-            }
-        }
+        query.selector.clone().resolve(self.registry.as_ref())
     }
 
     fn execute(&self, query: Query) -> QueryResult {
         let timer = self.m_scan_ns.start_timer();
-        let sensors = self.resolve(query.selector);
+        let sensors = query.selector.resolve(self.registry.as_ref());
         let range = query.range;
         // Which store alignment (if any) lets rollup tiers serve this shape
         // exactly: `Some(None)` = any tier width, `Some(Some(w))` = only
@@ -1423,6 +1431,8 @@ pub fn aggregate_readings(readings: &[Reading], agg: Aggregation) -> Option<f64>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricsRegistry;
+    use crate::store::RollupConfig;
 
     fn store_with(series: &[(u64, f64)]) -> (TimeSeriesStore, SensorId) {
         let store = TimeSeriesStore::with_capacity(1024);
@@ -1691,9 +1701,8 @@ mod tests {
 
     #[test]
     fn queries_record_read_path_metrics() {
-        use crate::metrics::MetricsRegistry;
         let m = MetricsRegistry::new();
-        let store = TimeSeriesStore::with_capacity_shards_metrics(16, 1, m.clone());
+        let store = TimeSeriesStore::with_rollups(16, 1, m.clone(), RollupConfig::default());
         let s = SensorId(0);
         for t in 0..10u64 {
             store.insert(s, Reading::new(Timestamp::from_millis(t), t as f64));
@@ -1719,9 +1728,8 @@ mod tests {
 
     #[test]
     fn raw_scan_bypasses_tiers() {
-        use crate::metrics::MetricsRegistry;
         let m = MetricsRegistry::new();
-        let store = TimeSeriesStore::with_capacity_shards_metrics(16, 1, m.clone());
+        let store = TimeSeriesStore::with_rollups(16, 1, m.clone(), RollupConfig::default());
         let s = SensorId(0);
         for t in 0..10u64 {
             store.insert(s, Reading::new(Timestamp::from_millis(t), t as f64));
@@ -1752,8 +1760,7 @@ mod tests {
 
     #[test]
     fn planner_answers_match_raw_for_all_decomposable_aggregations() {
-        use crate::metrics::MetricsRegistry;
-        use crate::store::{RollupConfig, RollupTierSpec};
+        use crate::store::RollupTierSpec;
         let store = TimeSeriesStore::with_rollups(
             1024,
             1,
@@ -1832,9 +1839,8 @@ mod tests {
 
     #[test]
     fn non_decomposable_aggregations_never_use_tiers() {
-        use crate::metrics::MetricsRegistry;
         let m = MetricsRegistry::new();
-        let store = TimeSeriesStore::with_capacity_shards_metrics(64, 1, m.clone());
+        let store = TimeSeriesStore::with_rollups(64, 1, m.clone(), RollupConfig::default());
         let s = SensorId(0);
         for t in 0..20u64 {
             store.insert(s, Reading::new(Timestamp::from_millis(t), t as f64));

@@ -273,16 +273,7 @@ pub fn decode_values(bytes: &[u8], count: usize) -> Option<Vec<f64>> {
     decode_value_bits(bytes, count).map(|bits| bits.into_iter().map(f64::from_bits).collect())
 }
 
-/// FNV-1a 64-bit hash — the checksum used by WAL records and segment
-/// footers, and the digest primitive in integrity tests.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use crate::hash::fnv1a64;
 
 #[cfg(test)]
 mod tests {

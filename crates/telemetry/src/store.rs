@@ -541,35 +541,21 @@ impl TimeSeriesStore {
     /// readings, with the default shard count. Records into the process-wide
     /// [`MetricsRegistry::global`].
     pub fn with_capacity(per_sensor_capacity: usize) -> Self {
-        Self::with_capacity_and_shards(per_sensor_capacity, Self::DEFAULT_SHARDS)
-    }
-
-    /// Creates a store with an explicit shard count (ablation benches compare
-    /// shard counts; `1` degenerates to a single global lock).
-    pub fn with_capacity_and_shards(per_sensor_capacity: usize, shards: usize) -> Self {
-        Self::with_capacity_shards_metrics(per_sensor_capacity, shards, MetricsRegistry::global())
-    }
-
-    /// Creates a store recording its write-path metrics (`store_append_total`,
-    /// `store_reject_*_total`, `store_evict_total`, `store_lock_hold_ns`, all
-    /// labeled per shard) into an explicit registry — pass
-    /// [`MetricsRegistry::disabled`] for a zero-overhead store.
-    pub fn with_capacity_shards_metrics(
-        per_sensor_capacity: usize,
-        shards: usize,
-        metrics: MetricsRegistry,
-    ) -> Self {
         Self::with_rollups(
             per_sensor_capacity,
-            shards,
-            metrics,
+            Self::DEFAULT_SHARDS,
+            MetricsRegistry::global(),
             RollupConfig::default(),
         )
     }
 
-    /// Creates a store with an explicit rollup-tier layout. Pass
-    /// [`RollupConfig::none`] for a raw-only store (the ablation baseline);
-    /// the other constructors use [`RollupConfig::default`].
+    /// Creates a store with an explicit lock-shard count (`1` degenerates
+    /// to a single global lock), metrics registry (write-path instruments
+    /// `store_append_total`, `store_reject_*_total`, `store_evict_total`,
+    /// `store_lock_hold_ns`, all labeled per shard — pass
+    /// [`MetricsRegistry::disabled`] for a zero-overhead store) and
+    /// rollup-tier layout ([`RollupConfig::none`] for a raw-only store,
+    /// the ablation baseline).
     ///
     /// # Panics
     /// Panics if `per_sensor_capacity == 0`, `shards == 0`, or `rollups`
@@ -1102,7 +1088,8 @@ mod tests {
 
     #[test]
     fn store_single_shard_still_works() {
-        let store = TimeSeriesStore::with_capacity_and_shards(8, 1);
+        let store =
+            TimeSeriesStore::with_rollups(8, 1, MetricsRegistry::global(), RollupConfig::default());
         for i in 0..5u32 {
             store.insert(SensorId(i), r(0, i as f64));
         }
@@ -1157,7 +1144,7 @@ mod tests {
     #[test]
     fn store_write_path_records_per_shard_metrics() {
         let m = MetricsRegistry::new();
-        let store = TimeSeriesStore::with_capacity_shards_metrics(2, 1, m.clone());
+        let store = TimeSeriesStore::with_rollups(2, 1, m.clone(), RollupConfig::default());
         let s = SensorId(0);
         store.insert(s, r(0, 1.0));
         store.insert(s, r(10, 2.0));
@@ -1181,8 +1168,12 @@ mod tests {
 
     #[test]
     fn store_with_disabled_metrics_records_nothing() {
-        let store =
-            TimeSeriesStore::with_capacity_shards_metrics(4, 2, MetricsRegistry::disabled());
+        let store = TimeSeriesStore::with_rollups(
+            4,
+            2,
+            MetricsRegistry::disabled(),
+            RollupConfig::default(),
+        );
         store.insert(SensorId(0), r(0, 1.0));
         assert!(!store.metrics().is_enabled());
         assert!(store.metrics().snapshot().counters.is_empty());

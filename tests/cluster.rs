@@ -5,15 +5,14 @@
 //! through the serving frontend — while per-shard health sums account for
 //! exactly the readings the unsharded archive holds.
 
-use hpc_oda::core::capability::{Artifact, Capability, CapabilityContext};
-use hpc_oda::core::grid::{GridCell, GridFootprint};
 use hpc_oda::serve::net::SimNet;
 use hpc_oda::serve::server::Server;
 use hpc_oda::sim::prelude::*;
 use hpc_oda::telemetry::cluster::{ClusterCoordinator, EdgeTask, EdgeView};
 use hpc_oda::telemetry::metrics::MetricsRegistry;
 use hpc_oda::telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
-use hpc_oda::telemetry::reading::Timestamp;
+use hpc_oda::telemetry::reading::{Reading, ReadingBatch, Timestamp};
+use hpc_oda::telemetry::sensor::SensorId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -163,11 +162,17 @@ fn per_shard_health_sums_match_the_unsharded_archive() {
     let owned: u64 = occ.iter().map(|o| o.sensors_owned).sum();
     assert_eq!(owned as usize, dc.registry().len());
     assert!(occ.iter().all(|o| o.alive && o.sensors_owned > 0));
-    // Each shard durably archived what it published.
+    // Each shard durably archived what it ingested, and `published` counts
+    // exactly the ingest commands routed to it: the site sends the cluster
+    // one command per bus publish.
     for h in &health {
         assert!(h.durable_len > 0, "{} archived nothing", h.shard);
-        assert!(h.published > 0, "{} published nothing", h.shard);
+        assert!(h.published > 0, "{} ingested nothing", h.shard);
     }
+    let commands: u64 = health.iter().map(|h| h.published).sum();
+    assert_eq!(commands, dc.bus().published());
+    let durable: u64 = health.iter().map(|h| h.durable_len).sum();
+    assert_eq!(durable, commands - expected.total_rejected());
 }
 
 #[test]
@@ -222,62 +227,115 @@ fn edge_tasks_cover_each_shard_slice_exactly_once() {
     }
 }
 
-/// A global capability that consumes gathered aggregates: through the
-/// coordinator when the site is sharded, straight off the store otherwise.
-struct GlobalMeanKpi;
+/// Every query shape × option × selector kind the planes must agree on.
+fn parity_table(dc: &DataCenter) -> Vec<(&'static str, Query)> {
+    let by_id = dc.registry().matching(&"/facility/power/*".into());
+    assert!(by_id.len() > 1, "the id selector must span several sensors");
+    let window = TimeRange::new(mins(5), mins(25));
+    vec![
+        (
+            "readings/pattern",
+            Query::sensors("/hw/node0/*").range(window),
+        ),
+        ("readings/ids", Query::sensors(&by_id).range(window)),
+        ("readings/rate", Query::sensors(&by_id).range(window).rate()),
+        (
+            "buckets/pattern",
+            Query::sensors("/hw/*/power_w").downsample(60_000, Aggregation::Mean),
+        ),
+        (
+            "buckets/raw_scan",
+            Query::sensors("/hw/*/power_w")
+                .raw_scan()
+                .downsample(60_000, Aggregation::Max),
+        ),
+        (
+            "scalars/pattern",
+            Query::sensors("/facility/**").aggregate(Aggregation::Mean),
+        ),
+        (
+            "scalars/ids+rate",
+            Query::sensors(&by_id).rate().aggregate(Aggregation::Sum),
+        ),
+        (
+            "scalars/raw_scan",
+            Query::sensors("/sched/**")
+                .raw_scan()
+                .aggregate(Aggregation::Count),
+        ),
+        (
+            "aligned/pattern",
+            Query::sensors("/facility/power/*").align(120_000),
+        ),
+        ("aligned/ids", Query::sensors(&by_id).align(120_000)),
+    ]
+}
 
-impl Capability for GlobalMeanKpi {
-    fn name(&self) -> &str {
-        "global-mean-kpi"
-    }
-    fn description(&self) -> &str {
-        "site-wide mean IT power from gathered shard aggregates"
-    }
-    fn footprint(&self) -> GridFootprint {
-        GridFootprint::single(GridCell::new(
-            hpc_oda::core::analytics_type::AnalyticsType::Descriptive,
-            hpc_oda::core::pillar::Pillar::BuildingInfrastructure,
-        ))
-    }
-    fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
-        let q = Query::sensors("/facility/power/it_kw").aggregate(Aggregation::Mean);
-        let result = match &ctx.cluster {
-            Some(cluster) => cluster.query(q),
-            None => {
-                let engine = QueryEngine::new(&ctx.store).with_registry(ctx.registry.clone());
-                q.run(&engine)
-            }
-        };
-        vec![Artifact::Kpi {
-            name: "it_kw_mean".into(),
-            value: result.scalar().unwrap_or(f64::NAN),
-        }]
+/// Writes one batch to whichever plane `dc` serves from and waits until
+/// the plane has applied it.
+fn write(dc: &DataCenter, batch: ReadingBatch) {
+    match dc.cluster() {
+        Some(cluster) => {
+            assert!(cluster.ingest(batch));
+            cluster.fence();
+        }
+        None => {
+            dc.bus().publish(batch);
+        }
     }
 }
 
 #[test]
-fn global_capabilities_see_identical_aggregates_through_the_cluster() {
+fn query_planes_agree_on_every_shape_and_version_only_accepted_writes() {
     let unsharded = build(35, 0, None);
-    let sharded = build(35, 4, None);
+    let expected: Vec<(Vec<SensorId>, u64)> = {
+        let plane = unsharded.plane();
+        assert!(plane.shard_stats().is_none());
+        parity_table(&unsharded)
+            .into_iter()
+            .map(|(_, q)| (plane.resolve(&q), plane.query(q).digest()))
+            .collect()
+    };
+    for shards in [0usize, 1, 2, 4] {
+        let dc = build(35, shards, None);
+        let plane = dc.plane();
+        assert_eq!(
+            plane.shard_stats().map(|s| s.count),
+            (shards > 0).then_some(shards)
+        );
+        for ((label, q), (sensors, digest)) in parity_table(&dc).into_iter().zip(&expected) {
+            assert_eq!(&plane.resolve(&q), sensors, "{label} @ {shards} shard(s)");
+            assert_eq!(
+                plane.query(q).digest(),
+                *digest,
+                "{label} @ {shards} shard(s)"
+            );
+        }
 
-    let ctx_plain = CapabilityContext::new(
-        Arc::clone(unsharded.store()),
-        unsharded.registry().clone(),
-        TimeRange::all(),
-        unsharded.now(),
-    );
-    let ctx_cluster = CapabilityContext::new(
-        Arc::clone(sharded.store()),
-        sharded.registry().clone(),
-        TimeRange::all(),
-        sharded.now(),
-    )
-    .with_cluster(Arc::clone(sharded.cluster().expect("sharded site")));
-
-    let a = GlobalMeanKpi.execute(&ctx_plain);
-    let b = GlobalMeanKpi.execute(&ctx_cluster);
-    assert_eq!(a, b, "gathered aggregate diverged from the unsharded KPI");
-    assert!(a[0].kpi("it_kw_mean").unwrap().is_finite());
+        // Cache-safety contract: a sensor's version moves iff the plane
+        // accepted a reading for it.
+        let watched = dc.registry().matching(&"/facility/power/*".into());
+        let (target, later) = (watched[0], dc.now().0 + 60_000);
+        let before = plane.sensor_versions(&watched);
+        write(
+            &dc,
+            ReadingBatch::single(target, Reading::new(Timestamp(later), 1.0)),
+        );
+        let accepted = plane.sensor_versions(&watched);
+        assert_ne!(accepted[0], before[0], "accepted write @ {shards}");
+        assert_eq!(accepted[1..], before[1..], "bystanders @ {shards}");
+        for rejected in [
+            Reading::new(Timestamp::ZERO, 2.0),           // out of order
+            Reading::new(Timestamp(later + 1), f64::NAN), // non-finite
+        ] {
+            write(&dc, ReadingBatch::single(target, rejected));
+        }
+        assert_eq!(
+            plane.sensor_versions(&watched),
+            accepted,
+            "rejected writes @ {shards}"
+        );
+    }
 }
 
 // ----- serving-layer round trip ---------------------------------------------
@@ -356,6 +414,7 @@ fn serving_frontend_fans_out_transparently_over_shards() {
     let text = String::from_utf8_lossy(&body);
     assert!(text.contains("\"shards\""), "stats missing shards section");
     assert!(text.contains("\"occupancy\""));
+    assert!(text.contains("\"count\":3"), "{text}");
     let (status, _, body) = round_trip(&net_a, &mut srv_a, stats_req);
     assert_eq!(status, 200);
     assert!(

@@ -19,6 +19,7 @@ use hpc_oda::core::capability::{Artifact, Capability, CapabilityContext};
 use hpc_oda::core::grid::{GridCell, GridFootprint};
 use hpc_oda::core::pipeline::StagedPipeline;
 use hpc_oda::core::runtime::{CapabilityScheduler, RuntimeConfig};
+use hpc_oda::telemetry::hash::splitmix64;
 use hpc_oda::telemetry::metrics::MetricsRegistry;
 use hpc_oda::telemetry::query::TimeRange;
 use hpc_oda::telemetry::reading::Timestamp;
@@ -69,13 +70,6 @@ struct CapSpec {
     stage: AnalyticsType,
     cell: GridCell,
     behaviour: Behaviour,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 struct SyntheticCap {

@@ -14,6 +14,7 @@ use hpc_oda::serve::tenant::TenantCounters;
 use hpc_oda::sim::prelude::*;
 use hpc_oda::telemetry::bus::TelemetryBus;
 use hpc_oda::telemetry::metrics::MetricsRegistry;
+use hpc_oda::telemetry::plane::LocalPlane;
 use hpc_oda::telemetry::query::{Aggregation, Query, QueryEngine};
 use hpc_oda::telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use hpc_oda::telemetry::sensor::{SensorKind, SensorRegistry, Unit};
@@ -204,8 +205,10 @@ fn cache_hits_stay_bit_identical_while_rollups_fold_concurrently() {
     let mut server = Server::new(
         Arc::clone(&net),
         ServingConfig::default().with_tenant("t", TenantQuota::unlimited()),
-        registry.clone(),
-        Arc::clone(&store),
+        Arc::new(LocalPlane {
+            store: Arc::clone(&store),
+            registry: registry.clone(),
+        }),
     );
     let wire = Query::sensors("/conc/**")
         .aggregate(Aggregation::Mean)
