@@ -61,7 +61,11 @@ CHECKS = {
         "latency_higher": ["throughput_rps"],
     },
     "storage": {
-        "ratio_higher": [],
+        # Counts, not timings: exact for a given workload on any runner.
+        "ratio_higher": [
+            "persistent_readings_per_sync",
+            "hybrid_readings_per_sync",
+        ],
         "latency_lower": [
             "inmemory_longwin_p50_ns",
             "inmemory_longwin_p99_ns",

@@ -51,6 +51,7 @@ fn main() {
         ));
         entries.push((format!("{k}_recovered_ok"), json!(r.recovered_ok)));
         if r.durable_len > 0 {
+            entries.push((format!("{k}_readings_per_sync"), json!(r.readings_per_sync)));
             entries.push((format!("{k}_recovery_ns"), json!(r.recovery_ns)));
         }
     }

@@ -383,12 +383,12 @@ pub fn run_shard_sweep(cfg: &ShardSweepConfig) -> ShardSweepReport {
                 let ticks = cfg.ticks;
                 scope.spawn(move || {
                     for t in 0..ticks {
-                        for &sensor in &mine {
+                        cluster.ingest_many(mine.iter().map(|&sensor| {
                             let x = splitmix64(seed ^ (sensor.0 as u64) << 32 ^ t as u64);
                             let value = (x >> 11) as f64 / (1u64 << 53) as f64 * 1_000.0;
                             let reading = Reading::new(Timestamp::from_secs(t as u64), value);
-                            cluster.ingest(ReadingBatch::single(sensor, reading));
-                        }
+                            ReadingBatch::single(sensor, reading)
+                        }));
                     }
                 });
             }

@@ -5,8 +5,9 @@
 //! [`BackendKind::Hybrid`]) over a [`SimFs`] and measures, per backend:
 //!
 //! * **ingest throughput** — readings/s sustained through
-//!   [`StorageBackend::insert_batch`] (hot-store append plus, for the
-//!   durable backends, WAL logging and segment sealing),
+//!   [`StorageBackend::insert_many`], one group per round (hot-store append
+//!   plus, for the durable backends, WAL logging and segment sealing), and
+//!   the accepted readings each durability point carried,
 //! * **long-window query latency** p50/p99 — whole-history range queries
 //!   through the trait's [`StorageBackend::range`], so each backend answers
 //!   via its own routing policy (ring scan, durable-file decode, or hybrid),
@@ -21,7 +22,7 @@
 //! binary's JSON as `BENCH_storage.json` and gates it with
 //! `ci/check_bench.py`.
 
-use oda_telemetry::reading::{Reading, Timestamp};
+use oda_telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use oda_telemetry::sensor::SensorId;
 use oda_telemetry::storage::codec::fnv1a64;
 use oda_telemetry::storage::{
@@ -99,6 +100,9 @@ pub struct BackendReport {
     pub longwin_p50_ns: u64,
     /// 99th-percentile whole-history query latency, nanoseconds.
     pub longwin_p99_ns: u64,
+    /// Accepted readings per durability point (WAL fsync or atomic file
+    /// write) the ingest phase paid for; 0 for in-memory, which pays none.
+    pub readings_per_sync: f64,
     /// Readings durably stored after the final flush (0 for in-memory).
     pub durable_len: u64,
     /// FNV-1a digest of the full archive content before the restart.
@@ -160,20 +164,26 @@ pub fn run_backend(kind: BackendKind, cfg: &StorageBenchConfig) -> BackendReport
     // Ingest: deterministic monotone timestamps, dyadic values.
     let mut accepted_total = 0u64;
     let ingest_start = Instant::now();
+    // Each round — one batch per sensor — goes in as one group, the way a
+    // site hands over a sampling tick.
     for round in 0..cfg.rounds {
-        for s in 0..cfg.sensors {
-            let readings: Vec<Reading> = (0..cfg.readings_per_batch)
-                .map(|k| {
-                    let seq = (round * cfg.readings_per_batch + k) as u64;
-                    let value = (s as u64 * 100_000 + seq) as f64 * 0.5;
-                    Reading::new(Timestamp::from_millis(seq * 1_000), value)
-                })
-                .collect();
-            accepted_total += backend.insert_batch(SensorId(s as u32), &readings) as u64;
-        }
+        let group: Vec<ReadingBatch> = (0..cfg.sensors)
+            .map(|s| ReadingBatch {
+                sensor: SensorId(s as u32),
+                readings: (0..cfg.readings_per_batch)
+                    .map(|k| {
+                        let seq = (round * cfg.readings_per_batch + k) as u64;
+                        let value = (s as u64 * 100_000 + seq) as f64 * 0.5;
+                        Reading::new(Timestamp::from_millis(seq * 1_000), value)
+                    })
+                    .collect(),
+            })
+            .collect();
+        accepted_total += backend.insert_many(&group) as u64;
     }
     backend.flush().expect("SimFs flush cannot fail");
     let ingest_wall_ns = wall_ns(ingest_start);
+    let durability_points = fs.sync_count();
 
     // Long-window read-back through the trait, so every backend answers via
     // its own routing policy.
@@ -219,6 +229,11 @@ pub fn run_backend(kind: BackendKind, cfg: &StorageBenchConfig) -> BackendReport
         longwin_queries: latencies_ns.len() as u64,
         longwin_p50_ns: percentile(&latencies_ns, 0.50),
         longwin_p99_ns: percentile(&latencies_ns, 0.99),
+        readings_per_sync: if durability_points == 0 {
+            0.0
+        } else {
+            accepted_total as f64 / durability_points as f64
+        },
         durable_len,
         digest,
         recovery_ns,

@@ -1402,21 +1402,22 @@ impl DataCenter {
         one(s.killed_total, stats.killed as f64);
         one(s.active_jobs, self.scheduler.running_len() as f64);
         one(s.arrivals_total, self.arrivals_total as f64);
+        // The tick is the unit of ingest: its post-corruption batches are
+        // built once and handed on whole.
+        let mut tick: Vec<ReadingBatch> = Vec::with_capacity(nominal.len());
         for (sensor, value) in nominal {
             let reading = Reading::new(now, value);
             let reading = match self.telemetry_faults.as_mut() {
-                Some(tf) => match tf.corrupt(sensor, reading) {
-                    Some(r) => r,
-                    None => continue,
-                },
-                None => reading,
+                Some(tf) => tf.corrupt(sensor, reading),
+                None => Some(reading),
             };
-            self.bus.publish(ReadingBatch::single(sensor, reading));
-            // The shard hierarchy ingests the identical (post-corruption)
-            // stream, so sharded and unsharded queries answer bit-identically.
-            if let Some(cluster) = &self.cluster {
-                cluster.ingest(ReadingBatch::single(sensor, reading));
-            }
+            tick.extend(reading.map(|r| ReadingBatch::single(sensor, r)));
+        }
+        self.bus.publish_many(&tick);
+        // The shard hierarchy ingests the identical (post-corruption)
+        // stream, so sharded and unsharded queries answer bit-identically.
+        if let Some(cluster) = &self.cluster {
+            cluster.ingest_many(tick);
         }
     }
 }

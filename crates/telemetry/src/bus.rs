@@ -37,7 +37,7 @@ use crate::sensor::{SensorId, SensorRegistry};
 use crate::storage::{InMemoryBackend, StorageBackend};
 use crate::store::TimeSeriesStore;
 use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -45,6 +45,10 @@ use std::sync::{Arc, Weak};
 struct Subscriber {
     id: u64,
     sensors: BTreeSet<SensorId>,
+    /// Every sensor id below this has been matched against `pattern`: one
+    /// that is absent from `sensors` is a known non-match. Ids are dense and
+    /// append-only, so only ids at or above it can still need resolving.
+    resolved_below: u32,
     pattern: SensorPattern,
     tx: Sender<ReadingBatch>,
     dropped: Arc<AtomicU64>,
@@ -130,8 +134,9 @@ impl SubscriptionBuilder<'_> {
     /// Registers the subscription on the bus.
     ///
     /// The pattern is resolved against the registry *at subscription time and
-    /// on every publish of a not-yet-seen sensor*: sensors registered after
-    /// the subscription that match the pattern are picked up automatically.
+    /// on the first publish of a sensor registered later*: sensors registered
+    /// after the subscription that match the pattern are picked up
+    /// automatically, and a sensor is matched against the pattern only once.
     pub fn subscribe(self) -> Subscription {
         let (tx, rx) = bounded(self.capacity);
         let dropped = Arc::new(AtomicU64::new(0));
@@ -142,6 +147,9 @@ impl SubscriptionBuilder<'_> {
             id
         };
         let name = self.name.unwrap_or_else(|| format!("sub-{id}"));
+        // Read before matching: a sensor registered in between is then
+        // matched twice rather than never.
+        let resolved_below = self.bus.registry.len() as u32;
         let sensors = self
             .bus
             .registry
@@ -152,6 +160,7 @@ impl SubscriptionBuilder<'_> {
         self.bus.subscribers.write().push(Subscriber {
             id,
             sensors,
+            resolved_below,
             pattern: self.pattern,
             tx,
             dropped: Arc::clone(&dropped),
@@ -194,6 +203,9 @@ pub struct TelemetryBus {
     m_publish_total: Counter,
     m_readings_total: Counter,
     m_reaped_total: Counter,
+    /// Publishes that had to match sensors registered after a subscription
+    /// against its pattern (once per new sensor range, not per publish).
+    m_late_resolves: Counter,
     m_publish_ns: Histogram,
     /// Publishes that found the subscriber table lock already held
     /// (concurrent publishers, or a publish racing a subscribe). Varies
@@ -253,6 +265,7 @@ impl TelemetryBus {
             m_publish_total: metrics.counter("bus_publish_total", &[]),
             m_readings_total: metrics.counter("bus_readings_total", &[]),
             m_reaped_total: metrics.counter("bus_reaped_total", &[]),
+            m_late_resolves: metrics.counter("bus_late_resolves_total", &[]),
             m_publish_ns: metrics.histogram("bus_publish_ns", &[]),
             m_contention: metrics.counter("bus_publish_contention_total", &[]),
             metrics,
@@ -327,48 +340,46 @@ impl TelemetryBus {
         self.subscribers.write().retain(|s| s.id != id);
     }
 
-    /// Publishes a batch: archives it (if a store is attached) and delivers
-    /// it to every matching subscriber. Returns the number of subscribers it
-    /// was delivered to.
+    /// Publishes a batch: a one-element [`publish_many`](Self::publish_many).
+    /// Returns the number of subscribers it was delivered to.
+    pub fn publish(&self, batch: ReadingBatch) -> usize {
+        self.publish_many(std::slice::from_ref(&batch))
+    }
+
+    /// Publishes a group of batches — one sampling tick's readings — in
+    /// order: archives the group (if a store is attached) through
+    /// [`StorageBackend::insert_many`], then delivers each batch to every
+    /// matching subscriber under one pass over the subscriber table. Every
+    /// subscriber receives exactly the sequence it would from publishing the
+    /// batches one by one; counters count batches. Returns the number of
+    /// deliveries made.
     ///
     /// Subscribers whose receiving side has been dropped are removed during
     /// the publish (reaped) rather than counted as sheds.
-    pub fn publish(&self, batch: ReadingBatch) -> usize {
+    pub fn publish_many(&self, batches: &[ReadingBatch]) -> usize {
         let timer = self.m_publish_ns.start_timer();
-        self.published.fetch_add(1, Ordering::Relaxed);
-        self.m_publish_total.inc();
-        self.m_readings_total.add(batch.readings.len() as u64);
+        self.published
+            .fetch_add(batches.len() as u64, Ordering::Relaxed);
+        self.m_publish_total.add(batches.len() as u64);
+        self.m_readings_total
+            .add(batches.iter().map(|b| b.readings.len() as u64).sum());
         if let Some(archive) = &self.archive {
-            archive.insert_batch(batch.sensor, &batch.readings);
+            archive.insert_many(batches);
         }
-        // Fast path: read lock, check membership; lazily re-resolve the
-        // pattern for sensors the subscriber has not seen yet.
+        let newest = batches.iter().map(|b| b.sensor.0).max();
         let mut delivered = 0;
-        let mut need_resolve = false;
         let mut dead: Vec<u64> = Vec::new();
         {
-            let subs = match self.subscribers.try_read() {
-                Some(guard) => guard,
-                None => {
-                    self.m_contention.inc();
-                    self.subscribers.read()
-                }
-            };
-            for sub in subs.iter() {
-                if sub.sensors.contains(&batch.sensor) {
-                    delivered += self.deliver(sub, &batch, &mut dead);
-                } else {
-                    need_resolve = true;
-                }
+            let mut subs = self.read_subscribers();
+            if subs.iter().any(|s| Some(s.resolved_below) <= newest) {
+                drop(subs);
+                self.resolve_late();
+                subs = self.read_subscribers();
             }
-        }
-        if need_resolve {
-            if let Some(name) = self.registry.name(batch.sensor) {
-                let mut subs = self.subscribers.write();
-                for sub in subs.iter_mut() {
-                    if !sub.sensors.contains(&batch.sensor) && sub.pattern.matches(&name) {
-                        sub.sensors.insert(batch.sensor);
-                        delivered += self.deliver(sub, &batch, &mut dead);
+            for batch in batches {
+                for sub in subs.iter() {
+                    if sub.sensors.contains(&batch.sensor) && !dead.contains(&sub.id) {
+                        delivered += self.deliver(sub, batch, &mut dead);
                     }
                 }
             }
@@ -383,6 +394,47 @@ impl TelemetryBus {
         }
         self.m_publish_ns.observe_timer(timer);
         delivered
+    }
+
+    fn read_subscribers(&self) -> RwLockReadGuard<'_, Vec<Subscriber>> {
+        match self.subscribers.try_read() {
+            Some(guard) => guard,
+            None => {
+                self.m_contention.inc();
+                self.subscribers.read()
+            }
+        }
+    }
+
+    /// Matches every sensor registered since a subscriber last looked
+    /// against its pattern and advances its watermark, so each sensor is
+    /// resolved once per subscriber and never again. An id the registry does
+    /// not hold (yet) stays above the watermark.
+    fn resolve_late(&self) {
+        let lowest = self
+            .subscribers
+            .read()
+            .iter()
+            .map(|s| s.resolved_below)
+            .min();
+        let registered = self.registry.len() as u32;
+        let Some(lowest) = lowest.filter(|&l| l < registered) else {
+            return;
+        };
+        // Names are fetched before the table is locked for writing, so the
+        // registry lock is never taken under it.
+        let late: Vec<(SensorId, Arc<str>)> = (lowest..registered)
+            .filter_map(|id| Some((SensorId(id), self.registry.name(SensorId(id))?)))
+            .collect();
+        for sub in self.subscribers.write().iter_mut() {
+            for (id, name) in &late {
+                if id.0 >= sub.resolved_below && sub.pattern.matches(name) {
+                    sub.sensors.insert(*id);
+                }
+            }
+            sub.resolved_below = sub.resolved_below.max(registered);
+        }
+        self.m_late_resolves.inc();
     }
 
     fn deliver(&self, sub: &Subscriber, batch: &ReadingBatch, dead: &mut Vec<u64>) -> usize {
@@ -602,6 +654,102 @@ mod tests {
         assert_eq!(snap.counter("bus_readings_total"), Some(3));
         assert_eq!(snap.histogram("bus_publish_ns").unwrap().count, 3);
         assert_eq!(alerts.name(), "alerts");
+    }
+
+    #[test]
+    fn a_non_matching_sensor_is_resolved_once_not_on_every_publish() {
+        // Regression: only positive matches were remembered, so a sensor a
+        // subscriber does not match re-ran name lookup, the table write
+        // lock and the pattern match on every publish, forever.
+        let reg = SensorRegistry::new();
+        let metrics = MetricsRegistry::new();
+        let bus = TelemetryBus::with_parts(reg.clone(), None, metrics.clone());
+        let sub = bus.subscription("/facility/**").capacity(8).subscribe();
+        let other = reg.register("/hw/node0/power", SensorKind::Power, Unit::Watts);
+        for _ in 0..10_000 {
+            assert_eq!(bus.publish(batch(other, 1.0)), 0);
+        }
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("bus_late_resolves_total"), Some(1));
+        assert_eq!(snap.counter("bus_publish_contention_total"), Some(0));
+        // A matching sensor registered later still is picked up, once.
+        let pdu = reg.register("/facility/pdu0/power", SensorKind::Power, Unit::Kilowatts);
+        assert_eq!(bus.publish(batch(pdu, 2.0)), 1);
+        assert_eq!(bus.publish(batch(pdu, 3.0)), 1);
+        assert_eq!(bus.publish(batch(other, 4.0)), 0);
+        assert_eq!(sub.rx.len(), 2);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("bus_late_resolves_total"), Some(2));
+        assert_eq!(snap.counter("bus_publish_contention_total"), Some(0));
+    }
+
+    #[test]
+    fn publish_many_is_publish_in_a_loop() {
+        // Same scene twice: a wide subscriber, a narrow one that sheds at
+        // capacity 2, one whose receiver is gone (reaped on first contact),
+        // a store, and a sensor registered after everyone subscribed.
+        type Scene = (TelemetryBus, Arc<TimeSeriesStore>, Vec<Subscription>);
+        fn scene() -> (Scene, Vec<ReadingBatch>) {
+            let reg = SensorRegistry::new();
+            let a = reg.register("/hw/node0/power", SensorKind::Power, Unit::Watts);
+            let b = reg.register("/facility/pdu0/power", SensorKind::Power, Unit::Kilowatts);
+            let store = Arc::new(TimeSeriesStore::with_capacity(64));
+            let bus = TelemetryBus::with_parts(
+                reg.clone(),
+                Some(Arc::clone(&store)),
+                MetricsRegistry::new(),
+            );
+            let wide = bus.subscription("/**").capacity(64).subscribe();
+            let narrow = bus.subscription("/hw/**").capacity(2).subscribe();
+            let Subscription { rx, guard, .. } = bus.subscription("/**").capacity(4).subscribe();
+            drop(rx);
+            std::mem::forget(guard);
+            let late = reg.register("/hw/node1/temp", SensorKind::Temperature, Unit::Celsius);
+            let batches = (0..12u64)
+                .map(|i| {
+                    let sensor = [a, b, late, a][i as usize % 4];
+                    let ts = Timestamp::from_millis(i * 10);
+                    // Every fifth value is rejected by the store.
+                    let value = if i % 5 == 4 { f64::NAN } else { i as f64 };
+                    ReadingBatch::single(sensor, Reading::new(ts, value))
+                })
+                .collect();
+            ((bus, store, vec![wide, narrow]), batches)
+        }
+        fn observe((bus, store, subs): &Scene) -> impl PartialEq + std::fmt::Debug {
+            let received: Vec<Vec<(SensorId, u64)>> = subs
+                .iter()
+                .map(|s| {
+                    std::iter::from_fn(|| s.rx.try_recv().ok())
+                        .map(|b| (b.sensor, b.readings[0].value.to_bits()))
+                        .collect()
+                })
+                .collect();
+            let shed: Vec<u64> = subs.iter().map(Subscription::dropped).collect();
+            let archived: Vec<Vec<Reading>> = (0..3)
+                .map(|s| store.range(SensorId(s), Timestamp::ZERO, Timestamp::MAX))
+                .collect();
+            let totals = (
+                bus.published(),
+                bus.delivered_total(),
+                bus.dropped_total(),
+                bus.reaped_total(),
+                bus.subscriber_count(),
+            );
+            (received, shed, format!("{archived:?}"), totals)
+        }
+
+        let (one, batches) = scene();
+        let mut delivered_one = 0;
+        for b in &batches {
+            delivered_one += one.0.publish(b.clone());
+        }
+        let (many, _) = scene();
+        let delivered_many = many.0.publish_many(&batches);
+        assert_eq!(delivered_one, delivered_many);
+        assert!(many.0.dropped_total() > 0 && many.0.reaped_total() == 1);
+        let (one, many) = (observe(&one), observe(&many));
+        assert_eq!(one, many);
     }
 
     #[test]

@@ -160,15 +160,19 @@ impl ClusterCoordinator {
         self.state.read().placement.owner(sensor)
     }
 
-    /// Routes one batch to the shard owning its sensor. Returns `false`
-    /// if the owner's queue is disconnected (only possible mid-shutdown).
+    /// Routes one batch to the shard owning its sensor: a one-element
+    /// [`ingest_many`](Self::ingest_many).
     pub fn ingest(&self, batch: ReadingBatch) -> bool {
-        let state = self.state.read();
-        let owner = state.placement.owner(batch.sensor);
-        match state.shards.get(owner.index()) {
-            Some(Some(h)) => h.tx.send(ShardCmd::Ingest(batch)).is_ok(),
-            _ => false,
-        }
+        self.ingest_many([batch])
+    }
+
+    /// Routes a group of batches — one sampling tick's readings — to the
+    /// shards owning their sensors: partitioned under one placement read
+    /// guard, each shard receives its slice, in group order, as a single
+    /// command. Returns `false` if any owner's queue is disconnected (only
+    /// possible mid-shutdown).
+    pub fn ingest_many(&self, batches: impl IntoIterator<Item = ReadingBatch>) -> bool {
+        route(&self.state.read(), batches)
     }
 
     /// Barrier: returns once every alive shard has drained all commands
@@ -375,24 +379,19 @@ impl ClusterCoordinator {
         if let Ok((engine, _recovery)) =
             PersistentEngine::open(Arc::clone(&fs), self.cfg.storage.engine.clone(), &report)
         {
-            let mut buf: Vec<Reading> = Vec::new();
             for meta in self.registry.all() {
-                buf.clear();
+                let mut readings: Vec<Reading> = Vec::new();
                 if engine
-                    .range_into(meta.id, Timestamp::ZERO, Timestamp(u64::MAX), &mut buf)
+                    .range_into(meta.id, Timestamp::ZERO, Timestamp(u64::MAX), &mut readings)
                     .is_err()
-                    || buf.is_empty()
+                    || readings.is_empty()
                 {
                     continue;
                 }
-                let owner = state.placement.owner(meta.id);
-                if let Some(Some(h)) = state.shards.get(owner.index()) {
-                    let batch = ReadingBatch {
-                        sensor: meta.id,
-                        readings: buf.clone(),
-                    };
-                    let _ = h.tx.send(ShardCmd::Ingest(batch));
-                }
+                // One command per sensor: a sensor's whole history is
+                // already a large group, and the queue bounds how many wait.
+                let sensor = meta.id;
+                route(&state, [ReadingBatch { sensor, readings }]);
             }
         }
         // Fence the survivors so the handoff is fully applied (and
@@ -461,6 +460,31 @@ impl QueryPlane for ClusterCoordinator {
             occupancy: self.occupancy(),
         })
     }
+}
+
+/// Partitions `batches` by owning shard, keeping their order, and sends
+/// each owner its slice as one ingest command, in ascending shard order.
+/// `false` if an owner is gone or its queue disconnected.
+fn route(state: &State, batches: impl IntoIterator<Item = ReadingBatch>) -> bool {
+    let mut slices: Vec<Vec<ReadingBatch>> = Vec::new();
+    slices.resize_with(state.shards.len(), Vec::new);
+    let mut all_routed = true;
+    for batch in batches {
+        match slices.get_mut(state.placement.owner(batch.sensor).index()) {
+            Some(slice) => slice.push(batch),
+            None => all_routed = false,
+        }
+    }
+    for (handle, slice) in state.shards.iter().zip(slices) {
+        if slice.is_empty() {
+            continue;
+        }
+        all_routed &= match handle {
+            Some(h) => h.tx.send(ShardCmd::Ingest(slice)).is_ok(),
+            None => false,
+        };
+    }
+    all_routed
 }
 
 /// Sends every alive shard the command `make` builds around a fresh

@@ -8,12 +8,15 @@
 //! makes scatter-gather deterministic without global fences: a query
 //! sent after an ingest on the same shard necessarily observes it.
 //!
-//! Durability contract: each ingest command is archived through the
-//! shard's [`StorageBackend`] and the WAL is flushed before the shard
+//! Durability contract: each ingest command — one tick's slice of the
+//! batches this shard owns — is archived through the shard's
+//! [`StorageBackend`] as one group and the WAL is flushed before the shard
 //! moves to the next command. "Accepted" therefore implies "durable",
 //! which is what lets [`super::ClusterCoordinator::fail_shard`] rebuild
 //! a failed shard's slice from its surviving filesystem without losing
-//! a single accepted reading.
+//! a single accepted reading. A flush that fails is counted
+//! (`storage_wal_errors_total`, [`ShardHealth::wal_errors`]); the group
+//! stays logged and the next successful flush makes it durable.
 
 use crate::cluster::placement::ShardId;
 use crate::cluster::ClusterConfig;
@@ -56,15 +59,18 @@ pub struct ShardHealth {
     pub report: HealthReport,
     /// Readings durably stored by the shard's archive tier.
     pub durable_len: u64,
-    /// Ingest commands the shard has processed since spawn.
+    /// Batches the shard has ingested since spawn.
     pub published: u64,
+    /// Ingest groups and flushes whose WAL write or sync failed since the
+    /// shard's archive was opened.
+    pub wal_errors: u64,
 }
 
 /// Commands a shard worker processes in arrival order.
 pub(crate) enum ShardCmd {
-    /// Archive a batch (fire-and-forget; ack == durable before the next
-    /// command runs).
-    Ingest(ReadingBatch),
+    /// Archive a group of batches (fire-and-forget; ack == durable before
+    /// the next command runs).
+    Ingest(Vec<ReadingBatch>),
     /// Execute a sub-query against the shard's local store.
     Query {
         query: Query,
@@ -154,14 +160,24 @@ fn run(
     registry: &SensorRegistry,
 ) {
     let mut published = 0u64;
+    // Shares the counter the durable backend bumps for a failed group.
+    let wal_errors = archive
+        .store()
+        .metrics()
+        .counter("storage_wal_errors_total", &[]);
+    let flush = || {
+        if archive.flush().is_err() {
+            wal_errors.inc();
+        }
+    };
     while let Ok(cmd) = rx.recv() {
         match cmd {
-            ShardCmd::Ingest(batch) => {
-                published += 1;
-                archive.insert_batch(batch.sensor, &batch.readings);
+            ShardCmd::Ingest(batches) => {
+                published += batches.len() as u64;
+                archive.insert_many(&batches);
                 // Ack == durable: WAL-sync what this command accepted
                 // before the next command can observe or extend it.
-                let _ = archive.flush();
+                flush();
             }
             ShardCmd::Query { query, reply } => {
                 let engine = QueryEngine::new(archive.store()).with_registry(registry.clone());
@@ -178,6 +194,7 @@ fn run(
                     report: archive.health_report(),
                     durable_len: archive.durable_len(),
                     published,
+                    wal_errors: wal_errors.get(),
                 });
             }
             ShardCmd::Edge { task, reply } => {
@@ -192,10 +209,101 @@ fn run(
                 let _ = reply.send(());
             }
             ShardCmd::Stop { reply } => {
-                let _ = archive.flush();
+                flush();
                 let _ = reply.send(());
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reading::{Reading, Timestamp};
+    use crate::storage::SimFs;
+
+    fn group(from: u64, n: u64) -> Vec<ReadingBatch> {
+        (from..from + n)
+            .map(|i| {
+                let r = Reading::new(Timestamp::from_millis(i * 1_000), 0.5 + i as f64);
+                ReadingBatch::single(SensorId(0), r)
+            })
+            .collect()
+    }
+
+    fn send(shard: &ShardHandle, cmd: ShardCmd) {
+        assert!(shard.tx.send(cmd).is_ok(), "the shard worker is running");
+    }
+
+    fn health(shard: &ShardHandle) -> ShardHealth {
+        let (reply, rx) = bounded(1);
+        send(shard, ShardCmd::Health { reply });
+        rx.recv().unwrap()
+    }
+
+    #[test]
+    fn a_failed_sync_is_counted_and_the_next_flush_makes_the_group_durable() {
+        let fs = Arc::new(SimFs::new());
+        let shard = ShardHandle::spawn(
+            ShardId(0),
+            &ClusterConfig::with_shards(1),
+            SensorRegistry::new(),
+            Arc::clone(&fs) as Arc<dyn StorageFs>,
+        )
+        .unwrap();
+        send(&shard, ShardCmd::Ingest(group(0, 3)));
+        assert_eq!(health(&shard).wal_errors, 0);
+        let synced = fs.durable_len("wal.log").unwrap();
+
+        // Three records stay below the sync interval, so the sync that
+        // fails is the command's ack flush.
+        fs.fail_next_syncs(1);
+        send(&shard, ShardCmd::Ingest(group(3, 3)));
+        let h = health(&shard);
+        assert_eq!(h.wal_errors, 1, "the failed ack is visible in health");
+        assert_eq!(h.durable_len, 6, "the group stays logged");
+        assert_eq!(fs.durable_len("wal.log"), Some(synced), "but not synced");
+
+        // The next command's flush succeeds and covers the earlier group.
+        send(&shard, ShardCmd::Ingest(group(6, 1)));
+        assert_eq!(health(&shard).wal_errors, 1);
+        shard.stop();
+        fs.crash();
+        let (engine, report) = crate::storage::PersistentEngine::open(
+            fs as Arc<dyn StorageFs>,
+            ClusterConfig::default().storage.engine,
+            &MetricsRegistry::disabled(),
+        )
+        .unwrap();
+        assert_eq!(report.readings_recovered, 7);
+        assert_eq!(engine.durable_len(), 7);
+    }
+
+    #[test]
+    fn a_group_whose_own_sync_fails_counts_one_error() {
+        let fs = Arc::new(SimFs::new());
+        let shard = ShardHandle::spawn(
+            ShardId(0),
+            &ClusterConfig::with_shards(1),
+            SensorRegistry::new(),
+            Arc::clone(&fs) as Arc<dyn StorageFs>,
+        )
+        .unwrap();
+        // Twenty records reach the sync interval: the group's own sync
+        // fails (one error, counted by the backend), then the ack flush
+        // retries it and succeeds.
+        fs.fail_next_syncs(1);
+        send(&shard, ShardCmd::Ingest(group(0, 20)));
+        assert_eq!(health(&shard).wal_errors, 1);
+        shard.stop();
+        fs.crash();
+        let (_, report) = crate::storage::PersistentEngine::open(
+            fs as Arc<dyn StorageFs>,
+            ClusterConfig::default().storage.engine,
+            &MetricsRegistry::disabled(),
+        )
+        .unwrap();
+        assert_eq!(report.readings_recovered, 20);
     }
 }

@@ -1,10 +1,12 @@
 //! The persistent engine: WAL-fronted segment store with recovery,
 //! retention and compaction.
 //!
-//! Write path: accepted readings are framed into checksummed WAL records
-//! ([`super::wal`]), appended, and fsync'd every
-//! [`EngineConfig::wal_sync_every`] records; the same readings accumulate in
-//! an in-memory memtable. When the memtable reaches
+//! Write path: accepted readings arrive a group of records at a time
+//! ([`PersistentEngine::append_group`]; a single record is a group of one),
+//! are framed into checksummed WAL records ([`super::wal`]), written with
+//! one append, and fsync'd at group end once
+//! [`EngineConfig::wal_sync_every`] records are unsynced; the same readings
+//! accumulate in an in-memory memtable. When the memtable reaches
 //! [`EngineConfig::segment_max_readings`], it is **sealed**: encoded as an
 //! immutable raw segment ([`super::segment`]), written atomically as
 //! `seg-<seq>.seg`, and the WAL is atomically reset to a bare header whose
@@ -120,6 +122,8 @@ struct EngineState {
     segments: Vec<SegmentMeta>,
     wal_epoch: u64,
     wal_unsynced: usize,
+    /// Frames of the WAL write being assembled; kept for its capacity.
+    wal_buf: Vec<u8>,
     expired: BTreeMap<SensorId, u64>,
 }
 
@@ -225,6 +229,7 @@ impl PersistentEngine {
             segments,
             wal_epoch,
             wal_unsynced: 0,
+            wal_buf: Vec::new(),
             expired: BTreeMap::new(),
         };
         let engine = PersistentEngine {
@@ -240,31 +245,73 @@ impl PersistentEngine {
         Ok((engine, report))
     }
 
-    /// Durably log and buffer a batch of **accepted** readings for `sensor`.
+    /// Durably log and buffer a batch of **accepted** readings for `sensor`:
+    /// a one-record [`append_group`](Self::append_group).
     ///
     /// The caller (the storage backend) must pass only readings the hot
     /// store accepted, so durable history and ring history stay identical.
     pub fn append(&self, sensor: SensorId, readings: &[Reading]) -> Result<(), FsError> {
-        if readings.is_empty() {
-            return Ok(());
+        self.append_group(&[(sensor, readings)])
+    }
+
+    /// Durably log and buffer a group of records — one `(sensor, accepted
+    /// readings)` pair each — with one WAL write per run of records and at
+    /// most one fsync for the whole group.
+    ///
+    /// Records are framed into one reusable buffer and written with a single
+    /// append; the memtable takes them only once that append succeeded. The
+    /// run ends early at exactly the record that fills the memtable to
+    /// [`EngineConfig::segment_max_readings`], where the segment is sealed
+    /// and the next run starts a fresh WAL — so WAL and segment files hold
+    /// the same bytes however a record stream is cut into groups. The fsync
+    /// is issued at group end if [`EngineConfig::wal_sync_every`] or more
+    /// records are then unsynced: on return fewer than that many are, and a
+    /// crash inside the call can lose only records of this group.
+    pub fn append_group(&self, records: &[(SensorId, &[Reading])]) -> Result<(), FsError> {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let seal_at = self.cfg.segment_max_readings.max(1);
+        let mut rest = records;
+        while !rest.is_empty() {
+            let mut room = seal_at.saturating_sub(st.memtable_len);
+            let mut run = 0usize;
+            let mut logged = 0usize;
+            st.wal_buf.clear();
+            for (sensor, readings) in rest {
+                run += 1;
+                if readings.is_empty() {
+                    continue;
+                }
+                wal::encode_record_into(&mut st.wal_buf, *sensor, readings);
+                logged += 1;
+                room = room.saturating_sub(readings.len());
+                if room == 0 {
+                    break;
+                }
+            }
+            let (logged_run, tail) = rest.split_at(run);
+            rest = tail;
+            if logged == 0 {
+                continue;
+            }
+            self.fs.append(wal::WAL_FILE, &st.wal_buf)?;
+            self.m_wal_appends.add(logged as u64);
+            st.wal_unsynced += logged;
+            for (sensor, readings) in logged_run {
+                if !readings.is_empty() {
+                    st.memtable
+                        .entry(*sensor)
+                        .or_default()
+                        .extend_from_slice(readings);
+                    st.memtable_len += readings.len();
+                }
+            }
+            if st.memtable_len >= seal_at {
+                self.seal_locked(st)?;
+            }
         }
-        let mut st = self.state.lock();
-        let rec = wal::encode_record(sensor, readings);
-        self.fs.append(wal::WAL_FILE, &rec)?;
-        self.m_wal_appends.inc();
-        st.wal_unsynced += 1;
         if st.wal_unsynced >= self.cfg.wal_sync_every.max(1) {
-            self.fs.sync(wal::WAL_FILE)?;
-            self.m_wal_syncs.inc();
-            st.wal_unsynced = 0;
-        }
-        st.memtable
-            .entry(sensor)
-            .or_default()
-            .extend_from_slice(readings);
-        st.memtable_len += readings.len();
-        if st.memtable_len >= self.cfg.segment_max_readings.max(1) {
-            self.seal_locked(&mut st)?;
+            self.sync_locked(st)?;
         }
         Ok(())
     }
@@ -273,10 +320,15 @@ impl PersistentEngine {
     pub fn flush(&self) -> Result<(), FsError> {
         let mut st = self.state.lock();
         if st.wal_unsynced > 0 {
-            self.fs.sync(wal::WAL_FILE)?;
-            self.m_wal_syncs.inc();
-            st.wal_unsynced = 0;
+            self.sync_locked(&mut st)?;
         }
+        Ok(())
+    }
+
+    fn sync_locked(&self, st: &mut EngineState) -> Result<(), FsError> {
+        self.fs.sync(wal::WAL_FILE)?;
+        self.m_wal_syncs.inc();
+        st.wal_unsynced = 0;
         Ok(())
     }
 
@@ -292,16 +344,19 @@ impl PersistentEngine {
             return Ok(());
         }
         let seq = st.wal_epoch;
-        let sensors: Vec<(SensorId, Vec<Reading>)> =
-            st.memtable.iter().map(|(s, rs)| (*s, rs.clone())).collect();
-        let seg = Segment::raw(seq, sensors);
+        let seg = Segment::raw(seq, std::mem::take(&mut st.memtable).into_iter().collect());
         let bytes = segment::encode(&seg);
         let name = segment::file_name(seq);
         // Order matters: the segment must be durable before the WAL reset,
         // or a crash in between would lose the records entirely.
-        self.fs.write_atomic(&name, &bytes)?;
+        if let Err(e) = self.fs.write_atomic(&name, &bytes) {
+            // Not sealed: the readings stay in the memtable (and the WAL).
+            if let segment::SegmentBlocks::Raw(sensors) = seg.blocks {
+                st.memtable = sensors.into_iter().collect();
+            }
+            return Err(e);
+        }
         st.segments.push(SegmentMeta::of(&seg, name));
-        st.memtable.clear();
         st.memtable_len = 0;
         st.wal_epoch = seq + 1;
         self.fs

@@ -104,6 +104,8 @@ struct SimState {
     /// Number of upcoming sync/write_atomic durability points that will be
     /// silently lost (the call still reports success — a "lying fsync").
     lose_syncs: u32,
+    /// Number of upcoming `sync` calls that will fail, changing nothing.
+    fail_syncs: u32,
     /// Number of upcoming reads that will be truncated to `short_read_len`.
     short_reads: u32,
     short_read_len: usize,
@@ -171,6 +173,13 @@ impl SimFs {
         self.state.lock().lose_syncs = n;
     }
 
+    /// Arrange for the next `n` [`sync`](StorageFs::sync) calls to return
+    /// an error and make nothing durable — an fsync that reports its failure
+    /// (the honest sibling of [`lose_next_syncs`](Self::lose_next_syncs)).
+    pub fn fail_next_syncs(&self, n: u32) {
+        self.state.lock().fail_syncs = n;
+    }
+
     /// Arrange for the next `n` reads to return at most `len` bytes — a
     /// short read.
     pub fn short_next_reads(&self, n: u32, len: usize) {
@@ -213,6 +222,10 @@ impl StorageFs for SimFs {
         st.ops += 1;
         if !st.files.contains_key(path) {
             return Err(FsError::NotFound(path.to_string()));
+        }
+        if st.fail_syncs > 0 {
+            st.fail_syncs -= 1;
+            return Err(FsError::Io(format!("injected sync failure: {path}")));
         }
         if st.lose_syncs > 0 {
             st.lose_syncs -= 1;
@@ -459,6 +472,19 @@ mod tests {
         fs.crash();
         assert!(matches!(fs.read("wal"), Err(FsError::NotFound(_))));
         assert_eq!(fs.sync_count(), 0);
+    }
+
+    #[test]
+    fn failed_sync_reports_and_leaves_data_volatile_until_a_later_sync() {
+        let fs = SimFs::new();
+        fs.append("wal", b"abcd").unwrap();
+        fs.fail_next_syncs(1);
+        assert!(matches!(fs.sync("wal"), Err(FsError::Io(_))));
+        assert_eq!(fs.sync_count(), 0);
+        assert_eq!(fs.read("wal").unwrap(), b"abcd"); // still visible
+        fs.sync("wal").unwrap();
+        fs.crash();
+        assert_eq!(fs.read("wal").unwrap(), b"abcd");
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use fs::{FsError, RealFs, SimFs, StorageFs};
 
 use crate::health::HealthReport;
 use crate::metrics::Counter;
-use crate::reading::{Reading, Timestamp};
+use crate::reading::{Reading, ReadingBatch, Timestamp};
 use crate::sensor::SensorId;
 use crate::store::TimeSeriesStore;
 
@@ -126,6 +126,17 @@ pub trait StorageBackend: Send + Sync {
     /// backends, WAL-log exactly the readings the store accepted. Returns
     /// the number of accepted readings.
     fn insert_batch(&self, sensor: SensorId, readings: &[Reading]) -> usize;
+
+    /// Archive a group of batches — one sampling tick's readings — in
+    /// order, as [`insert_batch`](Self::insert_batch) would one at a time.
+    /// Durable backends log the whole group with one WAL write and at most
+    /// one fsync. Returns the number of accepted readings.
+    fn insert_many(&self, batches: &[ReadingBatch]) -> usize {
+        batches
+            .iter()
+            .map(|b| self.insert_batch(b.sensor, &b.readings))
+            .sum()
+    }
 
     /// Range query in `[start, end)` routed according to the backend's
     /// policy (hot ring, durable scan, or hybrid).
@@ -248,6 +259,34 @@ impl DurableBackend {
         &self.engine
     }
 
+    /// Inserts a group of batches into the hot store in order and logs
+    /// exactly what the ring accepted, as one engine group, so durable
+    /// history mirrors hot history. A WAL failure must not take down the
+    /// ingest path: the hot store already has the data; the failed group is
+    /// surfaced via `storage_wal_errors_total`.
+    fn insert_group<'a>(&self, group: impl Iterator<Item = (SensorId, &'a [Reading])>) -> usize {
+        let mut accepted: Vec<Reading> = Vec::new();
+        // Each batch's sensor and how many of its readings were accepted.
+        let mut counts: Vec<(SensorId, usize)> = Vec::with_capacity(group.size_hint().0);
+        for (sensor, readings) in group {
+            let n = self
+                .store
+                .insert_batch_accepted(sensor, readings, &mut accepted);
+            counts.push((sensor, n));
+        }
+        let mut records: Vec<(SensorId, &[Reading])> = Vec::with_capacity(counts.len());
+        let mut rest = accepted.as_slice();
+        for (sensor, n) in counts {
+            let (record, tail) = rest.split_at(n);
+            records.push((sensor, record));
+            rest = tail;
+        }
+        if self.engine.append_group(&records).is_err() {
+            self.m_wal_errors.inc();
+        }
+        accepted.len()
+    }
+
     /// Whether the hot ring still covers every reading at or after `start`
     /// for `sensor` (nothing relevant has been overwritten).
     fn ring_covers(&self, sensor: SensorId, start: Timestamp) -> bool {
@@ -274,17 +313,11 @@ impl StorageBackend for DurableBackend {
     }
 
     fn insert_batch(&self, sensor: SensorId, readings: &[Reading]) -> usize {
-        let mut accepted = Vec::with_capacity(readings.len());
-        let n = self
-            .store
-            .insert_batch_accepted(sensor, readings, &mut accepted);
-        // Log exactly what the ring accepted so durable history mirrors hot
-        // history. A WAL failure must not take down the ingest path: the
-        // hot store already has the data; surface the loss via metrics.
-        if !accepted.is_empty() && self.engine.append(sensor, &accepted).is_err() {
-            self.m_wal_errors.inc();
-        }
-        n
+        self.insert_group(std::iter::once((sensor, readings)))
+    }
+
+    fn insert_many(&self, batches: &[ReadingBatch]) -> usize {
+        self.insert_group(batches.iter().map(|b| (b.sensor, b.readings.as_slice())))
     }
 
     fn range(&self, sensor: SensorId, start: Timestamp, end: Timestamp) -> Vec<Reading> {

@@ -44,19 +44,28 @@ pub fn encode_header(epoch: u64) -> [u8; WAL_HEADER_LEN] {
     h
 }
 
+/// Append one checksummed record carrying a batch of readings for `sensor`
+/// to `out`. The payload is written once and checksummed where it lies, so
+/// a group of records shares one buffer and no per-record allocation.
+pub fn encode_record_into(out: &mut Vec<u8>, sensor: SensorId, readings: &[Reading]) {
+    let payload_len = 8 + readings.len() * 16;
+    out.reserve(payload_len + 12);
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    let payload_at = out.len();
+    out.extend_from_slice(&sensor.0.to_le_bytes());
+    out.extend_from_slice(&(readings.len() as u32).to_le_bytes());
+    for r in readings {
+        out.extend_from_slice(&r.ts.0.to_le_bytes());
+        out.extend_from_slice(&r.value.to_bits().to_le_bytes());
+    }
+    let sum = fnv1a64(out.get(payload_at..).unwrap_or(&[]));
+    out.extend_from_slice(&sum.to_le_bytes());
+}
+
 /// Encode one checksummed record carrying a batch of readings for `sensor`.
 pub fn encode_record(sensor: SensorId, readings: &[Reading]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(8 + readings.len() * 16);
-    payload.extend_from_slice(&sensor.0.to_le_bytes());
-    payload.extend_from_slice(&(readings.len() as u32).to_le_bytes());
-    for r in readings {
-        payload.extend_from_slice(&r.ts.0.to_le_bytes());
-        payload.extend_from_slice(&r.value.to_bits().to_le_bytes());
-    }
-    let mut rec = Vec::with_capacity(payload.len() + 12);
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&payload);
-    rec.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    let mut rec = Vec::new();
+    encode_record_into(&mut rec, sensor, readings);
     rec
 }
 

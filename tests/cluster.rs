@@ -8,11 +8,11 @@
 use hpc_oda::serve::net::SimNet;
 use hpc_oda::serve::server::Server;
 use hpc_oda::sim::prelude::*;
-use hpc_oda::telemetry::cluster::{ClusterCoordinator, EdgeTask, EdgeView};
+use hpc_oda::telemetry::cluster::{ClusterConfig, ClusterCoordinator, EdgeTask, EdgeView, ShardId};
 use hpc_oda::telemetry::metrics::MetricsRegistry;
 use hpc_oda::telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
 use hpc_oda::telemetry::reading::{Reading, ReadingBatch, Timestamp};
-use hpc_oda::telemetry::sensor::SensorId;
+use hpc_oda::telemetry::sensor::{SensorId, SensorKind, SensorRegistry, Unit};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -163,16 +163,96 @@ fn per_shard_health_sums_match_the_unsharded_archive() {
     assert_eq!(owned as usize, dc.registry().len());
     assert!(occ.iter().all(|o| o.alive && o.sensors_owned > 0));
     // Each shard durably archived what it ingested, and `published` counts
-    // exactly the ingest commands routed to it: the site sends the cluster
-    // one command per bus publish.
+    // exactly the batches routed to it: the site hands the cluster every
+    // tick's batches after publishing them on the bus.
     for h in &health {
         assert!(h.durable_len > 0, "{} archived nothing", h.shard);
         assert!(h.published > 0, "{} ingested nothing", h.shard);
+        assert_eq!(h.wal_errors, 0, "{} failed a WAL write or sync", h.shard);
     }
-    let commands: u64 = health.iter().map(|h| h.published).sum();
-    assert_eq!(commands, dc.bus().published());
+    let batches: u64 = health.iter().map(|h| h.published).sum();
+    assert_eq!(batches, dc.bus().published());
     let durable: u64 = health.iter().map(|h| h.durable_len).sum();
-    assert_eq!(durable, commands - expected.total_rejected());
+    assert_eq!(durable, batches - expected.total_rejected());
+}
+
+#[test]
+fn ingest_many_is_ingest_in_a_loop_also_across_a_rebalance() {
+    const SENSORS: u32 = 24;
+    const TICKS: u64 = 40;
+    let queries = || {
+        vec![
+            Query::sensors("/grp/**").aggregate(Aggregation::Mean),
+            Query::sensors("/grp/a/*").downsample(5_000, Aggregation::Max),
+            Query::sensors("/grp/b/*").align(10_000),
+            Query::sensors("/grp/a/s000"),
+        ]
+    };
+    // One tick of the stream: a reading per sensor, one of them rejected
+    // (non-finite) on every third tick.
+    let tick = |sensors: &[SensorId], t: u64| -> Vec<ReadingBatch> {
+        sensors
+            .iter()
+            .map(|&s| {
+                let value = if t.is_multiple_of(3) && s.0 == 5 {
+                    f64::NAN
+                } else {
+                    0.1 + (s.0 as u64 * 1_000 + t) as f64 * 0.3
+                };
+                ReadingBatch::single(s, Reading::new(Timestamp::from_millis(t * 1_000), value))
+            })
+            .collect()
+    };
+    // What the cluster looks like from outside after the whole stream, fed
+    // by `feed` one tick at a time, with shard 0 failing halfway.
+    let run = |shards: usize, feed: &dyn Fn(&ClusterCoordinator, Vec<ReadingBatch>)| {
+        let registry = SensorRegistry::new();
+        let sensors: Vec<SensorId> = (0..SENSORS)
+            .map(|i| {
+                let half = if i % 2 == 0 { "a" } else { "b" };
+                registry.register(
+                    &format!("/grp/{half}/s{i:03}"),
+                    SensorKind::Power,
+                    Unit::Watts,
+                )
+            })
+            .collect();
+        let cluster = ClusterCoordinator::new(ClusterConfig::with_shards(shards), registry)
+            .expect("cluster opens over fresh in-memory filesystems");
+        for t in 0..TICKS {
+            if t == TICKS / 2 {
+                assert!(cluster.fail_shard(ShardId(0)));
+            }
+            feed(&cluster, tick(&sensors, t));
+        }
+        cluster.fence();
+        let digests: Vec<u64> = queries()
+            .into_iter()
+            .map(|q| cluster.query(q).digest())
+            .collect();
+        let per_shard: Vec<(ShardId, u64, u64, u64)> = cluster
+            .health()
+            .iter()
+            .map(|h| (h.shard, h.durable_len, h.published, h.wal_errors))
+            .collect();
+        (digests, per_shard, cluster.rebalances())
+    };
+    for shards in [1usize, 2, 4] {
+        let one = run(shards, &|cluster, batches| {
+            for b in batches {
+                assert!(cluster.ingest(b));
+            }
+        });
+        let many = run(shards, &|cluster, batches| {
+            assert!(cluster.ingest_many(batches));
+        });
+        assert_eq!(one, many, "planes diverged at {shards} shard(s)");
+        let (_, per_shard, rebalances) = many;
+        assert_eq!(rebalances, u64::from(shards > 1));
+        let durable: u64 = per_shard.iter().map(|(_, d, _, _)| d).sum();
+        let rejected = TICKS.div_ceil(3);
+        assert_eq!(durable, u64::from(SENSORS) * TICKS - rejected);
+    }
 }
 
 #[test]

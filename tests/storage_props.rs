@@ -3,8 +3,10 @@
 //! payload bits, ±inf, -0.0, clock-jittered and even non-monotone
 //! timestamps), truncated input never panics a decoder, and deterministic
 //! compaction produces exactly the buckets an independent raw-rescan fold
-//! produces.
+//! produces. A last property pins group commit: however a record stream is
+//! cut into groups, the engine leaves byte-identical files.
 
+use hpc_oda::telemetry::metrics::MetricsRegistry;
 use hpc_oda::telemetry::reading::{Reading, Timestamp};
 use hpc_oda::telemetry::sensor::SensorId;
 use hpc_oda::telemetry::storage::codec::{
@@ -12,8 +14,10 @@ use hpc_oda::telemetry::storage::codec::{
 };
 use hpc_oda::telemetry::storage::segment::{self, Segment, SegmentBlocks};
 use hpc_oda::telemetry::storage::wal;
-use hpc_oda::telemetry::store::RollupBucket;
+use hpc_oda::telemetry::storage::{EngineConfig, PersistentEngine, SimFs, StorageFs};
+use hpc_oda::telemetry::store::{RollupBucket, TimeSeriesStore};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Adversarial f64 bit patterns: quiet/signalling NaNs with arbitrary
 /// payloads, ±inf, ±0.0, subnormals and ordinary values all arise from
@@ -218,5 +222,137 @@ proptest! {
         for (i, (_, got)) in torn.records.iter().enumerate() {
             prop_assert_eq!(got, &batches[i]);
         }
+    }
+}
+
+// ----- grouped vs per-record ingest ----------------------------------------
+
+/// Everything a filesystem holds: names and bytes, in name order.
+fn files(fs: &SimFs) -> Vec<(String, Vec<u8>)> {
+    fs.list()
+        .expect("SimFs lists")
+        .into_iter()
+        .map(|name| {
+            let bytes = fs.read(&name).expect("listed file reads");
+            (name, bytes)
+        })
+        .collect()
+}
+
+/// What a restart brings back from `fs` after a power cut: the recovery
+/// report's reading count and every sensor's replayed history, bit for bit.
+fn recovered(fs: &Arc<SimFs>, cfg: &EngineConfig, sensors: u32) -> (u64, Vec<Vec<(u64, u64)>>) {
+    fs.crash();
+    let (engine, report) = PersistentEngine::open(
+        Arc::clone(fs) as Arc<dyn StorageFs>,
+        cfg.clone(),
+        &MetricsRegistry::disabled(),
+    )
+    .expect("engine reopens over the surviving bytes");
+    let store = TimeSeriesStore::with_capacity(1 << 14);
+    engine.replay_into(&store).expect("replay reads SimFs");
+    let history = (0..sensors)
+        .map(|s| {
+            store
+                .range(SensorId(s), Timestamp::ZERO, Timestamp::MAX)
+                .iter()
+                .map(|r| (r.ts.0, r.value.to_bits()))
+                .collect()
+        })
+        .collect();
+    (report.readings_recovered, history)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// However a record stream is cut into groups, `append_group` leaves the
+    /// files `append` leaves record by record: same names, same bytes, same
+    /// durable count, same recovered archive — and pays at most one WAL
+    /// fsync per group (plus the final flush) for it.
+    #[test]
+    fn grouped_ingest_is_byte_identical_to_per_record_ingest(
+        shape in prop::collection::vec((0u32..6, 1usize..4), 1..3_000),
+        cuts in prop::collection::vec(1usize..2_001, 1..40),
+        seals_wanted in 0usize..4,
+        wal_sync_every in 1usize..17,
+    ) {
+        const SENSORS: u32 = 6;
+        // Per-sensor strictly increasing stamps, non-dyadic values.
+        let mut next_ts = [0u64; SENSORS as usize];
+        let stream: Vec<(SensorId, Vec<Reading>)> = shape
+            .iter()
+            .map(|&(sensor, n)| {
+                let readings = (0..n)
+                    .map(|_| {
+                        let ts = &mut next_ts[sensor as usize];
+                        *ts += 1_000;
+                        Reading::new(Timestamp::from_millis(*ts), 0.1 + *ts as f64 * 0.3)
+                    })
+                    .collect();
+                (SensorId(sensor), readings)
+            })
+            .collect();
+        let total: usize = stream.iter().map(|(_, rs)| rs.len()).sum();
+        let cfg = EngineConfig {
+            segment_max_readings: match seals_wanted {
+                0 => total + 1,
+                n => total.div_ceil(n),
+            },
+            wal_sync_every,
+            ..EngineConfig::default()
+        };
+        let open = |metrics: &MetricsRegistry| {
+            let fs = Arc::new(SimFs::new());
+            let (engine, _) =
+                PersistentEngine::open(Arc::clone(&fs) as Arc<dyn StorageFs>, cfg.clone(), metrics)
+                    .expect("engine opens over a fresh SimFs");
+            (fs, engine)
+        };
+
+        let (one_fs, one) = open(&MetricsRegistry::disabled());
+        for (sensor, readings) in &stream {
+            one.append(*sensor, readings).expect("SimFs append");
+        }
+        one.flush().expect("SimFs flush");
+
+        let metrics = MetricsRegistry::new();
+        let (many_fs, many) = open(&metrics);
+        let records: Vec<(SensorId, &[Reading])> =
+            stream.iter().map(|(s, rs)| (*s, rs.as_slice())).collect();
+        let (mut rest, mut groups) = (records.as_slice(), 0u64);
+        for cut in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (group, tail) = rest.split_at((*cut).min(rest.len()));
+            many.append_group(group).expect("SimFs append");
+            // The contract at the call boundary, whatever the group size:
+            // fewer than `wal_sync_every` logged records are still unsynced.
+            let log = many_fs.read(wal::WAL_FILE).expect("WAL reads");
+            let synced = many_fs.durable_len(wal::WAL_FILE).unwrap_or(0);
+            let unsynced =
+                wal::replay(&log).records.len() - wal::replay(&log[..synced]).records.len();
+            prop_assert!(unsynced < wal_sync_every, "{unsynced} records unsynced");
+            rest = tail;
+            groups += 1;
+        }
+        many.flush().expect("SimFs flush");
+
+        prop_assert_eq!(files(&one_fs), files(&many_fs));
+        prop_assert_eq!(one.durable_len(), many.durable_len());
+        prop_assert_eq!(one.durable_len(), total as u64);
+        let seals = many.segment_counts().0 as u64;
+        prop_assert!(seals <= 3);
+        let wal_syncs = metrics.snapshot().counter("storage_wal_syncs_total").unwrap_or(0);
+        prop_assert!(
+            wal_syncs <= groups + seals + 1,
+            "{wal_syncs} WAL syncs for {groups} groups and {seals} seals"
+        );
+        drop((one, many));
+        prop_assert_eq!(
+            recovered(&one_fs, &cfg, SENSORS),
+            recovered(&many_fs, &cfg, SENSORS)
+        );
     }
 }

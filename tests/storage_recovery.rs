@@ -5,12 +5,16 @@
 //! crash between seal and WAL reset, crash mid-compaction), reopens it over
 //! the surviving bytes, and asserts the recovered archive is **bit-identical
 //! to a reference in-memory store fed exactly the durable prefix** — the
-//! recovery contract from DESIGN.md §12. A final regression test pins the
+//! recovery contract from DESIGN.md §12. The group-commit tests at the end
+//! hold the same contract at the call boundary: a crash can cost the group
+//! in flight, torn at any byte, and nothing an earlier call returned from
+//! beyond the sync interval. A regression test pins the
 //! eviction-attribution bugfix: a reading overwritten in the hot ring but
 //! still durable is not "evicted" and must be counted at most once, when
 //! segment retention actually expires it.
 
 use hpc_oda::telemetry::prelude::*;
+use hpc_oda::telemetry::reading::ReadingBatch;
 use hpc_oda::telemetry::storage::wal;
 use std::sync::Arc;
 
@@ -320,4 +324,126 @@ fn ring_overwrite_of_durable_data_is_not_eviction_and_expiry_counts_once() {
     assert_eq!(archived_evicted, 24);
     assert_eq!(report.total_evicted(), 24);
     assert_eq!(backend.durable_len(), 8);
+}
+
+// ----- group commit ----------------------------------------------------------
+
+/// `n` single-reading batches for `S`, continuing the stream at `from`.
+fn group(from: u64, n: u64) -> Vec<ReadingBatch> {
+    (from..from + n)
+        .map(|i| ReadingBatch::single(S, reading(i)))
+        .collect()
+}
+
+/// One single-reading engine record for `S` per reading.
+fn one_reading_records(readings: &[Reading]) -> Vec<(SensorId, &[Reading])> {
+    readings
+        .iter()
+        .map(|r| (S, std::slice::from_ref(r)))
+        .collect()
+}
+
+#[test]
+fn crash_before_a_groups_sync_loses_only_that_group() {
+    let fs = Arc::new(SimFs::new());
+    let cfg = EngineConfig {
+        wal_sync_every: 4,
+        ..EngineConfig::default()
+    };
+    {
+        let backend = backend_over(&fs, BackendKind::Persistent, cfg.clone(), 1_024);
+        assert_eq!(backend.insert_many(&group(0, 6)), 6); // one write, one sync
+        assert_eq!(fs.sync_count(), 2, "the WAL header, then the group");
+        // The second group's bytes land but its fsync fails, which is where
+        // a power cut between write and sync leaves the disk.
+        fs.fail_next_syncs(1);
+        assert_eq!(backend.insert_many(&group(6, 5)), 5);
+        assert_eq!(backend.store().series_len(S), 11, "the hot ring has both");
+    }
+    fs.crash();
+    let backend = backend_over(&fs, BackendKind::Persistent, cfg, 1_024);
+    let rec = backend.recovery().unwrap();
+    assert_eq!(
+        rec.readings_recovered, 6,
+        "the unsynced group is gone, whole"
+    );
+    assert!(!rec.wal_truncated);
+    assert_bit_identical(backend.store(), &reference_store(S, &readings(6)), S);
+}
+
+#[test]
+fn a_group_torn_at_any_byte_recovers_a_whole_record_prefix_and_stays_writable() {
+    // Never reaches the sync interval, so the second group is on disk only
+    // as far as the tear lets it be.
+    let cfg = EngineConfig {
+        wal_sync_every: 100,
+        ..EngineConfig::default()
+    };
+    const RECORD: usize = 36; // len 4 + payload 24 + checksum 8
+    let torn_group = 5u64;
+    for keep in 0..=torn_group as usize * RECORD {
+        let fs = Arc::new(SimFs::new());
+        {
+            let engine = engine_over(&fs, cfg.clone()).0;
+            let stream = readings(3 + torn_group);
+            let (first, second) = stream.split_at(3);
+            engine.append_group(&one_reading_records(first)).unwrap();
+            engine.flush().unwrap();
+            engine.append_group(&one_reading_records(second)).unwrap();
+        }
+        fs.crash_torn(keep);
+        let whole = (keep / RECORD) as u64;
+        let (engine, rec) = engine_over(&fs, cfg.clone());
+        assert_eq!(rec.readings_recovered, 3 + whole, "keep {keep}");
+        assert_eq!(rec.wal_truncated, keep % RECORD != 0, "keep {keep}");
+        assert_eq!(
+            fs.durable_len(wal::WAL_FILE),
+            Some(wal::WAL_HEADER_LEN + (3 + whole as usize) * RECORD),
+            "keep {keep}: the tail is cut at the last whole record"
+        );
+        // Writable afterwards: a new group lands behind the valid prefix.
+        let more = [reading(100), reading(101)];
+        engine.append_group(&[(S, &more)]).unwrap();
+        engine.flush().unwrap();
+        drop(engine);
+        fs.crash();
+        let (engine, rec) = engine_over(&fs, cfg.clone());
+        assert!(!rec.wal_truncated, "keep {keep}");
+        let mut got = Vec::new();
+        engine
+            .range_into(S, Timestamp::ZERO, Timestamp::MAX, &mut got)
+            .unwrap();
+        let mut want = readings(3 + whole);
+        want.extend(more);
+        assert_eq!(got, want, "keep {keep}");
+    }
+}
+
+#[test]
+fn after_any_returned_call_fewer_than_the_sync_interval_are_missing() {
+    let cfg = EngineConfig {
+        segment_max_readings: 16,
+        wal_sync_every: 4,
+        ..EngineConfig::default()
+    };
+    let sizes = [1u64, 2, 3, 5, 1, 1, 9, 2, 1, 30, 3];
+    for calls in 1..=sizes.len() {
+        let fs = Arc::new(SimFs::new());
+        let mut offered = 0;
+        {
+            let backend = backend_over(&fs, BackendKind::Persistent, cfg.clone(), 1_024);
+            for &n in &sizes[..calls] {
+                backend.insert_many(&group(offered, n));
+                offered += n;
+            }
+        }
+        fs.crash();
+        let backend = backend_over(&fs, BackendKind::Persistent, cfg.clone(), 1_024);
+        let kept = backend.recovery().unwrap().readings_recovered;
+        assert!(
+            kept <= offered && offered - kept < 4,
+            "{calls} calls: {kept} of {offered} survived"
+        );
+        assert_bit_identical(backend.store(), &reference_store(S, &readings(kept)), S);
+    }
 }
