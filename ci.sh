@@ -8,10 +8,11 @@
 #
 # `./ci.sh --full` additionally runs the nightly sanitizer lanes (Miri on
 # the oda-telemetry lib tests, ThreadSanitizer on the concurrency-heavy
-# telemetry/serve suites). Each lane is gated on its toolchain component
-# being present and skips loudly when it isn't, so `--full` degrades
-# gracefully on machines without the nightly extras; the hosted
-# `sanitizers` job in ci.yml installs the components and never skips.
+# telemetry/serve suites and the oda-core pass executor). Each lane is
+# gated on its toolchain component being present and skips loudly when it
+# isn't, so `--full` degrades gracefully on machines without the nightly
+# extras; the hosted `sanitizers` job in ci.yml installs the components
+# and never skips.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -59,7 +60,7 @@ echo "==> ingest soak (observability baseline)"
 cargo run --release -p oda-bench --bin ingest -- 200 48 > BENCH_ingest.json
 python3 ci/check_bench.py BENCH_ingest.json ci/baselines/BENCH_ingest.json
 
-echo "==> scale bench (worker sweep 1/2/4/8)"
+echo "==> scale bench (worker sweep 1/2/4/8: digest + fan-out overhead; speed-up informational)"
 cargo run --release -p oda-bench --bin scale > BENCH_scale.json
 python3 ci/check_bench.py BENCH_scale.json ci/baselines/BENCH_scale.json
 
@@ -83,7 +84,7 @@ if [ "$FULL" = 1 ]; then
     echo "      (rustup +nightly component add miri; the hosted sanitizers job always runs it)" >&2
   fi
 
-  echo "==> thread sanitizer (telemetry + serving concurrency tests)"
+  echo "==> thread sanitizer (telemetry + serving concurrency tests, core pass executor)"
   # TSan needs the standard library rebuilt with -Zsanitizer=thread, which
   # requires the nightly rust-src component (-Zbuild-std).
   if rustup component list --toolchain nightly 2>/dev/null | grep -q '^rust-src.*(installed)'; then
@@ -97,6 +98,11 @@ if [ "$FULL" = 1 ]; then
     RUSTFLAGS="-Zsanitizer=thread" \
       cargo +nightly test -q -Zbuild-std --target "$TSAN_TARGET" \
       -p oda-serve --lib
+    # oda-core's pass executor hands `&mut` capabilities and result slots
+    # to scoped threads — the workspace's only cross-thread `&mut` hand-off.
+    RUSTFLAGS="-Zsanitizer=thread" \
+      cargo +nightly test -q -Zbuild-std --target "$TSAN_TARGET" \
+      -p oda-core --lib
   else
     echo "SKIP: thread-sanitizer lane — nightly rust-src component unavailable" >&2
     echo "      (rustup +nightly component add rust-src; the hosted sanitizers job always runs it)" >&2

@@ -3,7 +3,7 @@
 //! Runs four soaks on the same simulated site: a clean baseline, two
 //! identical faulted runs (same seed, same schedule) to verify replay, and
 //! the same faulted run again with the analytics runtime fanned out across
-//! a worker pool to verify the parallel scheduler is bit-identical to
+//! worker threads to verify the parallel scheduler is bit-identical to
 //! serial execution. Prints the degradation metrics side by side.
 //!
 //! Usage: `chaos [ticks] [seed] [workers]` — defaults to 12 000 ticks,

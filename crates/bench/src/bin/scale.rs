@@ -1,18 +1,18 @@
-//! Scale bench — worker-pool and collector-shard scaling.
+//! Scale bench — scheduler worker-count and collector-shard scaling.
 //!
 //! Sweeps (a) the capability scheduler's worker count over a wide
-//! synthetic registry of collector-bound capabilities and (b) the
+//! synthetic registry of CPU-bound capabilities and (b) the
 //! collector-shard count of the distributed ingest hierarchy over a
 //! synthetic sensor space, printing ONE JSON object to stdout (the
 //! `BENCH_scale.json` baseline shape). Exits non-zero if any worker
 //! count's output diverges from the serial baseline or any shard count's
-//! query digest diverges from the single-shard baseline — the worker
-//! speedup floor itself is gated downstream by `ci/check_bench.py`; the
-//! per-shard-count ingest throughput is informational.
+//! query digest diverges from the single-shard baseline; the fan-out
+//! overhead bound is gated downstream by `ci/check_bench.py`, and the
+//! worker speed-up and per-shard-count ingest throughput are
+//! informational (read them against `host_parallelism`).
 //!
-//! Usage: `scale [caps] [passes] [wait_us]` — defaults 48 caps, 7 timed
-//! passes, 500 µs simulated collector wait, sweeping workers 1/2/4/8 and
-//! shards 1/2/4/8.
+//! Usage: `scale [caps] [passes]` — defaults 48 caps, 7 timed passes,
+//! sweeping workers 1/2/4/8 and shards 1/2/4/8.
 
 use oda_bench::scale::{run_scale, run_shard_sweep, ScaleConfig, ShardSweepConfig};
 
@@ -25,9 +25,6 @@ fn main() {
     if let Some(passes) = args.next().and_then(|s| s.parse().ok()) {
         cfg.passes = passes;
     }
-    if let Some(wait_us) = args.next().and_then(|s| s.parse().ok()) {
-        cfg.collector_wait_us = wait_us;
-    }
 
     let report = run_scale(&cfg);
     let shard_report = run_shard_sweep(&ShardSweepConfig::default());
@@ -36,7 +33,6 @@ fn main() {
         "bench": "scale",
         "caps": report.caps,
         "passes": report.passes,
-        "collector_wait_us": report.collector_wait_us,
         "host_parallelism": report.host_parallelism,
         "outputs_equal": report.outputs_equal,
         "points": report.points,

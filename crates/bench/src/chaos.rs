@@ -49,7 +49,7 @@ pub struct SoakConfig {
     pub window_ticks: u64,
     /// Telemetry-fault schedule; `None` runs the clean baseline.
     pub schedule: Option<FaultSchedule>,
-    /// Worker-pool width for the closed-loop ODA runtime the soak drives
+    /// Worker count for the closed-loop ODA runtime the soak drives
     /// once per evaluation window (wired through
     /// `DataCenterConfig::workers`). The determinism check must hold at
     /// *any* worker count — the replay gate runs this soak at 1 and 4.
@@ -260,7 +260,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     }
 
     // The closed-loop analytics runtime the soak drives once per evaluation
-    // window. Scheduling telemetry (steal/busy/contention counters) is
+    // window. Scheduling telemetry (busy/contention counters) is
     // determinism-exempt, so metrics stay disabled; everything the replay
     // contract *does* cover — artifacts, prescriptions, emission order —
     // folds into the digest at window close.

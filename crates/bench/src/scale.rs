@@ -2,21 +2,18 @@
 //!
 //! Builds a wide synthetic registry — many independent capabilities spread
 //! across the read-only analytics stages — and sweeps the scheduler's
-//! worker-pool width, measuring per-pass latency and verifying that every
+//! worker count, measuring per-pass latency and verifying that every
 //! worker count produces **bit-identical** pipeline output.
 //!
-//! Each synthetic capability models a *collector-bound* analysis: it blocks
-//! for a fixed, deterministic interval (standing in for the out-of-process
-//! collector round-trips — Redfish/IPMI pulls, database scans — that
-//! dominate real ODA passes; see the paper's data-collection layer) and
-//! then runs a small deterministic computation seeded from
-//! [`CapabilityContext::rng_seed`]. Because the wait is I/O-shaped rather
-//! than CPU-shaped, fan-out across a worker pool overlaps the waits and
-//! yields near-linear pass speedup even on a single-core host — which is
-//! exactly the regime the scheduler targets, and what lets the CI gate
-//! assert a ≥2.5× speedup at four workers regardless of runner width. The
-//! report records [`ScaleReport::host_parallelism`] so regressions can be
-//! interpreted against the hardware that produced them.
+//! Each synthetic capability is *CPU-bound*: it burns a fixed number of
+//! hash rounds (real work the host has to execute, not a sleep the
+//! scheduler can overlap for free) and then runs a small deterministic
+//! computation seeded from [`CapabilityContext::rng_seed`]. Speed-up from
+//! fan-out is therefore bounded by the cores the host actually has, so it
+//! is reported for information beside [`ScaleReport::host_parallelism`]
+//! and never gated; what `ci/check_bench.py` gates holds on any runner —
+//! output equality, the digest, and that fanning out costs at most 15 %
+//! over the serial pass at every swept width.
 
 use oda_core::analytics_type::AnalyticsType;
 use oda_core::capability::{Artifact, Capability, CapabilityContext};
@@ -32,8 +29,9 @@ use oda_telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use oda_telemetry::sensor::{SensorKind, SensorRegistry, Unit};
 use oda_telemetry::store::TimeSeriesStore;
 use serde::Serialize;
+use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Configuration of one scaling sweep.
 #[derive(Debug, Clone)]
@@ -42,12 +40,10 @@ pub struct ScaleConfig {
     /// Descriptive, Diagnostic and Predictive stages.
     pub caps: usize,
     /// Timed passes per worker count (one extra untimed warm-up pass runs
-    /// first so lazy pool spawning never lands in the measurement).
+    /// first so cold caches never land in the measurement).
     pub passes: usize,
-    /// Simulated collector round-trip per capability, microseconds.
-    pub collector_wait_us: u64,
-    /// Worker-pool widths to sweep; the first entry is the speedup
-    /// baseline (conventionally 1).
+    /// Worker counts to sweep; the first entry is the speedup baseline
+    /// (conventionally 1).
     pub worker_counts: Vec<usize>,
     /// Scheduler seed; every worker count replays the same seed.
     pub seed: u64,
@@ -58,7 +54,6 @@ impl Default for ScaleConfig {
         ScaleConfig {
             caps: 48,
             passes: 7,
-            collector_wait_us: 500,
             worker_counts: vec![1, 2, 4, 8],
             seed: 4242,
         }
@@ -68,17 +63,15 @@ impl Default for ScaleConfig {
 /// Measurements for one worker count.
 #[derive(Debug, Clone, Serialize)]
 pub struct WorkerPoint {
-    /// Worker-pool width.
+    /// Scheduler worker count.
     pub workers: usize,
     /// Median pass latency, nanoseconds.
     pub pass_p50_ns: u64,
     /// 99th-percentile pass latency, nanoseconds.
     pub pass_p99_ns: u64,
-    /// Median-pass speedup vs the baseline worker count.
+    /// Median-pass speedup vs the baseline worker count (informational:
+    /// read it against [`ScaleReport::host_parallelism`]).
     pub speedup_x: f64,
-    /// Work-stealing events the pool recorded across all passes
-    /// (scheduling telemetry — excluded from the determinism contract).
-    pub steals: u64,
     /// Order-sensitive digest over every pass's pipeline output.
     pub digest: u64,
 }
@@ -90,8 +83,6 @@ pub struct ScaleReport {
     pub caps: usize,
     /// Timed passes per worker count.
     pub passes: usize,
-    /// Simulated collector round-trip per capability, microseconds.
-    pub collector_wait_us: u64,
     /// `std::thread::available_parallelism()` on the measuring host.
     pub host_parallelism: usize,
     /// Per-worker-count measurements, in sweep order.
@@ -101,22 +92,15 @@ pub struct ScaleReport {
     pub outputs_equal: bool,
 }
 
-impl ScaleReport {
-    /// Speedup at a given worker count, if it was part of the sweep.
-    pub fn speedup_at(&self, workers: usize) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.workers == workers)
-            .map(|p| p.speedup_x)
-    }
-}
+/// Hash rounds each synthetic capability burns per execution — a little
+/// under a millisecond of one core.
+const BURN_ROUNDS: u32 = 200_000;
 
-/// A collector-bound synthetic capability: deterministic wait, then a
-/// deterministic seed-derived computation.
+/// A CPU-bound synthetic capability: a fixed burn, then a deterministic
+/// seed-derived computation.
 struct SyntheticCollector {
     name: String,
     cell: GridCell,
-    wait: Duration,
 }
 
 impl Capability for SyntheticCollector {
@@ -125,7 +109,7 @@ impl Capability for SyntheticCollector {
     }
 
     fn description(&self) -> &str {
-        "synthetic collector-bound capability (scale bench)"
+        "synthetic CPU-bound capability (scale bench)"
     }
 
     fn footprint(&self) -> GridFootprint {
@@ -133,8 +117,10 @@ impl Capability for SyntheticCollector {
     }
 
     fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
-        // The collector round-trip the pool is supposed to overlap.
-        std::thread::sleep(self.wait);
+        // The analysis cost fan-out is supposed to spread over cores; the
+        // result goes nowhere but `black_box`, so the KPI below (and with
+        // it the output digest) does not depend on the burn.
+        black_box((0..BURN_ROUNDS).fold(black_box(ctx.rng_seed), |x, _| splitmix64(x)));
         // A short deterministic computation seeded *only* from the
         // scheduler-assigned stream, so output is worker-count-invariant.
         let mut x = ctx.rng_seed;
@@ -176,7 +162,6 @@ fn build_pipeline(cfg: &ScaleConfig) -> StagedPipeline {
             Box::new(SyntheticCollector {
                 name: format!("scale-cap-{i:02}"),
                 cell: GridCell::new(stage, pillar),
-                wait: Duration::from_micros(cfg.collector_wait_us),
             }),
         );
     }
@@ -209,8 +194,8 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
         );
         let mut digest = FNV_OFFSET;
         let mut samples: Vec<u64> = Vec::with_capacity(cfg.passes);
-        // Warm-up pass: spawns the pool, still folds into the digest so the
-        // pass-seed sequence stays aligned across worker counts.
+        // Pass 0 is the untimed warm-up; it still folds into the digest so
+        // the pass-seed sequence stays aligned across worker counts.
         for pass in 0..=cfg.passes {
             let ctx = CapabilityContext::new(
                 Arc::clone(&store),
@@ -232,7 +217,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
             pass_p50_ns: percentile_ns(&samples, 50),
             pass_p99_ns: percentile_ns(&samples, 99),
             speedup_x: 0.0,
-            steals: scheduler.steals(),
             digest,
         });
     }
@@ -246,7 +230,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     ScaleReport {
         caps: cfg.caps,
         passes: cfg.passes,
-        collector_wait_us: cfg.collector_wait_us,
         host_parallelism: std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
@@ -427,7 +410,6 @@ mod tests {
         let cfg = ScaleConfig {
             caps: 12,
             passes: 2,
-            collector_wait_us: 50,
             worker_counts: vec![1, 4],
             seed: 7,
         };
@@ -439,23 +421,6 @@ mod tests {
         assert_eq!(report.points.len(), 2);
         assert!(report.points.iter().all(|p| p.pass_p50_ns > 0));
         assert!(report.host_parallelism >= 1);
-    }
-
-    #[test]
-    fn parallel_sweep_overlaps_collector_waits() {
-        let cfg = ScaleConfig {
-            caps: 24,
-            passes: 3,
-            collector_wait_us: 400,
-            worker_counts: vec![1, 4],
-            seed: 11,
-        };
-        let report = run_scale(&cfg);
-        let s4 = report.speedup_at(4).unwrap();
-        assert!(
-            s4 > 1.5,
-            "four workers should overlap collector waits (got {s4:.2}x)"
-        );
     }
 
     #[test]

@@ -109,9 +109,9 @@ pub struct CapabilityContext {
     /// The scheduler derives one stream per task from the pass seed and
     /// the capability's registration slot — *never* from the worker that
     /// happens to execute the task — so a randomized capability produces
-    /// bit-identical output at any worker count (work stealing moves
-    /// tasks between workers nondeterministically; a per-worker stream
-    /// would break replay). Capabilities that want randomness must seed
+    /// bit-identical output at any worker count (which worker pulls a
+    /// task off its layer is nondeterministic; a per-worker stream would
+    /// break replay). Capabilities that want randomness must seed
     /// their generator from this value and nothing else.
     pub rng_seed: u64,
 }

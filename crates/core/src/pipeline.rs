@@ -138,12 +138,11 @@ impl PipelineRun {
 }
 
 /// One registered capability and its stage — the scheduler's unit of
-/// dispatch. The capability box is taken out of the slot while a worker
-/// executes it and reinstalled at the layer barrier, so the slot index is
+/// dispatch. Workers borrow the capability in place, so the slot index is
 /// a stable identity for the whole pipeline lifetime.
 pub(crate) struct PipelineSlot {
     pub(crate) stage: AnalyticsType,
-    pub(crate) cap: Option<Box<dyn Capability>>,
+    pub(crate) cap: Box<dyn Capability>,
 }
 
 /// A pipeline of capabilities organised by analytics type.
@@ -193,7 +192,7 @@ impl StagedPipeline {
     pub fn add_stage(&mut self, stage: AnalyticsType, capability: Box<dyn Capability>) {
         self.slots.push(PipelineSlot {
             stage,
-            cap: Some(capability),
+            cap: capability,
         });
     }
 
@@ -217,7 +216,7 @@ impl StagedPipeline {
         &self.slots
     }
 
-    /// Mutable slot access for the scheduler's take/reinstall cycle.
+    /// Mutable slot access: a layer's workers borrow its capabilities.
     pub(crate) fn slots_mut(&mut self) -> &mut [PipelineSlot] {
         &mut self.slots
     }
@@ -229,7 +228,7 @@ impl StagedPipeline {
     /// [`crate::runtime`]: stages run in staged order, peers within a stage
     /// in insertion order on the calling thread. Use
     /// [`CapabilityScheduler`] (or [`crate::runtime::OdaRuntime`], which
-    /// embeds one) to fan a pass out across a worker pool.
+    /// embeds one) to fan a pass out across worker threads.
     pub fn run(&mut self, ctx: CapabilityContext) -> PipelineRun {
         let metrics = self.resolved_metrics();
         CapabilityScheduler::with_metrics(RuntimeConfig::serial(), metrics).run(self, ctx)

@@ -10,8 +10,9 @@
 //!   real deployment;
 //! * [`CapabilityScheduler`] turns one pipeline pass into a dependency
 //!   DAG over the registered capabilities, topologically layers it, and
-//!   fans each layer out across a fixed-size work-stealing worker pool —
-//!   deterministically (see the module docs below);
+//!   runs each layer on scoped threads that pull tasks off the layer and
+//!   are joined at its barrier — deterministically (see below), and with
+//!   no thread resident between passes;
 //! * [`OdaRuntime`] holds the pipeline and scheduler, runs a pass over a
 //!   window of telemetry, routes prescriptions, and keeps an audit log of
 //!   every action taken or deferred (prescriptions are outward-facing: a
@@ -29,17 +30,18 @@
 //! * workers record results into **pre-assigned slots** (one per
 //!   registered capability), never into a shared append log;
 //! * artifact/metric/audit emission is **sequenced by capability slot**
-//!   after each layer barrier, so emission order never depends on which
+//!   at each stage barrier, so emission order never depends on which
 //!   worker finished first;
 //! * per-task RNG streams derive from `(pass seed, capability slot)` —
-//!   not from the executing worker — so work stealing cannot perturb a
-//!   randomized capability;
+//!   not from the executing worker — so which worker pulls a task cannot
+//!   perturb a randomized capability;
 //! * capability panics are caught on the worker, surfaced as
 //!   [`StageSpan::panicked`], and isolated (the pass continues), so one
 //!   bad plugin cannot take down the telemetry plane.
 //!
-//! `workers = 1` executes on the calling thread in exactly the historical
-//! serial order (stages in staged order, peers in insertion order).
+//! `workers = 1` (and any layer of one) spawns nothing: the same drain
+//! runs on the calling thread, in exactly the historical serial order
+//! (stages in staged order, peers in insertion order).
 
 use crate::analytics_type::AnalyticsType;
 use crate::capability::{Artifact, Capability, CapabilityContext};
@@ -52,20 +54,17 @@ use oda_telemetry::reading::Timestamp;
 use oda_telemetry::sensor::SensorRegistry;
 use oda_telemetry::store::TimeSeriesStore;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Configuration of the capability scheduler.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RuntimeConfig {
-    /// Fixed worker-pool size. `1` (the [`Self::serial`] preset) runs
-    /// every capability on the calling thread in the historical serial
-    /// order; the default is [`std::thread::available_parallelism`].
+    /// Most threads a layer runs on (the caller included). `1` (the
+    /// [`Self::serial`] preset) runs every capability on the calling
+    /// thread in the historical serial order; the default is
+    /// [`std::thread::available_parallelism`].
     pub workers: usize,
     /// Root seed for the per-task RNG streams handed to capabilities via
     /// [`CapabilityContext::rng_seed`]. Same seed ⇒ same streams, pass
@@ -221,256 +220,90 @@ impl CapabilityDag {
     }
 }
 
-/// A unit of work: one capability execution against a stage snapshot.
-struct Task {
-    slot: usize,
-    stage: AnalyticsType,
-    cap: Box<dyn Capability>,
-    ctx: CapabilityContext,
-}
-
 /// The slot-addressed outcome of one capability execution.
 struct SlotResult {
     stage: AnalyticsType,
     name: String,
     artifacts: Vec<Artifact>,
     wall_ns: u64,
-    panicked: Option<String>,
+    panicked: bool,
 }
 
-/// What came back from executing a [`Task`]: the capability box (to be
-/// reinstalled in its pipeline slot) plus the result for that slot.
-struct TaskDone {
-    slot: usize,
-    cap: Box<dyn Capability>,
-    result: SlotResult,
+/// One unit of layer work: a capability borrowed from its pipeline slot,
+/// the stage snapshot it runs against, and the result slot it fills.
+struct Task<'a> {
+    stage: AnalyticsType,
+    cap: &'a mut Box<dyn Capability>,
+    ctx: CapabilityContext,
+    out: &'a mut Option<SlotResult>,
 }
 
 fn elapsed_ns(start: Instant) -> u64 {
     start.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Executes one task, catching capability panics so a bad plugin is
-/// isolated instead of poisoning the pool.
-fn execute_task(task: Task) -> TaskDone {
-    let Task {
-        slot,
-        stage,
-        mut cap,
-        ctx,
-    } = task;
+/// Executes one task into its result slot, catching a capability panic so
+/// a bad plugin is isolated instead of taking the pass down. Returns the
+/// execution's wall nanoseconds.
+fn execute_task(task: Task<'_>) -> u64 {
     // odalint: allow(wall-clock) -- worker timing telemetry only; never feeds output digests
     let start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| cap.execute(&ctx)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| task.cap.execute(&task.ctx)));
     let wall_ns = elapsed_ns(start);
-    let name = cap.name().to_owned();
-    let (artifacts, panicked) = match outcome {
-        Ok(artifacts) => (artifacts, None),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            (Vec::new(), Some(msg))
+    *task.out = Some(SlotResult {
+        stage: task.stage,
+        name: task.cap.name().to_owned(),
+        panicked: outcome.is_err(),
+        artifacts: outcome.unwrap_or_default(),
+        wall_ns,
+    });
+    wall_ns
+}
+
+/// Runs one layer to its barrier on `threads` scoped workers — the caller
+/// plus `threads - 1` spawned for this layer only — each pulling the next
+/// task off the shared iterator until it is dry, so a slow capability
+/// never strands work behind it. One thread (a layer of one, or
+/// `workers == 1`) spawns nothing and drains on the caller in slot order.
+/// Returns each worker's busy nanoseconds, the caller's first.
+fn run_layer<'a>(threads: usize, tasks: impl Iterator<Item = Task<'a>> + Send) -> Vec<u64> {
+    let tasks = Mutex::new(tasks);
+    let drain = || {
+        let mut busy_ns = 0u64;
+        loop {
+            // The guard drops with this statement: tasks execute unlocked
+            // (and a poisoned lock still guards a valid iterator).
+            let next = tasks.lock().unwrap_or_else(|e| e.into_inner()).next();
+            match next {
+                Some(task) => busy_ns += execute_task(task),
+                None => return busy_ns,
+            }
         }
     };
-    TaskDone {
-        slot,
-        cap,
-        result: SlotResult {
-            stage,
-            name,
-            artifacts,
-            wall_ns,
-            panicked,
-        },
-    }
-}
-
-/// Layer hand-off state shared between the submitting thread and workers.
-#[derive(Default)]
-struct Gate {
-    /// Bumped once per submitted layer; workers drain queues when they
-    /// observe a new epoch.
-    epoch: u64,
-    shutdown: bool,
-}
-
-/// State shared by every worker of a [`WorkerPool`].
-struct PoolShared {
-    /// One deque per worker; tasks are dealt round-robin by layer
-    /// position, workers pop their own front and steal others' backs.
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    gate: Mutex<Gate>,
-    wake: Condvar,
-    /// Tasks executed off another worker's deque.
-    steals: AtomicU64,
-    /// Per-worker busy nanoseconds since the last drain.
-    busy_ns: Vec<AtomicU64>,
-}
-
-/// Pops the next task for worker `me`: own queue first (front), then
-/// round-robin victim scan (back). Returns whether the task was stolen.
-fn next_task(me: usize, shared: &PoolShared) -> Option<(Task, bool)> {
-    if let Ok(mut q) = shared.queues[me].lock() {
-        if let Some(t) = q.pop_front() {
-            return Some((t, false));
-        }
-    }
-    let n = shared.queues.len();
-    for k in 1..n {
-        let victim = (me + k) % n;
-        if let Ok(mut q) = shared.queues[victim].lock() {
-            if let Some(t) = q.pop_back() {
-                return Some((t, true));
-            }
-        }
-    }
-    None
-}
-
-fn worker_loop(me: usize, shared: Arc<PoolShared>, done: mpsc::Sender<TaskDone>) {
-    let mut seen = 0u64;
-    loop {
-        {
-            let mut gate = shared.gate.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if gate.shutdown {
-                    return;
-                }
-                if gate.epoch != seen {
-                    seen = gate.epoch;
-                    break;
-                }
-                gate = shared.wake.wait(gate).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        while let Some((task, stolen)) = next_task(me, &shared) {
-            if stolen {
-                shared.steals.fetch_add(1, Ordering::Relaxed);
-            }
-            // odalint: allow(wall-clock) -- worker busy-time telemetry only; never feeds output digests
-            let start = Instant::now();
-            let result = execute_task(task);
-            shared.busy_ns[me].fetch_add(elapsed_ns(start), Ordering::Relaxed);
-            if done.send(result).is_err() {
-                return;
-            }
-        }
-    }
-}
-
-/// A fixed-size pool of capability workers.
-///
-/// Workers are spawned once (named `oda-worker-N`) and live until the
-/// pool is dropped; `Drop` signals shutdown and **joins every thread**,
-/// so tearing down a runtime never leaks detached workers past e.g. a
-/// `DataCenter` teardown.
-struct WorkerPool {
-    shared: Arc<PoolShared>,
-    done_rx: mpsc::Receiver<TaskDone>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn new(workers: usize) -> Self {
-        let (done_tx, done_rx) = mpsc::channel();
-        let shared = Arc::new(PoolShared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            gate: Mutex::new(Gate::default()),
-            wake: Condvar::new(),
-            steals: AtomicU64::new(0),
-            busy_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let done = done_tx.clone();
-                std::thread::Builder::new()
-                    .name(format!("oda-worker-{i}"))
-                    .spawn(move || worker_loop(i, shared, done))
-                    // odalint: allow(panic-unwrap) -- thread spawn failure at pool construction is unrecoverable
-                    .expect("spawn capability worker")
-            })
-            .collect();
-        WorkerPool {
-            shared,
-            done_rx,
-            handles,
-        }
-    }
-
-    fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Runs one layer to completion: deals the tasks round-robin onto the
-    /// worker deques, opens the gate, and blocks until every result is
-    /// back (the layer barrier).
-    fn run_layer(&self, tasks: Vec<Task>) -> Vec<TaskDone> {
-        let n = tasks.len();
-        let w = self.shared.queues.len();
-        for (i, task) in tasks.into_iter().enumerate() {
-            self.shared.queues[i % w]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push_back(task);
-        }
-        {
-            let mut gate = self.shared.gate.lock().unwrap_or_else(|e| e.into_inner());
-            gate.epoch += 1;
-        }
-        self.shared.wake.notify_all();
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            // odalint: allow(panic-unwrap) -- workers hold the sender for the pool's lifetime
-            out.push(self.done_rx.recv().expect("worker pool alive"));
-        }
-        out
-    }
-
-    /// Steals since construction.
-    fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
-    }
-
-    /// Drains per-worker busy time accumulated since the last call.
-    fn drain_busy_ns(&self) -> Vec<u64> {
-        self.shared
-            .busy_ns
-            .iter()
-            .map(|b| b.swap(0, Ordering::Relaxed))
-            .collect()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut gate = self.shared.gate.lock().unwrap_or_else(|e| e.into_inner());
-            gate.shutdown = true;
-        }
-        self.shared.wake.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(drain)).collect();
+        let mut busy = vec![drain()];
+        // `execute_task` catches capability panics, so a failed join is an
+        // executor bug: re-raise it on the caller.
+        busy.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))),
+        );
+        busy
+    })
 }
 
 /// Deterministic parallel executor for [`StagedPipeline`] passes.
 ///
 /// Builds the [`CapabilityDag`] fresh each pass (capability registration
-/// may change between passes), then executes it layer by layer. See the
-/// module docs for the determinism contract. The pool is spawned lazily
-/// on the first pass that can use it and reused afterwards; dropping the
-/// scheduler joins every worker.
+/// may change between passes), then executes it layer by layer on scoped
+/// threads that live only for their layer — between passes the scheduler
+/// holds no thread. See the module docs for the determinism contract.
 pub struct CapabilityScheduler {
     config: RuntimeConfig,
     metrics: MetricsRegistry,
-    pool: Option<WorkerPool>,
     passes: u64,
-    steals_recorded: u64,
 }
 
 impl CapabilityScheduler {
@@ -482,15 +315,12 @@ impl CapabilityScheduler {
 
     /// Creates a scheduler recording scheduler metrics
     /// (`runtime_layer_span`, `runtime_worker_busy_ns`,
-    /// `runtime_steal_total`, `runtime_capability_panics_total`) into
-    /// `metrics`.
+    /// `runtime_capability_panics_total`) into `metrics`.
     pub fn with_metrics(config: RuntimeConfig, metrics: MetricsRegistry) -> Self {
         CapabilityScheduler {
             config,
             metrics,
-            pool: None,
             passes: 0,
-            steals_recorded: 0,
         }
     }
 
@@ -504,14 +334,9 @@ impl CapabilityScheduler {
         self.metrics = metrics;
     }
 
-    /// Tasks executed off another worker's deque since construction.
-    pub fn steals(&self) -> u64 {
-        self.pool.as_ref().map(WorkerPool::steals).unwrap_or(0)
-    }
-
-    /// Runs one pipeline pass. Equivalent to [`StagedPipeline::run`] when
-    /// `workers == 1`; fans layers out across the pool otherwise. Outputs
-    /// are bit-identical either way.
+    /// Runs one pipeline pass: each DAG layer on `min(workers, layer
+    /// width)` scoped threads, the caller among them. Outputs are
+    /// bit-identical at every worker count.
     pub fn run(&mut self, pipeline: &mut StagedPipeline, ctx: CapabilityContext) -> PipelineRun {
         let pass_seed = splitmix64(self.config.seed ^ splitmix64(self.passes));
         self.passes += 1;
@@ -525,55 +350,31 @@ impl CapabilityScheduler {
         let meta: Vec<(AnalyticsType, GridFootprint)> = pipeline
             .slots()
             .iter()
-            .map(|s| {
-                // odalint: allow(panic-unwrap) -- slots are re-occupied at the end of every pass
-                let cap = s.cap.as_ref().expect("slot occupied between passes");
-                (s.stage, cap.footprint())
-            })
+            .map(|s| (s.stage, s.cap.footprint()))
             .collect();
         let dag = CapabilityDag::build(&meta);
         let stage_metrics = pipeline.resolved_metrics();
 
         let mut results: Vec<Option<SlotResult>> = meta.iter().map(|_| None).collect();
         let mut upstream = ctx.upstream.clone();
-        let mut snapshot = upstream.clone();
-        let mut stage_done: Vec<usize> = Vec::new();
-        let mut current_stage: Option<AnalyticsType> = None;
-
-        let want_pool = self.config.workers > 1;
-        if want_pool && self.pool.as_ref().map(WorkerPool::workers) != Some(self.config.workers) {
-            self.pool = Some(WorkerPool::new(self.config.workers));
-        }
-
-        for layer in &dag.layers {
-            if current_stage != Some(layer.stage) {
-                // Stage barrier: emit the finished stage in slot order and
-                // make its artifacts visible downstream.
-                Self::emit_stage(
-                    &mut run,
-                    &mut upstream,
-                    &mut stage_done,
-                    &mut results,
-                    &stage_metrics,
-                );
-                current_stage = Some(layer.stage);
-                snapshot = upstream.clone();
-            }
-            // odalint: allow(wall-clock) -- layer duration telemetry only; never feeds output digests
-            let layer_start = Instant::now();
-            let tasks: Vec<Task> = layer
-                .slots
-                .iter()
-                .map(|&slot| {
-                    let cap = pipeline.slots_mut()[slot]
-                        .cap
-                        .take()
-                        // odalint: allow(panic-unwrap) -- slots are re-occupied at the end of every pass
-                        .expect("slot occupied between passes");
-                    Task {
-                        slot,
+        for stage_layers in dag.layers.chunk_by(|a, b| a.stage == b.stage) {
+            // Peers never see each other: every layer of the stage runs
+            // against the artifacts of the stages before it.
+            let snapshot = upstream.clone();
+            for layer in stage_layers {
+                // odalint: allow(wall-clock) -- layer duration telemetry only; never feeds output digests
+                let layer_start = Instant::now();
+                // `layer.slots` is ascending, so the tasks come off in slot
+                // order, each holding its own capability and result slot.
+                let tasks = pipeline
+                    .slots_mut()
+                    .iter_mut()
+                    .zip(results.iter_mut())
+                    .enumerate()
+                    .filter(|(slot, _)| layer.slots.binary_search(slot).is_ok())
+                    .map(|(slot, (entry, out))| Task {
                         stage: layer.stage,
-                        cap,
+                        cap: &mut entry.cap,
                         ctx: CapabilityContext {
                             store: Arc::clone(&ctx.store),
                             registry: ctx.registry.clone(),
@@ -582,48 +383,37 @@ impl CapabilityScheduler {
                             upstream: snapshot.clone(),
                             rng_seed: splitmix64(pass_seed ^ (slot as u64 + 1)),
                         },
-                    }
-                })
-                .collect();
-            let done: Vec<TaskDone> = match &self.pool {
-                Some(pool) if want_pool && tasks.len() > 1 => pool.run_layer(tasks),
-                _ => tasks.into_iter().map(execute_task).collect(),
-            };
-            for d in done {
-                pipeline.slots_mut()[d.slot].cap = Some(d.cap);
-                results[d.slot] = Some(d.result);
+                        out,
+                    });
+                let busy = run_layer(self.config.workers.min(layer.slots.len()), tasks);
+                self.metrics
+                    .histogram("runtime_layer_span", &[])
+                    .record(elapsed_ns(layer_start));
+                // Scheduling telemetry: varies run to run and is explicitly
+                // *outside* the determinism contract.
+                for (worker, busy_ns) in busy.into_iter().enumerate().filter(|&(_, ns)| ns > 0) {
+                    let idx = worker.to_string();
+                    self.metrics
+                        .histogram("runtime_worker_busy_ns", &[("worker", idx.as_str())])
+                        .record(busy_ns);
+                }
             }
-            self.metrics
-                .histogram("runtime_layer_span", &[])
-                .record(elapsed_ns(layer_start));
-            stage_done.extend(layer.slots.iter().copied());
-            self.record_pool_metrics();
+            Self::emit_stage(&mut run, &mut upstream, &mut results, &stage_metrics);
         }
-        Self::emit_stage(
-            &mut run,
-            &mut upstream,
-            &mut stage_done,
-            &mut results,
-            &stage_metrics,
-        );
         run.wall_ns = elapsed_ns(run_start);
         run
     }
 
-    /// Emits every completed capability of the stage that just finished —
-    /// spans, per-capability metrics and artifact visibility — sequenced
-    /// by capability slot, never by completion order.
+    /// Stage barrier: emits every result the finished stage left in
+    /// `results` — spans, per-capability metrics and downstream artifact
+    /// visibility — in slot order, never in completion order.
     fn emit_stage(
         run: &mut PipelineRun,
         upstream: &mut Vec<Artifact>,
-        stage_done: &mut Vec<usize>,
         results: &mut [Option<SlotResult>],
         stage_metrics: &MetricsRegistry,
     ) {
-        stage_done.sort_unstable();
-        for &slot in stage_done.iter() {
-            // odalint: allow(panic-unwrap) -- the layer barrier completes every slot in stage_done
-            let done = results[slot].take().expect("layer barrier completed slot");
+        for done in results.iter_mut().filter_map(Option::take) {
             let name = done.name;
             let labels: &[(&str, &str)] = &[("capability", name.as_str())];
             stage_metrics
@@ -632,7 +422,7 @@ impl CapabilityScheduler {
             stage_metrics
                 .counter("pipeline_artifacts_total", labels)
                 .add(done.artifacts.len() as u64);
-            if done.panicked.is_some() {
+            if done.panicked {
                 stage_metrics
                     .counter("runtime_capability_panics_total", labels)
                     .inc();
@@ -642,33 +432,10 @@ impl CapabilityScheduler {
                 capability: name.clone(),
                 wall_ns: done.wall_ns,
                 artifacts: done.artifacts.len(),
-                panicked: done.panicked.is_some(),
+                panicked: done.panicked,
             });
             upstream.extend(done.artifacts.iter().cloned());
             run.stages.push((done.stage, name, done.artifacts));
-        }
-        stage_done.clear();
-    }
-
-    /// Folds pool-side counters (steals, per-worker busy time) into the
-    /// metrics registry. These are scheduling telemetry: they vary run to
-    /// run and are explicitly *outside* the determinism contract.
-    fn record_pool_metrics(&mut self) {
-        let Some(pool) = &self.pool else { return };
-        let steals = pool.steals();
-        if steals > self.steals_recorded {
-            self.metrics
-                .counter("runtime_steal_total", &[])
-                .add(steals - self.steals_recorded);
-            self.steals_recorded = steals;
-        }
-        for (i, busy) in pool.drain_busy_ns().into_iter().enumerate() {
-            if busy > 0 {
-                let idx = i.to_string();
-                self.metrics
-                    .histogram("runtime_worker_busy_ns", &[("worker", idx.as_str())])
-                    .record(busy);
-            }
         }
     }
 }
@@ -780,7 +547,7 @@ impl OdaRuntime {
         }
     }
 
-    /// Sets the worker-pool size (1 = serial). Builder-style.
+    /// Sets the worker count (1 = serial). Builder-style.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         let config = self.scheduler.config().clone().with_workers(workers);
@@ -795,8 +562,8 @@ impl OdaRuntime {
 
     /// Records pass metrics (`runtime_pass_total`, `runtime_pass_ns`,
     /// `runtime_prescriptions_{applied,deferred}_total`,
-    /// `runtime_diagnoses_total`), the scheduler's layer/steal/busy
-    /// metrics, and the pipeline's per-capability stage metrics into
+    /// `runtime_diagnoses_total`), the scheduler's layer/busy metrics,
+    /// and the pipeline's per-capability stage metrics into
     /// `metrics`. Builder-style.
     #[must_use]
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
@@ -896,7 +663,7 @@ impl OdaRuntime {
             applied,
             deferred,
             diagnoses,
-            wall_ns: pass_start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+            wall_ns: elapsed_ns(pass_start),
         }
     }
 }
@@ -1195,82 +962,38 @@ mod tests {
 
     #[test]
     fn capability_panic_is_isolated_and_recorded() {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence the expected panic
-        let metrics = MetricsRegistry::new();
-        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(55)
-            .build();
-        dc.run_for_hours(0.5);
-        let mut runtime = full_runtime()
-            .with_capability(AnalyticsType::Diagnostic, Box::new(Exploder))
-            .with_metrics(metrics.clone());
-        let report = runtime.pass(
-            std::sync::Arc::clone(dc.store()),
-            dc.registry().clone(),
-            dc.now(),
-            &mut SimControlPlane { dc: &mut dc },
-        );
-        std::panic::set_hook(hook);
-        let span = report.run.span("exploder").expect("exploder span recorded");
-        assert!(span.panicked);
-        assert_eq!(span.artifacts, 0);
-        // The rest of the pipeline still ran to completion.
-        assert!(report.run.spans.len() > 1);
-        assert!(report.applied + report.deferred > 0);
-        assert_eq!(
-            metrics
-                .snapshot()
-                .counter("runtime_capability_panics_total{capability=\"exploder\"}"),
-            Some(1)
-        );
-    }
-
-    /// Threads of this process, from /proc (Linux); 0 elsewhere.
-    fn thread_count() -> usize {
-        std::fs::read_to_string("/proc/self/status")
-            .ok()
-            .and_then(|s| {
-                s.lines()
-                    .find(|l| l.starts_with("Threads:"))
-                    .and_then(|l| l.split_whitespace().nth(1))
-                    .and_then(|n| n.parse().ok())
-            })
-            .unwrap_or(0)
-    }
-
-    #[test]
-    fn dropping_runtimes_joins_worker_threads() {
-        let baseline = thread_count();
-        if baseline == 0 {
-            return; // no /proc on this platform; covered on Linux CI
-        }
-        let store = std::sync::Arc::new(TimeSeriesStore::with_capacity(8));
-        struct Deaf;
-        impl ControlPlane for Deaf {
-            fn apply(&mut self, _: &str, _: &str) -> bool {
-                false
-            }
-        }
-        for i in 0..100 {
+        // The serial drain on the caller, then the Exploder's layer shared
+        // out over scoped workers: the panic may land on either side.
+        for workers in [1usize, 4] {
+            let metrics = MetricsRegistry::new();
+            let mut dc = DataCenter::builder(DataCenterConfig::tiny())
+                .seed(55)
+                .build();
+            dc.run_for_hours(0.5);
             let mut runtime = full_runtime()
-                .with_workers(4)
-                .with_metrics(MetricsRegistry::disabled());
-            // Run a pass so the pool actually spawns before the drop.
-            runtime.pass(
-                std::sync::Arc::clone(&store),
-                SensorRegistry::new(),
-                Timestamp::from_millis(i),
-                &mut Deaf,
+                .with_capability(AnalyticsType::Diagnostic, Box::new(Exploder))
+                .with_workers(workers)
+                .with_metrics(metrics.clone());
+            let report = runtime.pass(
+                std::sync::Arc::clone(dc.store()),
+                dc.registry().clone(),
+                dc.now(),
+                &mut SimControlPlane { dc: &mut dc },
+            );
+            let span = report.run.span("exploder").expect("exploder span recorded");
+            assert!(span.panicked, "workers={workers}");
+            assert_eq!(span.artifacts, 0);
+            // The rest of the pipeline still ran to completion.
+            assert!(report.run.spans.len() > 1);
+            assert!(report.applied + report.deferred > 0);
+            assert_eq!(
+                metrics
+                    .snapshot()
+                    .counter("runtime_capability_panics_total{capability=\"exploder\"}"),
+                Some(1),
+                "workers={workers}"
             );
         }
-        // Every pool joined on drop: thread count returns to baseline
-        // (slack for unrelated test-harness threads coming and going).
-        let after = thread_count();
-        assert!(
-            after <= baseline + 4,
-            "worker threads leaked: {baseline} before, {after} after"
-        );
     }
 
     #[test]

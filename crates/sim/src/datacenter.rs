@@ -96,7 +96,7 @@ pub struct DataCenterConfig {
     pub network: NetworkConfig,
     /// Workload parameters.
     pub workload: WorkloadConfig,
-    /// Worker-pool width for analytics runtimes driven against this site
+    /// Worker count for analytics runtimes driven against this site
     /// (`oda_core::runtime::RuntimeConfig::workers`). The simulator
     /// itself stays single-threaded and deterministic; this field plumbs
     /// the site's analytics parallelism to soaks, benches and examples so
@@ -837,12 +837,16 @@ impl DataCenter {
     /// filesystem — durable backends recover from WAL + segments, the
     /// in-memory backend comes back empty. Existing bus subscriptions are
     /// disconnected and must be re-established. Returns the recovery report
-    /// for durable backends.
+    /// for durable backends. A failed pre-restart flush does not stop the
+    /// restart (recovery then finds whatever the filesystem kept); it is
+    /// counted in the site registry's `storage_wal_errors_total`.
     pub fn restart_archive(&mut self) -> Option<RecoveryReport> {
-        if let Some(archive) = self.bus.archive() {
-            let _ = archive.flush();
-        }
         let metrics = self.bus.metrics().clone();
+        if let Some(archive) = self.bus.archive() {
+            if archive.flush().is_err() {
+                metrics.counter("storage_wal_errors_total", &[]).inc();
+            }
+        }
         self.bus = Self::build_bus(
             &self.config,
             self.registry.clone(),
@@ -1463,6 +1467,31 @@ mod tests {
         assert!(rec.samples > 0);
         assert!(rec.mean_cpu > 0.0);
         assert!(rec.energy_j > 0.0);
+    }
+
+    #[test]
+    fn failed_pre_restart_flush_is_counted_and_the_restart_completes() {
+        let fs = Arc::new(SimFs::new());
+        let metrics = MetricsRegistry::new();
+        let mut storage = StorageConfig::persistent();
+        // Never sync on the ingest path: the WAL tail waits for the
+        // pre-restart flush.
+        storage.engine.wal_sync_every = usize::MAX;
+        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
+            .seed(9)
+            .metrics(metrics.clone())
+            .storage(storage)
+            .storage_fs(Arc::clone(&fs) as Arc<dyn StorageFs>)
+            .build();
+        dc.run_for_hours(0.1);
+        let wal_errors = || metrics.snapshot().counter("storage_wal_errors_total");
+        assert_eq!(wal_errors().unwrap_or(0), 0);
+        fs.fail_next_syncs(1);
+        let report = dc.restart_archive();
+        assert_eq!(wal_errors(), Some(1));
+        // Nothing crashed, so recovery still reads the unsynced tail.
+        let report = report.expect("durable backend reports recovery");
+        assert!(report.readings_recovered > 0);
     }
 
     #[test]

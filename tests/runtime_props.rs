@@ -1,11 +1,11 @@
 //! Property tests of the deterministic parallel capability scheduler.
 //!
 //! The scheduler's replay contract: for a fixed `(registry, seed)`, every
-//! worker-pool width must produce **byte-identical** pipeline output — the
+//! worker count must produce **byte-identical** pipeline output — the
 //! same artifact sequence (checked via the order-sensitive output digest),
 //! the same per-capability spans (including which capabilities panicked),
 //! and the same deterministic metrics counters. Scheduling telemetry
-//! (steal/busy/contention counters and all latency histograms) is
+//! (busy/contention counters and all latency histograms) is
 //! explicitly exempt: it describes *how* work was executed, not *what* was
 //! computed.
 //!
@@ -26,8 +26,10 @@ use hpc_oda::telemetry::reading::Timestamp;
 use hpc_oda::telemetry::sensor::SensorRegistry;
 use hpc_oda::telemetry::store::TimeSeriesStore;
 use proptest::prelude::*;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::sync::Once;
+use std::time::Duration;
 
 /// Panic payload marker for deliberately failing capabilities; the quiet
 /// panic hook suppresses only these, so genuine test failures still print.
@@ -128,7 +130,7 @@ fn arb_spec() -> impl Strategy<Value = CapSpec> {
 /// Counters describing *how* the pass was scheduled rather than what it
 /// computed — the only metrics allowed to differ across worker counts.
 fn is_scheduling_telemetry(id: &str) -> bool {
-    id.contains("steal") || id.contains("busy") || id.contains("contention")
+    id.contains("busy") || id.contains("contention")
 }
 
 /// Observable outcome of a multi-pass run at one worker count: per-pass
@@ -209,7 +211,7 @@ proptest! {
         let replay = run_with_workers(&specs, seed, 1, passes);
         prop_assert_eq!(&baseline, &replay);
 
-        // Every pool width must match the serial baseline exactly.
+        // Every worker count must match the serial baseline exactly.
         for workers in [2usize, 4, 8] {
             let parallel = run_with_workers(&specs, seed, workers, passes);
             prop_assert_eq!(
@@ -239,4 +241,80 @@ proptest! {
         let b = run_with_workers(&specs, seed ^ 0xdead_beef, 4, 1);
         prop_assert_ne!(a.digests, b.digests);
     }
+}
+
+/// The two sides of the dynamic-scheduling rendezvous below.
+enum Rendezvous {
+    /// Blocks until this many other capabilities have reported finishing.
+    AwaitPeers(Receiver<()>, usize),
+    /// Reports finishing.
+    Finish(Sender<()>),
+}
+
+impl Capability for Rendezvous {
+    fn name(&self) -> &str {
+        "rendezvous"
+    }
+
+    fn description(&self) -> &str {
+        "dynamic-scheduling rendezvous capability"
+    }
+
+    fn footprint(&self) -> GridFootprint {
+        GridFootprint::single(GridCell::from_index(0))
+    }
+
+    fn execute(&mut self, _ctx: &CapabilityContext) -> Vec<Artifact> {
+        match self {
+            Rendezvous::AwaitPeers(done, peers) => {
+                for seen in 0..*peers {
+                    done.recv_timeout(Duration::from_secs(20))
+                        .unwrap_or_else(|_| panic!("only {seen} of {peers} peers ran"));
+                }
+            }
+            Rendezvous::Finish(done) => done.send(()).expect("the waiter outlives its peers"),
+        }
+        Vec::new()
+    }
+}
+
+/// Workers pull the next task when they finish one; nothing is dealt to a
+/// worker up front. Slot 0 of an eight-wide layer blocks until the other
+/// seven have finished: with two workers that completes only if the second
+/// worker takes all seven — a static round-robin deal would park slots 2, 4
+/// and 6 behind the blocked worker and time out.
+#[test]
+fn a_blocked_capability_strands_no_work_behind_it() {
+    let (tx, rx) = channel();
+    let mut pipeline = StagedPipeline::new();
+    pipeline.set_metrics(MetricsRegistry::disabled());
+    pipeline.add_stage(
+        AnalyticsType::Descriptive,
+        Box::new(Rendezvous::AwaitPeers(rx, 7)),
+    );
+    for _ in 0..7 {
+        pipeline.add_stage(
+            AnalyticsType::Descriptive,
+            Box::new(Rendezvous::Finish(tx.clone())),
+        );
+    }
+    let mut scheduler = CapabilityScheduler::with_metrics(
+        RuntimeConfig::serial().with_workers(2),
+        MetricsRegistry::disabled(),
+    );
+    let run = scheduler.run(
+        &mut pipeline,
+        CapabilityContext::new(
+            Arc::new(TimeSeriesStore::with_capacity(8)),
+            SensorRegistry::new(),
+            TimeRange::all(),
+            Timestamp::from_millis(1_000),
+        ),
+    );
+    assert_eq!(run.spans.len(), 8);
+    assert!(
+        run.spans.iter().all(|s| !s.panicked),
+        "a capability was stranded behind the blocked one: {:?}",
+        run.spans
+    );
 }
