@@ -33,6 +33,9 @@ echo "==> odalint (static determinism / panic-safety / unsafe-audit gate)"
 cargo run -q -p lint --bin odalint
 python3 ci/check_lint.py LINT_report.json
 
+echo "==> dependency edges (every manifest key is named by a source file)"
+python3 ci/check_deps.py
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

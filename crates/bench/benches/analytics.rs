@@ -14,7 +14,6 @@ use oda_analytics::predictive::fft::{fft, SpectralForecaster};
 use oda_analytics::predictive::forecast::{Forecaster, HoltWinters};
 use oda_analytics::predictive::harmonic::HarmonicModel;
 use oda_analytics::predictive::regression::RidgeRegression;
-use rayon::prelude::*;
 use std::hint::black_box;
 
 fn series(n: usize) -> Vec<f64> {
@@ -100,24 +99,11 @@ fn bench_detectors(c: &mut Criterion) {
             black_box(hits)
         });
     });
-    // Fleet-scan ablation: sequential vs rayon across 512 node series.
     let fleet: Vec<Vec<f64>> = (0..512).map(|_| series(512)).collect();
-    g.bench_function("fleet_scan_512_sequential", |b| {
+    g.bench_function("fleet_scan_512", |b| {
         b.iter(|| {
             let hits: u32 = fleet
                 .iter()
-                .map(|s| {
-                    let mut d = ZScoreDetector::new(64, 4.0);
-                    s.iter().filter(|&&x| d.observe(x) >= 1.0).count() as u32
-                })
-                .sum();
-            black_box(hits)
-        });
-    });
-    g.bench_function("fleet_scan_512_rayon", |b| {
-        b.iter(|| {
-            let hits: u32 = fleet
-                .par_iter()
                 .map(|s| {
                     let mut d = ZScoreDetector::new(64, 4.0);
                     s.iter().filter(|&&x| d.observe(x) >= 1.0).count() as u32

@@ -21,9 +21,15 @@
 //! assert_eq!(mean, Some(1.0));
 //! ```
 //!
-//! Multi-sensor scans fan out across a Rayon thread pool because fleet-wide
-//! queries (thousands of node sensors) dominate read volume. Every executed
-//! query records `query_total`, `query_scan_ns` and
+//! A query of any width is one loop over its sensors on the calling thread
+//! — fetch (tier scan or raw range), tally, shape — so a read creates no
+//! thread and holds one sensor's readings at a time. Measured, not assumed:
+//! at the 128-sensor width the ODA passes read a 128-node site at, the
+//! thread fan-out this loop replaced (a scope per query from 64 sensors up,
+//! and an `available_parallelism()` lookup per query at every width) made
+//! a 16-cell, 669-query pass 31.6 ms where this loop makes it 8.5 ms
+//! (EXPERIMENTS.md, *Benchmarks and ablations*). Every executed query
+//! records `query_total`, `query_scan_ns` and
 //! `query_readings_scanned_total` into the store's metrics registry.
 //!
 //! ## Rollup-tier planning
@@ -55,7 +61,6 @@ use crate::pattern::SensorPattern;
 use crate::reading::{Reading, Timestamp};
 use crate::sensor::{SensorId, SensorRegistry};
 use crate::store::{RollupBucket, TierScanResult, TimeSeriesStore};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 
 /// Half-open query interval `[start, end)`.
@@ -1011,7 +1016,6 @@ impl<'a> QueryEngine<'a> {
     fn execute(&self, query: Query) -> QueryResult {
         let timer = self.m_scan_ns.start_timer();
         let sensors = query.selector.resolve(self.registry.as_ref());
-        let range = query.range;
         // Which store alignment (if any) lets rollup tiers serve this shape
         // exactly: `Some(None)` = any tier width, `Some(Some(w))` = only
         // tiers dividing `w`, `None` = the shape must scan raw.
@@ -1025,113 +1029,122 @@ impl<'a> QueryEngine<'a> {
                 _ => None,
             }
         };
-        let fetched: Vec<Fetched> = sensors
-            .par_iter()
-            .map(|&s| {
-                if let Some(align) = tier_align {
-                    if let TierScanResult::Hit {
-                        head,
-                        core,
-                        tail,
-                        readings_avoided,
-                        ..
-                    } = self.store.tier_scan(s, range.start, range.end, align)
-                    {
-                        return Fetched::Tier {
-                            head,
-                            core,
-                            tail,
-                            avoided: readings_avoided,
-                        };
-                    }
-                }
-                let readings = self.store.range(s, range.start, range.end);
-                let scanned = readings.len() as u64;
-                let readings = if query.rate {
-                    rate_readings(&readings)
-                } else {
-                    readings
-                };
-                Fetched::Raw { readings, scanned }
-            })
-            .collect();
-        let (mut scanned, mut hits, mut misses, mut avoided, mut tier_buckets) =
-            (0u64, 0u64, 0u64, 0u64, 0u64);
-        for f in &fetched {
-            match f {
-                Fetched::Raw { scanned: n, .. } => {
-                    scanned += n;
-                    misses += 1;
-                }
-                Fetched::Tier {
-                    head,
-                    core,
-                    tail,
-                    avoided: a,
-                } => {
-                    scanned += (head.len() + tail.len()) as u64;
-                    hits += 1;
-                    avoided += a;
-                    tier_buckets += core.len() as u64;
-                }
-            }
-        }
-        self.m_readings_scanned.add(scanned);
-        if tier_align.is_some() {
-            self.m_tier_hit.add(hits);
-            self.m_tier_miss.add(misses);
-            self.m_readings_avoided.add(avoided);
-            self.m_rollup_buckets_scanned.add(tier_buckets);
-        }
+        let mut scan = Scan {
+            store: self.store,
+            range: query.range,
+            rate: query.rate,
+            tier_align,
+            scanned: 0,
+            hits: 0,
+            misses: 0,
+            avoided: 0,
+            tier_buckets: 0,
+        };
+        // One pass over `sensors`, on the caller: each sensor is fetched,
+        // tallied and shaped into its result cell before the next is
+        // fetched, so only one sensor's readings are live at a time.
         let shape = match query.shape {
-            Shape::Readings => ResultData::Series(
-                fetched
-                    .into_iter()
-                    .map(|f| match f {
-                        Fetched::Raw { readings, .. } => readings,
-                        // Unreachable: tier_align is None for this shape.
-                        Fetched::Tier { .. } => unreachable!("tier scan on a readings query"),
-                    })
-                    .collect(),
-            ),
+            Shape::Readings => ResultData::Series(sensors.iter().map(|&s| scan.raw(s)).collect()),
             Shape::Buckets { bucket_ms, agg } => ResultData::Buckets(
-                fetched
-                    .par_iter()
-                    .map(|f| shape_buckets(f, bucket_ms, agg))
+                sensors
+                    .iter()
+                    .map(|&s| scan.buckets(s, bucket_ms, agg))
                     .collect(),
             ),
             Shape::Scalars(agg) => {
-                ResultData::Scalars(fetched.iter().map(|f| shape_scalar(f, agg)).collect())
+                ResultData::Scalars(sensors.iter().map(|&s| scan.scalar(s, agg)).collect())
             }
             Shape::Aligned { bucket_ms } => {
-                let buckets: Vec<Vec<Bucket>> = fetched
-                    .par_iter()
-                    .map(|f| shape_buckets(f, bucket_ms, Aggregation::Mean))
+                let buckets: Vec<Vec<Bucket>> = sensors
+                    .iter()
+                    .map(|&s| scan.buckets(s, bucket_ms, Aggregation::Mean))
                     .collect();
                 let (grid, matrix) = align_buckets(&buckets);
                 ResultData::Aligned { grid, matrix }
             }
         };
+        self.m_readings_scanned.add(scan.scanned);
+        if tier_align.is_some() {
+            self.m_tier_hit.add(scan.hits);
+            self.m_tier_miss.add(scan.misses);
+            self.m_readings_avoided.add(scan.avoided);
+            self.m_rollup_buckets_scanned.add(scan.tier_buckets);
+        }
         self.m_query_total.inc();
         self.m_scan_ns.observe_timer(timer);
         QueryResult { sensors, shape }
     }
 }
 
-/// What one sensor's scan produced: a plain raw slice, or a tier hit
-/// decomposed into raw edges plus summary-bucket core.
-enum Fetched {
-    Raw {
-        readings: Vec<Reading>,
-        /// Raw readings materialised (pre-rate-derivation), for metrics.
-        scanned: u64,
-    },
-    Tier {
-        head: Vec<Reading>,
-        core: Vec<RollupBucket>,
-        tail: Vec<Reading>,
-        avoided: u64,
-    },
+/// The per-sensor fetch of one executing query, plus the running totals
+/// its metrics are recorded from.
+struct Scan<'a> {
+    store: &'a TimeSeriesStore,
+    range: TimeRange,
+    rate: bool,
+    tier_align: Option<Option<u64>>,
+    /// Raw readings materialised (pre-rate-derivation).
+    scanned: u64,
+    hits: u64,
+    misses: u64,
+    avoided: u64,
+    tier_buckets: u64,
+}
+
+impl Scan<'_> {
+    /// One sensor's raw range, rate-derived when the query asks for it.
+    fn raw(&mut self, s: SensorId) -> Vec<Reading> {
+        let readings = self.store.range(s, self.range.start, self.range.end);
+        self.scanned += readings.len() as u64;
+        self.misses += 1;
+        if self.rate {
+            rate_readings(&readings)
+        } else {
+            readings
+        }
+    }
+
+    /// One sensor's tier hit, where the plan allows one and a tier serves
+    /// it: `(head, core, tail)` — raw edges around a summary-bucket core.
+    fn tier(&mut self, s: SensorId) -> Option<(Vec<Reading>, Vec<RollupBucket>, Vec<Reading>)> {
+        let (start, end) = (self.range.start, self.range.end);
+        let TierScanResult::Hit {
+            head,
+            core,
+            tail,
+            readings_avoided,
+            ..
+        } = self.store.tier_scan(s, start, end, self.tier_align?)
+        else {
+            return None;
+        };
+        self.scanned += (head.len() + tail.len()) as u64;
+        self.hits += 1;
+        self.avoided += readings_avoided;
+        self.tier_buckets += core.len() as u64;
+        Some((head, core, tail))
+    }
+
+    /// One sensor bucketed at `bucket_ms`. Head, core and tail occupy
+    /// disjoint bucket ranges (core boundaries are `bucket_ms`-aligned), so
+    /// the three pieces concatenate into one sorted bucket list.
+    fn buckets(&mut self, s: SensorId, bucket_ms: u64, agg: Aggregation) -> Vec<Bucket> {
+        let Some((head, core, tail)) = self.tier(s) else {
+            return bucket_readings(&self.raw(s), bucket_ms, agg);
+        };
+        let mut out = bucket_readings(&head, bucket_ms, agg);
+        bucket_rollups(&core, bucket_ms, agg, &mut out);
+        out.extend(bucket_readings(&tail, bucket_ms, agg));
+        out
+    }
+
+    /// One sensor aggregated to a scalar.
+    fn scalar(&mut self, s: SensorId, agg: Aggregation) -> Option<f64> {
+        match self.tier(s) {
+            Some((head, core, tail)) => combine_tier_scalar(&head, &core, &tail, agg),
+            None => aggregate_readings(&self.raw(s), agg),
+        }
+    }
 }
 
 /// Whether rollup tiers can answer `agg` exactly from
@@ -1147,23 +1160,6 @@ fn tier_serves(agg: Aggregation) -> bool {
             | Aggregation::First
             | Aggregation::Last
     )
-}
-
-/// Buckets one sensor's fetch at `bucket_ms`. Head, core and tail occupy
-/// disjoint bucket ranges (core boundaries are `bucket_ms`-aligned), so the
-/// three pieces concatenate into one sorted bucket list.
-fn shape_buckets(f: &Fetched, bucket_ms: u64, agg: Aggregation) -> Vec<Bucket> {
-    match f {
-        Fetched::Raw { readings, .. } => bucket_readings(readings, bucket_ms, agg),
-        Fetched::Tier {
-            head, core, tail, ..
-        } => {
-            let mut out = bucket_readings(head, bucket_ms, agg);
-            bucket_rollups(core, bucket_ms, agg, &mut out);
-            out.extend(bucket_readings(tail, bucket_ms, agg));
-            out
-        }
-    }
 }
 
 /// Re-buckets tier summary buckets into `bucket_ms`-wide output buckets.
@@ -1198,16 +1194,6 @@ fn bucket_rollups(core: &[RollupBucket], bucket_ms: u64, agg: Aggregation, out: 
             count: count as usize,
         });
         i = j;
-    }
-}
-
-/// Aggregates one sensor's fetch to a scalar.
-fn shape_scalar(f: &Fetched, agg: Aggregation) -> Option<f64> {
-    match f {
-        Fetched::Raw { readings, .. } => aggregate_readings(readings, agg),
-        Fetched::Tier {
-            head, core, tail, ..
-        } => combine_tier_scalar(head, core, tail, agg),
     }
 }
 
@@ -1326,7 +1312,7 @@ pub(crate) fn align_buckets(per_sensor: &[Vec<Bucket>]) -> (Vec<Timestamp>, Vec<
     grid.sort_unstable();
     grid.dedup();
     let matrix = per_sensor
-        .par_iter()
+        .iter()
         .map(|buckets| {
             let mut row = vec![f64::NAN; grid.len()];
             for b in buckets {

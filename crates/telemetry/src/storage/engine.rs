@@ -411,6 +411,14 @@ impl PersistentEngine {
         Ok(done)
     }
 
+    /// Reads and fully verifies one segment a query needs. A file that no
+    /// longer decodes is an error naming it: skipping it would return a
+    /// short answer as if it were complete.
+    fn read_segment(&self, file: &str) -> Result<Segment, FsError> {
+        let bytes = self.fs.read(file)?;
+        segment::decode(&bytes).map_err(|e| FsError::Io(format!("{file}: {e}")))
+    }
+
     /// Collect raw readings for `sensor` in `[start, end)` from raw segments
     /// and the memtable. Readings that were folded into compacted segments
     /// are no longer individually available (use [`buckets`](Self::buckets)).
@@ -426,10 +434,8 @@ impl PersistentEngine {
             if meta.kind != SegmentKind::Raw || meta.max_ts < start || meta.min_ts >= end {
                 continue;
             }
-            let bytes = self.fs.read(&meta.file)?;
-            if let Ok(seg) = segment::decode(&bytes) {
-                seg.readings_for(sensor, start, end, out);
-            }
+            self.read_segment(&meta.file)?
+                .readings_for(sensor, start, end, out);
         }
         if let Some(mem) = st.memtable.get(&sensor) {
             for r in mem {
@@ -455,10 +461,8 @@ impl PersistentEngine {
             if meta.kind != SegmentKind::Compacted || meta.max_ts < start || meta.min_ts >= end {
                 continue;
             }
-            let bytes = self.fs.read(&meta.file)?;
-            if let Ok(seg) = segment::decode(&bytes) {
-                seg.buckets_for(sensor, start, end, &mut out);
-            }
+            self.read_segment(&meta.file)?
+                .buckets_for(sensor, start, end, &mut out);
         }
         Ok(out)
     }

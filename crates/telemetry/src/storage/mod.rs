@@ -222,6 +222,7 @@ pub struct DurableBackend {
     engine: PersistentEngine,
     recovery: RecoveryReport,
     m_wal_errors: Counter,
+    m_read_errors: Counter,
 }
 
 impl std::fmt::Debug for DurableBackend {
@@ -251,6 +252,7 @@ impl DurableBackend {
             engine,
             recovery,
             m_wal_errors: metrics.counter("storage_wal_errors_total", &[]),
+            m_read_errors: metrics.counter("storage_read_errors_total", &[]),
         })
     }
 
@@ -325,12 +327,14 @@ impl StorageBackend for DurableBackend {
             return self.store.range(sensor, start, end);
         }
         let mut out = Vec::new();
+        // This signature cannot carry the error: a failed archive read is
+        // counted, and the caller gets what was read before it.
         if self
             .engine
             .range_into(sensor, start, end, &mut out)
             .is_err()
         {
-            self.m_wal_errors.inc();
+            self.m_read_errors.inc();
         }
         out
     }
@@ -387,6 +391,8 @@ pub fn open_backend(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricsRegistry;
+    use crate::store::RollupConfig;
 
     fn reading(ts: u64, v: f64) -> Reading {
         Reading {
@@ -471,6 +477,67 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].ts, Timestamp(100));
         assert_eq!(got[1].ts, Timestamp(300));
+    }
+
+    /// A sealed segment that fails verification must not shorten the
+    /// answer silently: the engine returns the error, the backend (whose
+    /// `range` signature cannot) counts it under its own name, and a clean
+    /// re-read is whole again.
+    #[test]
+    fn corrupt_segment_read_is_an_error_the_backend_counts() {
+        let fs = Arc::new(SimFs::new());
+        let metrics = MetricsRegistry::new();
+        let store = Arc::new(TimeSeriesStore::with_rollups(
+            64,
+            1,
+            metrics.clone(),
+            RollupConfig::default(),
+        ));
+        let cfg = EngineConfig {
+            segment_max_readings: 8,
+            wal_sync_every: 1,
+            ..EngineConfig::default()
+        };
+        let backend = DurableBackend::open(
+            BackendKind::Persistent,
+            Arc::clone(&fs) as Arc<dyn StorageFs>,
+            cfg,
+            store,
+        )
+        .unwrap();
+        for i in 0..20u64 {
+            backend.insert_batch(SensorId(3), &[reading(i * 10, i as f64)]);
+        }
+        assert_eq!(backend.engine().segment_counts(), (2, 0));
+        let all = |out: &mut Vec<Reading>| {
+            backend
+                .engine()
+                .range_into(SensorId(3), Timestamp::ZERO, Timestamp::MAX, out)
+        };
+
+        fs.short_next_reads(1, 10);
+        let err = all(&mut Vec::new()).unwrap_err();
+        assert!(
+            matches!(&err, FsError::Io(msg) if msg.contains(&segment::file_name(1))),
+            "error must name the file: {err}"
+        );
+
+        fs.short_next_reads(1, 10);
+        let short = backend.range(SensorId(3), Timestamp::ZERO, Timestamp::MAX);
+        assert!(short.len() < 20);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("storage_read_errors_total"), Some(1));
+        assert_eq!(snap.counter("storage_wal_errors_total"), Some(0));
+
+        let mut clean = Vec::new();
+        all(&mut clean).unwrap();
+        assert_eq!(clean.len(), 20);
+        assert_eq!(
+            backend.range(SensorId(3), Timestamp::ZERO, Timestamp::MAX),
+            clean
+        );
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("storage_read_errors_total"), Some(1));
     }
 
     #[test]

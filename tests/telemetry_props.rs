@@ -474,3 +474,229 @@ fn ragged_alignment_does_not_poison_downstream_correlation() {
     assert_eq!(correlation(&matrix[0], &matrix[1]), correlation(&xs, &ys));
     assert_eq!(spearman(&matrix[0], &matrix[1]), spearman(&xs, &ys));
 }
+
+/// How [`fused_fleet_query_is_the_per_sensor_queries_concatenated`] plans
+/// its scans.
+#[derive(Debug, Clone, Copy)]
+enum Plan {
+    Tiered,
+    RawScan,
+    Rate,
+}
+
+/// The four result shapes, at one bucket width and one aggregation.
+#[derive(Debug, Clone, Copy)]
+enum Want {
+    Readings,
+    Buckets,
+    Scalars,
+    Aligned,
+}
+
+fn fleet_query(sensors: Vec<SensorId>, plan: Plan, want: Want) -> Query {
+    let q = Query::sensors(sensors).range(TimeRange::new(
+        Timestamp::from_millis(3_500),
+        Timestamp::from_millis(95_500),
+    ));
+    let q = match plan {
+        Plan::Tiered => q,
+        Plan::RawScan => q.raw_scan(),
+        Plan::Rate => q.rate(),
+    };
+    match want {
+        Want::Readings => q,
+        Want::Buckets => q.downsample(10_000, Aggregation::Mean),
+        Want::Scalars => q.aggregate(Aggregation::Mean),
+        Want::Aligned => q.align(10_000),
+    }
+}
+
+/// The inside of `json`'s `"key":[…]` array. Result bodies hold no
+/// strings past `"kind"`, so counting brackets is exact.
+fn array_body<'a>(json: &'a str, key: &str) -> &'a str {
+    let open = json.find(&format!("\"{key}\":[")).expect("key present") + key.len() + 4;
+    let mut depth = 1;
+    for (i, c) in json[open..].char_indices() {
+        match c {
+            '[' => depth += 1,
+            ']' if depth == 1 => return &json[open..open + i],
+            ']' => depth -= 1,
+            _ => {}
+        }
+    }
+    panic!("unbalanced array under {key:?}");
+}
+
+fn tokens(body: &str) -> impl Iterator<Item = &str> {
+    body.split(',').filter(|t| !t.is_empty())
+}
+
+/// One query over `w` sensors is the `w` single-sensor queries laid side by
+/// side: same JSON bytes, same digest, same read-path counters — for every
+/// shape and plan, at widths on both sides of the 64-sensor line where a
+/// thread fan-out used to begin. The expected body is spliced from the
+/// single-sensor bodies and the expected digest rebuilt from their typed
+/// values over `QueryResult::digest`'s documented byte layout, so neither
+/// passes through the multi-sensor path under test.
+#[test]
+fn fused_fleet_query_is_the_per_sensor_queries_concatenated() {
+    use hpc_oda::telemetry::hash::fnv1a64;
+    use hpc_oda::telemetry::metrics::MetricsRegistry;
+    use hpc_oda::telemetry::store::RollupConfig;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    const COUNTERS: [&str; 5] = [
+        "query_readings_scanned_total",
+        "query_tier_hit_total",
+        "query_tier_miss_total",
+        "query_readings_avoided_total",
+        "query_rollup_buckets_scanned_total",
+    ];
+    let metrics = MetricsRegistry::new();
+    let store = TimeSeriesStore::with_rollups(256, 4, metrics.clone(), RollupConfig::default());
+    // A ragged fleet: dense sensors the 10 s tier serves, one-reading-per-
+    // bucket sensors it cannot save anything on, short ones, silent ones.
+    for i in 0..300u32 {
+        let (step_ms, n) = match i % 10 {
+            9 => continue,
+            0 | 3 | 6 => (10_000, 12),
+            1 | 4 | 7 => (1_000, 120),
+            _ => (2_500, 28),
+        };
+        for k in 0..n {
+            let value = f64::from((i * 31 + k * 17) % 257) * 0.25;
+            let ts = Timestamp::from_millis(u64::from(5_000 + k * step_ms + i % 4 * 100));
+            assert!(store.insert(SensorId(i), Reading::new(ts, value)));
+        }
+    }
+    let q = QueryEngine::new(&store);
+    let counters = || {
+        let snap = metrics.snapshot();
+        COUNTERS.map(|c| snap.counter(c).unwrap_or(0))
+    };
+    let advance_since = |before: [u64; 5]| {
+        let after = counters();
+        [0, 1, 2, 3, 4].map(|i| after[i] - before[i])
+    };
+    let le = |bytes: &mut Vec<u8>, x: u64| bytes.extend_from_slice(&x.to_le_bytes());
+
+    for width in [1u32, 63, 64, 65, 300] {
+        // Selector order is not id order.
+        let ids: Vec<SensorId> = (0..width).rev().map(SensorId).collect();
+        for plan in [Plan::Tiered, Plan::RawScan, Plan::Rate] {
+            for want in [Want::Readings, Want::Buckets, Want::Scalars, Want::Aligned] {
+                let case = format!("width {width}, {plan:?}, {want:?}");
+                let before = counters();
+                let fused = fleet_query(ids.clone(), plan, want).run(&q);
+                let fused_advance = advance_since(before);
+                let before = counters();
+                let parts: Vec<_> = ids
+                    .iter()
+                    .map(|&s| fleet_query(vec![s], plan, want).run(&q))
+                    .collect();
+                let parts_advance = advance_since(before);
+                assert_eq!(fused_advance, parts_advance, "{case}: {COUNTERS:?}");
+                if matches!(plan, Plan::Tiered) && !matches!(want, Want::Readings) && width > 1 {
+                    assert!(
+                        fused_advance[1] > 0 && fused_advance[2] > 0,
+                        "{case}: the fleet must mix tier hits and misses"
+                    );
+                }
+
+                let id_list: Vec<String> = ids.iter().map(|s| s.0.to_string()).collect();
+                let jsons: Vec<String> = parts.iter().map(|p| p.to_json()).collect();
+                let mut bytes: Vec<u8> = ids.iter().flat_map(|s| s.0.to_le_bytes()).collect();
+                let (kind, data) = match want {
+                    Want::Readings | Want::Buckets | Want::Scalars => {
+                        let (kind, key, tag) = match want {
+                            Want::Readings => ("readings", "series", 0),
+                            Want::Buckets => ("buckets", "series", 1),
+                            _ => ("scalars", "values", 2),
+                        };
+                        bytes.push(tag);
+                        for part in &parts {
+                            match want {
+                                Want::Readings => {
+                                    let rs = part.clone().readings();
+                                    le(&mut bytes, rs.len() as u64);
+                                    for r in rs {
+                                        le(&mut bytes, r.ts.0);
+                                        le(&mut bytes, r.value.to_bits());
+                                    }
+                                }
+                                Want::Buckets => {
+                                    let bs = part.clone().buckets();
+                                    le(&mut bytes, bs.len() as u64);
+                                    for b in bs {
+                                        le(&mut bytes, b.start.0);
+                                        le(&mut bytes, b.value.to_bits());
+                                        le(&mut bytes, b.count as u64);
+                                    }
+                                }
+                                _ => match part.clone().scalar() {
+                                    Some(x) => {
+                                        bytes.push(1);
+                                        le(&mut bytes, x.to_bits());
+                                    }
+                                    None => bytes.push(0),
+                                },
+                            }
+                        }
+                        let cells: Vec<&str> = jsons.iter().map(|j| array_body(j, key)).collect();
+                        (kind, format!("\"{key}\":[{}]", cells.join(",")))
+                    }
+                    Want::Aligned => {
+                        // Per sensor: bucket start → (value, its JSON token).
+                        let rows: Vec<BTreeMap<u64, (f64, &str)>> = parts
+                            .iter()
+                            .zip(&jsons)
+                            .map(|(part, json)| {
+                                let (grid, matrix) = part.clone().aligned();
+                                let row = array_body(json, "matrix");
+                                let row = row.trim_start_matches('[').trim_end_matches(']');
+                                grid.iter()
+                                    .zip(&matrix[0])
+                                    .zip(tokens(row))
+                                    .map(|((t, &x), token)| (t.0, (x, token)))
+                                    .collect()
+                            })
+                            .collect();
+                        let grid: BTreeSet<u64> =
+                            rows.iter().flat_map(|r| r.keys().copied()).collect();
+                        bytes.push(3);
+                        le(&mut bytes, grid.len() as u64);
+                        grid.iter().for_each(|&t| le(&mut bytes, t));
+                        let mut matrix = Vec::new();
+                        for row in &rows {
+                            let cells: Vec<&str> = grid
+                                .iter()
+                                .map(|t| {
+                                    let (x, token) =
+                                        row.get(t).copied().unwrap_or((f64::NAN, "null"));
+                                    le(&mut bytes, x.to_bits());
+                                    token
+                                })
+                                .collect();
+                            matrix.push(format!("[{}]", cells.join(",")));
+                        }
+                        let grid: Vec<String> = grid.iter().map(u64::to_string).collect();
+                        (
+                            "aligned",
+                            format!(
+                                "\"grid_ms\":[{}],\"matrix\":[{}]",
+                                grid.join(","),
+                                matrix.join(",")
+                            ),
+                        )
+                    }
+                };
+                let expected = format!(
+                    "{{\"kind\":\"{kind}\",\"sensors\":[{}],{data}}}",
+                    id_list.join(",")
+                );
+                assert_eq!(fused.to_json(), expected, "{case}");
+                assert_eq!(fused.digest(), fnv1a64(&bytes), "{case}");
+            }
+        }
+    }
+}
