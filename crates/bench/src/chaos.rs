@@ -453,9 +453,10 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             // recovered hot state is bit-identical, so every subsequent pass
             // must produce the same output as an uninterrupted run.
             if cfg.restart_at_window == Some(report.windows) {
-                if let Some(recovery) = dc.restart_archive() {
-                    report.recovered_readings += recovery.readings_recovered;
-                }
+                let recovery = dc
+                    .restart_archive()
+                    .expect("the soak's archive must reopen over its own storage fs");
+                report.recovered_readings += recovery.readings_recovered;
                 report.restarts += 1;
                 sub = dc
                     .bus()

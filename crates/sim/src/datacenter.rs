@@ -46,7 +46,8 @@ use oda_telemetry::plane::{LocalPlane, QueryPlane};
 use oda_telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use oda_telemetry::sensor::{SensorId, SensorKind, SensorRegistry, Unit};
 use oda_telemetry::storage::{
-    open_backend, BackendKind, RecoveryReport, SimFs, StorageBackend, StorageConfig, StorageFs,
+    open_backend, BackendKind, FsError, RecoveryReport, SimFs, StorageBackend, StorageConfig,
+    StorageFs,
 };
 use oda_telemetry::store::{RollupConfig, TimeSeriesStore};
 use serde::{Deserialize, Serialize};
@@ -695,7 +696,8 @@ impl DataCenter {
         let node_count = config.node_count();
         let registry = SensorRegistry::new();
         let sensors = Sensors::register(&registry, node_count, config.racks);
-        let bus = Self::build_bus(&config, registry.clone(), metrics, Arc::clone(&archive_fs));
+        let bus = Self::build_bus(&config, registry.clone(), metrics, Arc::clone(&archive_fs))
+            .expect("archive backend must open over the site's storage fs");
         let cluster = Self::build_cluster(&config, &registry);
         let racks = build_racks(
             config.racks,
@@ -820,16 +822,17 @@ impl DataCenter {
         registry: SensorRegistry,
         metrics: MetricsRegistry,
         fs: Arc<dyn StorageFs>,
-    ) -> Arc<TelemetryBus> {
+    ) -> Result<Arc<TelemetryBus>, FsError> {
         let store = Arc::new(TimeSeriesStore::with_rollups(
             config.store_capacity,
             TimeSeriesStore::DEFAULT_SHARDS,
             metrics.clone(),
             config.rollups.clone(),
         ));
-        let backend = open_backend(&config.storage, fs, store)
-            .expect("archive backend must open over the site's storage fs");
-        Arc::new(TelemetryBus::with_archive(registry, backend, metrics))
+        let backend = open_backend(&config.storage, fs, store)?;
+        Ok(Arc::new(TelemetryBus::with_archive(
+            registry, backend, metrics,
+        )))
     }
 
     /// Simulates an analytics-plane process restart: flushes the archive,
@@ -837,10 +840,13 @@ impl DataCenter {
     /// filesystem — durable backends recover from WAL + segments, the
     /// in-memory backend comes back empty. Existing bus subscriptions are
     /// disconnected and must be re-established. Returns the recovery report
-    /// for durable backends. A failed pre-restart flush does not stop the
-    /// restart (recovery then finds whatever the filesystem kept); it is
-    /// counted in the site registry's `storage_wal_errors_total`.
-    pub fn restart_archive(&mut self) -> Option<RecoveryReport> {
+    /// (all zeros for the in-memory backend, which recovers nothing). A
+    /// failed pre-restart flush does not stop the restart (recovery then
+    /// finds whatever the filesystem kept); it is counted in the site
+    /// registry's `storage_wal_errors_total`. An archive that fails to
+    /// reopen — a segment that no longer verifies during replay — is
+    /// returned as the error, and the site keeps its pre-restart bus.
+    pub fn restart_archive(&mut self) -> Result<RecoveryReport, FsError> {
         let metrics = self.bus.metrics().clone();
         if let Some(archive) = self.bus.archive() {
             if archive.flush().is_err() {
@@ -852,8 +858,12 @@ impl DataCenter {
             self.registry.clone(),
             metrics,
             Arc::clone(&self.archive_fs),
-        );
-        self.bus.archive().and_then(|a| a.recovery().cloned())
+        )?;
+        Ok(self
+            .bus
+            .archive()
+            .and_then(|a| a.recovery().cloned())
+            .unwrap_or_default())
     }
 
     // ----- accessors -------------------------------------------------------
@@ -1490,8 +1500,79 @@ mod tests {
         let report = dc.restart_archive();
         assert_eq!(wal_errors(), Some(1));
         // Nothing crashed, so recovery still reads the unsynced tail.
-        let report = report.expect("durable backend reports recovery");
+        let report = report.expect("the archive reopens");
         assert!(report.readings_recovered > 0);
+    }
+
+    /// Serves every `.seg` file's bytes with one bit flipped from its second
+    /// read on — a disk that goes bad between the open that verifies a
+    /// segment and the replay that reads it again.
+    struct RereadRot {
+        inner: SimFs,
+        seen: std::sync::Mutex<std::collections::BTreeSet<String>>,
+    }
+
+    impl StorageFs for RereadRot {
+        fn append(&self, path: &str, bytes: &[u8]) -> Result<(), FsError> {
+            self.inner.append(path, bytes)
+        }
+        fn sync(&self, path: &str) -> Result<(), FsError> {
+            self.inner.sync(path)
+        }
+        fn read(&self, path: &str) -> Result<Vec<u8>, FsError> {
+            let mut bytes = self.inner.read(path)?;
+            let reread = !self.seen.lock().unwrap().insert(path.to_string());
+            if reread && path.ends_with(".seg") {
+                if let Some(b) = bytes.get_mut(40) {
+                    *b ^= 0x04;
+                }
+            }
+            Ok(bytes)
+        }
+        fn write_atomic(&self, path: &str, bytes: &[u8]) -> Result<(), FsError> {
+            self.inner.write_atomic(path, bytes)
+        }
+        fn truncate(&self, path: &str, len: u64) -> Result<(), FsError> {
+            self.inner.truncate(path, len)
+        }
+        fn remove(&self, path: &str) -> Result<(), FsError> {
+            self.inner.remove(path)
+        }
+        fn list(&self) -> Result<Vec<String>, FsError> {
+            self.inner.list()
+        }
+        fn clock_ns(&self) -> u64 {
+            self.inner.clock_ns()
+        }
+    }
+
+    #[test]
+    fn a_segment_that_rots_before_replay_fails_the_restart_by_name() {
+        let fs = Arc::new(RereadRot {
+            inner: SimFs::new(),
+            seen: Default::default(),
+        });
+        let mut storage = StorageConfig::persistent();
+        storage.engine.segment_max_readings = 256;
+        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
+            .seed(9)
+            .storage(storage)
+            .storage_fs(Arc::clone(&fs) as Arc<dyn StorageFs>)
+            .build();
+        dc.run_for_hours(0.1);
+        // Sealed segments were written, never read: the restart's open
+        // reads (and verifies) each once, its replay reads them again.
+        assert!(fs.inner.exists("seg-000000000001.seg"));
+        let published = dc.bus().published();
+        let err = dc
+            .restart_archive()
+            .expect_err("replay must not skip a bad segment");
+        assert!(
+            matches!(&err, FsError::Io(msg) if msg.contains("seg-000000000001.seg")),
+            "the error names the file: {err}"
+        );
+        // The site keeps its pre-restart bus.
+        assert_eq!(dc.bus().published(), published);
     }
 
     #[test]

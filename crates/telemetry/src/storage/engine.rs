@@ -18,6 +18,19 @@
 //! cases: replay, stale-discard, sequence gap). A torn WAL tail is truncated
 //! at the last valid record boundary.
 //!
+//! Read path: every segment's [`segment::BlockDir`] stays in memory, filled
+//! from the whole-file decode at open and from the encode at seal and
+//! compaction. [`PersistentEngine::range_into`] and
+//! [`PersistentEngine::buckets`] prune segments by time, find the sensor's
+//! blocks in each by binary search, and fetch each block with one
+//! [`StorageFs::read_at`]. A fetched block must have the length and
+//! checksum the directory recorded when its file was last verified or
+//! written, or the read is an error naming the file; only then is that
+//! block decoded. So a damaged block fails the reads that need it and no
+//! others. Whole files are read only where every block is needed: open,
+//! [`PersistentEngine::compact`] and [`PersistentEngine::replay_into`],
+//! each of which verifies the whole file and returns an error naming it.
+//!
 //! Everything here is deterministic: identical operation sequences over
 //! identical [`super::fs::StorageFs`] contents produce byte-identical files,
 //! and all timing comes from the injected filesystem's logical clock.
@@ -27,8 +40,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use super::codec;
 use super::fs::{FsError, StorageFs};
-use super::segment::{self, Segment, SegmentKind};
+use super::segment::{self, BlockDir, BlockRef, Segment, SegmentBlocks, SegmentKind};
 use super::wal;
 use crate::metrics::{Counter, MetricsRegistry};
 use crate::reading::{Reading, Timestamp};
@@ -95,23 +109,44 @@ struct SegmentMeta {
     seq: u64,
     file: String,
     kind: SegmentKind,
+    /// Bucket width of a compacted segment; 0 for a raw one.
+    bucket_ms: u64,
     min_ts: Timestamp,
     max_ts: Timestamp,
     total_readings: u64,
-    sensor_counts: Vec<(SensorId, u64)>,
+    /// Where each block sits, what it hashes to and how many readings it
+    /// holds or represents (retention counts come from here).
+    blocks: BlockDir,
 }
 
 impl SegmentMeta {
-    fn of(seg: &Segment, file: String) -> Self {
+    fn of(seg: &Segment, file: String, blocks: BlockDir) -> Self {
         SegmentMeta {
             seq: seg.seq,
             file,
             kind: seg.kind(),
+            bucket_ms: seg.bucket_ms,
             min_ts: seg.min_ts(),
             max_ts: seg.max_ts(),
             total_readings: seg.total_readings(),
-            sensor_counts: seg.sensor_counts(),
+            blocks,
         }
+    }
+
+    /// Whether the segment is of `kind` and may hold data in `[start, end)`:
+    /// a reading by its stamp, a bucket by its start, which precedes the
+    /// bucket's first reading by up to one bucket width.
+    fn serves(&self, kind: SegmentKind, start: Timestamp, end: Timestamp) -> bool {
+        let first = match self.kind {
+            SegmentKind::Raw => self.min_ts,
+            SegmentKind::Compacted => self.min_ts.bucket(self.bucket_ms.max(1)),
+        };
+        self.kind == kind && self.max_ts >= start && first < end
+    }
+
+    /// An error about this segment's file.
+    fn err(&self, why: impl std::fmt::Display) -> FsError {
+        FsError::Io(format!("{}: {why}", self.file))
     }
 }
 
@@ -137,6 +172,8 @@ pub struct PersistentEngine {
     m_seals: Counter,
     m_expired: Counter,
     m_compactions: Counter,
+    m_block_reads: Counter,
+    m_block_bytes: Counter,
 }
 
 impl std::fmt::Debug for PersistentEngine {
@@ -167,9 +204,11 @@ impl PersistentEngine {
             let decoded = fs
                 .read(&name)
                 .ok()
-                .and_then(|bytes| segment::decode(&bytes).ok());
+                .and_then(|bytes| segment::decode_indexed(&bytes).ok());
             match decoded {
-                Some(seg) if seg.seq == seq => segments.push(SegmentMeta::of(&seg, name)),
+                Some((seg, blocks)) if seg.seq == seq => {
+                    segments.push(SegmentMeta::of(&seg, name, blocks))
+                }
                 _ => report.segments_dropped += 1,
             }
         }
@@ -241,6 +280,8 @@ impl PersistentEngine {
             m_seals: metrics.counter("storage_segments_sealed_total", &[]),
             m_expired: metrics.counter("storage_readings_expired_total", &[]),
             m_compactions: metrics.counter("storage_segments_compacted_total", &[]),
+            m_block_reads: metrics.counter("storage_segment_block_reads_total", &[]),
+            m_block_bytes: metrics.counter("storage_segment_read_bytes_total", &[]),
         };
         Ok((engine, report))
     }
@@ -345,18 +386,18 @@ impl PersistentEngine {
         }
         let seq = st.wal_epoch;
         let seg = Segment::raw(seq, std::mem::take(&mut st.memtable).into_iter().collect());
-        let bytes = segment::encode(&seg);
+        let (bytes, blocks) = segment::encode_indexed(&seg);
         let name = segment::file_name(seq);
         // Order matters: the segment must be durable before the WAL reset,
         // or a crash in between would lose the records entirely.
         if let Err(e) = self.fs.write_atomic(&name, &bytes) {
             // Not sealed: the readings stay in the memtable (and the WAL).
-            if let segment::SegmentBlocks::Raw(sensors) = seg.blocks {
+            if let SegmentBlocks::Raw(sensors) = seg.blocks {
                 st.memtable = sensors.into_iter().collect();
             }
             return Err(e);
         }
-        st.segments.push(SegmentMeta::of(&seg, name));
+        st.segments.push(SegmentMeta::of(&seg, name, blocks));
         st.memtable_len = 0;
         st.wal_epoch = seq + 1;
         self.fs
@@ -372,8 +413,8 @@ impl PersistentEngine {
         };
         while st.segments.len() > keep.max(1) {
             let meta = st.segments.remove(0);
-            for (s, n) in &meta.sensor_counts {
-                *st.expired.entry(*s).or_insert(0) += n;
+            for b in meta.blocks.iter() {
+                *st.expired.entry(b.sensor).or_insert(0) += u64::from(b.count);
             }
             self.m_expired.add(meta.total_readings);
             match self.fs.remove(&meta.file) {
@@ -388,6 +429,10 @@ impl PersistentEngine {
     /// [`EngineConfig::compact_keep_raw`]) into rollup-bucket form, rewriting
     /// each file atomically in place under the same sequence number. Returns
     /// the number of segments compacted.
+    ///
+    /// A cold segment that no longer verifies is an error naming its file,
+    /// and its file and directory stay as they were; segments folded
+    /// before it stay folded.
     pub fn compact(&self) -> Result<usize, FsError> {
         let mut st = self.state.lock();
         let n = st.segments.len();
@@ -397,31 +442,51 @@ impl PersistentEngine {
             if meta.kind == SegmentKind::Compacted {
                 continue;
             }
-            let bytes = self.fs.read(&meta.file)?;
-            let Ok(seg) = segment::decode(&bytes) else {
-                continue;
-            };
+            let seg = self.read_whole(meta)?;
             let folded = segment::compact(&seg, self.cfg.compact_bucket_ms.max(1));
-            self.fs
-                .write_atomic(&meta.file, &segment::encode(&folded))?;
-            *meta = SegmentMeta::of(&folded, meta.file.clone());
+            let (bytes, blocks) = segment::encode_indexed(&folded);
+            self.fs.write_atomic(&meta.file, &bytes)?;
+            *meta = SegmentMeta::of(&folded, meta.file.clone(), blocks);
             done += 1;
             self.m_compactions.inc();
         }
         Ok(done)
     }
 
-    /// Reads and fully verifies one segment a query needs. A file that no
-    /// longer decodes is an error naming it: skipping it would return a
-    /// short answer as if it were complete.
-    fn read_segment(&self, file: &str) -> Result<Segment, FsError> {
-        let bytes = self.fs.read(file)?;
-        segment::decode(&bytes).map_err(|e| FsError::Io(format!("{file}: {e}")))
+    /// Reads and fully verifies a segment whose every block is needed. A
+    /// file that no longer decodes is an error naming it: skipping it would
+    /// pass a short archive on as if it were complete.
+    fn read_whole(&self, meta: &SegmentMeta) -> Result<Segment, FsError> {
+        let bytes = self.fs.read(&meta.file)?;
+        segment::decode(&bytes).map_err(|e| meta.err(e))
+    }
+
+    /// Reads one block a query needs, checks it against the directory and
+    /// decodes it alone. A block whose length or checksum differs from what
+    /// was recorded when its file was last verified or written is an error
+    /// naming the file.
+    fn read_block(&self, meta: &SegmentMeta, block: &BlockRef) -> Result<SegmentBlocks, FsError> {
+        let want = block.len as usize;
+        let bytes = self.fs.read_at(&meta.file, u64::from(block.offset), want)?;
+        self.m_block_reads.inc();
+        self.m_block_bytes.add(bytes.len() as u64);
+        let bad = |why: String| {
+            let (sensor, offset) = (block.sensor.0, block.offset);
+            meta.err(format!("block of sensor {sensor} at byte {offset}: {why}"))
+        };
+        if bytes.len() != want {
+            return Err(bad(format!("read {} of {want} bytes", bytes.len())));
+        }
+        if codec::fnv1a64(&bytes) != block.sum {
+            return Err(bad("checksum mismatch".to_string()));
+        }
+        segment::decode_block(meta.kind, &bytes).map_err(|e| bad(e.to_string()))
     }
 
     /// Collect raw readings for `sensor` in `[start, end)` from raw segments
     /// and the memtable. Readings that were folded into compacted segments
     /// are no longer individually available (use [`buckets`](Self::buckets)).
+    /// Reads only `sensor`'s blocks, one [`StorageFs::read_at`] each.
     pub fn range_into(
         &self,
         sensor: SensorId,
@@ -431,11 +496,16 @@ impl PersistentEngine {
     ) -> Result<(), FsError> {
         let st = self.state.lock();
         for meta in &st.segments {
-            if meta.kind != SegmentKind::Raw || meta.max_ts < start || meta.min_ts >= end {
+            if !meta.serves(SegmentKind::Raw, start, end) {
                 continue;
             }
-            self.read_segment(&meta.file)?
-                .readings_for(sensor, start, end, out);
+            for block in meta.blocks.of(sensor) {
+                if let SegmentBlocks::Raw(sensors) = self.read_block(meta, block)? {
+                    for (_, readings) in sensors {
+                        out.extend(readings.into_iter().filter(|r| r.ts >= start && r.ts < end));
+                    }
+                }
+            }
         }
         if let Some(mem) = st.memtable.get(&sensor) {
             for r in mem {
@@ -448,7 +518,7 @@ impl PersistentEngine {
     }
 
     /// Collect rollup buckets for `sensor` whose start lies in `[start, end)`
-    /// from compacted segments.
+    /// from compacted segments, reading only `sensor`'s blocks.
     pub fn buckets(
         &self,
         sensor: SensorId,
@@ -458,11 +528,20 @@ impl PersistentEngine {
         let st = self.state.lock();
         let mut out = Vec::new();
         for meta in &st.segments {
-            if meta.kind != SegmentKind::Compacted || meta.max_ts < start || meta.min_ts >= end {
+            if !meta.serves(SegmentKind::Compacted, start, end) {
                 continue;
             }
-            self.read_segment(&meta.file)?
-                .buckets_for(sensor, start, end, &mut out);
+            for block in meta.blocks.of(sensor) {
+                if let SegmentBlocks::Compacted(sensors) = self.read_block(meta, block)? {
+                    for (_, buckets) in sensors {
+                        out.extend(
+                            buckets
+                                .into_iter()
+                                .filter(|b| b.start >= start && b.start < end),
+                        );
+                    }
+                }
+            }
         }
         Ok(out)
     }
@@ -470,7 +549,8 @@ impl PersistentEngine {
     /// Replay the durable archive (raw segments in sequence order, then the
     /// memtable) into a hot store. Per-sensor insertion order equals original
     /// acceptance order, so ring and rollup state come back bit-identical
-    /// when the durable history is complete. Returns readings inserted.
+    /// when the durable history is complete. Returns readings inserted; a
+    /// segment that no longer verifies is an error naming its file.
     pub fn replay_into(&self, store: &TimeSeriesStore) -> Result<u64, FsError> {
         let st = self.state.lock();
         let mut n = 0u64;
@@ -478,12 +558,7 @@ impl PersistentEngine {
             if meta.kind != SegmentKind::Raw {
                 continue;
             }
-            let bytes = self.fs.read(&meta.file)?;
-            if let Ok(Segment {
-                blocks: segment::SegmentBlocks::Raw(sensors),
-                ..
-            }) = segment::decode(&bytes)
-            {
+            if let SegmentBlocks::Raw(sensors) = self.read_whole(meta)?.blocks {
                 for (sensor, readings) in &sensors {
                     n += store.insert_batch(*sensor, readings) as u64;
                 }
@@ -705,6 +780,199 @@ mod tests {
         assert_eq!(buckets.iter().map(|b| b.count).sum::<u64>(), 20);
         // Idempotent.
         assert_eq!(engine.compact().unwrap(), 0);
+    }
+
+    /// Counts whole-file and positioned reads on their way to a [`SimFs`].
+    #[derive(Default)]
+    struct CountingFs {
+        inner: SimFs,
+        reads: std::sync::atomic::AtomicU64,
+        read_ats: std::sync::atomic::AtomicU64,
+    }
+
+    impl CountingFs {
+        fn counts(&self) -> (u64, u64) {
+            use std::sync::atomic::Ordering::Relaxed;
+            (self.reads.load(Relaxed), self.read_ats.load(Relaxed))
+        }
+    }
+
+    impl StorageFs for CountingFs {
+        fn append(&self, path: &str, bytes: &[u8]) -> Result<(), FsError> {
+            self.inner.append(path, bytes)
+        }
+        fn sync(&self, path: &str) -> Result<(), FsError> {
+            self.inner.sync(path)
+        }
+        fn read(&self, path: &str) -> Result<Vec<u8>, FsError> {
+            self.reads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.read(path)
+        }
+        fn read_at(&self, path: &str, offset: u64, len: usize) -> Result<Vec<u8>, FsError> {
+            self.read_ats
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.read_at(path, offset, len)
+        }
+        fn write_atomic(&self, path: &str, bytes: &[u8]) -> Result<(), FsError> {
+            self.inner.write_atomic(path, bytes)
+        }
+        fn truncate(&self, path: &str, len: u64) -> Result<(), FsError> {
+            self.inner.truncate(path, len)
+        }
+        fn remove(&self, path: &str) -> Result<(), FsError> {
+            self.inner.remove(path)
+        }
+        fn list(&self) -> Result<Vec<String>, FsError> {
+            self.inner.list()
+        }
+        fn clock_ns(&self) -> u64 {
+            self.inner.clock_ns()
+        }
+    }
+
+    /// `(block reads, block bytes)` so far.
+    fn block_counters(metrics: &MetricsRegistry) -> (u64, u64) {
+        let snap = metrics.snapshot();
+        let get = |name| snap.counter(name).unwrap_or(0);
+        (
+            get("storage_segment_block_reads_total"),
+            get("storage_segment_read_bytes_total"),
+        )
+    }
+
+    #[test]
+    fn queries_read_one_block_per_segment_and_count_it() {
+        let fs = Arc::new(CountingFs::default());
+        let metrics = MetricsRegistry::new();
+        let (engine, _) =
+            PersistentEngine::open(Arc::clone(&fs) as Arc<dyn StorageFs>, small_cfg(), &metrics)
+                .unwrap();
+        // Three sensors interleaved: every one of six segments holds all three.
+        for i in 0..60u64 {
+            engine
+                .append(SensorId(i as u32 % 3), &[reading(i * 100, i as f64)])
+                .unwrap();
+        }
+        assert_eq!(engine.segment_counts(), (6, 0));
+        let listed = |sensor: SensorId| -> (u64, u64) {
+            let st = engine.state.lock();
+            let blocks = st.segments.iter().flat_map(|m| m.blocks.of(sensor));
+            blocks.fold((0, 0), |(n, bytes), b| (n + 1, bytes + u64::from(b.len)))
+        };
+        let file_bytes: u64 = (1..=6)
+            .map(|seq| fs.inner.read(&segment::file_name(seq)).unwrap().len() as u64)
+            .sum();
+
+        let (reads, read_ats) = fs.counts();
+        let before = block_counters(&metrics);
+        let mut out = Vec::new();
+        engine
+            .range_into(SensorId(1), Timestamp::ZERO, Timestamp::MAX, &mut out)
+            .unwrap();
+        assert_eq!(out.len(), 20);
+        let (n, bytes) = listed(SensorId(1));
+        assert_eq!(n, 6, "one block per segment");
+        let after = block_counters(&metrics);
+        assert_eq!((after.0 - before.0, after.1 - before.1), (n, bytes));
+        assert!(bytes * 2 < file_bytes, "{bytes} of {file_bytes} file bytes");
+        assert_eq!(fs.counts(), (reads, read_ats + n), "no whole-file read");
+
+        // An absent sensor costs nothing; a window pruned by time neither.
+        engine
+            .range_into(SensorId(9), Timestamp::ZERO, Timestamp::MAX, &mut out)
+            .unwrap();
+        engine
+            .range_into(SensorId(1), Timestamp(10_000), Timestamp::MAX, &mut out)
+            .unwrap();
+        assert_eq!(block_counters(&metrics), after);
+
+        // Buckets read the same way from the folded segments.
+        assert_eq!(engine.compact().unwrap(), 4);
+        let (reads, read_ats) = fs.counts();
+        let buckets = engine
+            .buckets(SensorId(2), Timestamp::ZERO, Timestamp::MAX)
+            .unwrap();
+        assert_eq!(buckets.iter().map(|b| b.count).sum::<u64>(), 13);
+        assert_eq!(fs.counts(), (reads, read_ats + 4));
+        assert_eq!(block_counters(&metrics).0, after.0 + 4);
+    }
+
+    /// A compacted segment is pruned by its first bucket's start, not its
+    /// first reading: the bucket [4000, 8000) holding readings at 7500 and
+    /// 7600 starts inside [0, 6000). (Before, it was pruned away.)
+    #[test]
+    fn a_bucket_starting_before_its_first_reading_is_not_pruned() {
+        let fs = Arc::new(SimFs::new());
+        let cfg = EngineConfig {
+            segment_max_readings: 2,
+            compact_keep_raw: 0,
+            compact_bucket_ms: 4_000,
+            ..small_cfg()
+        };
+        let (engine, _) = open(&fs, cfg);
+        engine
+            .append(SensorId(1), &[reading(7_500, 1.0), reading(7_600, 2.0)])
+            .unwrap();
+        assert_eq!(engine.compact().unwrap(), 1);
+        let starts = |start: u64, end: u64| -> Vec<u64> {
+            let got = engine.buckets(SensorId(1), Timestamp(start), Timestamp(end));
+            got.unwrap().iter().map(|b| b.start.0).collect()
+        };
+        assert_eq!(starts(0, 6_000), vec![4_000]);
+        assert_eq!(starts(0, 4_000), Vec::<u64>::new());
+        assert_eq!(starts(4_001, 9_000), Vec::<u64>::new());
+    }
+
+    /// Overwrites `file` with a copy that has one bit flipped mid-file.
+    fn rot(fs: &SimFs, file: &str) -> Vec<u8> {
+        let mut bytes = fs.read(file).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        fs.write_atomic(file, &bytes).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn compact_fails_on_a_segment_that_no_longer_verifies_and_leaves_it_alone() {
+        let fs = Arc::new(SimFs::new());
+        let (engine, _) = open(&fs, small_cfg());
+        for i in 0..40u64 {
+            engine
+                .append(SensorId(1), &[reading(i * 100, i as f64)])
+                .unwrap();
+        }
+        let bad = segment::file_name(2);
+        let rotten = rot(&fs, &bad);
+        let err = engine.compact().unwrap_err();
+        assert!(
+            matches!(&err, FsError::Io(msg) if msg.starts_with(&bad)),
+            "the error names the file: {err}"
+        );
+        // Segment 1 folded before the failure; segment 2 is untouched.
+        assert_eq!(engine.segment_counts(), (3, 1));
+        assert_eq!(fs.read(&bad).unwrap(), rotten);
+        assert_eq!(engine.durable_len(), 40);
+    }
+
+    #[test]
+    fn replay_into_fails_on_a_segment_that_no_longer_verifies() {
+        let fs = Arc::new(SimFs::new());
+        let (engine, _) = open(&fs, small_cfg());
+        for i in 0..25u64 {
+            engine
+                .append(SensorId(2), &[reading(i * 100, i as f64)])
+                .unwrap();
+        }
+        let bad = segment::file_name(1);
+        rot(&fs, &bad);
+        let err = engine
+            .replay_into(&TimeSeriesStore::with_capacity(64))
+            .unwrap_err();
+        assert!(
+            matches!(&err, FsError::Io(msg) if msg.starts_with(&bad)),
+            "the error names the file: {err}"
+        );
     }
 
     #[test]

@@ -64,6 +64,17 @@ pub trait StorageFs: Send + Sync {
     /// Read the entire visible contents of `path`.
     fn read(&self, path: &str) -> Result<Vec<u8>, FsError>;
 
+    /// Read up to `len` visible bytes of `path` starting at `offset`. Fewer
+    /// come back when the file ends first (none when `offset` is past the
+    /// end) or the read is short; the caller checks the length it needs.
+    ///
+    /// The default reads the whole file and slices it, so a wrapper that
+    /// does not forward this method stays correct, only slower.
+    fn read_at(&self, path: &str, offset: u64, len: usize) -> Result<Vec<u8>, FsError> {
+        let bytes = self.read(path)?;
+        Ok(clamped(&bytes, offset, len).to_vec())
+    }
+
     /// Atomically replace `path` with `bytes` and make the result durable
     /// (write-temp / fsync / rename on a real filesystem).
     fn write_atomic(&self, path: &str, bytes: &[u8]) -> Result<(), FsError>;
@@ -81,6 +92,13 @@ pub trait StorageFs: Send + Sync {
     /// Logical clock in nanoseconds. Advances with I/O activity, not wall
     /// time, so fsync timing and recovery timing stay deterministic.
     fn clock_ns(&self) -> u64;
+}
+
+/// The part of `bytes` in `[offset, offset + len)` that exists.
+fn clamped(bytes: &[u8], offset: u64, len: usize) -> &[u8] {
+    let start = usize::try_from(offset).map_or(bytes.len(), |o| o.min(bytes.len()));
+    let end = start.saturating_add(len).min(bytes.len());
+    bytes.get(start..end).unwrap_or(&[])
 }
 
 /// Per-file state tracked by [`SimFs`].
@@ -240,22 +258,25 @@ impl StorageFs for SimFs {
     }
 
     fn read(&self, path: &str) -> Result<Vec<u8>, FsError> {
+        self.read_at(path, 0, usize::MAX)
+    }
+
+    /// Copies the slice, cut to the pending short-read length if one is
+    /// armed; one logical op either way.
+    fn read_at(&self, path: &str, offset: u64, len: usize) -> Result<Vec<u8>, FsError> {
         let mut st = self.state.lock();
         st.ops += 1;
-        let short = if st.short_reads > 0 {
+        let len = if st.short_reads > 0 {
             st.short_reads -= 1;
-            Some(st.short_read_len)
+            len.min(st.short_read_len)
         } else {
-            None
+            len
         };
         let f = st
             .files
             .get(path)
             .ok_or_else(|| FsError::NotFound(path.to_string()))?;
-        match short {
-            Some(len) => Ok(f.data.get(..len.min(f.data.len())).unwrap_or(&[]).to_vec()),
-            None => Ok(f.data.clone()),
-        }
+        Ok(clamped(&f.data, offset, len).to_vec())
     }
 
     fn write_atomic(&self, path: &str, bytes: &[u8]) -> Result<(), FsError> {
@@ -369,6 +390,22 @@ impl StorageFs for RealFs {
     fn read(&self, path: &str) -> Result<Vec<u8>, FsError> {
         self.ops.fetch_add(1, Ordering::Relaxed);
         std::fs::read(self.full(path)).map_err(|e| Self::map_err(path, e))
+    }
+
+    /// Open, seek and read at most `len` bytes: a block costs its own size,
+    /// not the file's.
+    fn read_at(&self, path: &str, offset: u64, len: usize) -> Result<Vec<u8>, FsError> {
+        use std::io::{Read, Seek, SeekFrom};
+        self.ops.fetch_add(1, Ordering::Relaxed);
+        let mut f = std::fs::File::open(self.full(path)).map_err(|e| Self::map_err(path, e))?;
+        f.seek(SeekFrom::Start(offset))
+            .map_err(|e| Self::map_err(path, e))?;
+        // `len` may run far past the file: bound the up-front allocation.
+        let mut out = Vec::with_capacity(len.min(1 << 20));
+        f.take(len as u64)
+            .read_to_end(&mut out)
+            .map_err(|e| Self::map_err(path, e))?;
+        Ok(out)
     }
 
     fn write_atomic(&self, path: &str, bytes: &[u8]) -> Result<(), FsError> {
@@ -508,6 +545,72 @@ mod tests {
     }
 
     #[test]
+    fn read_at_slices_honours_short_reads_and_ticks_the_clock() {
+        let fs = SimFs::new();
+        fs.append("seg", b"0123456789").unwrap();
+        let before = fs.clock_ns();
+        assert_eq!(fs.read_at("seg", 3, 4).unwrap(), b"3456");
+        assert!(fs.clock_ns() > before + 1_000, "read_at is one logical op");
+        // Past the end: what exists, then nothing.
+        assert_eq!(fs.read_at("seg", 8, 4).unwrap(), b"89");
+        assert_eq!(fs.read_at("seg", 12, 4).unwrap(), b"");
+        // A short read cuts the slice to the armed length, once.
+        fs.short_next_reads(1, 2);
+        assert_eq!(fs.read_at("seg", 3, 4).unwrap(), b"34");
+        assert_eq!(fs.read_at("seg", 3, 4).unwrap(), b"3456");
+        assert!(matches!(
+            fs.read_at("missing", 0, 1),
+            Err(FsError::NotFound(_))
+        ));
+    }
+
+    /// A wrapper that forwards only the required methods, as the
+    /// benchmark's decorators do: `read_at` is the provided default.
+    struct Forwarding(SimFs);
+
+    impl StorageFs for Forwarding {
+        fn append(&self, path: &str, bytes: &[u8]) -> Result<(), FsError> {
+            self.0.append(path, bytes)
+        }
+        fn sync(&self, path: &str) -> Result<(), FsError> {
+            self.0.sync(path)
+        }
+        fn read(&self, path: &str) -> Result<Vec<u8>, FsError> {
+            self.0.read(path)
+        }
+        fn write_atomic(&self, path: &str, bytes: &[u8]) -> Result<(), FsError> {
+            self.0.write_atomic(path, bytes)
+        }
+        fn truncate(&self, path: &str, len: u64) -> Result<(), FsError> {
+            self.0.truncate(path, len)
+        }
+        fn remove(&self, path: &str) -> Result<(), FsError> {
+            self.0.remove(path)
+        }
+        fn list(&self) -> Result<Vec<String>, FsError> {
+            self.0.list()
+        }
+        fn clock_ns(&self) -> u64 {
+            self.0.clock_ns()
+        }
+    }
+
+    #[test]
+    fn default_read_at_reads_the_file_and_slices_it() {
+        let fs = Forwarding(SimFs::new());
+        fs.append("seg", b"0123456789").unwrap();
+        for (offset, len) in [(0, 10), (3, 4), (8, 4), (12, 4), (0, usize::MAX)] {
+            assert_eq!(
+                fs.read_at("seg", offset, len).unwrap(),
+                fs.0.read_at("seg", offset, len).unwrap(),
+                "offset {offset} len {len}"
+            );
+        }
+        fs.0.short_next_reads(1, 5);
+        assert_eq!(fs.read_at("seg", 3, 4).unwrap(), b"34");
+    }
+
+    #[test]
     fn truncate_applies_to_visible_and_durable() {
         let fs = SimFs::new();
         fs.append("wal", b"0123456789").unwrap();
@@ -551,6 +654,13 @@ mod tests {
         fs.write_atomic("seg-000000000001.seg", b"segment").unwrap();
         assert_eq!(fs.read("wal").unwrap(), b"abc");
         assert_eq!(fs.read("seg-000000000001.seg").unwrap(), b"segment");
+        assert_eq!(fs.read_at("seg-000000000001.seg", 2, 3).unwrap(), b"gme");
+        assert_eq!(fs.read_at("seg-000000000001.seg", 5, 10).unwrap(), b"nt");
+        assert_eq!(fs.read_at("seg-000000000001.seg", 40, 3).unwrap(), b"");
+        assert!(matches!(
+            fs.read_at("missing", 0, 1),
+            Err(FsError::NotFound(_))
+        ));
         assert_eq!(
             fs.list().unwrap(),
             vec!["seg-000000000001.seg".to_string(), "wal".to_string()]

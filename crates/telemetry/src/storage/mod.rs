@@ -540,6 +540,63 @@ mod tests {
         assert_eq!(snap.counter("storage_read_errors_total"), Some(1));
     }
 
+    /// Damage is isolated to the block it hits: a flipped byte in sensor B's
+    /// block makes B's read a counted error, while sensor A in the same file
+    /// still reads whole. (Before the block directory, a query verified the
+    /// whole file, so both reads failed.)
+    #[test]
+    fn a_damaged_block_fails_only_the_reads_that_need_it() {
+        let fs = Arc::new(SimFs::new());
+        let metrics = MetricsRegistry::new();
+        let store = Arc::new(TimeSeriesStore::with_rollups(
+            64,
+            1,
+            metrics.clone(),
+            RollupConfig::default(),
+        ));
+        let cfg = EngineConfig {
+            segment_max_readings: 8,
+            wal_sync_every: 1,
+            ..EngineConfig::default()
+        };
+        let backend = DurableBackend::open(
+            BackendKind::Persistent,
+            Arc::clone(&fs) as Arc<dyn StorageFs>,
+            cfg,
+            store,
+        )
+        .unwrap();
+        let (a, b) = (SensorId(1), SensorId(2));
+        for i in 0..16u64 {
+            let sensor = if i % 2 == 0 { a } else { b };
+            backend.insert_batch(sensor, &[reading(i * 10, i as f64)]);
+        }
+        assert_eq!(backend.engine().segment_counts(), (2, 0));
+        let all_a = backend.range(a, Timestamp::ZERO, Timestamp::MAX);
+        assert_eq!(all_a.len(), 8);
+
+        let name = segment::file_name(1);
+        let mut bytes = fs.read(&name).unwrap();
+        let (_, dir) = segment::decode_indexed(&bytes).unwrap();
+        let hit = dir.of(b)[0];
+        bytes[(hit.offset + hit.len / 2) as usize] ^= 0x01;
+        fs.write_atomic(&name, &bytes).unwrap();
+
+        let err = backend
+            .engine()
+            .range_into(b, Timestamp::ZERO, Timestamp::MAX, &mut Vec::new())
+            .unwrap_err();
+        assert!(
+            matches!(&err, FsError::Io(msg) if msg.starts_with(&name) && msg.contains("checksum")),
+            "error names the file: {err}"
+        );
+        assert!(backend.range(b, Timestamp::ZERO, Timestamp::MAX).is_empty());
+        let errors = || metrics.snapshot().counter("storage_read_errors_total");
+        assert_eq!(errors(), Some(1));
+        assert_eq!(backend.range(a, Timestamp::ZERO, Timestamp::MAX), all_a);
+        assert_eq!(errors(), Some(1));
+    }
+
     #[test]
     fn hybrid_serves_hot_window_from_ring_and_cold_from_segments() {
         let fs = Arc::new(SimFs::new());

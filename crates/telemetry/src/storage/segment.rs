@@ -21,8 +21,26 @@
 //! min/max/total match values recomputed from the decoded blocks, so a
 //! truncated, bit-flipped or half-replaced file fails loudly instead of
 //! feeding bad data into recovery.
+//!
+//! **Block directory.** A block is `sensor u32 | count u32 | column*`, and
+//! it decodes on its own ([`decode_block`]). [`encode_indexed`] and
+//! [`decode_indexed`] — the one encoder and the one decoder, of which
+//! [`encode`] and [`decode`] are the plain forms — also return a
+//! [`BlockDir`]: per block its sensor, the readings it holds or represents,
+//! its byte range and the `fnv1a64` of its bytes. The encoder hashes the
+//! bytes it just wrote, in the pass that folds the file checksum; the
+//! decoder hashes them once it has verified the whole file. The format
+//! carries no directory: it is rebuilt from the bytes, so files are exactly
+//! what they were before the directory existed.
+//!
+//! **Verification contract.** Opening a file verifies all of it
+//! ([`decode_indexed`]). A reader that then fetches one block through the
+//! directory verifies that block against the length and checksum recorded
+//! when the file was last verified or written: a changed byte fails that
+//! block, while the file's other blocks still read whole.
 
 use super::codec;
+use crate::hash::{fnv1a_fold, fnv1a_fold_and_hash, FNV_OFFSET};
 use crate::reading::{Reading, Timestamp};
 use crate::sensor::SensorId;
 use crate::store::{RollupBucket, RollupTier, RollupTierSpec};
@@ -88,6 +106,60 @@ impl std::fmt::Display for SegmentError {
 }
 
 impl std::error::Error for SegmentError {}
+
+/// Where one block sits in its segment file and what its bytes hash to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockRef {
+    /// The sensor whose data the block holds.
+    pub sensor: SensorId,
+    /// Readings the block holds (raw) or represents (compacted: the sum of
+    /// its bucket counts), saturating at `u32::MAX`.
+    pub count: u32,
+    /// Offset of the block's first byte in the file.
+    pub offset: u32,
+    /// Length of the block in bytes, header included.
+    pub len: u32,
+    /// `fnv1a64` of the block's bytes.
+    pub sum: u64,
+}
+
+/// A segment's [`BlockRef`]s ordered by sensor, a repeated sensor's blocks
+/// in file order, so one sensor's blocks are found by binary search.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BlockDir(Vec<BlockRef>);
+
+impl BlockDir {
+    fn new(mut blocks: Vec<BlockRef>) -> Self {
+        // Stable: blocks arrive in file order and keep it within a sensor.
+        blocks.sort_by_key(|b| b.sensor);
+        BlockDir(blocks)
+    }
+
+    /// `sensor`'s blocks in file order; empty when it has none.
+    pub fn of(&self, sensor: SensorId) -> &[BlockRef] {
+        let lo = self.0.partition_point(|b| b.sensor < sensor);
+        let hi = self.0.partition_point(|b| b.sensor <= sensor);
+        self.0.get(lo..hi).unwrap_or(&[])
+    }
+
+    /// Every block, by sensor.
+    pub fn iter(&self) -> std::slice::Iter<'_, BlockRef> {
+        self.0.iter()
+    }
+}
+
+/// The directory entry of a block of `len` bytes at `offset` hashing to
+/// `sum`.
+fn block_ref(sensor: SensorId, represented: u64, offset: usize, len: usize, sum: u64) -> BlockRef {
+    let sat = |n: u64| u32::try_from(n).unwrap_or(u32::MAX);
+    BlockRef {
+        sensor,
+        count: sat(represented),
+        offset: sat(offset as u64),
+        len: sat(len as u64),
+        sum,
+    }
+}
 
 impl Segment {
     /// Build a raw segment from per-sensor ascending readings.
@@ -156,70 +228,8 @@ impl Segment {
     pub fn total_readings(&self) -> u64 {
         match &self.blocks {
             SegmentBlocks::Raw(sensors) => sensors.iter().map(|(_, rs)| rs.len() as u64).sum(),
-            SegmentBlocks::Compacted(sensors) => sensors
-                .iter()
-                .map(|(_, bs)| bs.iter().map(|b| b.count).sum::<u64>())
-                .sum(),
-        }
-    }
-
-    /// Per-sensor reading (or represented-reading) counts, for retention
-    /// accounting.
-    pub fn sensor_counts(&self) -> Vec<(SensorId, u64)> {
-        match &self.blocks {
-            SegmentBlocks::Raw(sensors) => sensors
-                .iter()
-                .map(|(s, rs)| (*s, rs.len() as u64))
-                .collect(),
-            SegmentBlocks::Compacted(sensors) => sensors
-                .iter()
-                .map(|(s, bs)| (*s, bs.iter().map(|b| b.count).sum::<u64>()))
-                .collect(),
-        }
-    }
-
-    /// Push readings for `sensor` within `[start, end)` onto `out` (raw
-    /// segments only; compacted segments contribute nothing here).
-    pub fn readings_for(
-        &self,
-        sensor: SensorId,
-        start: Timestamp,
-        end: Timestamp,
-        out: &mut Vec<Reading>,
-    ) {
-        if let SegmentBlocks::Raw(sensors) = &self.blocks {
-            for (s, rs) in sensors {
-                if *s != sensor {
-                    continue;
-                }
-                for r in rs {
-                    if r.ts >= start && r.ts < end {
-                        out.push(*r);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Push rollup buckets for `sensor` whose start lies in `[start, end)`
-    /// onto `out` (compacted segments only).
-    pub fn buckets_for(
-        &self,
-        sensor: SensorId,
-        start: Timestamp,
-        end: Timestamp,
-        out: &mut Vec<RollupBucket>,
-    ) {
-        if let SegmentBlocks::Compacted(sensors) = &self.blocks {
-            for (s, bs) in sensors {
-                if *s != sensor {
-                    continue;
-                }
-                for b in bs {
-                    if b.start >= start && b.start < end {
-                        out.push(*b);
-                    }
-                }
+            SegmentBlocks::Compacted(sensors) => {
+                sensors.iter().map(|(_, bs)| represented(bs)).sum()
             }
         }
     }
@@ -246,6 +256,12 @@ fn put_column(out: &mut Vec<u8>, col: &[u8]) {
 
 /// Encode a segment to its on-disk representation.
 pub fn encode(seg: &Segment) -> Vec<u8> {
+    encode_indexed(seg).0
+}
+
+/// Encode a segment to its on-disk representation, and return the
+/// directory of the blocks just written.
+pub fn encode_indexed(seg: &Segment) -> (Vec<u8>, BlockDir) {
     let mut out = Vec::with_capacity(256);
     out.extend_from_slice(&SEG_MAGIC);
     let kind: u8 = match seg.kind() {
@@ -255,21 +271,41 @@ pub fn encode(seg: &Segment) -> Vec<u8> {
     out.push(kind);
     out.extend_from_slice(&seg.bucket_ms.to_le_bytes());
     out.extend_from_slice(&seg.seq.to_le_bytes());
+    // Kept for the segment's life: sized exactly, not by doubling.
+    let mut dir = Vec::with_capacity(match &seg.blocks {
+        SegmentBlocks::Raw(sensors) => sensors.len(),
+        SegmentBlocks::Compacted(sensors) => sensors.len(),
+    });
+    // The file checksum is folded as blocks end, in the same pass that
+    // hashes each block, so the seal pays for one pass over its bytes.
+    let mut file_sum = FNV_OFFSET;
+    let mut hashed = 0usize;
+    // Called as each block ends: the block is everything since `start`.
+    let mut indexed = |bytes: &[u8], start: usize, sensor: SensorId, count: u64| {
+        fnv1a_fold(&mut file_sum, bytes.get(hashed..start).unwrap_or(&[]));
+        let block = bytes.get(start..).unwrap_or(&[]);
+        let sum = fnv1a_fold_and_hash(&mut file_sum, block);
+        dir.push(block_ref(sensor, count, start, block.len(), sum));
+        hashed = bytes.len();
+    };
     match &seg.blocks {
         SegmentBlocks::Raw(sensors) => {
             out.extend_from_slice(&(sensors.len() as u32).to_le_bytes());
             for (s, rs) in sensors {
+                let start = out.len();
                 out.extend_from_slice(&s.0.to_le_bytes());
                 out.extend_from_slice(&(rs.len() as u32).to_le_bytes());
                 let ts: Vec<u64> = rs.iter().map(|r| r.ts.0).collect();
                 let vals: Vec<u64> = rs.iter().map(|r| r.value.to_bits()).collect();
                 put_column(&mut out, &codec::encode_timestamps(&ts));
                 put_column(&mut out, &codec::encode_value_bits(&vals));
+                indexed(&out, start, *s, rs.len() as u64);
             }
         }
         SegmentBlocks::Compacted(sensors) => {
             out.extend_from_slice(&(sensors.len() as u32).to_le_bytes());
             for (s, bs) in sensors {
+                let start = out.len();
                 out.extend_from_slice(&s.0.to_le_bytes());
                 out.extend_from_slice(&(bs.len() as u32).to_le_bytes());
                 let starts: Vec<u64> = bs.iter().map(|b| b.start.0).collect();
@@ -289,16 +325,22 @@ pub fn encode(seg: &Segment) -> Vec<u8> {
                 ] {
                     put_column(&mut out, &codec::encode_values(&col));
                 }
+                indexed(&out, start, *s, represented(bs));
             }
         }
     }
     out.extend_from_slice(&seg.min_ts().0.to_le_bytes());
     out.extend_from_slice(&seg.max_ts().0.to_le_bytes());
     out.extend_from_slice(&seg.total_readings().to_le_bytes());
-    let sum = codec::fnv1a64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
+    fnv1a_fold(&mut file_sum, out.get(hashed..).unwrap_or(&[]));
+    out.extend_from_slice(&file_sum.to_le_bytes());
     out.extend_from_slice(&SEG_END);
-    out
+    (out, BlockDir::new(dir))
+}
+
+/// Readings a compacted block represents.
+fn represented(buckets: &[RollupBucket]) -> u64 {
+    buckets.iter().map(|b| b.count).sum()
 }
 
 struct ByteReader<'a> {
@@ -336,8 +378,91 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// One raw block: `sensor | count | timestamps | value bits`.
+fn raw_block(r: &mut ByteReader<'_>) -> Result<(SensorId, Vec<Reading>), SegmentError> {
+    let sensor = SensorId(r.u32().ok_or(SegmentError::Truncated)?);
+    let count = r.u32().ok_or(SegmentError::Truncated)? as usize;
+    let ts_col = r.column().ok_or(SegmentError::Truncated)?;
+    let val_col = r.column().ok_or(SegmentError::Truncated)?;
+    let ts = codec::decode_timestamps(ts_col, count).ok_or(SegmentError::Malformed)?;
+    let vals = codec::decode_value_bits(val_col, count).ok_or(SegmentError::Malformed)?;
+    let readings = ts
+        .into_iter()
+        .zip(vals)
+        .map(|(t, v)| Reading {
+            ts: Timestamp(t),
+            value: f64::from_bits(v),
+        })
+        .collect();
+    Ok((sensor, readings))
+}
+
+/// One compacted block: `sensor | count | 4 stamp columns | 5 value columns`.
+fn compacted_block(r: &mut ByteReader<'_>) -> Result<(SensorId, Vec<RollupBucket>), SegmentError> {
+    let sensor = SensorId(r.u32().ok_or(SegmentError::Truncated)?);
+    let count = r.u32().ok_or(SegmentError::Truncated)? as usize;
+    let mut ts_cols = Vec::with_capacity(4);
+    for _ in 0..4 {
+        let col = r.column().ok_or(SegmentError::Truncated)?;
+        ts_cols.push(codec::decode_timestamps(col, count).ok_or(SegmentError::Malformed)?);
+    }
+    let mut val_cols = Vec::with_capacity(5);
+    for _ in 0..5 {
+        let col = r.column().ok_or(SegmentError::Truncated)?;
+        val_cols.push(codec::decode_values(col, count).ok_or(SegmentError::Malformed)?);
+    }
+    let mut buckets = Vec::with_capacity(count);
+    for i in 0..count {
+        buckets.push(RollupBucket {
+            start: Timestamp(ts_cols[0][i]),
+            count: ts_cols[1][i],
+            first_ts: Timestamp(ts_cols[2][i]),
+            last_ts: Timestamp(ts_cols[3][i]),
+            sum: val_cols[0][i],
+            min: val_cols[1][i],
+            max: val_cols[2][i],
+            first: val_cols[3][i],
+            last: val_cols[4][i],
+        });
+    }
+    Ok((sensor, buckets))
+}
+
+/// Decode one block on its own — the bytes a [`BlockRef`] points at — into
+/// a one-sensor payload of `kind`. The caller checks the block's length and
+/// checksum first; this checks its structure.
+pub fn decode_block(kind: SegmentKind, block: &[u8]) -> Result<SegmentBlocks, SegmentError> {
+    let mut r = ByteReader::new(block);
+    let blocks = match kind {
+        SegmentKind::Raw => SegmentBlocks::Raw(vec![raw_block(&mut r)?]),
+        SegmentKind::Compacted => SegmentBlocks::Compacted(vec![compacted_block(&mut r)?]),
+    };
+    if r.pos != block.len() {
+        return Err(SegmentError::Malformed);
+    }
+    Ok(blocks)
+}
+
 /// Decode and fully verify a segment file.
 pub fn decode(bytes: &[u8]) -> Result<Segment, SegmentError> {
+    decode_blocks(bytes).map(|(seg, _)| seg)
+}
+
+/// Decode and fully verify a segment file, and return the directory of its
+/// blocks, each hashed from the verified bytes.
+pub fn decode_indexed(bytes: &[u8]) -> Result<(Segment, BlockDir), SegmentError> {
+    let (seg, mut refs) = decode_blocks(bytes)?;
+    for b in &mut refs {
+        let (start, len) = (b.offset as usize, b.len as usize);
+        b.sum = codec::fnv1a64(bytes.get(start..start.saturating_add(len)).unwrap_or(&[]));
+    }
+    Ok((seg, BlockDir::new(refs)))
+}
+
+/// The decoder: verifies the whole file, then decodes it, noting each
+/// block's place in file order with its `sum` left 0 — only a caller that
+/// keeps the directory pays for hashing the blocks.
+fn decode_blocks(bytes: &[u8]) -> Result<(Segment, Vec<BlockRef>), SegmentError> {
     // Footer geometry first: checksum covers everything before itself.
     const TAIL: usize = 8 + 8; // checksum + end magic
     if bytes.len() < SEG_MAGIC.len() + TAIL {
@@ -362,25 +487,18 @@ pub fn decode(bytes: &[u8]) -> Result<Segment, SegmentError> {
     let bucket_ms = r.u64().ok_or(SegmentError::Truncated)?;
     let seq = r.u64().ok_or(SegmentError::Truncated)?;
     let n_sensors = r.u32().ok_or(SegmentError::Truncated)? as usize;
+    let mut dir = Vec::with_capacity(n_sensors);
+    // The bytes since `start` are one block.
+    let entry = |r: &ByteReader<'_>, start: usize, sensor: SensorId, count: u64| {
+        block_ref(sensor, count, start, r.pos - start, 0)
+    };
     let blocks = match kind {
         0 => {
             let mut sensors = Vec::with_capacity(n_sensors);
             for _ in 0..n_sensors {
-                let sensor = SensorId(r.u32().ok_or(SegmentError::Truncated)?);
-                let count = r.u32().ok_or(SegmentError::Truncated)? as usize;
-                let ts_col = r.column().ok_or(SegmentError::Truncated)?;
-                let val_col = r.column().ok_or(SegmentError::Truncated)?;
-                let ts = codec::decode_timestamps(ts_col, count).ok_or(SegmentError::Malformed)?;
-                let vals =
-                    codec::decode_value_bits(val_col, count).ok_or(SegmentError::Malformed)?;
-                let readings: Vec<Reading> = ts
-                    .into_iter()
-                    .zip(vals)
-                    .map(|(t, v)| Reading {
-                        ts: Timestamp(t),
-                        value: f64::from_bits(v),
-                    })
-                    .collect();
+                let start = r.pos;
+                let (sensor, readings) = raw_block(&mut r)?;
+                dir.push(entry(&r, start, sensor, readings.len() as u64));
                 sensors.push((sensor, readings));
             }
             SegmentBlocks::Raw(sensors)
@@ -388,33 +506,9 @@ pub fn decode(bytes: &[u8]) -> Result<Segment, SegmentError> {
         1 => {
             let mut sensors = Vec::with_capacity(n_sensors);
             for _ in 0..n_sensors {
-                let sensor = SensorId(r.u32().ok_or(SegmentError::Truncated)?);
-                let count = r.u32().ok_or(SegmentError::Truncated)? as usize;
-                let mut ts_cols = Vec::with_capacity(4);
-                for _ in 0..4 {
-                    let col = r.column().ok_or(SegmentError::Truncated)?;
-                    ts_cols
-                        .push(codec::decode_timestamps(col, count).ok_or(SegmentError::Malformed)?);
-                }
-                let mut val_cols = Vec::with_capacity(5);
-                for _ in 0..5 {
-                    let col = r.column().ok_or(SegmentError::Truncated)?;
-                    val_cols.push(codec::decode_values(col, count).ok_or(SegmentError::Malformed)?);
-                }
-                let mut buckets = Vec::with_capacity(count);
-                for i in 0..count {
-                    buckets.push(RollupBucket {
-                        start: Timestamp(ts_cols[0][i]),
-                        count: ts_cols[1][i],
-                        first_ts: Timestamp(ts_cols[2][i]),
-                        last_ts: Timestamp(ts_cols[3][i]),
-                        sum: val_cols[0][i],
-                        min: val_cols[1][i],
-                        max: val_cols[2][i],
-                        first: val_cols[3][i],
-                        last: val_cols[4][i],
-                    });
-                }
+                let start = r.pos;
+                let (sensor, buckets) = compacted_block(&mut r)?;
+                dir.push(entry(&r, start, sensor, represented(&buckets)));
                 sensors.push((sensor, buckets));
             }
             SegmentBlocks::Compacted(sensors)
@@ -435,7 +529,7 @@ pub fn decode(bytes: &[u8]) -> Result<Segment, SegmentError> {
     if seg.min_ts().0 != min_ts || seg.max_ts().0 != max_ts || seg.total_readings() != total {
         return Err(SegmentError::Malformed);
     }
-    Ok(seg)
+    Ok((seg, dir))
 }
 
 /// Fold a raw segment into a compacted one at `bucket_ms`, reusing the
@@ -565,6 +659,129 @@ mod tests {
             bad[i] ^= 0x10;
             assert!(decode(&bad).is_err(), "flip at {i} decoded");
         }
+    }
+
+    /// Unsorted sensors, one of them twice.
+    fn sample_unsorted(seq: u64) -> Segment {
+        let SegmentBlocks::Raw(mut sensors) = sample_raw(seq).blocks else {
+            unreachable!()
+        };
+        let (s3, a) = sensors.remove(0);
+        let (_, tail) = a.split_at(150);
+        sensors.push((s3, tail.to_vec()));
+        sensors.insert(0, (SensorId(7), Vec::new()));
+        Segment::raw(seq, sensors)
+    }
+
+    #[test]
+    fn directory_blocks_decode_alone_to_what_decode_returns() {
+        for seg in [
+            sample_raw(1),
+            sample_unsorted(2),
+            compact(&sample_unsorted(3), 5_000),
+        ] {
+            let (bytes, dir) = encode_indexed(&seg);
+            let (back, read_dir) = decode_indexed(&bytes).unwrap();
+            assert_eq!(dir, read_dir, "encoder and decoder agree");
+            let all: Vec<&BlockRef> = dir.iter().collect();
+            let want = match &back.blocks {
+                SegmentBlocks::Raw(s) => s.len(),
+                SegmentBlocks::Compacted(s) => s.len(),
+            };
+            assert_eq!(all.len(), want, "one entry per block");
+            for sensor in [3, 7, 11, 99].map(SensorId) {
+                let blocks = dir.of(sensor);
+                assert!(blocks.iter().all(|b| b.sensor == sensor));
+                assert!(
+                    blocks.windows(2).all(|w| w[0].offset < w[1].offset),
+                    "file order"
+                );
+                let mut raw = Vec::new();
+                let mut buckets = Vec::new();
+                for b in blocks {
+                    let block = &bytes[b.offset as usize..(b.offset + b.len) as usize];
+                    assert_eq!(codec::fnv1a64(block), b.sum);
+                    match decode_block(seg.kind(), block).unwrap() {
+                        SegmentBlocks::Raw(mut v) => raw.extend(v.remove(0).1),
+                        SegmentBlocks::Compacted(mut v) => buckets.extend(v.remove(0).1),
+                    }
+                }
+                let (want_raw, want_buckets) = match &back.blocks {
+                    SegmentBlocks::Raw(s) => (concat_of(s, sensor), Vec::new()),
+                    SegmentBlocks::Compacted(s) => (Vec::new(), concat_of(s, sensor)),
+                };
+                let counted: u64 = blocks.iter().map(|b| u64::from(b.count)).sum();
+                assert_eq!(counted, want_raw.len() as u64 + represented(&want_buckets));
+                assert_eq!(raw.len(), want_raw.len());
+                for (x, y) in raw.iter().zip(&want_raw) {
+                    assert_eq!((x.ts, x.value.to_bits()), (y.ts, y.value.to_bits()));
+                }
+                let bits = |bs: &[RollupBucket]| -> Vec<[u64; 9]> {
+                    bs.iter()
+                        .map(|b| {
+                            [
+                                b.start.0,
+                                b.count,
+                                b.first_ts.0,
+                                b.last_ts.0,
+                                b.sum.to_bits(),
+                                b.min.to_bits(),
+                                b.max.to_bits(),
+                                b.first.to_bits(),
+                                b.last.to_bits(),
+                            ]
+                        })
+                        .collect()
+                };
+                assert_eq!(bits(&buckets), bits(&want_buckets));
+            }
+        }
+    }
+
+    fn concat_of<T: Clone>(blocks: &[(SensorId, Vec<T>)], sensor: SensorId) -> Vec<T> {
+        blocks
+            .iter()
+            .filter(|(s, _)| *s == sensor)
+            .flat_map(|(_, v)| v.iter().cloned())
+            .collect()
+    }
+
+    #[test]
+    fn every_bit_flip_inside_a_block_fails_its_checksum() {
+        let (bytes, dir) = encode_indexed(&sample_unsorted(4));
+        for b in dir.iter() {
+            let block = &bytes[b.offset as usize..(b.offset + b.len) as usize];
+            for bit in 0..block.len() * 8 {
+                let mut bad = block.to_vec();
+                bad[bit / 8] ^= 0x80 >> (bit % 8);
+                assert_ne!(
+                    codec::fnv1a64(&bad),
+                    b.sum,
+                    "bit {bit} of block at {}",
+                    b.offset
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn decode_block_rejects_a_cut_or_padded_block() {
+        let (bytes, dir) = encode_indexed(&sample_raw(5));
+        let b = dir.of(SensorId(3))[0];
+        let block = &bytes[b.offset as usize..(b.offset + b.len) as usize];
+        assert!(decode_block(SegmentKind::Raw, block).is_ok());
+        for cut in 0..block.len() {
+            assert!(
+                decode_block(SegmentKind::Raw, &block[..cut]).is_err(),
+                "cut {cut}"
+            );
+        }
+        let mut padded = block.to_vec();
+        padded.push(0);
+        assert_eq!(
+            decode_block(SegmentKind::Raw, &padded),
+            Err(SegmentError::Malformed)
+        );
     }
 
     #[test]

@@ -10,9 +10,9 @@ use hpc_oda::telemetry::metrics::MetricsRegistry;
 use hpc_oda::telemetry::reading::{Reading, Timestamp};
 use hpc_oda::telemetry::sensor::SensorId;
 use hpc_oda::telemetry::storage::codec::{
-    decode_timestamps, decode_value_bits, encode_timestamps, encode_value_bits,
+    decode_timestamps, decode_value_bits, encode_timestamps, encode_value_bits, fnv1a64,
 };
-use hpc_oda::telemetry::storage::segment::{self, Segment, SegmentBlocks};
+use hpc_oda::telemetry::storage::segment::{self, BlockRef, Segment, SegmentBlocks};
 use hpc_oda::telemetry::storage::wal;
 use hpc_oda::telemetry::storage::{EngineConfig, PersistentEngine, SimFs, StorageFs};
 use hpc_oda::telemetry::store::{RollupBucket, TimeSeriesStore};
@@ -85,6 +85,50 @@ fn rescan_fold(readings: &[Reading], bucket_ms: u64) -> Vec<RollupBucket> {
         }
     }
     out
+}
+
+/// `sensor`'s raw readings in `seg`, its blocks concatenated in file order.
+fn raw_of(seg: &Segment, sensor: SensorId) -> Vec<Reading> {
+    match &seg.blocks {
+        SegmentBlocks::Raw(blocks) => blocks
+            .iter()
+            .filter(|(s, _)| *s == sensor)
+            .flat_map(|(_, rs)| rs.iter().copied())
+            .collect(),
+        SegmentBlocks::Compacted(_) => Vec::new(),
+    }
+}
+
+/// `sensor`'s buckets in `seg`, its blocks concatenated in file order.
+fn compacted_of(seg: &Segment, sensor: SensorId) -> Vec<RollupBucket> {
+    match &seg.blocks {
+        SegmentBlocks::Compacted(blocks) => blocks
+            .iter()
+            .filter(|(s, _)| *s == sensor)
+            .flat_map(|(_, bs)| bs.iter().copied())
+            .collect(),
+        SegmentBlocks::Raw(_) => Vec::new(),
+    }
+}
+
+fn block_count(seg: &Segment) -> usize {
+    match &seg.blocks {
+        SegmentBlocks::Raw(blocks) => blocks.len(),
+        SegmentBlocks::Compacted(blocks) => blocks.len(),
+    }
+}
+
+/// The bytes a directory entry points at.
+fn block_bytes<'a>(file: &'a [u8], b: &BlockRef) -> &'a [u8] {
+    &file[b.offset as usize..(b.offset + b.len) as usize]
+}
+
+/// Bit-level form of a reading list.
+fn reading_bits(readings: &[Reading]) -> Vec<(u64, u64)> {
+    readings
+        .iter()
+        .map(|r| (r.ts.0, r.value.to_bits()))
+        .collect()
 }
 
 /// Bit-level digest of a bucket list (floats compared by representation).
@@ -179,14 +223,59 @@ proptest! {
         let bucket_ms = 1_000u64 << bucket_pow;
         let seg = Segment::raw(1, vec![(SensorId(9), series.clone())]);
         let folded = segment::compact(&seg, bucket_ms);
-        let mut got = Vec::new();
-        folded.buckets_for(SensorId(9), Timestamp::ZERO, Timestamp::MAX, &mut got);
+        let got = compacted_of(&folded, SensorId(9));
         prop_assert_eq!(bucket_bits(&got), bucket_bits(&rescan_fold(&series, bucket_ms)));
         // And the compacted container itself round-trips losslessly.
         let back = segment::decode(&segment::encode(&folded)).expect("compacted decodes");
-        let mut got2 = Vec::new();
-        back.buckets_for(SensorId(9), Timestamp::ZERO, Timestamp::MAX, &mut got2);
-        prop_assert_eq!(bucket_bits(&got2), bucket_bits(&got));
+        prop_assert_eq!(bucket_bits(&compacted_of(&back, SensorId(9))), bucket_bits(&got));
+    }
+
+    /// Every block fetched through the directory and decoded alone equals
+    /// that sensor's data in `decode(&bytes)`, in file order, bit for bit —
+    /// raw and compacted, with unsorted and repeated sensors — and a single
+    /// bit flip anywhere inside a block fails that block's checksum.
+    #[test]
+    fn directory_blocks_decode_alone_to_the_sensors_data(
+        blocks in prop::collection::vec((0u32..5, arb_series(40)), 0..9),
+        bucket_pow in 0u32..6,
+        flip in (0.0f64..1.0, 0u8..8),
+    ) {
+        let raw = Segment::raw(3, blocks.into_iter().map(|(s, rs)| (SensorId(s), rs)).collect());
+        for seg in [segment::compact(&raw, 1_000u64 << bucket_pow), raw] {
+            let (bytes, dir) = segment::encode_indexed(&seg);
+            let (back, read_dir) = segment::decode_indexed(&bytes).expect("clean bytes decode");
+            prop_assert_eq!(&dir, &read_dir);
+            prop_assert_eq!(dir.iter().count(), block_count(&back));
+            for sensor in (0..6).map(SensorId) {
+                let refs = dir.of(sensor);
+                prop_assert!(refs.windows(2).all(|w| w[0].offset < w[1].offset));
+                let (mut readings, mut buckets) = (Vec::new(), Vec::new());
+                for b in refs {
+                    let block = block_bytes(&bytes, b);
+                    prop_assert_eq!(fnv1a64(block), b.sum);
+                    match segment::decode_block(seg.kind(), block).expect("block decodes alone") {
+                        SegmentBlocks::Raw(one) => readings.extend(one.into_iter().flat_map(|(_, v)| v)),
+                        SegmentBlocks::Compacted(one) => buckets.extend(one.into_iter().flat_map(|(_, v)| v)),
+                    }
+                }
+                match &back.blocks {
+                    SegmentBlocks::Raw(_) => {
+                        prop_assert_eq!(reading_bits(&readings), reading_bits(&raw_of(&back, sensor)));
+                        prop_assert!(buckets.is_empty());
+                    }
+                    SegmentBlocks::Compacted(_) => {
+                        prop_assert_eq!(bucket_bits(&buckets), bucket_bits(&compacted_of(&back, sensor)));
+                        prop_assert!(readings.is_empty());
+                    }
+                }
+            }
+            if let Some(b) = dir.iter().next() {
+                let mut block = block_bytes(&bytes, b).to_vec();
+                let at = ((block.len() - 1) as f64 * flip.0) as usize;
+                block[at] ^= 1u8 << flip.1;
+                prop_assert_ne!(fnv1a64(&block), b.sum, "flip at {} of the block", at);
+            }
+        }
     }
 
     /// WAL streams replay exactly what was appended, and any truncation is
@@ -354,5 +443,167 @@ proptest! {
             recovered(&one_fs, &cfg, SENSORS),
             recovered(&many_fs, &cfg, SENSORS)
         );
+    }
+}
+
+// ----- segment bytes and the engine's read path ------------------------------
+
+/// A fixed segment with unsorted and repeated sensors, an empty block, NaN,
+/// -0.0 and ±inf values.
+fn golden_segment() -> Segment {
+    let series = |n: u64, t0: u64, step: u64, f: fn(u64) -> f64| -> Vec<Reading> {
+        (0..n)
+            .map(|i| Reading::new(Timestamp(t0 + i * step), f(i)))
+            .collect()
+    };
+    Segment::raw(
+        42,
+        vec![
+            (
+                SensorId(5),
+                series(40, 10_000, 250, |i| 40.0 + (i % 7) as f64),
+            ),
+            (SensorId(2), series(12, 11_000, 1_000, |i| -0.25 * i as f64)),
+            (SensorId(9), Vec::new()),
+            (
+                SensorId(5),
+                series(6, 30_000, 333, |i| match i {
+                    0 => f64::NAN,
+                    1 => -0.0,
+                    2 => f64::INFINITY,
+                    3 => f64::NEG_INFINITY,
+                    _ => 1e-300 * i as f64,
+                }),
+            ),
+        ],
+    )
+}
+
+/// The encoder's bytes are the format's: pinned at the digests the encoder
+/// produced before the block directory existed.
+#[test]
+fn segment_bytes_match_the_pinned_golden_digests() {
+    let raw = golden_segment();
+    let folded = segment::compact(&raw, 5_000);
+    assert_eq!(fnv1a64(&segment::encode(&raw)), RAW_GOLDEN);
+    assert_eq!(fnv1a64(&segment::encode(&folded)), COMPACTED_GOLDEN);
+    for seg in [&raw, &folded] {
+        let (bytes, _) = segment::encode_indexed(seg);
+        assert_eq!(bytes, segment::encode(seg));
+    }
+}
+
+/// `fnv1a64(encode(golden_segment()))` at the parent of the block directory.
+const RAW_GOLDEN: u64 = 14_136_222_133_156_378_004;
+/// The same for the segment compacted at 5 s buckets.
+const COMPACTED_GOLDEN: u64 = 8_669_599_431_923_469_022;
+
+/// The read path with no directory: decode every segment file whole (in
+/// sequence order, which is name order), then the WAL's records.
+fn whole_file_reference(
+    fs: &SimFs,
+    sensor: SensorId,
+    start: Timestamp,
+    end: Timestamp,
+) -> (Vec<Reading>, Vec<RollupBucket>) {
+    let (mut readings, mut buckets) = (Vec::new(), Vec::new());
+    let in_range = |t: Timestamp| t >= start && t < end;
+    for name in fs.list().expect("SimFs lists") {
+        if segment::parse_file_name(&name).is_none() {
+            continue;
+        }
+        let seg = segment::decode(&fs.read(&name).expect("listed file reads"))
+            .expect("engine-written segment decodes");
+        readings.extend(raw_of(&seg, sensor).into_iter().filter(|r| in_range(r.ts)));
+        buckets.extend(
+            compacted_of(&seg, sensor)
+                .into_iter()
+                .filter(|b| in_range(b.start)),
+        );
+    }
+    let log = wal::replay(&fs.read(wal::WAL_FILE).expect("WAL reads"));
+    for (s, rs) in log.records {
+        if s == sensor {
+            readings.extend(rs.into_iter().filter(|r| in_range(r.ts)));
+        }
+    }
+    (readings, buckets)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Across seals, compaction, retention and restarts, `range_into` and
+    /// `buckets` — one positioned read per listed block — return exactly
+    /// what decoding every file whole returns.
+    #[test]
+    fn directory_reads_equal_whole_file_reads(
+        ops in prop::collection::vec((0u8..12, 0u32..4, 1usize..4), 1..240),
+        segment_max_readings in 4usize..24,
+        retention in 0usize..6,
+        compact_keep_raw in 0usize..3,
+        windows in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..4),
+    ) {
+        let cfg = EngineConfig {
+            segment_max_readings,
+            wal_sync_every: 3,
+            // 0 and 1 keep everything; 2..6 expire.
+            retention_segments: (retention >= 2).then_some(retention),
+            compact_keep_raw,
+            compact_bucket_ms: 4_000,
+        };
+        let fs = Arc::new(SimFs::new());
+        let open = || {
+            PersistentEngine::open(
+                Arc::clone(&fs) as Arc<dyn StorageFs>,
+                cfg.clone(),
+                &MetricsRegistry::disabled(),
+            )
+            .expect("engine opens over SimFs")
+            .0
+        };
+        let mut engine = open();
+        let mut next_ts = [0u64; 4];
+        let last = ops.len() - 1;
+        for (i, &(op, sensor, n)) in ops.iter().enumerate() {
+            match op {
+                0 => {
+                    engine.compact().expect("clean segments compact");
+                }
+                1 => {
+                    drop(engine);
+                    engine = open();
+                }
+                _ => {
+                    let readings: Vec<Reading> = (0..n)
+                        .map(|_| {
+                            let ts = &mut next_ts[sensor as usize];
+                            *ts += 1_000;
+                            Reading::new(Timestamp(*ts), 0.1 + *ts as f64 * 0.7)
+                        })
+                        .collect();
+                    engine.append(SensorId(sensor), &readings).expect("SimFs append");
+                }
+            }
+            if op != 2 && i != last {
+                continue;
+            }
+            let horizon = next_ts.iter().max().copied().unwrap_or(0) + 1_000;
+            let mut spans = vec![(Timestamp::ZERO, Timestamp::MAX)];
+            spans.extend(windows.iter().map(|&(a, b)| {
+                let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+                (Timestamp((lo * horizon as f64) as u64), Timestamp((hi * horizon as f64) as u64))
+            }));
+            for sensor in (0..5).map(SensorId) {
+                for &(start, end) in &spans {
+                    let (want_raw, want_buckets) = whole_file_reference(&fs, sensor, start, end);
+                    let mut got = Vec::new();
+                    engine.range_into(sensor, start, end, &mut got).expect("clean range read");
+                    prop_assert_eq!(reading_bits(&got), reading_bits(&want_raw));
+                    let buckets = engine.buckets(sensor, start, end).expect("clean bucket read");
+                    prop_assert_eq!(bucket_bits(&buckets), bucket_bits(&want_buckets));
+                }
+            }
+        }
     }
 }
