@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Local CI gate: everything a PR must pass, in the order fastest-feedback
 # first. Run from the repo root. Mirrors .github/workflows/ci.yml — keep
-# the two in sync. The soaks at the end run the full ODA runtime under
+# the two in sync. The soak at the end runs the full ODA runtime under
 # fault injection (replay must be bit-identical at workers=1 and
-# workers=4) and regenerate the BENCH_*.json reports, which are gated
-# against the committed baselines by ci/check_bench.py.
+# workers=4); the scale bench regenerates BENCH_scale.json, gated against
+# its committed baseline by ci/check_bench.py. Every other timing is the
+# end-to-end benchmark's (benchmark/README.md); the structural gates the
+# retired ingest/storage/serving harnesses carried are workspace tests.
 #
 # `./ci.sh --full` additionally runs the nightly sanitizer lanes (Miri on
 # the oda-telemetry lib tests, ThreadSanitizer on the concurrency-heavy
@@ -59,21 +61,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> chaos soak (short budget; replay at workers=1 and workers=4)"
 cargo run --release -p oda-bench --bin chaos -- 4000 21 4
 
-echo "==> ingest soak (observability baseline)"
-cargo run --release -p oda-bench --bin ingest -- 200 48 > BENCH_ingest.json
-python3 ci/check_bench.py BENCH_ingest.json ci/baselines/BENCH_ingest.json
-
 echo "==> scale bench (worker sweep 1/2/4/8: digest + fan-out overhead; speed-up informational)"
 cargo run --release -p oda-bench --bin scale > BENCH_scale.json
 python3 ci/check_bench.py BENCH_scale.json ci/baselines/BENCH_scale.json
-
-echo "==> storage bench (backend sweep: ingest / long-window query / recovery)"
-cargo run --release -p oda-bench --bin storage > BENCH_storage.json
-python3 ci/check_bench.py BENCH_storage.json ci/baselines/BENCH_storage.json
-
-echo "==> serving bench (multi-tenant query traffic + subscription fan-out)"
-cargo run --release -p oda-bench --bin serving > BENCH_serving.json
-python3 ci/check_bench.py BENCH_serving.json ci/baselines/BENCH_serving.json
 
 if [ "$FULL" = 1 ]; then
   echo "==> miri (undefined-behaviour interpreter; oda-telemetry lib tests)"

@@ -21,12 +21,11 @@ use oda_core::grid::{GridCell, GridFootprint};
 use oda_core::pillar::Pillar;
 use oda_core::pipeline::StagedPipeline;
 use oda_core::runtime::{CapabilityScheduler, RuntimeConfig};
-use oda_telemetry::cluster::{ClusterConfig, ClusterCoordinator};
 use oda_telemetry::hash::{fnv1a_fold, splitmix64, FNV_OFFSET};
 use oda_telemetry::metrics::MetricsRegistry;
-use oda_telemetry::query::{Aggregation, Query, TimeRange};
-use oda_telemetry::reading::{Reading, ReadingBatch, Timestamp};
-use oda_telemetry::sensor::{SensorKind, SensorRegistry, Unit};
+use oda_telemetry::query::TimeRange;
+use oda_telemetry::reading::Timestamp;
+use oda_telemetry::sensor::SensorRegistry;
 use oda_telemetry::store::TimeSeriesStore;
 use serde::Serialize;
 use std::hint::black_box;
@@ -238,169 +237,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     }
 }
 
-// ----- collector-shard sweep ------------------------------------------------
-
-/// Configuration of one collector-shard sweep.
-///
-/// The sweep is a determinism gate: every shard count must answer the
-/// query battery with the same digest. Per-count ingest throughput is
-/// reported for information only — on a one-core runner it says nothing
-/// about scaling; the e2e benchmark's `sharded_site/ingest_rps` owns
-/// that measurement.
-#[derive(Debug, Clone)]
-pub struct ShardSweepConfig {
-    /// Sensors registered in the synthetic space (split across shards by
-    /// the consistent-hash placement).
-    pub sensors: usize,
-    /// Readings ingested per sensor (one per simulated tick).
-    pub ticks: usize,
-    /// Producer threads driving ingest concurrently; sensors are split
-    /// round-robin so each sensor's stream stays in timestamp order.
-    pub producers: usize,
-    /// Shard counts to sweep.
-    pub shard_counts: Vec<usize>,
-    /// Seed for the deterministic synthetic readings.
-    pub seed: u64,
-}
-
-impl Default for ShardSweepConfig {
-    fn default() -> Self {
-        ShardSweepConfig {
-            sensors: 64,
-            ticks: 40,
-            producers: 2,
-            shard_counts: vec![1, 2, 4, 8],
-            seed: 4242,
-        }
-    }
-}
-
-/// Measurements for one shard count.
-#[derive(Debug, Clone, Serialize)]
-pub struct ShardPoint {
-    /// Collector shards in the cluster.
-    pub shards: usize,
-    /// Wall time to ingest the whole stream and drain every shard, ns.
-    pub ingest_wall_ns: u64,
-    /// Ingest throughput, readings per second (informational).
-    pub ingest_rps: f64,
-    /// Folded digest of the scatter-gather query battery. **Must match
-    /// across every shard count** — the determinism contract.
-    pub query_digest: u64,
-}
-
-/// Everything one shard sweep measured.
-#[derive(Debug, Clone, Serialize)]
-pub struct ShardSweepReport {
-    /// Sensors in the synthetic space.
-    pub sensors: usize,
-    /// Readings per sensor.
-    pub ticks: usize,
-    /// Concurrent producer threads.
-    pub producers: usize,
-    /// Per-shard-count measurements, in sweep order.
-    pub points: Vec<ShardPoint>,
-    /// Whether every shard count answered the query battery with a
-    /// bit-identical digest. **Must be true** — gated by
-    /// `ci/check_bench.py` and the bench binary's exit status.
-    pub digests_equal: bool,
-}
-
-/// The scatter-gather query battery: every result shape the coordinator
-/// merges, folded into one digest. Identical at any shard count or the
-/// sweep fails.
-fn query_battery_digest(
-    cluster: &ClusterCoordinator,
-    sensor_ids: &[oda_telemetry::sensor::SensorId],
-) -> u64 {
-    let queries = vec![
-        Query::sensors("/bench/*").aggregate(Aggregation::Mean),
-        Query::sensors("/bench/*").aggregate(Aggregation::Max),
-        Query::sensors("/bench/*").downsample(5_000, Aggregation::Mean),
-        Query::sensors("/bench/*").align(10_000),
-        Query::sensors(&sensor_ids[..sensor_ids.len().min(8)]).range(TimeRange::all()),
-        Query::sensors("/bench/*")
-            .rate()
-            .aggregate(Aggregation::Sum),
-    ];
-    let mut digest = FNV_OFFSET;
-    for q in queries {
-        fnv1a_fold(&mut digest, &cluster.query(q).digest().to_le_bytes());
-    }
-    digest
-}
-
-/// Runs the shard sweep: for each shard count a fresh cluster ingests the
-/// same deterministic stream (placement-routed, `producers` threads wide),
-/// then answers the same scatter-gather query battery; per-count digests
-/// must be bit-identical and ingest throughput is measured wall-clock.
-pub fn run_shard_sweep(cfg: &ShardSweepConfig) -> ShardSweepReport {
-    let mut points: Vec<ShardPoint> = Vec::with_capacity(cfg.shard_counts.len());
-    for &shards in &cfg.shard_counts {
-        let registry = SensorRegistry::new();
-        let sensor_ids: Vec<_> = (0..cfg.sensors)
-            .map(|i| registry.register(&format!("/bench/s{i:03}"), SensorKind::Power, Unit::Watts))
-            .collect();
-        let cluster = ClusterCoordinator::new(
-            ClusterConfig {
-                shards,
-                per_sensor_capacity: cfg.ticks.max(64),
-                ..ClusterConfig::default()
-            },
-            registry.clone(),
-        )
-        .expect("bench cluster opens over fresh in-memory filesystems");
-
-        let producers = cfg.producers.max(1);
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for p in 0..producers {
-                let cluster = &cluster;
-                let mine: Vec<_> = sensor_ids
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % producers == p)
-                    .map(|(_, &s)| s)
-                    .collect();
-                let seed = cfg.seed;
-                let ticks = cfg.ticks;
-                scope.spawn(move || {
-                    for t in 0..ticks {
-                        cluster.ingest_many(mine.iter().map(|&sensor| {
-                            let x = splitmix64(seed ^ (sensor.0 as u64) << 32 ^ t as u64);
-                            let value = (x >> 11) as f64 / (1u64 << 53) as f64 * 1_000.0;
-                            let reading = Reading::new(Timestamp::from_secs(t as u64), value);
-                            ReadingBatch::single(sensor, reading)
-                        }));
-                    }
-                });
-            }
-        });
-        cluster.fence();
-        let ingest_wall_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-
-        let total = (cfg.sensors * cfg.ticks) as f64;
-        points.push(ShardPoint {
-            shards,
-            ingest_wall_ns,
-            ingest_rps: total / (ingest_wall_ns.max(1) as f64 / 1e9),
-            query_digest: query_battery_digest(&cluster, &sensor_ids),
-        });
-    }
-
-    let digests_equal = points
-        .windows(2)
-        .all(|w| w[0].query_digest == w[1].query_digest);
-
-    ShardSweepReport {
-        sensors: cfg.sensors,
-        ticks: cfg.ticks,
-        producers: cfg.producers,
-        points,
-        digests_equal,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,23 +257,5 @@ mod tests {
         assert_eq!(report.points.len(), 2);
         assert!(report.points.iter().all(|p| p.pass_p50_ns > 0));
         assert!(report.host_parallelism >= 1);
-    }
-
-    #[test]
-    fn shard_sweep_digests_are_shard_count_invariant() {
-        let cfg = ShardSweepConfig {
-            sensors: 24,
-            ticks: 8,
-            producers: 2,
-            shard_counts: vec![1, 3],
-            seed: 99,
-        };
-        let report = run_shard_sweep(&cfg);
-        assert!(
-            report.digests_equal,
-            "query digests diverged across shard counts"
-        );
-        assert_eq!(report.points.len(), 2);
-        assert!(report.points.iter().all(|p| p.ingest_rps > 0.0));
     }
 }

@@ -31,8 +31,7 @@
 //!
 //! Query responses carry `X-Cache: hit|miss` and `X-Result-Digest` (the
 //! [`oda_telemetry::query::QueryResult::digest`] of the rendered result),
-//! so a client — or the serving bench's exit gate — can verify the cache's
-//! bit-equality contract externally.
+//! so a client can verify the cache's bit-equality contract externally.
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::config::ServingConfig;
@@ -643,6 +642,7 @@ impl<N: ServerNet> Server<N> {
                     ("alive".to_string(), u(shards.alive as u64)),
                     ("epoch".to_string(), u(shards.epoch)),
                     ("rebalances".to_string(), u(shards.rebalances)),
+                    ("handoff_errors".to_string(), u(shards.handoff_errors)),
                     ("occupancy".to_string(), occupancy),
                 ]),
             ));

@@ -6,7 +6,7 @@
 //! [`crate::net::SimNet`]'s logical clock the full sequence of
 //! admit/shed decisions is deterministic and replayable.
 //!
-//! The accounting invariant (asserted by tests and the serving bench):
+//! The accounting invariant (asserted by tests):
 //!
 //! ```text
 //! offered == admitted + shed_rate_limited + shed_saturated

@@ -26,8 +26,8 @@
 //!
 //! Every step is either per-sensor-identical or a deterministic
 //! reassembly, so [`QueryResult::digest`] is bit-identical at any shard
-//! count, including `shards = 1` — the property `tests/cluster.rs` and
-//! the scale bench's exit gate assert.
+//! count, including `shards = 1` — the property `tests/cluster.rs`
+//! asserts.
 //!
 //! # Rebalance protocol
 //!
@@ -38,11 +38,15 @@
 //! surviving filesystem, and replay each moved sensor's readings into
 //! its new owner in acceptance order. Because shards acknowledge an
 //! ingest only after the WAL sync (see [`super::shard`]), no accepted
-//! reading is lost. The last alive shard cannot be removed; failing it
-//! restarts it in place from its own durable tier instead.
+//! reading is lost while that tier reads back whole. History it cannot
+//! read back — the tier fails to open, a segment fails verification, a
+//! sensor's read fails — is counted in
+//! [`ClusterCoordinator::handoff_errors`] rather than dropped unseen. The
+//! last alive shard cannot be removed; failing it restarts it in place
+//! from its own durable tier instead.
 
 use crate::cluster::placement::{PlacementMap, ShardId};
-use crate::cluster::shard::{EdgeTask, ShardCmd, ShardHandle, ShardHealth};
+use crate::cluster::shard::{ShardCmd, ShardHandle, ShardHealth};
 use crate::cluster::ClusterConfig;
 use crate::metrics::MetricsRegistry;
 use crate::plane::{QueryPlane, ShardStats};
@@ -82,6 +86,7 @@ struct State {
     /// Indexed by shard id; `None` marks a failed (removed) shard.
     shards: Vec<Option<ShardHandle>>,
     rebalances: u64,
+    handoff_errors: u64,
 }
 
 /// Routes ingest by sensor placement and executes queries via
@@ -124,6 +129,7 @@ impl ClusterCoordinator {
                 placement,
                 shards,
                 rebalances: 0,
+                handoff_errors: 0,
             }),
         })
     }
@@ -148,6 +154,13 @@ impl ClusterCoordinator {
     /// here; it is visible as an [`Self::epoch`] bump instead.
     pub fn rebalances(&self) -> u64 {
         self.state.read().rebalances
+    }
+
+    /// Pieces of a failed shard's history its rebalance could not move: one
+    /// per failed open of its durable tier, per segment that open dropped
+    /// for failing verification, and per sensor whose read failed.
+    pub fn handoff_errors(&self) -> u64 {
+        self.state.read().handoff_errors
     }
 
     /// The registry shared by every shard's query engine.
@@ -313,21 +326,6 @@ impl ClusterCoordinator {
             .collect()
     }
 
-    /// Runs `task` on every alive shard's own thread against its local
-    /// store (edge placement), gathering `(shard, samples)` in ascending
-    /// shard order.
-    pub fn run_edge(&self, task: EdgeTask) -> Vec<(ShardId, Vec<(String, f64)>)> {
-        let pending = ask_alive(&self.state.read(), |reply| ShardCmd::Edge {
-            task: Arc::clone(&task),
-            reply,
-        });
-        // Gathered with the lock released; see `query`.
-        pending
-            .into_iter()
-            .filter_map(|(id, rx)| rx.recv().ok().map(|samples| (id, samples)))
-            .collect()
-    }
-
     /// Fails `shard` and rebalances its slice: drain-stop the shard,
     /// remove its ring points, reopen its durable tier from the
     /// surviving filesystem and replay every moved sensor into its new
@@ -376,23 +374,27 @@ impl ClusterCoordinator {
         // failed shard's durable tier holds only its own sensors, so
         // replaying every sensor it stored is precisely the moved set.
         let report = MetricsRegistry::new();
-        if let Ok((engine, _recovery)) =
-            PersistentEngine::open(Arc::clone(&fs), self.cfg.storage.engine.clone(), &report)
-        {
-            for meta in self.registry.all() {
-                let mut readings: Vec<Reading> = Vec::new();
-                if engine
-                    .range_into(meta.id, Timestamp::ZERO, Timestamp(u64::MAX), &mut readings)
-                    .is_err()
-                    || readings.is_empty()
-                {
-                    continue;
+        match PersistentEngine::open(Arc::clone(&fs), self.cfg.storage.engine.clone(), &report) {
+            Ok((engine, recovery)) => {
+                state.handoff_errors += recovery.segments_dropped as u64;
+                for meta in self.registry.all() {
+                    let mut readings: Vec<Reading> = Vec::new();
+                    let read =
+                        engine.range_into(meta.id, Timestamp::ZERO, Timestamp::MAX, &mut readings);
+                    if read.is_err() {
+                        state.handoff_errors += 1;
+                        continue;
+                    }
+                    if readings.is_empty() {
+                        continue;
+                    }
+                    // One command per sensor: a sensor's whole history is
+                    // already a large group, and the queue bounds how many wait.
+                    let sensor = meta.id;
+                    route(&state, [ReadingBatch { sensor, readings }]);
                 }
-                // One command per sensor: a sensor's whole history is
-                // already a large group, and the queue bounds how many wait.
-                let sensor = meta.id;
-                route(&state, [ReadingBatch { sensor, readings }]);
             }
+            Err(_) => state.handoff_errors += 1,
         }
         // Fence the survivors so the handoff is fully applied (and
         // durable on the new owners) before the failure "completes".
@@ -457,6 +459,7 @@ impl QueryPlane for ClusterCoordinator {
             alive: self.alive_shards().len(),
             epoch: self.epoch(),
             rebalances: self.rebalances(),
+            handoff_errors: self.handoff_errors(),
             occupancy: self.occupancy(),
         })
     }
@@ -569,4 +572,71 @@ fn gather<R, T: Clone + Default>(
         }
     }
     slots
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sensor::{SensorKind, Unit};
+    use crate::storage::{segment, EngineConfig, StorageConfig};
+
+    /// A rebalance that cannot read part of the failed shard's history
+    /// says so: a bit flipped in a sealed block makes the reopen drop that
+    /// segment, and the lost piece shows beside `rebalances`.
+    #[test]
+    fn a_handoff_that_cannot_read_history_counts_it() {
+        let registry = SensorRegistry::new();
+        let sensors: Vec<SensorId> = (0..16)
+            .map(|i| registry.register(&format!("/h/s{i:02}"), SensorKind::Power, Unit::Watts))
+            .collect();
+        let cluster = ClusterCoordinator::new(
+            ClusterConfig {
+                storage: StorageConfig {
+                    engine: EngineConfig {
+                        segment_max_readings: 8,
+                        wal_sync_every: 1,
+                        ..EngineConfig::default()
+                    },
+                    ..StorageConfig::hybrid()
+                },
+                ..ClusterConfig::with_shards(2)
+            },
+            registry,
+        )
+        .unwrap();
+        let mine: Vec<SensorId> = sensors
+            .into_iter()
+            .filter(|&s| cluster.owner(s) == ShardId(0))
+            .collect();
+        assert!(!mine.is_empty());
+        for t in 0..8u64 {
+            cluster.ingest_many(mine.iter().map(|&s| {
+                ReadingBatch::single(s, Reading::new(Timestamp::from_secs(t), t as f64))
+            }));
+        }
+        cluster.fence();
+
+        let fs = {
+            let state = cluster.state.read();
+            let shard = state.shards[0].as_ref().expect("shard 0 is alive");
+            Arc::clone(&shard.fs)
+        };
+        let name = fs
+            .list()
+            .unwrap()
+            .into_iter()
+            .find(|n| segment::parse_file_name(n).is_some())
+            .expect("shard 0 sealed a segment");
+        let mut bytes = fs.read(&name).unwrap();
+        let (_, dir) = segment::decode_indexed(&bytes).unwrap();
+        let hit = *dir.iter().next().expect("the segment has a block");
+        bytes[(hit.offset + hit.len / 2) as usize] ^= 0x01;
+        fs.write_atomic(&name, &bytes).unwrap();
+
+        assert!(cluster.fail_shard(ShardId(0)));
+        assert_eq!(cluster.rebalances(), 1);
+        assert_eq!(cluster.handoff_errors(), 1);
+        let stats = cluster.shard_stats().expect("a cluster has shard stats");
+        assert_eq!((stats.rebalances, stats.handoff_errors), (1, 1));
+    }
 }

@@ -17,10 +17,8 @@
 //!   `shards = 1`), and rebalances ownership on node failure by
 //!   replaying the failed shard's durable tier into the new owners.
 //!
-//! Operator placement follows the edge/global split: shard-local "edge"
-//! tasks ([`EdgeTask`]) run on each shard's own thread against its local
-//! store, while global consumers read gathered aggregates through
-//! [`ClusterCoordinator::query`].
+//! Consumers read gathered results through [`ClusterCoordinator::query`];
+//! nothing runs on a shard's thread but the shard's own commands.
 
 mod coordinator;
 pub mod placement;
@@ -28,7 +26,7 @@ mod shard;
 
 pub use coordinator::{ClusterCoordinator, ShardOccupancy};
 pub use placement::{PlacementMap, ShardId};
-pub use shard::{EdgeTask, EdgeView, ShardHealth};
+pub use shard::ShardHealth;
 
 use crate::storage::StorageConfig;
 use crate::store::RollupConfig;

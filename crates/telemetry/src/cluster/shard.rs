@@ -3,8 +3,8 @@
 //!
 //! The channel is the shard's entire public surface — no other thread
 //! ever touches the shard's store or archive, so there are no shared
-//! locks across shards and every command (ingest, query, health, edge
-//! task) executes in exactly the order it arrived. That FIFO is what
+//! locks across shards and every command (ingest, query, versions,
+//! health) executes in exactly the order it arrived. That FIFO is what
 //! makes scatter-gather deterministic without global fences: a query
 //! sent after an ingest on the same shard necessarily observes it.
 //!
@@ -30,25 +30,6 @@ use crate::store::TimeSeriesStore;
 use crossbeam_channel::{bounded, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// What a shard-local (edge-placed) task sees: the shard's own store and
-/// the cluster-wide registry. Edge tasks run *inside* the shard's worker
-/// thread, so they observe a quiesced, ordered view of exactly this
-/// shard's slice — the "edge operator" placement of the DCDB-style
-/// collector hierarchy.
-pub struct EdgeView<'a> {
-    /// The shard executing the task.
-    pub shard: ShardId,
-    /// The shard's hot store (its slice of the sensor space only).
-    pub store: &'a TimeSeriesStore,
-    /// The cluster-wide sensor registry.
-    pub registry: &'a SensorRegistry,
-}
-
-/// A shard-local task: runs on each shard's own thread against its local
-/// store and returns named KPI samples, gathered by the coordinator in
-/// shard-id order.
-pub type EdgeTask = Arc<dyn Fn(&EdgeView<'_>) -> Vec<(String, f64)> + Send + Sync>;
 
 /// Point-in-time health of one shard, as reported by its worker thread.
 #[derive(Debug, Clone)]
@@ -83,11 +64,6 @@ pub(crate) enum ShardCmd {
     },
     /// Report shard health.
     Health { reply: Sender<ShardHealth> },
-    /// Run a shard-local edge task.
-    Edge {
-        task: EdgeTask,
-        reply: Sender<Vec<(String, f64)>>,
-    },
     /// Barrier: reply once every earlier command has been processed.
     Fence { reply: Sender<()> },
     /// Flush and exit the worker loop (graceful fail-stop: the queue
@@ -196,14 +172,6 @@ fn run(
                     published,
                     wal_errors: wal_errors.get(),
                 });
-            }
-            ShardCmd::Edge { task, reply } => {
-                let view = EdgeView {
-                    shard: id,
-                    store: archive.store().as_ref(),
-                    registry,
-                };
-                let _ = reply.send(task(&view));
             }
             ShardCmd::Fence { reply } => {
                 let _ = reply.send(());

@@ -88,8 +88,7 @@ pub mod prelude {
     pub use crate::alert::{AlertEngine, AlertEvent, AlertRule, AlertSeverity, Condition};
     pub use crate::bus::{Subscription, SubscriptionBuilder, TelemetryBus};
     pub use crate::cluster::{
-        ClusterConfig, ClusterCoordinator, EdgeTask, EdgeView, PlacementMap, ShardHealth, ShardId,
-        ShardOccupancy,
+        ClusterConfig, ClusterCoordinator, PlacementMap, ShardHealth, ShardId, ShardOccupancy,
     };
     pub use crate::health::{HealthReport, SensorHealth, TierOccupancy};
     pub use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Timer};

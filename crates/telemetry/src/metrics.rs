@@ -16,8 +16,7 @@
 //!    happens on the data path.
 //! 2. **No-op mode** — a registry built with [`MetricsRegistry::disabled`]
 //!    hands out instruments whose recording methods are a single `None`
-//!    check. The `bench --bin ingest` soak reports the instrumented vs.
-//!    no-op throughput delta so instrumentation cost stays visible.
+//!    check.
 //! 3. **Determinism** — histogram bucket boundaries are a fixed log-linear
 //!    layout (4 linear sub-buckets per power of two), so two runs that
 //!    record the same values produce bit-identical snapshots, and

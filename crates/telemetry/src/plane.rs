@@ -30,6 +30,8 @@ pub struct ShardStats {
     pub epoch: u64,
     /// Slice handoffs to surviving shards performed so far.
     pub rebalances: u64,
+    /// Pieces of failed shards' history those handoffs could not move.
+    pub handoff_errors: u64,
     /// One entry per configured shard, ascending shard id.
     pub occupancy: Vec<ShardOccupancy>,
 }

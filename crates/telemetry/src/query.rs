@@ -888,7 +888,7 @@ impl QueryResult {
     /// value (so `NaN` patterns and signed zeros are distinguished, which
     /// JSON text is not able to do). Two results digest equal iff they are
     /// bit-identical — the equality the serving cache's contract is stated
-    /// in, asserted by tests and the serving bench exit gate.
+    /// in, asserted by tests.
     pub fn digest(&self) -> u64 {
         let mut bytes = Vec::new();
         for s in &self.sensors {

@@ -8,12 +8,12 @@
 use hpc_oda::serve::net::SimNet;
 use hpc_oda::serve::server::Server;
 use hpc_oda::sim::prelude::*;
-use hpc_oda::telemetry::cluster::{ClusterConfig, ClusterCoordinator, EdgeTask, EdgeView, ShardId};
+use hpc_oda::telemetry::cluster::{ClusterConfig, ClusterCoordinator, ShardId};
+use hpc_oda::telemetry::hash::{fnv1a_fold, splitmix64, FNV_OFFSET};
 use hpc_oda::telemetry::metrics::MetricsRegistry;
 use hpc_oda::telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
 use hpc_oda::telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use hpc_oda::telemetry::sensor::{SensorId, SensorKind, SensorRegistry, Unit};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const TICKS: u64 = 1_800; // 30 simulated minutes at 1 s per tick
@@ -255,55 +255,72 @@ fn ingest_many_is_ingest_in_a_loop_also_across_a_rebalance() {
     }
 }
 
+/// Concurrent producers at any shard count: 64 sensors, 40 ticks, two
+/// producer threads each feeding its round-robin half of the sensors one
+/// tick at a time, so arrival order across producers varies run to run.
+/// The six-query battery must digest identically at shards 1/2/4/8 — and to
+/// the pinned value, so a change to routing, gather order or the readings
+/// themselves cannot pass by moving every shard count at once.
 #[test]
-fn edge_tasks_cover_each_shard_slice_exactly_once() {
-    let unsharded = build(34, 0, None);
-    let dc = build(34, 3, None);
-    let cluster = dc.cluster().expect("sharded site has a coordinator");
+fn concurrent_producers_digest_identically_at_any_shard_count() {
+    const SENSORS: usize = 64;
+    const TICKS: u64 = 40;
+    const PRODUCERS: usize = 2;
+    const SEED: u64 = 4242;
+    for shards in [1usize, 2, 4, 8] {
+        let registry = SensorRegistry::new();
+        let sensor_ids: Vec<SensorId> = (0..SENSORS)
+            .map(|i| registry.register(&format!("/bench/s{i:03}"), SensorKind::Power, Unit::Watts))
+            .collect();
+        let cluster = ClusterCoordinator::new(
+            ClusterConfig {
+                shards,
+                per_sensor_capacity: 64,
+                ..ClusterConfig::default()
+            },
+            registry,
+        )
+        .expect("cluster opens over fresh in-memory filesystems");
+        std::thread::scope(|scope| {
+            for p in 0..PRODUCERS {
+                let cluster = &cluster;
+                let mine: Vec<SensorId> = sensor_ids
+                    .iter()
+                    .skip(p)
+                    .step_by(PRODUCERS)
+                    .copied()
+                    .collect();
+                scope.spawn(move || {
+                    for t in 0..TICKS {
+                        assert!(cluster.ingest_many(mine.iter().map(|&sensor| {
+                            let x = splitmix64(SEED ^ (u64::from(sensor.0) << 32) ^ t);
+                            let value = (x >> 11) as f64 / (1u64 << 53) as f64 * 1_000.0;
+                            ReadingBatch::single(
+                                sensor,
+                                Reading::new(Timestamp::from_secs(t), value),
+                            )
+                        })));
+                    }
+                });
+            }
+        });
+        cluster.fence();
 
-    // Shard-local edge task: per-sensor reading counts over the *local*
-    // store only — the anomaly-detector placement from the paper's edge
-    // tier, where each collector scans just its own slice.
-    let task: EdgeTask = Arc::new(|view: &EdgeView<'_>| {
-        view.registry
-            .all()
-            .into_iter()
-            .filter_map(|meta| {
-                let n = view
-                    .store
-                    .range(meta.id, Timestamp::ZERO, Timestamp(u64::MAX))
-                    .len();
-                (n > 0).then(|| (meta.name.to_string(), n as f64))
-            })
-            .collect()
-    });
-    let gathered = cluster.run_edge(task);
-    assert_eq!(gathered.len(), 3);
-
-    // Union across shards: every sensor appears exactly once (ownership is
-    // a partition) with exactly the unsharded archive's count.
-    let mut union: BTreeMap<String, f64> = BTreeMap::new();
-    for (_, samples) in gathered {
-        for (name, n) in samples {
-            assert!(
-                union.insert(name.clone(), n).is_none(),
-                "{name} reported by two shards"
-            );
+        let battery = [
+            Query::sensors("/bench/*").aggregate(Aggregation::Mean),
+            Query::sensors("/bench/*").aggregate(Aggregation::Max),
+            Query::sensors("/bench/*").downsample(5_000, Aggregation::Mean),
+            Query::sensors("/bench/*").align(10_000),
+            Query::sensors(&sensor_ids[..8]).range(TimeRange::all()),
+            Query::sensors("/bench/*")
+                .rate()
+                .aggregate(Aggregation::Sum),
+        ];
+        let mut digest = FNV_OFFSET;
+        for q in battery {
+            fnv1a_fold(&mut digest, &cluster.query(q).digest().to_le_bytes());
         }
-    }
-    for meta in unsharded.registry().all() {
-        let expected = unsharded
-            .store()
-            .range(meta.id, Timestamp::ZERO, Timestamp(u64::MAX))
-            .len();
-        if expected > 0 {
-            assert_eq!(
-                union.get(meta.name.as_ref()).copied(),
-                Some(expected as f64),
-                "{} count diverged",
-                meta.name
-            );
-        }
+        assert_eq!(digest, 12081241311551407245, "digest at {shards} shard(s)");
     }
 }
 
@@ -495,6 +512,7 @@ fn serving_frontend_fans_out_transparently_over_shards() {
     assert!(text.contains("\"shards\""), "stats missing shards section");
     assert!(text.contains("\"occupancy\""));
     assert!(text.contains("\"count\":3"), "{text}");
+    assert!(text.contains("\"handoff_errors\":0"), "{text}");
     let (status, _, body) = round_trip(&net_a, &mut srv_a, stats_req);
     assert_eq!(status, 200);
     assert!(

@@ -447,3 +447,90 @@ fn after_any_returned_call_fewer_than_the_sync_interval_are_missing() {
         assert_bit_identical(backend.store(), &reference_store(S, &readings(kept)), S);
     }
 }
+
+// ----- backend parity --------------------------------------------------------
+
+/// FNV-1a over every reading `backend` serves for `sensors`, sensor-major in
+/// id order: two archives digest equal iff their visible content is
+/// bit-identical.
+fn archive_digest(backend: &dyn StorageBackend, sensors: u32) -> u64 {
+    let mut bytes = Vec::new();
+    for id in (0..sensors).map(SensorId) {
+        bytes.extend_from_slice(&id.0.to_le_bytes());
+        for r in backend.range(id, Timestamp::ZERO, Timestamp::MAX) {
+            bytes.extend_from_slice(&r.ts.0.to_le_bytes());
+            bytes.extend_from_slice(&r.value.to_bits().to_le_bytes());
+        }
+    }
+    hpc_oda::telemetry::hash::fnv1a64(&bytes)
+}
+
+/// The three backends hold one archive: the same grouped workload digests
+/// identically through each, the durable ones persist every reading and
+/// recover it bit-identically across a crash, and the in-memory one
+/// persists and recovers nothing.
+#[test]
+fn every_backend_serves_one_archive_and_the_durable_ones_recover_it() {
+    const SENSORS: u32 = 8;
+    const ROUNDS: u64 = 40;
+    const PER_BATCH: u64 = 4;
+    const TOTAL: u64 = SENSORS as u64 * ROUNDS * PER_BATCH;
+    let per_sensor = (ROUNDS * PER_BATCH) as usize;
+    // Small segments, so recovery crosses sealed segments and a WAL tail.
+    let cfg = EngineConfig {
+        segment_max_readings: 256,
+        ..EngineConfig::default()
+    };
+    let mut served = Vec::new();
+    for kind in [
+        BackendKind::InMemory,
+        BackendKind::Persistent,
+        BackendKind::Hybrid,
+    ] {
+        let fs = Arc::new(SimFs::new());
+        let (before, durable) = {
+            let backend = backend_over(&fs, kind, cfg.clone(), per_sensor);
+            // One group per round, the way a site hands over a tick.
+            for round in 0..ROUNDS {
+                let tick: Vec<ReadingBatch> = (0..SENSORS)
+                    .map(|s| ReadingBatch {
+                        sensor: SensorId(s),
+                        readings: (0..PER_BATCH)
+                            .map(|k| {
+                                let seq = round * PER_BATCH + k;
+                                let value = (u64::from(s) * 100_000 + seq) as f64 * 0.5;
+                                Reading::new(Timestamp::from_millis(seq * 1_000), value)
+                            })
+                            .collect(),
+                    })
+                    .collect();
+                assert_eq!(backend.insert_many(&tick), tick.len() * PER_BATCH as usize);
+            }
+            backend.flush().unwrap();
+            for s in 0..SENSORS {
+                let all = backend.range(SensorId(s), Timestamp::ZERO, Timestamp::MAX);
+                assert_eq!(all.len(), per_sensor, "{kind:?} serves the whole history");
+            }
+            (
+                archive_digest(backend.as_ref(), SENSORS),
+                backend.durable_len(),
+            )
+        };
+        fs.crash();
+        let reopened = backend_over(&fs, kind, cfg.clone(), per_sensor);
+        let recovered = reopened.recovery().map_or(0, |r| r.readings_recovered);
+        let after = archive_digest(reopened.as_ref(), SENSORS);
+        if kind == BackendKind::InMemory {
+            assert_eq!((durable, recovered), (0, 0));
+            assert_ne!(after, before, "in-memory content must not survive");
+        } else {
+            assert_eq!((durable, recovered), (TOTAL, TOTAL), "{kind:?}");
+            assert_eq!(after, before, "{kind:?} recovered different content");
+        }
+        served.push(before);
+    }
+    assert!(
+        served.windows(2).all(|w| w[0] == w[1]),
+        "backends served different archives: {served:x?}"
+    );
+}

@@ -700,3 +700,124 @@ fn fused_fleet_query_is_the_per_sensor_queries_concatenated() {
         }
     }
 }
+
+/// A long-window fleet mean, published through the bus and answered through
+/// the rollup planner, then again with the planner bypassed — counted
+/// exactly rather than timed. Every sensor tier-hits on every planned query
+/// and the planned path scans no raw reading; the bypass scans every
+/// reading of every sensor on every query; both answer bit-for-bit alike
+/// (the values are dyadic, so tier partial sums are exact). A disabled
+/// recorder runs the same workload to the same answers and records nothing.
+#[test]
+fn long_window_fleet_mean_is_served_from_tiers_with_exact_counts() {
+    use hpc_oda::telemetry::bus::TelemetryBus;
+    use hpc_oda::telemetry::metrics::MetricsRegistry;
+    use hpc_oda::telemetry::reading::ReadingBatch;
+    use hpc_oda::telemetry::sensor::{SensorKind, SensorRegistry, Unit};
+    use hpc_oda::telemetry::store::RollupConfig;
+    use std::sync::Arc;
+
+    const SENSORS: u64 = 8;
+    const ROUNDS: u64 = 20;
+    const PER_BATCH: u64 = 4;
+    const QUERIES: u64 = 10;
+    const READINGS: u64 = ROUNDS * PER_BATCH; // per sensor
+    const COUNTERS: [&str; 2] = ["query_tier_hit_total", "query_readings_scanned_total"];
+
+    let run = |metrics: MetricsRegistry| {
+        let registry = SensorRegistry::new();
+        let sensors: Vec<SensorId> = (0..SENSORS)
+            .map(|i| {
+                registry.register(
+                    &format!("/hw/node{i}/power_w"),
+                    SensorKind::Power,
+                    Unit::Watts,
+                )
+            })
+            .collect();
+        let store = Arc::new(TimeSeriesStore::with_rollups(
+            256,
+            TimeSeriesStore::DEFAULT_SHARDS,
+            metrics.clone(),
+            RollupConfig::default(),
+        ));
+        let bus = TelemetryBus::with_parts(registry, Some(Arc::clone(&store)), metrics.clone());
+        let sub = bus
+            .subscription("/hw/**")
+            .capacity(2 * SENSORS as usize)
+            .named("drain")
+            .subscribe();
+        for round in 0..ROUNDS {
+            for (i, &sensor) in sensors.iter().enumerate() {
+                let readings = (0..PER_BATCH)
+                    .map(|k| {
+                        let ts = Timestamp::from_millis((round * PER_BATCH + k) * 1_000);
+                        Reading::new(ts, 100.0 + i as f64 + k as f64 * 0.25)
+                    })
+                    .collect();
+                bus.publish(ReadingBatch { sensor, readings });
+            }
+            while sub.rx.try_recv().is_ok() {}
+        }
+        assert_eq!(bus.delivered_total(), SENSORS * ROUNDS);
+        assert_eq!(bus.dropped_total(), 0);
+
+        let engine = QueryEngine::new(&store);
+        let counters = || {
+            let snap = metrics.snapshot();
+            COUNTERS.map(|c| snap.counter(c).unwrap_or(0))
+        };
+        let fleet_means = |raw: bool| -> Vec<Vec<Option<u64>>> {
+            (0..QUERIES)
+                .map(|_| {
+                    let q = Query::sensors(sensors.as_slice())
+                        .range(TimeRange::all())
+                        .aggregate(Aggregation::Mean);
+                    let q = if raw { q.raw_scan() } else { q };
+                    q.run(&engine)
+                        .scalars()
+                        .into_iter()
+                        .map(|x| x.map(f64::to_bits))
+                        .collect()
+                })
+                .collect()
+        };
+        let start = counters();
+        let tiered = fleet_means(false);
+        let mid = counters();
+        let raw = fleet_means(true);
+        let end = counters();
+        assert_eq!(
+            tiered, raw,
+            "planned answers must equal the raw rescan bit for bit"
+        );
+        let phase = |a: [u64; 2], b: [u64; 2]| [b[0] - a[0], b[1] - a[1]];
+        (
+            tiered,
+            phase(start, mid),
+            phase(mid, end),
+            metrics.snapshot(),
+        )
+    };
+
+    let (answers, tiered, raw, snap) = run(MetricsRegistry::new());
+    assert_eq!(tiered, [QUERIES * SENSORS, 0], "tiered [hits, scanned]");
+    assert_eq!(
+        raw,
+        [0, QUERIES * SENSORS * READINGS],
+        "raw [hits, scanned]"
+    );
+    let total = SENSORS * READINGS;
+    assert_eq!(snap.counter("bus_readings_total"), Some(total));
+    let appended: u64 = snap
+        .counters
+        .iter()
+        .filter(|c| c.id.starts_with("store_append_total"))
+        .map(|c| c.value)
+        .sum();
+    assert_eq!(appended, total);
+
+    let (quiet_answers, _, _, quiet) = run(MetricsRegistry::disabled());
+    assert_eq!(quiet_answers, answers);
+    assert!(quiet.counters.is_empty() && quiet.histograms.is_empty());
+}
