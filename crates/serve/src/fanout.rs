@@ -1,20 +1,31 @@
-//! Subscription fan-out: one bus subscription, many streaming clients.
+//! Subscription fan-out: one bus subscription per distinct client pattern,
+//! many streaming clients.
 //!
-//! A facility dashboard deployment can easily want thousands of live
-//! views of the same telemetry. Registering one [`TelemetryBus`]
-//! subscriber per HTTP client would multiply the bus's per-publish work
-//! by the client count; instead the [`FanoutHub`] holds exactly **one**
-//! wide bus subscription and multiplexes its batches to every streaming
-//! client, filtering per client by sensor pattern.
+//! The [`FanoutHub`] groups streaming clients by pattern — spellings that
+//! compile to the same [`SensorPattern`] form one group — and holds one
+//! [`TelemetryBus`] subscription per group. The bus resolves each sensor
+//! against each group's pattern once, late-registered sensors included,
+//! and delivers only the batches the group wants, so the hub renders a
+//! frame only when some client wants it and never matches sensor names
+//! itself. The last client out of a group drops its subscription, so an
+//! idle hub costs the bus nothing.
+//!
+//! The cost moves onto the publishing side and grows with the number of
+//! distinct patterns, which only the number of attached streaming
+//! connections bounds: every publish pays one set lookup per batch per
+//! distinct pattern, plus a batch clone into each group's channel the batch
+//! matches. Within one pump a batch several patterns matched is rendered
+//! once, so rendering does not grow with them.
 //!
 //! Backpressure is strictly local: each client owns a bounded frame
 //! buffer ([`crate::config::ServingConfig::sub_buffer_frames`]). When the
 //! serving loop cannot flush a client as fast as the bus produces — a
 //! slow reader, a congested socket — the *oldest* buffered frames for
 //! that client are shed and counted, and every other client is entirely
-//! unaffected. A frame is rendered once per batch and shared by `Arc`
-//! across all buffers, so fan-out cost per extra client is one pointer
-//! push, not one JSON render.
+//! unaffected. A frame is shared by `Arc` across buffers, so fan-out cost
+//! per extra client is one pointer push, not one JSON render. Batches the
+//! bus sheds because a group's channel filled between pumps are counted in
+//! [`FanoutStats::bus_dropped`].
 //!
 //! Frames are newline-delimited JSON (`application/x-ndjson`):
 //!
@@ -24,7 +35,7 @@
 
 use oda_telemetry::bus::{Subscription, TelemetryBus};
 use oda_telemetry::pattern::SensorPattern;
-use oda_telemetry::reading::ReadingBatch;
+use oda_telemetry::reading::{ReadingBatch, Timestamp};
 use oda_telemetry::sensor::{SensorId, SensorRegistry};
 use serde_json::Value;
 use std::collections::btree_map::Entry;
@@ -34,7 +45,8 @@ use std::sync::Arc;
 /// Monotone hub-wide fan-out counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FanoutStats {
-    /// Batches drained from the bus subscription.
+    /// Batches drained from the bus subscriptions (a batch matching two
+    /// clients' different patterns counts once per pattern).
     pub batches_in: u64,
     /// Frames enqueued into client buffers (one per matching client).
     pub frames_enqueued: u64,
@@ -46,56 +58,146 @@ pub struct FanoutStats {
     pub clients_attached: u64,
     /// Clients detached (client close or server shutdown of the stream).
     pub clients_detached: u64,
+    /// Batches the bus shed before the hub saw them, because a pattern's
+    /// subscription channel was full when the bus delivered.
+    pub bus_dropped: u64,
 }
 
 struct FanoutClient {
-    /// Sensors this client's pattern resolved to at attach time.
-    sensors: Vec<SensorId>,
-    pattern: SensorPattern,
+    /// Key of the [`PatternGroup`] this client belongs to.
+    group: String,
     buf: VecDeque<Arc<Vec<u8>>>,
     limit: usize,
     shed: u64,
     delivered: u64,
 }
 
-impl FanoutClient {
-    fn wants(&self, sensor: SensorId, registry: &SensorRegistry) -> bool {
-        if self.sensors.binary_search(&sensor).is_ok() {
-            return true;
+/// The clients that asked for one pattern, fed by one bus subscription.
+struct PatternGroup {
+    sub: Subscription,
+    clients: Vec<u64>,
+    /// `sub.dropped()` as last added to [`FanoutStats::bus_dropped`].
+    dropped_seen: u64,
+}
+
+impl PatternGroup {
+    /// Adds what the bus shed for this group since the last look to
+    /// `stats.bus_dropped`.
+    fn count_bus_dropped(&mut self, stats: &mut FanoutStats) {
+        let dropped = self.sub.dropped();
+        stats.bus_dropped += dropped - self.dropped_seen;
+        self.dropped_seen = dropped;
+    }
+
+    /// Drains the group's channel, renders each batch (or finds it already
+    /// rendered) and pushes the frame into every member's buffer, shedding
+    /// the oldest frames of any member over its limit. Returns the number
+    /// of batches drained.
+    fn drain_into(
+        &mut self,
+        clients: &mut BTreeMap<u64, FanoutClient>,
+        rendered: &mut Rendered<'_>,
+        stats: &mut FanoutStats,
+    ) -> usize {
+        self.count_bus_dropped(stats);
+        let mut frames: Vec<Arc<Vec<u8>>> = Vec::new();
+        while let Ok(batch) = self.sub.rx.try_recv() {
+            frames.push(rendered.frame(batch));
         }
-        // A sensor registered after attach: match by name so late-registered
-        // sensors are picked up, mirroring bus subscription semantics.
-        registry
-            .name(sensor)
-            .map(|n| self.pattern.matches(&n))
-            .unwrap_or(false)
+        stats.batches_in += frames.len() as u64;
+        for key in &self.clients {
+            let Some(client) = clients.get_mut(key) else {
+                continue;
+            };
+            for frame in &frames {
+                client.buf.push_back(Arc::clone(frame));
+                stats.frames_enqueued += 1;
+                while client.buf.len() > client.limit {
+                    client.buf.pop_front();
+                    client.shed += 1;
+                    stats.frames_shed += 1;
+                }
+            }
+        }
+        frames.len()
     }
 }
 
-/// One wide bus subscription multiplexed over many bounded client buffers.
+/// The frames rendered so far in one drain of the groups, so a batch that
+/// several patterns matched is rendered once. Each group's channel holds
+/// its own clone of a batch, so a frame is found again by the batch's
+/// content: equal content renders to equal bytes.
+struct Rendered<'a> {
+    registry: &'a SensorRegistry,
+    /// Keyed by sensor and first timestamp: the batches rendered there.
+    frames: BTreeMap<(SensorId, Option<Timestamp>), Vec<RenderedBatch>>,
+}
+
+type RenderedBatch = (ReadingBatch, Arc<Vec<u8>>);
+
+impl<'a> Rendered<'a> {
+    fn new(registry: &'a SensorRegistry) -> Self {
+        Rendered {
+            registry,
+            frames: BTreeMap::new(),
+        }
+    }
+
+    /// The frame for `batch`, rendered unless an equal batch already was.
+    fn frame(&mut self, batch: ReadingBatch) -> Arc<Vec<u8>> {
+        let key = (batch.sensor, batch.readings.first().map(|r| r.ts));
+        let seen = self.frames.entry(key).or_default();
+        if let Some((_, frame)) = seen.iter().find(|(b, _)| same_readings(b, &batch)) {
+            return Arc::clone(frame);
+        }
+        let frame = Arc::new(render_frame(self.registry, &batch));
+        seen.push((batch, Arc::clone(&frame)));
+        frame
+    }
+}
+
+/// `true` if the two batches' readings are bit-identical.
+fn same_readings(a: &ReadingBatch, b: &ReadingBatch) -> bool {
+    a.readings.len() == b.readings.len()
+        && a.readings
+            .iter()
+            .zip(&b.readings)
+            .all(|(x, y)| x.ts == y.ts && x.value.to_bits() == y.value.to_bits())
+}
+
+/// Per-pattern bus subscriptions multiplexed over many bounded client
+/// buffers.
 pub struct FanoutHub {
+    /// Puts sensor names into frames.
     registry: SensorRegistry,
-    sub: Option<Subscription>,
+    /// Keyed by [`SensorPattern::canonical`].
+    groups: BTreeMap<String, PatternGroup>,
     clients: BTreeMap<u64, FanoutClient>,
     stats: FanoutStats,
 }
 
 impl FanoutHub {
-    /// Creates a hub resolving client patterns against `registry`. No bus
+    /// Creates a hub naming frames' sensors from `registry`. No bus
     /// subscription exists until the first client attaches.
     pub fn new(registry: SensorRegistry) -> Self {
         FanoutHub {
             registry,
-            sub: None,
+            groups: BTreeMap::new(),
             clients: BTreeMap::new(),
             stats: FanoutStats::default(),
         }
     }
 
     /// Attaches streaming client `key` with `pattern`, buffering at most
-    /// `buffer_frames` rendered frames. The first client brings up the
-    /// single wide bus subscription on `bus`. Returns `false` (and attaches
-    /// nothing) if `key` is already attached.
+    /// `buffer_frames` rendered frames. The first client of a pattern opens
+    /// that pattern's bus subscription on `bus`; spellings of one pattern
+    /// (`/hw/**`, `//hw/**/`) share it. The client receives the batches
+    /// published from now on. Returns `false` (and attaches nothing) if
+    /// `key` is already attached.
+    ///
+    /// # Panics
+    /// Panics if `pattern` is not absolute (see
+    /// [`oda_telemetry::pattern::SensorPattern::new`]).
     pub fn attach(
         &mut self,
         key: u64,
@@ -103,39 +205,55 @@ impl FanoutHub {
         buffer_frames: usize,
         bus: &TelemetryBus,
     ) -> bool {
-        let slot = match self.clients.entry(key) {
-            Entry::Occupied(_) => return false,
-            Entry::Vacant(v) => v,
-        };
-        let pattern = SensorPattern::new(pattern);
-        let mut sensors = self.registry.matching(&pattern);
-        sensors.sort_unstable();
-        slot.insert(FanoutClient {
-            sensors,
-            pattern,
-            buf: VecDeque::new(),
-            limit: buffer_frames.max(1),
-            shed: 0,
-            delivered: 0,
-        });
-        self.stats.clients_attached += 1;
-        if self.sub.is_none() {
-            // One subscription covering everything; per-client filtering
-            // happens here, not on the bus.
-            self.sub = Some(bus.subscription("/**").named("serve-fanout").subscribe());
+        if self.clients.contains_key(&key) {
+            return false;
         }
+        let pattern = SensorPattern::new(pattern);
+        let canonical = pattern.canonical();
+        let group = match self.groups.entry(canonical.clone()) {
+            Entry::Occupied(o) => {
+                // What the group already holds was published before this
+                // client attached: it goes to the members it was meant for.
+                let group = o.into_mut();
+                let mut rendered = Rendered::new(&self.registry);
+                group.drain_into(&mut self.clients, &mut rendered, &mut self.stats);
+                group
+            }
+            Entry::Vacant(v) => v.insert(PatternGroup {
+                sub: bus.subscription(pattern).named("serve-fanout").subscribe(),
+                clients: Vec::new(),
+                dropped_seen: 0,
+            }),
+        };
+        group.clients.push(key);
+        self.clients.insert(
+            key,
+            FanoutClient {
+                group: canonical,
+                buf: VecDeque::new(),
+                limit: buffer_frames.max(1),
+                shed: 0,
+                delivered: 0,
+            },
+        );
+        self.stats.clients_attached += 1;
         true
     }
 
-    /// Detaches client `key`, dropping its buffered frames. The bus
-    /// subscription is torn down when the last client leaves, so an idle
+    /// Detaches client `key`, dropping its buffered frames. The last client
+    /// of a pattern drops that pattern's bus subscription, so an idle
     /// server costs the bus nothing.
     pub fn detach(&mut self, key: u64) {
-        if self.clients.remove(&key).is_some() {
-            self.stats.clients_detached += 1;
-        }
-        if self.clients.is_empty() {
-            self.sub = None;
+        let Some(client) = self.clients.remove(&key) else {
+            return;
+        };
+        self.stats.clients_detached += 1;
+        if let Entry::Occupied(mut group) = self.groups.entry(client.group) {
+            group.get_mut().clients.retain(|&k| k != key);
+            if group.get().clients.is_empty() {
+                group.get_mut().count_bus_dropped(&mut self.stats);
+                group.remove();
+            }
         }
     }
 
@@ -149,40 +267,23 @@ impl FanoutHub {
         self.clients.len()
     }
 
-    /// Drains every batch the bus has published since the last pump and
-    /// distributes rendered frames to matching client buffers, shedding the
-    /// oldest frames of any client over its limit. Returns the number of
-    /// batches drained.
+    /// Number of distinct patterns attached clients asked for — one bus
+    /// subscription each.
+    pub fn pattern_count(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// Drains every batch the bus has delivered to each pattern's
+    /// subscription since the last pump and distributes rendered frames to
+    /// that pattern's client buffers, shedding the oldest frames of any
+    /// client over its limit. A batch several patterns matched is rendered
+    /// once. Returns the number of batches drained.
     pub fn pump(&mut self) -> usize {
-        let Some(sub) = &self.sub else {
-            return 0;
-        };
-        let mut drained = 0;
-        let mut frames: Vec<(SensorId, Arc<Vec<u8>>)> = Vec::new();
-        while let Ok(batch) = sub.rx.try_recv() {
-            drained += 1;
-            let sensor = batch.sensor;
-            frames.push((sensor, Arc::new(render_frame(&self.registry, &batch))));
-        }
-        if drained == 0 {
-            return 0;
-        }
-        self.stats.batches_in += drained as u64;
-        for client in self.clients.values_mut() {
-            for (sensor, frame) in &frames {
-                if !client.wants(*sensor, &self.registry) {
-                    continue;
-                }
-                client.buf.push_back(Arc::clone(frame));
-                self.stats.frames_enqueued += 1;
-                while client.buf.len() > client.limit {
-                    client.buf.pop_front();
-                    client.shed += 1;
-                    self.stats.frames_shed += 1;
-                }
-            }
-        }
-        drained
+        let mut rendered = Rendered::new(&self.registry);
+        self.groups
+            .values_mut()
+            .map(|group| group.drain_into(&mut self.clients, &mut rendered, &mut self.stats))
+            .sum()
     }
 
     /// Pops the next buffered frame for client `key`, if any.
@@ -236,7 +337,9 @@ fn render_frame(registry: &SensorRegistry, batch: &ReadingBatch) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oda_telemetry::hash::splitmix64;
     use oda_telemetry::prelude::*;
+    use std::collections::BTreeSet;
 
     fn bus_with(names: &[&str]) -> (TelemetryBus, Vec<SensorId>) {
         let registry = SensorRegistry::new();
@@ -306,13 +409,36 @@ mod tests {
         let (bus, ids) = bus_with(&["/hw/n0/power"]);
         let mut hub = FanoutHub::new(bus.registry().clone());
         for k in 0..100 {
-            hub.attach(k, "/**", 8, &bus);
+            let pattern = if k % 2 == 0 { "/**" } else { "/hw/*/power" };
+            hub.attach(k, pattern, 8, &bus);
         }
         publish(&bus, ids[0], 10, 1.0);
-        hub.pump();
+        assert_eq!(hub.pump(), 2, "one batch, drained once per pattern");
         let a = hub.next_frame(0).expect("frame");
-        // 100 buffers held the same allocation: 99 clients still hold it.
+        let b = hub.next_frame(1).expect("frame");
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "rendered once whichever pattern matched"
+        );
+        // All 100 buffers held one allocation: 98 still hold it.
         assert_eq!(Arc::strong_count(&a), 100);
+        // Equal readings of another sensor are a different frame.
+        let (bus, ids) = bus_with(&["/hw/n0/power", "/hw/n1/power"]);
+        let mut hub = FanoutHub::new(bus.registry().clone());
+        hub.attach(0, "/**", 8, &bus);
+        hub.attach(1, "/hw/*/power", 8, &bus);
+        publish(&bus, ids[0], 10, 1.0);
+        publish(&bus, ids[1], 10, 1.0);
+        publish(&bus, ids[0], 10, 2.0);
+        hub.pump();
+        for key in [0, 1] {
+            let frames: Vec<_> = std::iter::from_fn(|| hub.next_frame(key)).collect();
+            assert_eq!(frames.len(), 3);
+            let text: Vec<_> = frames.iter().map(|f| String::from_utf8_lossy(f)).collect();
+            assert!(text[0].contains("/hw/n0/power") && text[0].contains("\"value\":1.0"));
+            assert!(text[1].contains("/hw/n1/power"));
+            assert!(text[2].contains("\"value\":2.0"));
+        }
     }
 
     #[test]
@@ -320,15 +446,22 @@ mod tests {
         let (bus, ids) = bus_with(&["/hw/n0/power"]);
         let mut hub = FanoutHub::new(bus.registry().clone());
         hub.attach(1, "/**", 8, &bus);
-        assert_eq!(bus.subscriber_count(), 1);
+        hub.attach(2, "/hw/**", 8, &bus);
+        hub.attach(3, "/hw/**", 8, &bus);
+        assert_eq!(bus.subscriber_count(), 2, "one subscription per pattern");
+        assert_eq!(hub.pattern_count(), 2);
+        hub.detach(2);
+        assert_eq!(bus.subscriber_count(), 2, "/hw/** still has a client");
         hub.detach(1);
+        hub.detach(3);
         assert_eq!(bus.subscriber_count(), 0, "idle hub must not load the bus");
+        assert_eq!(hub.pattern_count(), 0);
         // Re-attach resubscribes.
-        hub.attach(2, "/**", 8, &bus);
+        hub.attach(4, "/hw/**", 8, &bus);
         assert_eq!(bus.subscriber_count(), 1);
         publish(&bus, ids[0], 10, 1.0);
         assert_eq!(hub.pump(), 1);
-        assert_eq!(hub.stats().clients_detached, 1);
+        assert_eq!(hub.stats().clients_detached, 3);
     }
 
     #[test]
@@ -336,13 +469,207 @@ mod tests {
         let (bus, _) = bus_with(&["/hw/n0/power"]);
         let mut hub = FanoutHub::new(bus.registry().clone());
         hub.attach(1, "/hw/**", 8, &bus);
+        hub.attach(2, "/hw/*/power", 8, &bus);
+        hub.attach(3, "/facility/**", 8, &bus);
         // Register after attach; the bus picks it up, and so must the hub.
         let late = bus
             .registry()
             .register("/hw/n9/power", SensorKind::Power, Unit::Watts);
         publish(&bus, late, 10, 9.0);
         hub.pump();
-        let f = hub.next_frame(1).expect("late sensor frame");
-        assert!(String::from_utf8_lossy(&f).contains("/hw/n9/power"));
+        for key in [1, 2] {
+            let f = hub.next_frame(key).expect("late sensor frame");
+            assert!(String::from_utf8_lossy(&f).contains("/hw/n9/power"));
+        }
+        assert!(hub.next_frame(3).is_none());
+    }
+
+    #[test]
+    fn batches_shed_by_the_bus_are_counted() {
+        let (bus, ids) = bus_with(&["/hw/n0/power"]);
+        let mut hub = FanoutHub::new(bus.registry().clone());
+        hub.attach(1, "/**", 2_048, &bus);
+        for i in 0..1_100 {
+            publish(&bus, ids[0], i, i as f64);
+        }
+        hub.pump();
+        let stats = hub.stats();
+        assert_eq!(stats.bus_dropped, 76, "1 100 batches into a 1 024 channel");
+        assert_eq!(stats.frames_enqueued, 1_024);
+        assert_eq!(stats.frames_shed, 0);
+        // Observed deltas: a second pump adds nothing new.
+        hub.pump();
+        assert_eq!(hub.stats().bus_dropped, 76);
+        // Overflow again, then the last client leaves before any pump: the
+        // group's final sheds are still counted.
+        for i in 0..1_030 {
+            publish(&bus, ids[0], i, i as f64);
+        }
+        hub.detach(1);
+        assert_eq!(hub.stats().bus_dropped, 82);
+        assert_eq!(hub.pattern_count(), 0);
+    }
+
+    #[test]
+    fn equivalent_spellings_share_one_subscription() {
+        let (bus, ids) = bus_with(&["/hw/n0/power"]);
+        let mut hub = FanoutHub::new(bus.registry().clone());
+        for (key, spelling) in ["/hw/**", "/hw/**/", "//hw/**", "/hw//**"]
+            .iter()
+            .enumerate()
+        {
+            hub.attach(key as u64, spelling, 8, &bus);
+        }
+        assert_eq!(bus.subscriber_count(), 1);
+        assert_eq!(hub.pattern_count(), 1);
+        publish(&bus, ids[0], 10, 1.0);
+        assert_eq!(hub.pump(), 1, "rendered once for all four spellings");
+        let first = hub.next_frame(0).expect("frame");
+        assert_eq!(Arc::strong_count(&first), 4);
+        for key in [1, 2] {
+            hub.detach(key);
+        }
+        hub.detach(0);
+        assert_eq!(
+            bus.subscriber_count(),
+            1,
+            "the /hw//** client is still attached"
+        );
+        hub.detach(3);
+        assert_eq!(bus.subscriber_count(), 0);
+    }
+
+    /// One client of the reference model: a dedicated bus subscription
+    /// opened when the client attached, and the buffer the hub should hold.
+    struct Expected {
+        pattern: &'static str,
+        sub: Subscription,
+        limit: usize,
+        buf: VecDeque<Vec<u8>>,
+        shed: u64,
+        delivered: u64,
+    }
+
+    impl Expected {
+        /// Moves what the dedicated subscription received into the buffer,
+        /// shedding the oldest frames over the limit.
+        fn fill(&mut self, registry: &SensorRegistry) {
+            while let Ok(batch) = self.sub.rx.try_recv() {
+                self.buf.push_back(render_frame(registry, &batch));
+                if self.buf.len() > self.limit {
+                    self.buf.pop_front();
+                    self.shed += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clients_receive_what_a_dedicated_subscription_would() {
+        // Random attach/detach over overlapping patterns (and one that
+        // matches nothing), publishes that register sensors late, pumps and
+        // partial drains. The hub's bus and the reference bus share one
+        // registry and see the same publishes.
+        const PATTERNS: [&str; 4] = ["/hw/**", "/hw/*/power", "/facility/**", "/none/**"];
+        const LEAVES: [&str; 3] = ["power", "temp", "pue"];
+        for seed in 0..24u64 {
+            let mut state = seed << 32;
+            let mut rand = |n: u64| {
+                state += 1;
+                splitmix64(state) % n
+            };
+            let (bus, mut ids) = bus_with(&["/hw/n0/power", "/hw/n0/temp", "/facility/pue"]);
+            let registry = bus.registry().clone();
+            let reference = TelemetryBus::new(registry.clone());
+            let mut hub = FanoutHub::new(registry.clone());
+            let mut model: BTreeMap<u64, Expected> = BTreeMap::new();
+            let mut shared: BTreeMap<(&str, Vec<u8>), Arc<Vec<u8>>> = BTreeMap::new();
+            let mut shed_total = 0;
+            let mut value = 0u64;
+            for _ in 0..300 {
+                match rand(6) {
+                    0 => {
+                        let key = rand(6);
+                        let pattern = PATTERNS[rand(4) as usize];
+                        let limit = 1 + rand(4) as usize;
+                        let attached = hub.attach(key, pattern, limit, &bus);
+                        assert_eq!(attached, !model.contains_key(&key));
+                        if attached {
+                            // A joiner flushes what its pattern's members
+                            // were already sent into their buffers.
+                            for exp in model.values_mut().filter(|e| e.pattern == pattern) {
+                                exp.fill(&registry);
+                            }
+                            let sub = reference.subscription(pattern).subscribe();
+                            model.insert(
+                                key,
+                                Expected {
+                                    pattern,
+                                    sub,
+                                    limit,
+                                    buf: VecDeque::new(),
+                                    shed: 0,
+                                    delivered: 0,
+                                },
+                            );
+                        }
+                    }
+                    1 => {
+                        let key = rand(6);
+                        hub.detach(key);
+                        if let Some(gone) = model.remove(&key) {
+                            shed_total += gone.shed;
+                        }
+                    }
+                    2 => {
+                        let root = if rand(2) == 0 { "hw" } else { "facility" };
+                        let leaf = LEAVES[rand(3) as usize];
+                        let name = format!("/{root}/n{}/{leaf}", rand(50));
+                        ids.push(registry.register(&name, SensorKind::Power, Unit::Watts));
+                    }
+                    3 | 4 => {
+                        for _ in 0..=rand(6) {
+                            let sensor = ids[rand(ids.len() as u64) as usize];
+                            value += 1;
+                            let batch = ReadingBatch::single(
+                                sensor,
+                                Reading::new(Timestamp::from_millis(value), value as f64),
+                            );
+                            bus.publish(batch.clone());
+                            reference.publish(batch);
+                        }
+                    }
+                    _ => {
+                        hub.pump();
+                        for (key, exp) in &mut model {
+                            exp.fill(&registry);
+                            for _ in 0..rand(exp.limit as u64 + 2) {
+                                let got = hub.next_frame(*key);
+                                let want = exp.buf.pop_front();
+                                assert_eq!(got.as_deref(), want.as_ref(), "seed {seed}");
+                                let Some(got) = got else { break };
+                                exp.delivered += 1;
+                                let first = shared
+                                    .entry((exp.pattern, got.to_vec()))
+                                    .or_insert_with(|| Arc::clone(&got));
+                                assert!(Arc::ptr_eq(first, &got), "one render per pattern");
+                            }
+                            assert_eq!(
+                                hub.client_counts(*key),
+                                Some((exp.delivered, exp.shed, exp.buf.len())),
+                                "seed {seed} client {key}"
+                            );
+                        }
+                    }
+                }
+                let live: BTreeSet<&str> = model.values().map(|e| e.pattern).collect();
+                assert_eq!(bus.subscriber_count(), live.len(), "seed {seed}");
+                assert_eq!(hub.pattern_count(), live.len());
+                assert_eq!(hub.client_count(), model.len());
+            }
+            let in_model: u64 = model.values().map(|e| e.shed).sum();
+            assert_eq!(hub.stats().frames_shed, shed_total + in_model);
+            assert_eq!(hub.stats().bus_dropped, 0);
+        }
     }
 }

@@ -32,9 +32,9 @@
 //! 5. [`cache`] — the [`cache::QueryCache`]: keyed on the canonical query
 //!    wire form, validated against per-sensor store versions so a hit is
 //!    *provably* bit-identical to re-execution (see `DESIGN.md` §13).
-//! 6. [`fanout`] — the [`fanout::FanoutHub`]: one bus subscription
-//!    multiplexed to many HTTP streaming clients with bounded per-client
-//!    buffers and slow-consumer shedding.
+//! 6. [`fanout`] — the [`fanout::FanoutHub`]: one bus subscription per
+//!    distinct client pattern, multiplexed to that pattern's HTTP streaming
+//!    clients with bounded per-client buffers and slow-consumer shedding.
 //! 7. [`server`] — the [`server::Server`] itself: a single-threaded
 //!    readiness loop (`poll()`) that glues the above into the endpoint set
 //!    documented in the README.

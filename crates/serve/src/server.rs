@@ -610,10 +610,15 @@ impl<N: ServerNet> Server<N> {
                 "fanout".to_string(),
                 Value::Object(vec![
                     ("clients".to_string(), u(self.fanout.client_count() as u64)),
+                    (
+                        "patterns".to_string(),
+                        u(self.fanout.pattern_count() as u64),
+                    ),
                     ("batches_in".to_string(), u(f.batches_in)),
                     ("frames_enqueued".to_string(), u(f.frames_enqueued)),
                     ("frames_dequeued".to_string(), u(f.frames_dequeued)),
                     ("frames_shed".to_string(), u(f.frames_shed)),
+                    ("bus_dropped".to_string(), u(f.bus_dropped)),
                 ]),
             ),
         ];
@@ -1093,6 +1098,12 @@ mod tests {
             "{text}"
         );
         assert!(!text.contains("/facility/pue"));
+        let (_, _, stats) = request(&mut w, "GET /api/v1/stats HTTP/1.1\r\n\r\n");
+        let stats = String::from_utf8_lossy(&stats);
+        assert!(
+            stats.contains("\"patterns\":1") && stats.contains("\"bus_dropped\":0"),
+            "{stats}"
+        );
 
         // Client departure releases the subscription quota and hub slot.
         w.net.client_close(conn);

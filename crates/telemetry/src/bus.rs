@@ -38,13 +38,45 @@ use crate::storage::{InMemoryBackend, StorageBackend};
 use crate::store::TimeSeriesStore;
 use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
+/// A set of sensor ids as a bitmap: ids are dense, so membership — asked
+/// once per published batch per subscriber — is one word test.
+#[derive(Default)]
+struct SensorSet(Vec<u64>);
+
+impl SensorSet {
+    fn contains(&self, id: SensorId) -> bool {
+        self.0
+            .get((id.0 / 64) as usize)
+            .is_some_and(|word| word & (1 << (id.0 % 64)) != 0)
+    }
+
+    fn insert(&mut self, id: SensorId) {
+        let at = (id.0 / 64) as usize;
+        if self.0.len() <= at {
+            self.0.resize(at + 1, 0);
+        }
+        if let Some(word) = self.0.get_mut(at) {
+            *word |= 1 << (id.0 % 64);
+        }
+    }
+}
+
+impl FromIterator<SensorId> for SensorSet {
+    fn from_iter<I: IntoIterator<Item = SensorId>>(ids: I) -> Self {
+        let mut set = SensorSet::default();
+        for id in ids {
+            set.insert(id);
+        }
+        set
+    }
+}
+
 struct Subscriber {
     id: u64,
-    sensors: BTreeSet<SensorId>,
+    sensors: SensorSet,
     /// Every sensor id below this has been matched against `pattern`: one
     /// that is absent from `sensors` is a known non-match. Ids are dense and
     /// append-only, so only ids at or above it can still need resolving.
@@ -378,7 +410,7 @@ impl TelemetryBus {
             }
             for batch in batches {
                 for sub in subs.iter() {
-                    if sub.sensors.contains(&batch.sensor) && !dead.contains(&sub.id) {
+                    if sub.sensors.contains(batch.sensor) && !dead.contains(&sub.id) {
                         delivered += self.deliver(sub, batch, &mut dead);
                     }
                 }
@@ -495,6 +527,16 @@ mod tests {
         let got = sub.rx.try_recv().unwrap();
         assert_eq!(got.sensor, a);
         assert!(sub.rx.try_recv().is_err());
+    }
+
+    #[test]
+    fn sensor_set_membership_spans_words() {
+        let ids = [0, 63, 64, 65, 1_000];
+        let set: SensorSet = ids.iter().map(|&i| SensorId(i)).collect();
+        for i in 0..1_100 {
+            assert_eq!(set.contains(SensorId(i)), ids.contains(&i), "{i}");
+        }
+        assert!(!set.contains(SensorId(u32::MAX)));
     }
 
     #[test]

@@ -59,29 +59,56 @@ impl SensorPattern {
         &self.source
     }
 
-    /// Tests `name` against the pattern.
-    pub fn matches(&self, name: &str) -> bool {
-        let parts: Vec<&str> = name
-            .trim_start_matches('/')
-            .split('/')
-            .filter(|c| !c.is_empty())
-            .collect();
-        Self::match_components(&self.components, &parts)
+    /// The pattern's components joined by single `/`s: spellings that
+    /// compile to the same pattern (`/hw/**`, `/hw/**/`, `//hw/**`) share
+    /// one canonical form.
+    pub fn canonical(&self) -> String {
+        if self.components.is_empty() {
+            return "/".to_owned();
+        }
+        let mut text = String::new();
+        for component in &self.components {
+            text.push('/');
+            text.push_str(match component {
+                Component::Literal(lit) => lit,
+                Component::AnyOne => "*",
+                Component::AnyDeep => "**",
+            });
+        }
+        text
     }
 
-    fn match_components(pat: &[Component], parts: &[&str]) -> bool {
+    /// Tests `name` against the pattern. Empty components (a doubled or
+    /// trailing `/`) are ignored, as in the pattern itself.
+    pub fn matches(&self, name: &str) -> bool {
+        Self::match_components(&self.components, name.split('/').filter(|c| !c.is_empty()))
+    }
+
+    /// Matches over a cloneable iterator of the name's components, so
+    /// backtracking for `**` copies an iterator, never the components.
+    fn match_components<'a>(
+        pat: &[Component],
+        mut parts: impl Iterator<Item = &'a str> + Clone,
+    ) -> bool {
         match pat.split_first() {
-            None => parts.is_empty(),
-            Some((Component::Literal(lit), rest)) => parts
-                .split_first()
-                .is_some_and(|(head, tail)| head == lit && Self::match_components(rest, tail)),
-            Some((Component::AnyOne, rest)) => parts
-                .split_first()
-                .is_some_and(|(_, tail)| Self::match_components(rest, tail)),
-            Some((Component::AnyDeep, rest)) => {
-                // `**` may consume 0..=len components.
-                (0..=parts.len()).any(|k| Self::match_components(rest, &parts[k..]))
+            None => parts.next().is_none(),
+            Some((Component::Literal(lit), rest)) => {
+                parts.next() == Some(lit.as_str()) && Self::match_components(rest, parts)
             }
+            Some((Component::AnyOne, rest)) => {
+                parts.next().is_some() && Self::match_components(rest, parts)
+            }
+            // `**` may consume zero or more components; a trailing one
+            // consumes whatever is left.
+            Some((Component::AnyDeep, [])) => true,
+            Some((Component::AnyDeep, rest)) => loop {
+                if Self::match_components(rest, parts.clone()) {
+                    return true;
+                }
+                if parts.next().is_none() {
+                    return false;
+                }
+            },
         }
     }
 }
@@ -155,8 +182,95 @@ mod tests {
     }
 
     #[test]
+    fn equivalent_spellings_share_a_canonical_form() {
+        for spelling in ["/hw/**", "/hw/**/", "//hw/**", "/hw//**"] {
+            assert_eq!(SensorPattern::new(spelling).canonical(), "/hw/**");
+        }
+        assert_eq!(SensorPattern::new("/").canonical(), "/");
+        assert_eq!(SensorPattern::new("//").canonical(), "/");
+        assert_ne!(
+            SensorPattern::new("/hw/*").canonical(),
+            SensorPattern::new("/hw/**").canonical()
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "must be absolute")]
     fn relative_pattern_panics() {
         SensorPattern::new("hw/*");
+    }
+
+    /// The recursive slice matcher `matches` used to be: the name's
+    /// components collected into a `Vec`, `**` retried at every suffix.
+    fn reference_matches(pattern: &SensorPattern, name: &str) -> bool {
+        fn go(pat: &[Component], parts: &[&str]) -> bool {
+            match pat.split_first() {
+                None => parts.is_empty(),
+                Some((Component::Literal(lit), rest)) => parts
+                    .split_first()
+                    .is_some_and(|(head, tail)| head == lit && go(rest, tail)),
+                Some((Component::AnyOne, rest)) => {
+                    parts.split_first().is_some_and(|(_, tail)| go(rest, tail))
+                }
+                Some((Component::AnyDeep, rest)) => {
+                    (0..=parts.len()).any(|k| go(rest, &parts[k..]))
+                }
+            }
+        }
+        let parts: Vec<&str> = name
+            .trim_start_matches('/')
+            .split('/')
+            .filter(|c| !c.is_empty())
+            .collect();
+        go(&pattern.components, &parts)
+    }
+
+    #[test]
+    fn matches_agrees_with_the_reference_matcher() {
+        // Seeded random names and patterns over a small alphabet, so
+        // literals collide often; `**` lands leading, interior, trailing
+        // and repeated, and empty components and the bare `/` appear.
+        const NAME_PARTS: [&str; 4] = ["a", "b", "hw", ""];
+        const PATTERN_PARTS: [&str; 6] = ["a", "b", "hw", "*", "**", ""];
+        let mut state = 0u64;
+        let mut rand = |n: usize| {
+            state += 1;
+            crate::hash::splitmix64(state) as usize % n
+        };
+        fn path(parts: &[&str], rand: &mut impl FnMut(usize) -> usize) -> String {
+            let mut s = String::new();
+            for _ in 0..rand(6) {
+                s.push('/');
+                s.push_str(parts[rand(parts.len())]);
+            }
+            if s.is_empty() || rand(8) == 0 {
+                s.push('/');
+            }
+            s
+        }
+        let (mut hits, mut misses) = (0, 0);
+        for _ in 0..20_000 {
+            let pattern = SensorPattern::new(&path(&PATTERN_PARTS, &mut rand));
+            let name = path(&NAME_PARTS, &mut rand);
+            let want = reference_matches(&pattern, &name);
+            assert_eq!(
+                pattern.matches(&name),
+                want,
+                "{:?} vs {name:?}",
+                pattern.as_str()
+            );
+            let canonical = SensorPattern::new(&pattern.canonical());
+            assert_eq!(canonical.components, pattern.components);
+            assert_eq!(canonical.canonical(), pattern.canonical());
+            if want {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+        }
+        assert!(
+            hits > 1_000 && misses > 1_000,
+            "{hits} hits, {misses} misses"
+        );
     }
 }

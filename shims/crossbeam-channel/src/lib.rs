@@ -3,13 +3,16 @@
 //! telemetry bus: `bounded`, non-blocking `try_send`/`try_recv`,
 //! blocking `send`/`recv`/`recv_timeout`, `len`, and disconnect
 //! semantics on drop of the last peer.
+//!
+//! A condvar is notified only when a peer is blocked on it, so the
+//! non-blocking paths never make a wake-up system call.
 
 #![forbid(unsafe_code)]
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 #[derive(Debug, PartialEq, Eq)]
@@ -36,8 +39,16 @@ pub enum RecvTimeoutError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvError;
 
+struct State<T> {
+    queue: VecDeque<T>,
+    /// Receivers blocked in `recv`/`recv_timeout`.
+    waiting_rx: usize,
+    /// Senders blocked in `send`.
+    waiting_tx: usize,
+}
+
 struct Shared<T> {
-    queue: Mutex<VecDeque<T>>,
+    state: Mutex<State<T>>,
     cap: usize,
     not_empty: Condvar,
     not_full: Condvar,
@@ -53,13 +64,45 @@ impl<T> Shared<T> {
     fn disconnected_rx(&self) -> bool {
         self.receivers.load(Ordering::Acquire) == 0
     }
+
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Pushes `msg` and wakes a blocked receiver, if there is one.
+    fn push(&self, mut st: MutexGuard<'_, State<T>>, msg: T) {
+        st.queue.push_back(msg);
+        let wake = st.waiting_rx > 0;
+        drop(st);
+        if wake {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Pops the oldest message and wakes a blocked sender, if there is one;
+    /// hands the guard back if the queue is empty.
+    fn pop<'a>(&self, mut st: MutexGuard<'a, State<T>>) -> Result<T, MutexGuard<'a, State<T>>> {
+        let Some(msg) = st.queue.pop_front() else {
+            return Err(st);
+        };
+        let wake = st.waiting_tx > 0;
+        drop(st);
+        if wake {
+            self.not_full.notify_one();
+        }
+        Ok(msg)
+    }
 }
 
 /// Creates a bounded channel with room for `cap` in-flight messages.
 /// `cap == 0` is treated as capacity 1 (this shim has no rendezvous mode).
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
-        queue: Mutex::new(VecDeque::new()),
+        state: Mutex::new(State {
+            queue: VecDeque::new(),
+            waiting_rx: 0,
+            waiting_tx: 0,
+        }),
         cap: cap.max(1),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -76,40 +119,37 @@ impl<T> Sender<T> {
         if self.0.disconnected_rx() {
             return Err(TrySendError::Disconnected(msg));
         }
-        let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
-        if q.len() >= self.0.cap {
+        let st = self.0.lock();
+        if st.queue.len() >= self.0.cap {
             return Err(TrySendError::Full(msg));
         }
-        q.push_back(msg);
-        drop(q);
-        self.0.not_empty.notify_one();
+        self.0.push(st, msg);
         Ok(())
     }
 
     pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-        let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.0.lock();
         loop {
             if self.0.disconnected_rx() {
                 return Err(SendError(msg));
             }
-            if q.len() < self.0.cap {
-                q.push_back(msg);
-                drop(q);
-                self.0.not_empty.notify_one();
+            if st.queue.len() < self.0.cap {
+                self.0.push(st, msg);
                 return Ok(());
             }
-            let (guard, timeout) = self
+            st.waiting_tx += 1;
+            st = self
                 .0
                 .not_full
-                .wait_timeout(q, Duration::from_millis(10))
-                .unwrap_or_else(|e| e.into_inner());
-            q = guard;
-            let _ = timeout;
+                .wait_timeout(st, Duration::from_millis(10))
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+            st.waiting_tx -= 1;
         }
     }
 
     pub fn len(&self) -> usize {
-        self.0.queue.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.0.lock().queue.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -142,47 +182,42 @@ pub struct Receiver<T>(Arc<Shared<T>>);
 
 impl<T> Receiver<T> {
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
-        match q.pop_front() {
-            Some(v) => {
-                drop(q);
-                self.0.not_full.notify_one();
-                Ok(v)
-            }
-            None if self.0.disconnected_tx() => Err(TryRecvError::Disconnected),
-            None => Err(TryRecvError::Empty),
+        match self.0.pop(self.0.lock()) {
+            Ok(v) => Ok(v),
+            Err(_) if self.0.disconnected_tx() => Err(TryRecvError::Disconnected),
+            Err(_) => Err(TryRecvError::Empty),
         }
     }
 
     pub fn recv(&self) -> Result<T, RecvError> {
-        let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.0.lock();
         loop {
-            if let Some(v) = q.pop_front() {
-                drop(q);
-                self.0.not_full.notify_one();
-                return Ok(v);
-            }
+            st = match self.0.pop(st) {
+                Ok(v) => return Ok(v),
+                Err(st) => st,
+            };
             if self.0.disconnected_tx() {
                 return Err(RecvError);
             }
-            q = self
+            st.waiting_rx += 1;
+            st = self
                 .0
                 .not_empty
-                .wait_timeout(q, Duration::from_millis(10))
+                .wait_timeout(st, Duration::from_millis(10))
                 .unwrap_or_else(|e| e.into_inner())
                 .0;
+            st.waiting_rx -= 1;
         }
     }
 
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         let deadline = Instant::now() + timeout;
-        let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.0.lock();
         loop {
-            if let Some(v) = q.pop_front() {
-                drop(q);
-                self.0.not_full.notify_one();
-                return Ok(v);
-            }
+            st = match self.0.pop(st) {
+                Ok(v) => return Ok(v),
+                Err(st) => st,
+            };
             if self.0.disconnected_tx() {
                 return Err(RecvTimeoutError::Disconnected);
             }
@@ -190,17 +225,19 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
-            q = self
+            st.waiting_rx += 1;
+            st = self
                 .0
                 .not_empty
-                .wait_timeout(q, deadline - now)
+                .wait_timeout(st, deadline - now)
                 .unwrap_or_else(|e| e.into_inner())
                 .0;
+            st.waiting_rx -= 1;
         }
     }
 
     pub fn len(&self) -> usize {
-        self.0.queue.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.0.lock().queue.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -273,5 +310,30 @@ mod tests {
         }
         h.join().unwrap();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn blocked_peers_are_woken() {
+        // A receiver blocked with a long timeout must be woken by the send,
+        // not by its deadline.
+        let (tx, rx) = bounded::<u32>(1);
+        let h = std::thread::spawn(move || {
+            let start = Instant::now();
+            (rx.recv_timeout(Duration::from_secs(30)), start.elapsed())
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        tx.try_send(9).unwrap();
+        let (got, waited) = h.join().unwrap();
+        assert_eq!(got, Ok(9));
+        assert!(waited < Duration::from_secs(10), "{waited:?}");
+
+        // A sender blocked on a full channel proceeds once it drains.
+        let (tx, rx) = bounded::<u32>(1);
+        tx.try_send(1).unwrap();
+        let h = std::thread::spawn(move || tx.send(2));
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(rx.try_recv(), Ok(1));
+        h.join().unwrap().unwrap();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(2));
     }
 }

@@ -1,6 +1,7 @@
 //! Serving-layer integration suite: tenant-quota accounting under burst
-//! load and fault regimes, and the cache's bit-equality contract while
-//! rollup tiers fold under concurrent writers.
+//! load and fault regimes, the cache's bit-equality contract while
+//! rollup tiers fold under concurrent writers, and the bytes live
+//! subscribers receive.
 //!
 //! Everything runs over [`SimNet`], so admission decisions are functions
 //! of the logical clock and the request sequence — the quota tests assert
@@ -13,6 +14,7 @@ use hpc_oda::serve::server::Server;
 use hpc_oda::serve::tenant::TenantCounters;
 use hpc_oda::sim::prelude::*;
 use hpc_oda::telemetry::bus::TelemetryBus;
+use hpc_oda::telemetry::hash::fnv1a64;
 use hpc_oda::telemetry::metrics::MetricsRegistry;
 use hpc_oda::telemetry::plane::LocalPlane;
 use hpc_oda::telemetry::query::{Aggregation, Query, QueryEngine};
@@ -287,4 +289,61 @@ fn cache_hits_stay_bit_identical_while_rollups_fold_concurrently() {
     );
     let stats = server.cache_stats();
     assert!(stats.hits >= 30 && stats.invalidated > 0, "{stats:?}");
+}
+
+#[test]
+fn subscribe_streams_are_byte_identical_to_pinned_digests() {
+    // Three live subscribers on a seeded medium site, two of them sharing
+    // a pattern. The FNV-1a digest of everything each one receives pins
+    // the frame bytes, their order and which client gets which frame.
+    let mut dc = DataCenter::builder(DataCenterConfig {
+        sample_every_ticks: 1,
+        ..DataCenterConfig::medium()
+    })
+    .seed(5)
+    .metrics(MetricsRegistry::new())
+    .build();
+    let net = Arc::new(SimNet::new());
+    let mut server = dc.serve(Arc::clone(&net));
+    let patterns = ["/facility/**", "/facility/**", "/hw/node0/**"];
+    let conns: Vec<_> = patterns
+        .iter()
+        .map(|p| {
+            let conn = net.connect();
+            let encoded = p.replace('/', "%2F").replace('*', "%2A");
+            net.client_send(
+                conn,
+                format!("GET /api/v1/subscribe?pattern={encoded} HTTP/1.1\r\n\r\n").as_bytes(),
+            );
+            conn
+        })
+        .collect();
+    server.poll();
+    let mut received = vec![Vec::new(); conns.len()];
+    for _ in 0..20 {
+        dc.run_ticks(1);
+        server.poll();
+        for (conn, got) in conns.iter().zip(&mut received) {
+            got.extend(net.client_recv(*conn));
+        }
+    }
+    // Lines: the 4 of the streaming head, then one frame per tick for each
+    // of the 10 facility sensors, or of node 0's 6 sensors.
+    let lines = |bytes: &[u8]| bytes.iter().filter(|b| **b == b'\n').count();
+    assert_eq!(lines(&received[0]), 4 + 20 * 10);
+    assert_eq!(lines(&received[2]), 4 + 20 * 6);
+    assert_eq!(received[0], received[1], "one pattern, one byte stream");
+    let digests: Vec<u64> = received.iter().map(|b| fnv1a64(b)).collect();
+    assert_eq!(
+        digests,
+        [
+            504_578_280_372_955_059,
+            504_578_280_372_955_059,
+            16_494_771_761_654_163_751
+        ],
+        "{digests:?}"
+    );
+    let fanout = server.fanout_stats();
+    assert_eq!((fanout.frames_shed, fanout.bus_dropped), (0, 0));
+    assert_eq!(fanout.frames_dequeued, 20 * (10 + 10 + 6));
 }
