@@ -15,7 +15,7 @@ fn store_with_shards(capacity: usize, shards: usize) -> TimeSeriesStore {
     TimeSeriesStore::with_rollups(
         capacity,
         shards,
-        MetricsRegistry::global(),
+        MetricsRegistry::new(),
         RollupConfig::default(),
     )
 }
@@ -288,7 +288,12 @@ fn bench_bus(c: &mut Criterion) {
     g.bench_function("publish_fanout_8_subscribers", |b| {
         let registry = SensorRegistry::new();
         let sensor = registry.register("/hw/node0/power_w", SensorKind::Power, Unit::Watts);
-        let bus = TelemetryBus::new(registry);
+        let store = Arc::new(TimeSeriesStore::with_capacity(1_024));
+        let bus = TelemetryBus::with_archive(
+            registry,
+            Arc::new(InMemoryBackend::new(store)),
+            MetricsRegistry::new(),
+        );
         let _subs: Vec<Subscription> = (0..8)
             .map(|i| {
                 bus.subscription("/hw/**")

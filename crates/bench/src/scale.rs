@@ -20,7 +20,7 @@ use oda_core::capability::{Artifact, Capability, CapabilityContext};
 use oda_core::grid::{GridCell, GridFootprint};
 use oda_core::pillar::Pillar;
 use oda_core::pipeline::StagedPipeline;
-use oda_core::runtime::{CapabilityScheduler, RuntimeConfig};
+use oda_core::runtime::RuntimeConfig;
 use oda_telemetry::hash::{fnv1a_fold, splitmix64, FNV_OFFSET};
 use oda_telemetry::metrics::MetricsRegistry;
 use oda_telemetry::query::TimeRange;
@@ -150,9 +150,14 @@ const PILLARS: [Pillar; 4] = [
     Pillar::Applications,
 ];
 
-fn build_pipeline(cfg: &ScaleConfig) -> StagedPipeline {
-    let mut pipeline = StagedPipeline::new();
-    pipeline.set_metrics(MetricsRegistry::disabled());
+fn build_pipeline(cfg: &ScaleConfig, workers: usize) -> StagedPipeline {
+    let mut pipeline = StagedPipeline::new()
+        .with_config(
+            RuntimeConfig::serial()
+                .with_workers(workers)
+                .with_seed(cfg.seed),
+        )
+        .with_metrics(MetricsRegistry::disabled());
     for i in 0..cfg.caps {
         let stage = STAGES[i % STAGES.len()];
         let pillar = PILLARS[(i / STAGES.len()) % PILLARS.len()];
@@ -175,7 +180,7 @@ fn percentile_ns(sorted: &[u64], pct: usize) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Runs the sweep: for each worker count, a fresh scheduler replays the
+/// Runs the sweep: for each worker count, a fresh pipeline replays the
 /// same seed over the same registry; per-pass output digests are folded
 /// into a sequence digest that must match across all worker counts.
 pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
@@ -184,13 +189,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
 
     let mut points: Vec<WorkerPoint> = Vec::with_capacity(cfg.worker_counts.len());
     for &workers in &cfg.worker_counts {
-        let mut pipeline = build_pipeline(cfg);
-        let mut scheduler = CapabilityScheduler::with_metrics(
-            RuntimeConfig::serial()
-                .with_workers(workers)
-                .with_seed(cfg.seed),
-            MetricsRegistry::disabled(),
-        );
+        let mut pipeline = build_pipeline(cfg, workers);
         let mut digest = FNV_OFFSET;
         let mut samples: Vec<u64> = Vec::with_capacity(cfg.passes);
         // Pass 0 is the untimed warm-up; it still folds into the digest so
@@ -203,7 +202,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
                 Timestamp::from_millis(1_000 * (pass as u64 + 1)),
             );
             let start = Instant::now();
-            let run = scheduler.run(&mut pipeline, ctx);
+            let run = pipeline.run(ctx);
             let wall_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             if pass > 0 {
                 samples.push(wall_ns);

@@ -10,13 +10,52 @@
 //! The same mechanism expresses §V-B's multi-pillar orchestration: a
 //! cooling-aware scheduler is simply a prescriptive System-Software
 //! capability that reads Building-Infrastructure artifacts from upstream.
+//!
+//! # One executor
+//!
+//! [`StagedPipeline::run`] is the only pass executor. It turns the
+//! registered capabilities into a [`CapabilityDag`], layers it
+//! topologically, and runs each layer on scoped threads that pull tasks off
+//! the layer and are joined at its barrier — no thread is resident between
+//! passes. The pipeline owns everything a pass needs: its capabilities, its
+//! [`RuntimeConfig`] (worker count and RNG root seed), its pass counter and
+//! the one [`MetricsRegistry`] every pass records into.
+//!
+//! # Determinism contract
+//!
+//! Production ODA evaluates many analytical models online and in parallel
+//! (DCDB Wintermute and friends), but replayability is what makes a
+//! control loop debuggable. A pass's *outputs* — the [`PipelineRun`] stage
+//! sequence, every artifact, and all count-valued metrics — are
+//! bit-identical at any worker count:
+//!
+//! * workers record results into **pre-assigned slots** (one per
+//!   registered capability), never into a shared append log;
+//! * artifact/metric emission is **sequenced by capability slot** at each
+//!   stage barrier, so emission order never depends on which worker
+//!   finished first;
+//! * per-task RNG streams derive from `(pass seed, capability slot)` —
+//!   not from the executing worker — and the pass seed from
+//!   `(config seed, pass number)`, so which worker pulls a task cannot
+//!   perturb a randomized capability;
+//! * capability panics are caught on the worker, surfaced as
+//!   [`StageSpan::panicked`], and isolated (the pass continues), so one
+//!   bad plugin cannot take down the telemetry plane.
+//!
+//! `workers = 1` (and any layer of one) spawns nothing: the same drain
+//! runs on the calling thread, in exactly the historical serial order
+//! (stages in staged order, peers in insertion order).
 
 use crate::analytics_type::AnalyticsType;
 use crate::capability::{Artifact, Capability, CapabilityContext};
-use crate::runtime::{CapabilityScheduler, RuntimeConfig};
-use oda_telemetry::hash::{fnv1a_fold, FNV_OFFSET};
+use crate::grid::GridFootprint;
+use crate::runtime::{CapabilityDag, RuntimeConfig};
+use oda_telemetry::hash::{fnv1a_fold, splitmix64, FNV_OFFSET};
 use oda_telemetry::metrics::MetricsRegistry;
 use serde::Serialize;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Named span covering one capability execution within a pipeline run —
 /// the per-plugin overhead accounting the paper's production references
@@ -31,7 +70,7 @@ pub struct StageSpan {
     pub wall_ns: u64,
     /// Number of artifacts the capability produced.
     pub artifacts: usize,
-    /// Whether the capability panicked (the scheduler isolates the panic:
+    /// Whether the capability panicked (the executor isolates the panic:
     /// the capability contributes no artifacts and the run continues).
     pub panicked: bool,
 }
@@ -137,32 +176,124 @@ impl PipelineRun {
     }
 }
 
-/// One registered capability and its stage — the scheduler's unit of
+/// One registered capability and its stage — the executor's unit of
 /// dispatch. Workers borrow the capability in place, so the slot index is
 /// a stable identity for the whole pipeline lifetime.
-pub(crate) struct PipelineSlot {
-    pub(crate) stage: AnalyticsType,
-    pub(crate) cap: Box<dyn Capability>,
+struct PipelineSlot {
+    stage: AnalyticsType,
+    cap: Box<dyn Capability>,
 }
 
-/// A pipeline of capabilities organised by analytics type.
+/// The slot-addressed outcome of one capability execution.
+struct SlotResult {
+    stage: AnalyticsType,
+    name: String,
+    artifacts: Vec<Artifact>,
+    wall_ns: u64,
+    panicked: bool,
+}
+
+/// One unit of layer work: a capability borrowed from its pipeline slot,
+/// the stage snapshot it runs against, and the result slot it fills.
+struct Task<'a> {
+    stage: AnalyticsType,
+    cap: &'a mut Box<dyn Capability>,
+    ctx: CapabilityContext,
+    out: &'a mut Option<SlotResult>,
+}
+
+pub(crate) fn elapsed_ns(start: Instant) -> u64 {
+    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// Executes one task into its result slot, catching a capability panic so
+/// a bad plugin is isolated instead of taking the pass down. Returns the
+/// execution's wall nanoseconds.
+fn execute_task(task: Task<'_>) -> u64 {
+    // odalint: allow(wall-clock) -- worker timing telemetry only; never feeds output digests
+    let start = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| task.cap.execute(&task.ctx)));
+    let wall_ns = elapsed_ns(start);
+    *task.out = Some(SlotResult {
+        stage: task.stage,
+        name: task.cap.name().to_owned(),
+        panicked: outcome.is_err(),
+        artifacts: outcome.unwrap_or_default(),
+        wall_ns,
+    });
+    wall_ns
+}
+
+/// Runs one layer to its barrier on `threads` scoped workers — the caller
+/// plus `threads - 1` spawned for this layer only — each pulling the next
+/// task off the shared iterator until it is dry, so a slow capability
+/// never strands work behind it. One thread (a layer of one, or
+/// `workers == 1`) spawns nothing and drains on the caller in slot order.
+/// Returns each worker's busy nanoseconds, the caller's first.
+fn run_layer<'a>(threads: usize, tasks: impl Iterator<Item = Task<'a>> + Send) -> Vec<u64> {
+    let tasks = Mutex::new(tasks);
+    let drain = || {
+        let mut busy_ns = 0u64;
+        loop {
+            // The guard drops with this statement: tasks execute unlocked
+            // (and a poisoned lock still guards a valid iterator).
+            let next = tasks.lock().unwrap_or_else(|e| e.into_inner()).next();
+            match next {
+                Some(task) => busy_ns += execute_task(task),
+                None => return busy_ns,
+            }
+        }
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(drain)).collect();
+        let mut busy = vec![drain()];
+        // `execute_task` catches capability panics, so a failed join is an
+        // executor bug: re-raise it on the caller.
+        busy.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))),
+        );
+        busy
+    })
+}
+
+/// A pipeline of capabilities organised by analytics type, and the
+/// deterministic parallel executor of its passes (see the
+/// [module docs](self)).
 ///
-/// Within one stage, capabilities run in insertion order and do *not* see
-/// each other's artifacts (they are peers); across stages, later stages see
-/// everything earlier stages produced.
+/// Within one stage, capabilities are peers and do *not* see each other's
+/// artifacts; across stages, later stages see everything earlier stages
+/// produced.
 ///
-/// Each capability execution is timed as a [`StageSpan`] and recorded as
-/// `pipeline_stage_ns{capability}` / `pipeline_artifacts_total{capability}`
-/// into the pipeline's metrics registry (the process-wide default unless
-/// [`Self::with_metrics`] is used).
-#[derive(Default)]
+/// Every pass records into the pipeline's one registry: per capability a
+/// [`StageSpan`] plus `pipeline_stage_ns{capability}`,
+/// `pipeline_artifacts_total{capability}` and
+/// `runtime_capability_panics_total{capability}`; per layer
+/// `runtime_layer_span` and `runtime_worker_busy_ns{worker}`. A pipeline
+/// built without [`Self::with_metrics`] records into a fresh registry of
+/// its own.
 pub struct StagedPipeline {
     slots: Vec<PipelineSlot>,
-    metrics: Option<MetricsRegistry>,
+    config: RuntimeConfig,
+    metrics: MetricsRegistry,
+    passes: u64,
+}
+
+impl Default for StagedPipeline {
+    fn default() -> Self {
+        StagedPipeline {
+            slots: Vec::new(),
+            config: RuntimeConfig::serial(),
+            metrics: MetricsRegistry::new(),
+            passes: 0,
+        }
+    }
 }
 
 impl StagedPipeline {
-    /// Creates an empty pipeline.
+    /// Creates an empty pipeline: serial ([`RuntimeConfig::serial`]), RNG
+    /// root seed 0, recording into a fresh registry of its own.
     pub fn new() -> Self {
         Self::default()
     }
@@ -174,18 +305,19 @@ impl StagedPipeline {
         self
     }
 
-    /// Records stage metrics into `metrics` instead of the process-wide
-    /// default registry. Builder-style.
+    /// Runs passes on `config.workers` threads and derives their RNG
+    /// streams from `config.seed`. Builder-style.
     #[must_use]
-    pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
-        self.set_metrics(metrics);
+    pub fn with_config(mut self, config: RuntimeConfig) -> Self {
+        self.config = config;
         self
     }
 
-    /// Records stage metrics into `metrics` instead of the process-wide
-    /// default registry.
-    pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
-        self.metrics = Some(metrics);
+    /// Records every pass into `metrics`. Builder-style.
+    #[must_use]
+    pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
+        self.metrics = metrics;
+        self
     }
 
     /// Adds a capability at a stage.
@@ -206,32 +338,121 @@ impl StagedPipeline {
         self.slots.is_empty()
     }
 
-    /// The metrics registry stage spans are recorded into.
-    pub(crate) fn resolved_metrics(&self) -> MetricsRegistry {
-        self.metrics.clone().unwrap_or_else(MetricsRegistry::global)
+    /// The worker count and RNG root seed passes run with.
+    pub fn config(&self) -> &RuntimeConfig {
+        &self.config
     }
 
-    /// The scheduler's view of the registered capabilities.
-    pub(crate) fn slots(&self) -> &[PipelineSlot] {
-        &self.slots
+    /// The registry every pass records into.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.metrics
     }
 
-    /// Mutable slot access: a layer's workers borrow its capabilities.
-    pub(crate) fn slots_mut(&mut self) -> &mut [PipelineSlot] {
-        &mut self.slots
-    }
-
-    /// Runs the pipeline serially over `ctx` (whose `upstream` is used as
-    /// the initial blackboard, normally empty).
-    ///
-    /// This is the one-worker degenerate case of the DAG scheduler in
-    /// [`crate::runtime`]: stages run in staged order, peers within a stage
-    /// in insertion order on the calling thread. Use
-    /// [`CapabilityScheduler`] (or [`crate::runtime::OdaRuntime`], which
-    /// embeds one) to fan a pass out across worker threads.
+    /// Runs one pass over `ctx` (whose `upstream` is used as the initial
+    /// blackboard, normally empty): builds the [`CapabilityDag`] fresh
+    /// (capability registration may change between passes), then runs each
+    /// layer on `min(workers, layer width)` scoped threads, the caller among
+    /// them. Each run advances the pass seed. Outputs are bit-identical at
+    /// every worker count.
     pub fn run(&mut self, ctx: CapabilityContext) -> PipelineRun {
-        let metrics = self.resolved_metrics();
-        CapabilityScheduler::with_metrics(RuntimeConfig::serial(), metrics).run(self, ctx)
+        let pass_seed = splitmix64(self.config.seed ^ splitmix64(self.passes));
+        self.passes += 1;
+        // odalint: allow(wall-clock) -- pass duration telemetry only; never feeds output digests
+        let run_start = Instant::now();
+        let mut run = PipelineRun {
+            stages: Vec::new(),
+            spans: Vec::new(),
+            wall_ns: 0,
+        };
+        let meta: Vec<(AnalyticsType, GridFootprint)> = self
+            .slots
+            .iter()
+            .map(|s| (s.stage, s.cap.footprint()))
+            .collect();
+        let dag = CapabilityDag::build(&meta);
+
+        let mut results: Vec<Option<SlotResult>> = meta.iter().map(|_| None).collect();
+        let mut upstream = ctx.upstream.clone();
+        for stage_layers in dag.layers.chunk_by(|a, b| a.stage == b.stage) {
+            // Peers never see each other: every layer of the stage runs
+            // against the artifacts of the stages before it.
+            let snapshot = upstream.clone();
+            for layer in stage_layers {
+                // odalint: allow(wall-clock) -- layer duration telemetry only; never feeds output digests
+                let layer_start = Instant::now();
+                // `layer.slots` is ascending, so the tasks come off in slot
+                // order, each holding its own capability and result slot.
+                let tasks = self
+                    .slots
+                    .iter_mut()
+                    .zip(results.iter_mut())
+                    .enumerate()
+                    .filter(|(slot, _)| layer.slots.binary_search(slot).is_ok())
+                    .map(|(slot, (entry, out))| Task {
+                        stage: layer.stage,
+                        cap: &mut entry.cap,
+                        ctx: CapabilityContext {
+                            store: Arc::clone(&ctx.store),
+                            registry: ctx.registry.clone(),
+                            window: ctx.window,
+                            now: ctx.now,
+                            upstream: snapshot.clone(),
+                            rng_seed: splitmix64(pass_seed ^ (slot as u64 + 1)),
+                        },
+                        out,
+                    });
+                let busy = run_layer(self.config.workers.min(layer.slots.len()), tasks);
+                self.metrics
+                    .histogram("runtime_layer_span", &[])
+                    .record(elapsed_ns(layer_start));
+                // Scheduling telemetry: varies run to run and is explicitly
+                // *outside* the determinism contract.
+                for (worker, busy_ns) in busy.into_iter().enumerate().filter(|&(_, ns)| ns > 0) {
+                    let idx = worker.to_string();
+                    self.metrics
+                        .histogram("runtime_worker_busy_ns", &[("worker", idx.as_str())])
+                        .record(busy_ns);
+                }
+            }
+            Self::emit_stage(&mut run, &mut upstream, &mut results, &self.metrics);
+        }
+        run.wall_ns = elapsed_ns(run_start);
+        run
+    }
+
+    /// Stage barrier: emits every result the finished stage left in
+    /// `results` — spans, per-capability metrics and downstream artifact
+    /// visibility — in slot order, never in completion order.
+    fn emit_stage(
+        run: &mut PipelineRun,
+        upstream: &mut Vec<Artifact>,
+        results: &mut [Option<SlotResult>],
+        metrics: &MetricsRegistry,
+    ) {
+        for done in results.iter_mut().filter_map(Option::take) {
+            let name = done.name;
+            let labels: &[(&str, &str)] = &[("capability", name.as_str())];
+            metrics
+                .histogram("pipeline_stage_ns", labels)
+                .record(done.wall_ns);
+            metrics
+                .counter("pipeline_artifacts_total", labels)
+                .add(done.artifacts.len() as u64);
+            if done.panicked {
+                metrics
+                    .counter("runtime_capability_panics_total", labels)
+                    .inc();
+            }
+            run.spans.push(StageSpan {
+                stage: done.stage,
+                capability: name.clone(),
+                wall_ns: done.wall_ns,
+                artifacts: done.artifacts.len(),
+                panicked: done.panicked,
+            });
+            upstream.extend(done.artifacts.iter().cloned());
+            run.stages.push((done.stage, name, done.artifacts));
+        }
     }
 }
 
@@ -420,6 +641,37 @@ mod tests {
                 .unwrap()
                 .count,
             1
+        );
+    }
+
+    #[test]
+    fn a_parallel_pass_records_into_the_pipeline_registry() {
+        let m = MetricsRegistry::new();
+        let mut p = StagedPipeline::new()
+            .with_config(RuntimeConfig::serial().with_workers(2))
+            .with_metrics(m.clone())
+            .with_stage(AnalyticsType::Descriptive, Box::new(Peer { name: "a" }))
+            .with_stage(AnalyticsType::Descriptive, Box::new(Peer { name: "b" }))
+            .with_stage(AnalyticsType::Predictive, Box::new(Predictor));
+        p.run(ctx());
+        let snap = m.snapshot();
+        // Executor instruments: one span per layer, busy time per worker.
+        assert_eq!(
+            snap.histogram("runtime_layer_span").map(|h| h.count),
+            Some(2)
+        );
+        assert!(snap
+            .histograms
+            .iter()
+            .any(|h| h.id.starts_with("runtime_worker_busy_ns{worker=")));
+        // Stage instruments, in the same registry.
+        for capability in ["a", "b", "predictor"] {
+            let id = format!("pipeline_stage_ns{{capability=\"{capability}\"}}");
+            assert_eq!(snap.histogram(&id).map(|h| h.count), Some(1), "{id}");
+        }
+        assert_eq!(
+            snap.counter("pipeline_artifacts_total{capability=\"predictor\"}"),
+            Some(1)
         );
     }
 

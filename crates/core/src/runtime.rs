@@ -8,57 +8,33 @@
 //! * [`ControlPlane`] abstracts "the thing that can actually turn knobs" —
 //!   the simulator in this reproduction, a BMC/Redfish/SLURM adapter in a
 //!   real deployment;
-//! * [`CapabilityScheduler`] turns one pipeline pass into a dependency
-//!   DAG over the registered capabilities, topologically layers it, and
-//!   runs each layer on scoped threads that pull tasks off the layer and
-//!   are joined at its barrier — deterministically (see below), and with
-//!   no thread resident between passes;
-//! * [`OdaRuntime`] holds the pipeline and scheduler, runs a pass over a
-//!   window of telemetry, routes prescriptions, and keeps an audit log of
-//!   every action taken or deferred (prescriptions are outward-facing: a
-//!   system that cannot say what it did and why is not deployable).
+//! * [`CapabilityDag`] is the dependency DAG a pass runs as, and
+//!   [`RuntimeConfig`] its worker count and RNG root seed; the pass
+//!   executor itself is [`StagedPipeline::run`] (see [`crate::pipeline`]
+//!   for its determinism contract);
+//! * [`OdaRuntime`] holds a pipeline, runs a pass over a window of
+//!   telemetry, routes prescriptions, and keeps an audit log of every
+//!   action taken or deferred (prescriptions are outward-facing: a system
+//!   that cannot say what it did and why is not deployable). Its worker
+//!   count, seed and metrics registry are the pipeline's, set once.
 //!
-//! # Determinism contract
-//!
-//! Production ODA evaluates many analytical models online and in parallel
-//! (DCDB Wintermute and friends), but replayability is what makes a
-//! control loop debuggable. The scheduler therefore guarantees that a
-//! pass's *outputs* — the [`PipelineRun`] stage sequence, every artifact,
-//! the audit log, and all count-valued metrics — are bit-identical at any
-//! worker count:
-//!
-//! * workers record results into **pre-assigned slots** (one per
-//!   registered capability), never into a shared append log;
-//! * artifact/metric/audit emission is **sequenced by capability slot**
-//!   at each stage barrier, so emission order never depends on which
-//!   worker finished first;
-//! * per-task RNG streams derive from `(pass seed, capability slot)` —
-//!   not from the executing worker — so which worker pulls a task cannot
-//!   perturb a randomized capability;
-//! * capability panics are caught on the worker, surfaced as
-//!   [`StageSpan::panicked`], and isolated (the pass continues), so one
-//!   bad plugin cannot take down the telemetry plane.
-//!
-//! `workers = 1` (and any layer of one) spawns nothing: the same drain
-//! runs on the calling thread, in exactly the historical serial order
-//! (stages in staged order, peers in insertion order).
+//! The audit log inherits the executor's determinism: prescriptions are
+//! routed in the pass's slot-sequenced stage order, so the log is
+//! bit-identical at any worker count.
 
 use crate::analytics_type::AnalyticsType;
 use crate::capability::{Artifact, Capability, CapabilityContext};
 use crate::grid::GridFootprint;
-use crate::pipeline::{PipelineRun, StageSpan, StagedPipeline};
-use oda_telemetry::hash::splitmix64;
+use crate::pipeline::{elapsed_ns, PipelineRun, StagedPipeline};
 use oda_telemetry::metrics::MetricsRegistry;
 use oda_telemetry::query::TimeRange;
 use oda_telemetry::reading::Timestamp;
 use oda_telemetry::sensor::SensorRegistry;
 use oda_telemetry::store::TimeSeriesStore;
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Arc;
 
-/// Configuration of the capability scheduler.
+/// Worker count and RNG root seed of a pipeline's passes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RuntimeConfig {
     /// Most threads a layer runs on (the caller included). `1` (the
@@ -84,11 +60,12 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Single-worker preset: today's exact serial behavior.
+    /// Single-worker preset: today's exact serial behavior. Probes nothing
+    /// on the host.
     pub fn serial() -> Self {
         RuntimeConfig {
             workers: 1,
-            ..Self::default()
+            seed: 0,
         }
     }
 
@@ -220,226 +197,6 @@ impl CapabilityDag {
     }
 }
 
-/// The slot-addressed outcome of one capability execution.
-struct SlotResult {
-    stage: AnalyticsType,
-    name: String,
-    artifacts: Vec<Artifact>,
-    wall_ns: u64,
-    panicked: bool,
-}
-
-/// One unit of layer work: a capability borrowed from its pipeline slot,
-/// the stage snapshot it runs against, and the result slot it fills.
-struct Task<'a> {
-    stage: AnalyticsType,
-    cap: &'a mut Box<dyn Capability>,
-    ctx: CapabilityContext,
-    out: &'a mut Option<SlotResult>,
-}
-
-fn elapsed_ns(start: Instant) -> u64 {
-    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
-}
-
-/// Executes one task into its result slot, catching a capability panic so
-/// a bad plugin is isolated instead of taking the pass down. Returns the
-/// execution's wall nanoseconds.
-fn execute_task(task: Task<'_>) -> u64 {
-    // odalint: allow(wall-clock) -- worker timing telemetry only; never feeds output digests
-    let start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| task.cap.execute(&task.ctx)));
-    let wall_ns = elapsed_ns(start);
-    *task.out = Some(SlotResult {
-        stage: task.stage,
-        name: task.cap.name().to_owned(),
-        panicked: outcome.is_err(),
-        artifacts: outcome.unwrap_or_default(),
-        wall_ns,
-    });
-    wall_ns
-}
-
-/// Runs one layer to its barrier on `threads` scoped workers — the caller
-/// plus `threads - 1` spawned for this layer only — each pulling the next
-/// task off the shared iterator until it is dry, so a slow capability
-/// never strands work behind it. One thread (a layer of one, or
-/// `workers == 1`) spawns nothing and drains on the caller in slot order.
-/// Returns each worker's busy nanoseconds, the caller's first.
-fn run_layer<'a>(threads: usize, tasks: impl Iterator<Item = Task<'a>> + Send) -> Vec<u64> {
-    let tasks = Mutex::new(tasks);
-    let drain = || {
-        let mut busy_ns = 0u64;
-        loop {
-            // The guard drops with this statement: tasks execute unlocked
-            // (and a poisoned lock still guards a valid iterator).
-            let next = tasks.lock().unwrap_or_else(|e| e.into_inner()).next();
-            match next {
-                Some(task) => busy_ns += execute_task(task),
-                None => return busy_ns,
-            }
-        }
-    };
-    std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(drain)).collect();
-        let mut busy = vec![drain()];
-        // `execute_task` catches capability panics, so a failed join is an
-        // executor bug: re-raise it on the caller.
-        busy.extend(
-            helpers
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))),
-        );
-        busy
-    })
-}
-
-/// Deterministic parallel executor for [`StagedPipeline`] passes.
-///
-/// Builds the [`CapabilityDag`] fresh each pass (capability registration
-/// may change between passes), then executes it layer by layer on scoped
-/// threads that live only for their layer — between passes the scheduler
-/// holds no thread. See the module docs for the determinism contract.
-pub struct CapabilityScheduler {
-    config: RuntimeConfig,
-    metrics: MetricsRegistry,
-    passes: u64,
-}
-
-impl CapabilityScheduler {
-    /// Creates a scheduler recording into the process-wide default
-    /// metrics registry.
-    pub fn new(config: RuntimeConfig) -> Self {
-        Self::with_metrics(config, MetricsRegistry::global())
-    }
-
-    /// Creates a scheduler recording scheduler metrics
-    /// (`runtime_layer_span`, `runtime_worker_busy_ns`,
-    /// `runtime_capability_panics_total`) into `metrics`.
-    pub fn with_metrics(config: RuntimeConfig, metrics: MetricsRegistry) -> Self {
-        CapabilityScheduler {
-            config,
-            metrics,
-            passes: 0,
-        }
-    }
-
-    /// The scheduler's configuration.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
-    /// Redirects scheduler metrics to `metrics`.
-    pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
-        self.metrics = metrics;
-    }
-
-    /// Runs one pipeline pass: each DAG layer on `min(workers, layer
-    /// width)` scoped threads, the caller among them. Outputs are
-    /// bit-identical at every worker count.
-    pub fn run(&mut self, pipeline: &mut StagedPipeline, ctx: CapabilityContext) -> PipelineRun {
-        let pass_seed = splitmix64(self.config.seed ^ splitmix64(self.passes));
-        self.passes += 1;
-        // odalint: allow(wall-clock) -- pass duration telemetry only; never feeds output digests
-        let run_start = Instant::now();
-        let mut run = PipelineRun {
-            stages: Vec::new(),
-            spans: Vec::new(),
-            wall_ns: 0,
-        };
-        let meta: Vec<(AnalyticsType, GridFootprint)> = pipeline
-            .slots()
-            .iter()
-            .map(|s| (s.stage, s.cap.footprint()))
-            .collect();
-        let dag = CapabilityDag::build(&meta);
-        let stage_metrics = pipeline.resolved_metrics();
-
-        let mut results: Vec<Option<SlotResult>> = meta.iter().map(|_| None).collect();
-        let mut upstream = ctx.upstream.clone();
-        for stage_layers in dag.layers.chunk_by(|a, b| a.stage == b.stage) {
-            // Peers never see each other: every layer of the stage runs
-            // against the artifacts of the stages before it.
-            let snapshot = upstream.clone();
-            for layer in stage_layers {
-                // odalint: allow(wall-clock) -- layer duration telemetry only; never feeds output digests
-                let layer_start = Instant::now();
-                // `layer.slots` is ascending, so the tasks come off in slot
-                // order, each holding its own capability and result slot.
-                let tasks = pipeline
-                    .slots_mut()
-                    .iter_mut()
-                    .zip(results.iter_mut())
-                    .enumerate()
-                    .filter(|(slot, _)| layer.slots.binary_search(slot).is_ok())
-                    .map(|(slot, (entry, out))| Task {
-                        stage: layer.stage,
-                        cap: &mut entry.cap,
-                        ctx: CapabilityContext {
-                            store: Arc::clone(&ctx.store),
-                            registry: ctx.registry.clone(),
-                            window: ctx.window,
-                            now: ctx.now,
-                            upstream: snapshot.clone(),
-                            rng_seed: splitmix64(pass_seed ^ (slot as u64 + 1)),
-                        },
-                        out,
-                    });
-                let busy = run_layer(self.config.workers.min(layer.slots.len()), tasks);
-                self.metrics
-                    .histogram("runtime_layer_span", &[])
-                    .record(elapsed_ns(layer_start));
-                // Scheduling telemetry: varies run to run and is explicitly
-                // *outside* the determinism contract.
-                for (worker, busy_ns) in busy.into_iter().enumerate().filter(|&(_, ns)| ns > 0) {
-                    let idx = worker.to_string();
-                    self.metrics
-                        .histogram("runtime_worker_busy_ns", &[("worker", idx.as_str())])
-                        .record(busy_ns);
-                }
-            }
-            Self::emit_stage(&mut run, &mut upstream, &mut results, &stage_metrics);
-        }
-        run.wall_ns = elapsed_ns(run_start);
-        run
-    }
-
-    /// Stage barrier: emits every result the finished stage left in
-    /// `results` — spans, per-capability metrics and downstream artifact
-    /// visibility — in slot order, never in completion order.
-    fn emit_stage(
-        run: &mut PipelineRun,
-        upstream: &mut Vec<Artifact>,
-        results: &mut [Option<SlotResult>],
-        stage_metrics: &MetricsRegistry,
-    ) {
-        for done in results.iter_mut().filter_map(Option::take) {
-            let name = done.name;
-            let labels: &[(&str, &str)] = &[("capability", name.as_str())];
-            stage_metrics
-                .histogram("pipeline_stage_ns", labels)
-                .record(done.wall_ns);
-            stage_metrics
-                .counter("pipeline_artifacts_total", labels)
-                .add(done.artifacts.len() as u64);
-            if done.panicked {
-                stage_metrics
-                    .counter("runtime_capability_panics_total", labels)
-                    .inc();
-            }
-            run.spans.push(StageSpan {
-                stage: done.stage,
-                capability: name.clone(),
-                wall_ns: done.wall_ns,
-                artifacts: done.artifacts.len(),
-                panicked: done.panicked,
-            });
-            upstream.extend(done.artifacts.iter().cloned());
-            run.stages.push((done.stage, name, done.artifacts));
-        }
-    }
-}
-
 /// The actuation surface prescriptions are applied to.
 pub trait ControlPlane {
     /// Attempts to apply `action := setting`. Returns `true` when the
@@ -478,8 +235,8 @@ pub struct ActionRecord {
 /// Summary of one runtime pass.
 #[derive(Debug)]
 pub struct PassReport {
-    /// Full pipeline trace (including per-capability [`StageSpan`]s —
-    /// see [`crate::pipeline::StageSpan`]).
+    /// Full pipeline trace (including per-capability
+    /// [`crate::pipeline::StageSpan`]s).
     pub run: PipelineRun,
     /// Prescriptions applied this pass.
     pub applied: usize,
@@ -516,60 +273,53 @@ pub struct PassReport {
 /// ```
 pub struct OdaRuntime {
     pipeline: StagedPipeline,
-    scheduler: CapabilityScheduler,
     /// Width of the telemetry window each pass analyses, ms.
     pub window_ms: u64,
     /// Whether automatable prescriptions are applied (`false` = advisory
     /// mode: everything goes to the audit log as `NeedsOperator`).
     pub autopilot: bool,
     audit: Vec<ActionRecord>,
-    metrics: MetricsRegistry,
 }
 
 impl OdaRuntime {
     /// Creates a runtime analysing trailing windows of `window_ms`, with
-    /// the default scheduler configuration (one worker per available
-    /// core). Records pass metrics into the process-wide default registry
-    /// unless [`Self::with_metrics`] is used.
+    /// the default configuration (one worker per available core).
     pub fn new(window_ms: u64) -> Self {
         Self::with_config(window_ms, RuntimeConfig::default())
     }
 
-    /// Creates a runtime with an explicit scheduler configuration.
+    /// Creates a runtime with an explicit worker count and seed. Records
+    /// into a fresh registry of its own unless [`Self::with_metrics`] is
+    /// used.
     pub fn with_config(window_ms: u64, config: RuntimeConfig) -> Self {
         OdaRuntime {
-            pipeline: StagedPipeline::new(),
-            scheduler: CapabilityScheduler::new(config),
+            pipeline: StagedPipeline::new().with_config(config),
             window_ms,
             autopilot: true,
             audit: Vec::new(),
-            metrics: MetricsRegistry::global(),
         }
     }
 
     /// Sets the worker count (1 = serial). Builder-style.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
-        let config = self.scheduler.config().clone().with_workers(workers);
-        self.scheduler = CapabilityScheduler::with_metrics(config, self.metrics.clone());
+        let config = self.pipeline.config().clone().with_workers(workers);
+        self.pipeline = self.pipeline.with_config(config);
         self
     }
 
-    /// The scheduler configuration in effect.
+    /// The configuration in effect.
     pub fn config(&self) -> &RuntimeConfig {
-        self.scheduler.config()
+        self.pipeline.config()
     }
 
     /// Records pass metrics (`runtime_pass_total`, `runtime_pass_ns`,
     /// `runtime_prescriptions_{applied,deferred}_total`,
-    /// `runtime_diagnoses_total`), the scheduler's layer/busy metrics,
-    /// and the pipeline's per-capability stage metrics into
-    /// `metrics`. Builder-style.
+    /// `runtime_diagnoses_total`) and everything the pipeline records per
+    /// pass into `metrics`. Builder-style.
     #[must_use]
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
-        self.pipeline.set_metrics(metrics.clone());
-        self.scheduler.set_metrics(metrics.clone());
-        self.metrics = metrics;
+        self.pipeline = self.pipeline.with_metrics(metrics);
         self
     }
 
@@ -599,7 +349,8 @@ impl OdaRuntime {
         now: Timestamp,
         control: &mut dyn ControlPlane,
     ) -> PassReport {
-        let pass_timer = self.metrics.histogram("runtime_pass_ns", &[]).start_timer();
+        let metrics = self.pipeline.metrics().clone();
+        let pass_timer = metrics.histogram("runtime_pass_ns", &[]).start_timer();
         // odalint: allow(wall-clock) -- pass duration telemetry only; never feeds output digests
         let pass_start = std::time::Instant::now();
         let ctx = CapabilityContext::new(
@@ -608,7 +359,7 @@ impl OdaRuntime {
             TimeRange::trailing(now, self.window_ms),
             now,
         );
-        let run = self.scheduler.run(&mut self.pipeline, ctx);
+        let run = self.pipeline.run(ctx);
         let mut applied = 0;
         let mut deferred = 0;
         let mut diagnoses = 0;
@@ -646,18 +397,19 @@ impl OdaRuntime {
                 }
             }
         }
-        self.metrics.counter("runtime_pass_total", &[]).inc();
-        self.metrics
+        metrics.counter("runtime_pass_total", &[]).inc();
+        metrics
             .counter("runtime_prescriptions_applied_total", &[])
             .add(applied as u64);
-        self.metrics
+        metrics
             .counter("runtime_prescriptions_deferred_total", &[])
             .add(deferred as u64);
-        self.metrics
+        metrics
             .counter("runtime_diagnoses_total", &[])
             .add(diagnoses as u64);
-        let histogram = self.metrics.histogram("runtime_pass_ns", &[]);
-        histogram.observe_timer(pass_timer);
+        metrics
+            .histogram("runtime_pass_ns", &[])
+            .observe_timer(pass_timer);
         PassReport {
             run,
             applied,
@@ -940,7 +692,7 @@ mod tests {
         assert_eq!(outputs[0].3, outputs[1].3, "audit logs must match");
     }
 
-    /// A capability that always panics: the scheduler must isolate it.
+    /// A capability that always panics: the executor must isolate it.
     struct Exploder;
     impl Capability for Exploder {
         fn name(&self) -> &str {
@@ -993,6 +745,70 @@ mod tests {
                 Some(1),
                 "workers={workers}"
             );
+        }
+    }
+
+    /// Records the RNG seed of every execution.
+    struct SeedProbe(Arc<std::sync::Mutex<Vec<u64>>>);
+    impl Capability for SeedProbe {
+        fn name(&self) -> &str {
+            "seed-probe"
+        }
+        fn description(&self) -> &str {
+            "records ctx.rng_seed"
+        }
+        fn footprint(&self) -> GridFootprint {
+            GridFootprint::single(crate::grid::GridCell::new(
+                AnalyticsType::Descriptive,
+                crate::pillar::Pillar::SystemHardware,
+            ))
+        }
+        fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
+            self.0.lock().unwrap().push(ctx.rng_seed);
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn standalone_pipeline_runs_hand_out_the_runtime_pass_seeds() {
+        struct NoKnobs;
+        impl ControlPlane for NoKnobs {
+            fn apply(&mut self, _: &str, _: &str) -> bool {
+                false
+            }
+        }
+        let store = Arc::new(TimeSeriesStore::with_capacity(8));
+        for seed in [0, 0x5eed] {
+            let config = RuntimeConfig::serial().with_seed(seed);
+            let standalone = Arc::default();
+            let mut pipeline = StagedPipeline::new()
+                .with_config(config.clone())
+                .with_stage(
+                    AnalyticsType::Descriptive,
+                    Box::new(SeedProbe(Arc::clone(&standalone))),
+                );
+            let in_runtime = Arc::default();
+            let mut runtime = OdaRuntime::with_config(3_600_000, config).with_capability(
+                AnalyticsType::Descriptive,
+                Box::new(SeedProbe(Arc::clone(&in_runtime))),
+            );
+            for _ in 0..3 {
+                pipeline.run(CapabilityContext::new(
+                    Arc::clone(&store),
+                    SensorRegistry::new(),
+                    TimeRange::all(),
+                    Timestamp::ZERO,
+                ));
+                runtime.pass(
+                    Arc::clone(&store),
+                    SensorRegistry::new(),
+                    Timestamp::ZERO,
+                    &mut NoKnobs,
+                );
+            }
+            let seeds = standalone.lock().unwrap().clone();
+            assert_eq!(seeds, *in_runtime.lock().unwrap(), "seed {seed}");
+            assert!(seeds[0] != seeds[1] && seeds[1] != seeds[2], "{seeds:?}");
         }
     }
 

@@ -168,8 +168,8 @@ fn same_readings(a: &ReadingBatch, b: &ReadingBatch) -> bool {
 /// Per-pattern bus subscriptions multiplexed over many bounded client
 /// buffers.
 pub struct FanoutHub {
-    /// Puts sensor names into frames.
-    registry: SensorRegistry,
+    /// Subscribed on per pattern; its sensor registry names frames.
+    bus: Arc<TelemetryBus>,
     /// Keyed by [`SensorPattern::canonical`].
     groups: BTreeMap<String, PatternGroup>,
     clients: BTreeMap<u64, FanoutClient>,
@@ -177,11 +177,11 @@ pub struct FanoutHub {
 }
 
 impl FanoutHub {
-    /// Creates a hub naming frames' sensors from `registry`. No bus
-    /// subscription exists until the first client attaches.
-    pub fn new(registry: SensorRegistry) -> Self {
+    /// Creates a hub over `bus`, naming frames' sensors from its registry.
+    /// No bus subscription exists until the first client attaches.
+    pub fn new(bus: Arc<TelemetryBus>) -> Self {
         FanoutHub {
-            registry,
+            bus,
             groups: BTreeMap::new(),
             clients: BTreeMap::new(),
             stats: FanoutStats::default(),
@@ -190,7 +190,7 @@ impl FanoutHub {
 
     /// Attaches streaming client `key` with `pattern`, buffering at most
     /// `buffer_frames` rendered frames. The first client of a pattern opens
-    /// that pattern's bus subscription on `bus`; spellings of one pattern
+    /// that pattern's bus subscription; spellings of one pattern
     /// (`/hw/**`, `//hw/**/`) share it. The client receives the batches
     /// published from now on. Returns `false` (and attaches nothing) if
     /// `key` is already attached.
@@ -198,13 +198,7 @@ impl FanoutHub {
     /// # Panics
     /// Panics if `pattern` is not absolute (see
     /// [`oda_telemetry::pattern::SensorPattern::new`]).
-    pub fn attach(
-        &mut self,
-        key: u64,
-        pattern: &str,
-        buffer_frames: usize,
-        bus: &TelemetryBus,
-    ) -> bool {
+    pub fn attach(&mut self, key: u64, pattern: &str, buffer_frames: usize) -> bool {
         if self.clients.contains_key(&key) {
             return false;
         }
@@ -215,12 +209,16 @@ impl FanoutHub {
                 // What the group already holds was published before this
                 // client attached: it goes to the members it was meant for.
                 let group = o.into_mut();
-                let mut rendered = Rendered::new(&self.registry);
+                let mut rendered = Rendered::new(self.bus.registry());
                 group.drain_into(&mut self.clients, &mut rendered, &mut self.stats);
                 group
             }
             Entry::Vacant(v) => v.insert(PatternGroup {
-                sub: bus.subscription(pattern).named("serve-fanout").subscribe(),
+                sub: self
+                    .bus
+                    .subscription(pattern)
+                    .named("serve-fanout")
+                    .subscribe(),
                 clients: Vec::new(),
                 dropped_seen: 0,
             }),
@@ -279,7 +277,7 @@ impl FanoutHub {
     /// client over its limit. A batch several patterns matched is rendered
     /// once. Returns the number of batches drained.
     pub fn pump(&mut self) -> usize {
-        let mut rendered = Rendered::new(&self.registry);
+        let mut rendered = Rendered::new(self.bus.registry());
         self.groups
             .values_mut()
             .map(|group| group.drain_into(&mut self.clients, &mut rendered, &mut self.stats))
@@ -341,13 +339,24 @@ mod tests {
     use oda_telemetry::prelude::*;
     use std::collections::BTreeSet;
 
-    fn bus_with(names: &[&str]) -> (TelemetryBus, Vec<SensorId>) {
+    /// A bus over `registry` archiving into a fresh in-memory store.
+    fn bus_over(registry: SensorRegistry) -> Arc<TelemetryBus> {
+        let store = Arc::new(TimeSeriesStore::with_capacity(64));
+        let archive = Arc::new(InMemoryBackend::new(store));
+        Arc::new(TelemetryBus::with_archive(
+            registry,
+            archive,
+            MetricsRegistry::new(),
+        ))
+    }
+
+    fn bus_with(names: &[&str]) -> (Arc<TelemetryBus>, Vec<SensorId>) {
         let registry = SensorRegistry::new();
         let ids = names
             .iter()
             .map(|n| registry.register(n, SensorKind::Power, Unit::Watts))
             .collect();
-        (TelemetryBus::new(registry), ids)
+        (bus_over(registry), ids)
     }
 
     fn publish(bus: &TelemetryBus, sensor: SensorId, ts: u64, value: f64) {
@@ -360,10 +369,10 @@ mod tests {
     #[test]
     fn frames_fan_out_filtered_by_pattern() {
         let (bus, ids) = bus_with(&["/hw/n0/power", "/hw/n1/power", "/facility/pue"]);
-        let mut hub = FanoutHub::new(bus.registry().clone());
-        assert!(hub.attach(1, "/hw/**", 16, &bus));
-        assert!(hub.attach(2, "/facility/**", 16, &bus));
-        assert!(!hub.attach(2, "/facility/**", 16, &bus), "double attach");
+        let mut hub = FanoutHub::new(Arc::clone(&bus));
+        assert!(hub.attach(1, "/hw/**", 16));
+        assert!(hub.attach(2, "/facility/**", 16));
+        assert!(!hub.attach(2, "/facility/**", 16), "double attach");
 
         publish(&bus, ids[0], 10, 1.0);
         publish(&bus, ids[2], 10, 1.4);
@@ -382,9 +391,9 @@ mod tests {
     #[test]
     fn slow_consumer_sheds_oldest_frames_only_for_itself() {
         let (bus, ids) = bus_with(&["/hw/n0/power"]);
-        let mut hub = FanoutHub::new(bus.registry().clone());
-        hub.attach(1, "/**", 2, &bus); // slow: buffer of 2
-        hub.attach(2, "/**", 16, &bus); // fast
+        let mut hub = FanoutHub::new(Arc::clone(&bus));
+        hub.attach(1, "/**", 2); // slow: buffer of 2
+        hub.attach(2, "/**", 16); // fast
 
         for i in 0..5 {
             publish(&bus, ids[0], 10 * (i + 1), i as f64);
@@ -407,10 +416,10 @@ mod tests {
     #[test]
     fn frames_are_shared_not_recloned() {
         let (bus, ids) = bus_with(&["/hw/n0/power"]);
-        let mut hub = FanoutHub::new(bus.registry().clone());
+        let mut hub = FanoutHub::new(Arc::clone(&bus));
         for k in 0..100 {
             let pattern = if k % 2 == 0 { "/**" } else { "/hw/*/power" };
-            hub.attach(k, pattern, 8, &bus);
+            hub.attach(k, pattern, 8);
         }
         publish(&bus, ids[0], 10, 1.0);
         assert_eq!(hub.pump(), 2, "one batch, drained once per pattern");
@@ -424,9 +433,9 @@ mod tests {
         assert_eq!(Arc::strong_count(&a), 100);
         // Equal readings of another sensor are a different frame.
         let (bus, ids) = bus_with(&["/hw/n0/power", "/hw/n1/power"]);
-        let mut hub = FanoutHub::new(bus.registry().clone());
-        hub.attach(0, "/**", 8, &bus);
-        hub.attach(1, "/hw/*/power", 8, &bus);
+        let mut hub = FanoutHub::new(Arc::clone(&bus));
+        hub.attach(0, "/**", 8);
+        hub.attach(1, "/hw/*/power", 8);
         publish(&bus, ids[0], 10, 1.0);
         publish(&bus, ids[1], 10, 1.0);
         publish(&bus, ids[0], 10, 2.0);
@@ -444,10 +453,10 @@ mod tests {
     #[test]
     fn last_detach_drops_the_bus_subscription() {
         let (bus, ids) = bus_with(&["/hw/n0/power"]);
-        let mut hub = FanoutHub::new(bus.registry().clone());
-        hub.attach(1, "/**", 8, &bus);
-        hub.attach(2, "/hw/**", 8, &bus);
-        hub.attach(3, "/hw/**", 8, &bus);
+        let mut hub = FanoutHub::new(Arc::clone(&bus));
+        hub.attach(1, "/**", 8);
+        hub.attach(2, "/hw/**", 8);
+        hub.attach(3, "/hw/**", 8);
         assert_eq!(bus.subscriber_count(), 2, "one subscription per pattern");
         assert_eq!(hub.pattern_count(), 2);
         hub.detach(2);
@@ -457,7 +466,7 @@ mod tests {
         assert_eq!(bus.subscriber_count(), 0, "idle hub must not load the bus");
         assert_eq!(hub.pattern_count(), 0);
         // Re-attach resubscribes.
-        hub.attach(4, "/hw/**", 8, &bus);
+        hub.attach(4, "/hw/**", 8);
         assert_eq!(bus.subscriber_count(), 1);
         publish(&bus, ids[0], 10, 1.0);
         assert_eq!(hub.pump(), 1);
@@ -467,10 +476,10 @@ mod tests {
     #[test]
     fn late_registered_sensor_reaches_matching_clients() {
         let (bus, _) = bus_with(&["/hw/n0/power"]);
-        let mut hub = FanoutHub::new(bus.registry().clone());
-        hub.attach(1, "/hw/**", 8, &bus);
-        hub.attach(2, "/hw/*/power", 8, &bus);
-        hub.attach(3, "/facility/**", 8, &bus);
+        let mut hub = FanoutHub::new(Arc::clone(&bus));
+        hub.attach(1, "/hw/**", 8);
+        hub.attach(2, "/hw/*/power", 8);
+        hub.attach(3, "/facility/**", 8);
         // Register after attach; the bus picks it up, and so must the hub.
         let late = bus
             .registry()
@@ -487,8 +496,8 @@ mod tests {
     #[test]
     fn batches_shed_by_the_bus_are_counted() {
         let (bus, ids) = bus_with(&["/hw/n0/power"]);
-        let mut hub = FanoutHub::new(bus.registry().clone());
-        hub.attach(1, "/**", 2_048, &bus);
+        let mut hub = FanoutHub::new(Arc::clone(&bus));
+        hub.attach(1, "/**", 2_048);
         for i in 0..1_100 {
             publish(&bus, ids[0], i, i as f64);
         }
@@ -513,12 +522,12 @@ mod tests {
     #[test]
     fn equivalent_spellings_share_one_subscription() {
         let (bus, ids) = bus_with(&["/hw/n0/power"]);
-        let mut hub = FanoutHub::new(bus.registry().clone());
+        let mut hub = FanoutHub::new(Arc::clone(&bus));
         for (key, spelling) in ["/hw/**", "/hw/**/", "//hw/**", "/hw//**"]
             .iter()
             .enumerate()
         {
-            hub.attach(key as u64, spelling, 8, &bus);
+            hub.attach(key as u64, spelling, 8);
         }
         assert_eq!(bus.subscriber_count(), 1);
         assert_eq!(hub.pattern_count(), 1);
@@ -580,8 +589,8 @@ mod tests {
             };
             let (bus, mut ids) = bus_with(&["/hw/n0/power", "/hw/n0/temp", "/facility/pue"]);
             let registry = bus.registry().clone();
-            let reference = TelemetryBus::new(registry.clone());
-            let mut hub = FanoutHub::new(registry.clone());
+            let reference = bus_over(registry.clone());
+            let mut hub = FanoutHub::new(Arc::clone(&bus));
             let mut model: BTreeMap<u64, Expected> = BTreeMap::new();
             let mut shared: BTreeMap<(&str, Vec<u8>), Arc<Vec<u8>>> = BTreeMap::new();
             let mut shed_total = 0;
@@ -592,7 +601,7 @@ mod tests {
                         let key = rand(6);
                         let pattern = PATTERNS[rand(4) as usize];
                         let limit = 1 + rand(4) as usize;
-                        let attached = hub.attach(key, pattern, limit, &bus);
+                        let attached = hub.attach(key, pattern, limit);
                         assert_eq!(attached, !model.contains_key(&key));
                         if attached {
                             // A joiner flushes what its pattern's members

@@ -39,6 +39,11 @@
 //!    readiness loop (`poll()`) that glues the above into the endpoint set
 //!    documented in the README.
 //!
+//! A server is built whole: [`server::Server::new`] takes the transport,
+//! the configuration, the query plane and the telemetry bus, streams the
+//! bus at `/api/v1/subscribe` and renders the bus's metrics registry — which
+//! its own counters record into — at `/metrics`. Nothing is attached later.
+//!
 //! ## Quick example (deterministic, in-memory)
 //!
 //! ```
@@ -50,10 +55,12 @@
 //! let id = registry.register("/hw/node0/power", SensorKind::Power, Unit::Watts);
 //! let store = Arc::new(TimeSeriesStore::with_capacity(256));
 //! store.insert(id, Reading::new(Timestamp::from_millis(1), 120.0));
+//! let archive = Arc::new(InMemoryBackend::new(Arc::clone(&store)));
+//! let bus = Arc::new(TelemetryBus::with_archive(registry.clone(), archive, MetricsRegistry::new()));
 //!
 //! let net = Arc::new(SimNet::new());
 //! let plane = Arc::new(LocalPlane { store, registry });
-//! let mut server = Server::new(net.clone(), ServingConfig::default(), plane);
+//! let mut server = Server::new(net.clone(), ServingConfig::default(), plane, bus);
 //! let conn = net.connect();
 //! net.client_send(conn, b"GET /healthz HTTP/1.1\r\n\r\n");
 //! server.poll();

@@ -105,8 +105,9 @@ pub struct Server<N: ServerNet> {
     net: Arc<N>,
     config: ServingConfig,
     plane: Arc<dyn QueryPlane>,
-    bus: Option<Arc<TelemetryBus>>,
-    metrics: Option<MetricsRegistry>,
+    /// The bus's registry: `/metrics` renders it, and the server's own
+    /// request/shed/cache counters record into it.
+    metrics: MetricsRegistry,
     admission: AdmissionController,
     cache: QueryCache,
     fanout: FanoutHub,
@@ -119,38 +120,28 @@ impl<N: ServerNet> Server<N> {
     /// [`oda_telemetry::plane::LocalPlane`] over one store or a collector
     /// cluster's coordinator; responses and digests are bit-identical
     /// either way, and a plane with shards adds a per-shard occupancy
-    /// section to `/api/v1/stats`. Attach a bus with [`Server::with_bus`]
-    /// to enable `/api/v1/subscribe`, and a metrics registry with
-    /// [`Server::with_metrics`] to enable `/metrics`.
-    pub fn new(net: Arc<N>, config: ServingConfig, plane: Arc<dyn QueryPlane>) -> Self {
+    /// section to `/api/v1/stats`. `/api/v1/subscribe` streams what `bus`
+    /// publishes, and `/metrics` renders the bus's registry, which the
+    /// server's own request/shed/cache counters record into.
+    pub fn new(
+        net: Arc<N>,
+        config: ServingConfig,
+        plane: Arc<dyn QueryPlane>,
+        bus: Arc<TelemetryBus>,
+    ) -> Self {
         let cache = QueryCache::new(config.cache_capacity);
         let admission = AdmissionController::new(config.clone());
-        let fanout = FanoutHub::new(plane.registry().clone());
         Server {
             net,
             config,
             plane,
-            bus: None,
-            metrics: None,
+            metrics: bus.metrics().clone(),
             admission,
             cache,
-            fanout,
+            fanout: FanoutHub::new(bus),
             conns: BTreeMap::new(),
             stats: ServerStats::default(),
         }
-    }
-
-    /// Attaches the telemetry bus, enabling live subscription fan-out.
-    pub fn with_bus(mut self, bus: Arc<TelemetryBus>) -> Self {
-        self.bus = Some(bus);
-        self
-    }
-
-    /// Attaches a metrics registry: `/metrics` renders it, and the server
-    /// mirrors its own request/shed/cache counters into it.
-    pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
-        self.metrics = Some(metrics);
-        self
     }
 
     /// Runs one non-blocking tick: accept, read + dispatch, pump fan-out,
@@ -355,23 +346,17 @@ impl<N: ServerNet> Server<N> {
                     false,
                 );
             }
-            ("GET", "/metrics") => match &self.metrics {
-                Some(metrics) => {
-                    let text = metrics.render_prometheus().into_bytes();
-                    self.respond(
-                        key,
-                        200,
-                        "text/plain; version=0.0.4; charset=utf-8",
-                        &[],
-                        &text,
-                        false,
-                    );
-                }
-                None => {
-                    let body = error_body("no metrics registry attached");
-                    self.respond(key, 404, "application/json", &[], &body, false);
-                }
-            },
+            ("GET", "/metrics") => {
+                let text = self.metrics.render_prometheus().into_bytes();
+                self.respond(
+                    key,
+                    200,
+                    "text/plain; version=0.0.4; charset=utf-8",
+                    &[],
+                    &text,
+                    false,
+                );
+            }
             ("GET", "/api/v1/sensors") => self.handle_sensors(key, request),
             ("POST", "/api/v1/query") => {
                 let body = String::from_utf8_lossy(&request.body).into_owned();
@@ -509,11 +494,6 @@ impl<N: ServerNet> Server<N> {
     }
 
     fn handle_subscribe(&mut self, key: u64, tenant: &str, request: &HttpRequest) {
-        let Some(bus) = self.bus.clone() else {
-            let body = error_body("subscriptions unavailable: no bus attached");
-            self.respond(key, 503, "application/json", &[], &body, false);
-            return;
-        };
         let now = self.net.clock_ns();
         if !self.admission.try_subscribe(tenant, now) {
             self.count_metric("serving_shed_total", &[("kind", "subscription_quota")]);
@@ -532,7 +512,7 @@ impl<N: ServerNet> Server<N> {
         }
         if !self
             .fanout
-            .attach(key, &pattern, self.config.sub_buffer_frames, &bus)
+            .attach(key, &pattern, self.config.sub_buffer_frames)
         {
             self.admission.unsubscribe(tenant, now);
             let body = error_body("connection already streaming");
@@ -690,9 +670,7 @@ impl<N: ServerNet> Server<N> {
     }
 
     fn count_metric(&self, name: &'static str, labels: &[(&str, &str)]) {
-        if let Some(metrics) = &self.metrics {
-            metrics.counter(name, labels).add(1);
-        }
+        self.metrics.counter(name, labels).add(1);
     }
 
     // ----- accessors -------------------------------------------------------
@@ -773,6 +751,24 @@ mod tests {
         sensors: Vec<SensorId>,
     }
 
+    /// A server over a bus archiving into a fresh in-memory store of
+    /// `capacity` readings per sensor.
+    fn server_over<N: ServerNet>(
+        net: Arc<N>,
+        config: ServingConfig,
+        registry: SensorRegistry,
+        capacity: usize,
+    ) -> (Server<N>, Arc<TelemetryBus>) {
+        let store = Arc::new(TimeSeriesStore::with_capacity(capacity));
+        let bus = Arc::new(TelemetryBus::with_archive(
+            registry.clone(),
+            Arc::new(InMemoryBackend::new(Arc::clone(&store))),
+            MetricsRegistry::new(),
+        ));
+        let plane = Arc::new(LocalPlane { store, registry });
+        (Server::new(net, config, plane, Arc::clone(&bus)), bus)
+    }
+
     fn world(config: ServingConfig) -> World {
         let registry = SensorRegistry::new();
         let sensors = vec![
@@ -780,11 +776,8 @@ mod tests {
             registry.register("/hw/n1/power", SensorKind::Power, Unit::Watts),
             registry.register("/facility/pue", SensorKind::Count, Unit::Dimensionless),
         ];
-        let store = Arc::new(TimeSeriesStore::with_capacity(1024));
-        let bus = Arc::new(TelemetryBus::with_store(
-            registry.clone(),
-            Arc::clone(&store),
-        ));
+        let net = Arc::new(SimNet::new());
+        let (server, bus) = server_over(Arc::clone(&net), config, registry, 1024);
         for i in 0..10u64 {
             for &s in &sensors {
                 bus.publish(ReadingBatch::single(
@@ -793,15 +786,6 @@ mod tests {
                 ));
             }
         }
-        let net = Arc::new(SimNet::new());
-        let metrics = MetricsRegistry::new();
-        let server = Server::new(
-            Arc::clone(&net),
-            config,
-            Arc::new(LocalPlane { store, registry }),
-        )
-        .with_bus(Arc::clone(&bus))
-        .with_metrics(metrics);
         World {
             net,
             server,
@@ -1210,11 +1194,10 @@ mod tests {
 
         let registry = SensorRegistry::new();
         registry.register("/hw/n0/power", SensorKind::Power, Unit::Watts);
-        let store = Arc::new(TimeSeriesStore::with_capacity(64));
         let net = Arc::new(RealNet::bind("127.0.0.1:0").expect("bind loopback"));
         let addr = net.local_addr().expect("local addr");
-        let plane = Arc::new(LocalPlane { store, registry });
-        let mut server = Server::new(Arc::clone(&net), ServingConfig::default(), plane);
+        let (mut server, _bus) =
+            server_over(Arc::clone(&net), ServingConfig::default(), registry, 64);
 
         let mut client = std::net::TcpStream::connect(addr).expect("connect");
         client

@@ -579,7 +579,7 @@ pub struct DataCenter {
 /// assert_eq!(dc.config().workers, DataCenterConfig::tiny().workers);
 /// ```
 ///
-/// Defaults: seed `0`, the process-wide [`MetricsRegistry::global`], a
+/// Defaults: seed `0`, a fresh [`MetricsRegistry`] of the site's own, a
 /// fresh deterministic [`SimFs`] for durable storage, and the
 /// [`ServingConfig`] defaults for [`DataCenter::serve`]. The `workers`,
 /// `rollups` and `storage` setters override the corresponding
@@ -587,7 +587,7 @@ pub struct DataCenter {
 pub struct DataCenterBuilder {
     config: DataCenterConfig,
     seed: u64,
-    metrics: Option<MetricsRegistry>,
+    metrics: MetricsRegistry,
     archive_fs: Option<Arc<dyn StorageFs>>,
     serving: ServingConfig,
 }
@@ -598,7 +598,7 @@ impl DataCenterBuilder {
         DataCenterBuilder {
             config,
             seed: 0,
-            metrics: None,
+            metrics: MetricsRegistry::new(),
             archive_fs: None,
             serving: ServingConfig::default(),
         }
@@ -611,12 +611,11 @@ impl DataCenterBuilder {
         self
     }
 
-    /// Uses an explicit metrics registry for the telemetry plane (store
-    /// write path + bus publish path + serving frontend) instead of the
-    /// process-wide [`MetricsRegistry::global`] — isolates self-metrics per
-    /// instance for tests and side-by-side soaks.
+    /// Records the telemetry plane (store write path + bus publish path +
+    /// serving frontend) into `metrics` instead of the site's own fresh
+    /// registry — so a runtime, or a second site, can share it.
     pub fn metrics(mut self, metrics: MetricsRegistry) -> Self {
-        self.metrics = Some(metrics);
+        self.metrics = metrics;
         self
     }
 
@@ -662,7 +661,17 @@ impl DataCenterBuilder {
     }
 
     /// Builds the site.
+    ///
+    /// # Panics
+    /// Panics with the error's text where [`Self::try_build`] returns one.
     pub fn build(self) -> DataCenter {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the site, or returns the storage error that stopped it: the
+    /// archive backend failing to open (or replay) over the storage
+    /// filesystem, or a collector shard failing to open its own.
+    pub fn try_build(self) -> Result<DataCenter, FsError> {
         let DataCenterBuilder {
             config,
             seed,
@@ -670,7 +679,6 @@ impl DataCenterBuilder {
             archive_fs,
             serving,
         } = self;
-        let metrics = metrics.unwrap_or_else(MetricsRegistry::global);
         let archive_fs = archive_fs.unwrap_or_else(|| Arc::new(SimFs::new()));
         DataCenter::build(config, seed, metrics, archive_fs, serving)
     }
@@ -682,23 +690,22 @@ impl DataCenter {
         DataCenterBuilder::new(config)
     }
 
-    /// Constructor body shared by every builder path.
+    /// Constructor body behind [`DataCenterBuilder::try_build`].
     fn build(
         config: DataCenterConfig,
         seed: u64,
         metrics: MetricsRegistry,
         archive_fs: Arc<dyn StorageFs>,
         serving: ServingConfig,
-    ) -> Self {
+    ) -> Result<Self, FsError> {
         let mut root_rng = SimRng::new(seed);
         let weather_rng = root_rng.fork();
         let mut workload_rng = root_rng.fork();
         let node_count = config.node_count();
         let registry = SensorRegistry::new();
         let sensors = Sensors::register(&registry, node_count, config.racks);
-        let bus = Self::build_bus(&config, registry.clone(), metrics, Arc::clone(&archive_fs))
-            .expect("archive backend must open over the site's storage fs");
-        let cluster = Self::build_cluster(&config, &registry);
+        let bus = Self::build_bus(&config, registry.clone(), metrics, Arc::clone(&archive_fs))?;
+        let cluster = Self::build_cluster(&config, &registry)?;
         let racks = build_racks(
             config.racks,
             config.nodes_per_rack,
@@ -714,7 +721,7 @@ impl DataCenter {
             })
             .collect();
         let workload = WorkloadGenerator::new(config.workload.clone(), &mut workload_rng);
-        DataCenter {
+        Ok(DataCenter {
             clock: SimClock::new(config.tick_ms),
             weather: Weather::new(config.weather.clone()),
             cooling: CoolingPlant::new(config.cooling.clone(), config.initial_setpoint_c),
@@ -754,7 +761,7 @@ impl DataCenter {
             sensors,
             config,
             serving,
-        }
+        })
     }
 
     /// Stands up the collector-shard hierarchy when `config.shards > 0`.
@@ -764,9 +771,9 @@ impl DataCenter {
     fn build_cluster(
         config: &DataCenterConfig,
         registry: &SensorRegistry,
-    ) -> Option<Arc<ClusterCoordinator>> {
+    ) -> Result<Option<Arc<ClusterCoordinator>>, FsError> {
         if config.shards == 0 {
-            return None;
+            return Ok(None);
         }
         let storage = match config.storage.backend {
             BackendKind::InMemory => StorageConfig::hybrid(),
@@ -781,9 +788,8 @@ impl DataCenter {
                 ..ClusterConfig::default()
             },
             registry.clone(),
-        )
-        .expect("cluster shards must open over fresh in-memory filesystems");
-        Some(Arc::new(cluster))
+        )?;
+        Ok(Some(Arc::new(cluster)))
     }
 
     /// Builds a multi-tenant query/subscription frontend over `net`, wired
@@ -793,9 +799,12 @@ impl DataCenter {
     /// [`Server::poll`] from the experiment loop (or a
     /// [`oda_serve::net::RealNet`] listener thread).
     pub fn serve<N: ServerNet>(&self, net: Arc<N>) -> Server<N> {
-        Server::new(net, self.serving.clone(), self.plane())
-            .with_bus(Arc::clone(&self.bus))
-            .with_metrics(self.metrics().clone())
+        Server::new(
+            net,
+            self.serving.clone(),
+            self.plane(),
+            Arc::clone(&self.bus),
+        )
     }
 
     /// The site's query plane: the collector cluster's coordinator on a
@@ -848,10 +857,8 @@ impl DataCenter {
     /// returned as the error, and the site keeps its pre-restart bus.
     pub fn restart_archive(&mut self) -> Result<RecoveryReport, FsError> {
         let metrics = self.bus.metrics().clone();
-        if let Some(archive) = self.bus.archive() {
-            if archive.flush().is_err() {
-                metrics.counter("storage_wal_errors_total", &[]).inc();
-            }
+        if self.archive().flush().is_err() {
+            metrics.counter("storage_wal_errors_total", &[]).inc();
         }
         self.bus = Self::build_bus(
             &self.config,
@@ -859,11 +866,7 @@ impl DataCenter {
             metrics,
             Arc::clone(&self.archive_fs),
         )?;
-        Ok(self
-            .bus
-            .archive()
-            .and_then(|a| a.recovery().cloned())
-            .unwrap_or_default())
+        Ok(self.archive().recovery().cloned().unwrap_or_default())
     }
 
     // ----- accessors -------------------------------------------------------
@@ -896,16 +899,12 @@ impl DataCenter {
 
     /// The archive store behind the bus.
     pub fn store(&self) -> &Arc<TimeSeriesStore> {
-        self.bus
-            .store()
-            .expect("data center bus always has a store")
+        self.bus.store()
     }
 
     /// The archive backend behind the bus (in-memory, persistent or hybrid).
     pub fn archive(&self) -> &Arc<dyn StorageBackend> {
-        self.bus
-            .archive()
-            .expect("data center bus always has an archive")
+        self.bus.archive()
     }
 
     /// The metrics registry the telemetry plane records into.
@@ -1573,6 +1572,62 @@ mod tests {
         );
         // The site keeps its pre-restart bus.
         assert_eq!(dc.bus().published(), published);
+    }
+
+    #[test]
+    fn try_build_returns_a_bad_segment_by_name_instead_of_panicking() {
+        let fs = Arc::new(RereadRot {
+            inner: SimFs::new(),
+            seen: Default::default(),
+        });
+        let mut storage = StorageConfig::persistent();
+        storage.engine.segment_max_readings = 256;
+        let site = || {
+            DataCenter::builder(DataCenterConfig::tiny())
+                .seed(9)
+                .storage(storage.clone())
+                .storage_fs(Arc::clone(&fs) as Arc<dyn StorageFs>)
+        };
+        let mut dc = site().try_build().expect("a fresh filesystem opens");
+        dc.run_for_hours(0.1);
+        assert!(fs.inner.exists("seg-000000000001.seg"));
+        // A second site over the same files verifies each segment at open
+        // and finds it rotten at replay.
+        let err = site()
+            .try_build()
+            .err()
+            .expect("replay must not skip a bad segment");
+        assert!(
+            matches!(&err, FsError::Io(msg) if msg.contains("seg-000000000001.seg")),
+            "the error names the file: {err}"
+        );
+    }
+
+    #[test]
+    fn default_built_sites_do_not_share_metrics() {
+        let mut a = DataCenter::builder(DataCenterConfig::tiny())
+            .seed(5)
+            .build();
+        let b = DataCenter::builder(DataCenterConfig::tiny())
+            .seed(5)
+            .build();
+        a.run_for_hours(0.1);
+        let published = |dc: &DataCenter| dc.metrics().snapshot().counter("bus_publish_total");
+        let a_count = published(&a).unwrap_or(0);
+        assert!(a_count > 0);
+        assert_eq!(published(&b), Some(0), "B never published");
+        // B's `/metrics` serves B's registry, not A's counts.
+        let net = Arc::new(oda_serve::net::SimNet::new());
+        let mut server = b.serve(Arc::clone(&net));
+        let conn = net.connect();
+        net.client_send(conn, b"GET /metrics HTTP/1.1\r\n\r\n");
+        for _ in 0..16 {
+            server.poll();
+        }
+        let reply = String::from_utf8_lossy(&net.client_recv(conn)).into_owned();
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        assert!(reply.contains("\nbus_publish_total 0\n"), "{reply}");
+        assert!(!reply.contains(&format!("\nbus_publish_total {a_count}\n")));
     }
 
     #[test]

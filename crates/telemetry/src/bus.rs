@@ -3,9 +3,15 @@
 //! Producers (the simulator's telemetry taps, or any collector) publish
 //! [`ReadingBatch`]es; consumers subscribe with a [`SensorPattern`] plus a
 //! resolved list of sensor ids and receive matching batches over a bounded
-//! crossbeam channel. The bus also (optionally) writes every published batch
-//! straight into a [`TimeSeriesStore`], which is how the archive stays
-//! current without every consumer re-implementing persistence.
+//! crossbeam channel. The bus also writes every published batch straight
+//! into its archive — a [`StorageBackend`] over a [`TimeSeriesStore`] —
+//! which is how the archive stays current without every consumer
+//! re-implementing persistence.
+//!
+//! A bus is built whole, by one constructor, [`TelemetryBus::with_archive`]:
+//! its owner hands it the sensor registry, the archive and the metrics
+//! registry its instruments record into. Nothing is attached later and
+//! nothing falls back to a process-wide default.
 //!
 //! Delivery semantics are *at-most-once per subscriber with back-pressure
 //! shedding*: if a subscriber's channel is full the batch is dropped for that
@@ -17,8 +23,10 @@
 //!
 //! ```
 //! use oda_telemetry::prelude::*;
-//! let registry = SensorRegistry::new();
-//! let bus = TelemetryBus::new(registry);
+//! use std::sync::Arc;
+//! let store = Arc::new(TimeSeriesStore::with_capacity(1024));
+//! let archive = Arc::new(InMemoryBackend::new(store));
+//! let bus = TelemetryBus::with_archive(SensorRegistry::new(), archive, MetricsRegistry::new());
 //! let sub = bus.subscription("/hw/**").capacity(256).named("alert-engine").subscribe();
 //! assert_eq!(sub.name(), "alert-engine");
 //! ```
@@ -34,7 +42,7 @@ use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use crate::pattern::SensorPattern;
 use crate::reading::ReadingBatch;
 use crate::sensor::{SensorId, SensorRegistry};
-use crate::storage::{InMemoryBackend, StorageBackend};
+use crate::storage::StorageBackend;
 use crate::store::TimeSeriesStore;
 use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
@@ -221,10 +229,10 @@ const _: () = {
     assert_send_sync::<crate::metrics::MetricsRegistry>();
 };
 
-/// Fan-out pub/sub bus for telemetry, optionally archiving into a store.
+/// Fan-out pub/sub bus for telemetry, archiving everything it publishes.
 pub struct TelemetryBus {
     registry: SensorRegistry,
-    archive: Option<Arc<dyn StorageBackend>>,
+    archive: Arc<dyn StorageBackend>,
     subscribers: Arc<RwLock<Vec<Subscriber>>>,
     next_id: Mutex<u64>,
     published: AtomicU64,
@@ -246,43 +254,13 @@ pub struct TelemetryBus {
 }
 
 impl TelemetryBus {
-    /// Creates a bus that only fans out to subscribers (no archiving).
-    /// Records into the process-wide [`MetricsRegistry::global`].
-    pub fn new(registry: SensorRegistry) -> Self {
-        Self::with_parts(registry, None, MetricsRegistry::global())
-    }
-
-    /// Creates a bus that also archives every published batch into `store`.
-    pub fn with_store(registry: SensorRegistry, store: Arc<TimeSeriesStore>) -> Self {
-        Self::with_parts(registry, Some(store), MetricsRegistry::global())
-    }
-
-    /// Creates a bus that archives through an explicit [`StorageBackend`]
-    /// (in-memory, persistent, or hybrid).
+    /// Creates a bus resolving patterns against `registry`, archiving every
+    /// published batch through `archive` (in-memory, persistent, or hybrid
+    /// [`StorageBackend`]) and recording its instruments into `metrics` —
+    /// pass [`MetricsRegistry::disabled`] for a zero-overhead bus.
     pub fn with_archive(
         registry: SensorRegistry,
         archive: Arc<dyn StorageBackend>,
-        metrics: MetricsRegistry,
-    ) -> Self {
-        Self::build(registry, Some(archive), metrics)
-    }
-
-    /// Creates a bus with an explicit store (optional) and metrics registry —
-    /// pass [`MetricsRegistry::disabled`] for a zero-overhead bus. The store
-    /// is wrapped in an [`InMemoryBackend`]; use
-    /// [`with_archive`](Self::with_archive) for durable backends.
-    pub fn with_parts(
-        registry: SensorRegistry,
-        store: Option<Arc<TimeSeriesStore>>,
-        metrics: MetricsRegistry,
-    ) -> Self {
-        let archive = store.map(|s| Arc::new(InMemoryBackend::new(s)) as Arc<dyn StorageBackend>);
-        Self::build(registry, archive, metrics)
-    }
-
-    fn build(
-        registry: SensorRegistry,
-        archive: Option<Arc<dyn StorageBackend>>,
         metrics: MetricsRegistry,
     ) -> Self {
         TelemetryBus {
@@ -309,14 +287,14 @@ impl TelemetryBus {
         &self.registry
     }
 
-    /// The hot store of the attached archive, if any.
-    pub fn store(&self) -> Option<&Arc<TimeSeriesStore>> {
-        self.archive.as_ref().map(|a| a.store())
+    /// The hot store of the archive.
+    pub fn store(&self) -> &Arc<TimeSeriesStore> {
+        self.archive.store()
     }
 
-    /// The attached archive backend, if any.
-    pub fn archive(&self) -> Option<&Arc<dyn StorageBackend>> {
-        self.archive.as_ref()
+    /// The archive backend every publish writes through.
+    pub fn archive(&self) -> &Arc<dyn StorageBackend> {
+        &self.archive
     }
 
     /// The metrics registry this bus's instruments record into.
@@ -379,8 +357,8 @@ impl TelemetryBus {
     }
 
     /// Publishes a group of batches — one sampling tick's readings — in
-    /// order: archives the group (if a store is attached) through
-    /// [`StorageBackend::insert_many`], then delivers each batch to every
+    /// order: archives the group through [`StorageBackend::insert_many`],
+    /// then delivers each batch to every
     /// matching subscriber under one pass over the subscriber table. Every
     /// subscriber receives exactly the sequence it would from publishing the
     /// batches one by one; counters count batches. Returns the number of
@@ -395,9 +373,7 @@ impl TelemetryBus {
         self.m_publish_total.add(batches.len() as u64);
         self.m_readings_total
             .add(batches.iter().map(|b| b.readings.len() as u64).sum());
-        if let Some(archive) = &self.archive {
-            archive.insert_many(batches);
-        }
+        self.archive.insert_many(batches);
         let newest = batches.iter().map(|b| b.sensor.0).max();
         let mut delivered = 0;
         let mut dead: Vec<u64> = Vec::new();
@@ -497,12 +473,19 @@ mod tests {
     use super::*;
     use crate::reading::{Reading, Timestamp};
     use crate::sensor::{SensorKind, Unit};
+    use crate::storage::InMemoryBackend;
+
+    /// A bus archiving into a fresh 64-reading in-memory store.
+    fn in_memory(reg: SensorRegistry, metrics: MetricsRegistry) -> TelemetryBus {
+        let store = Arc::new(TimeSeriesStore::with_capacity(64));
+        TelemetryBus::with_archive(reg, Arc::new(InMemoryBackend::new(store)), metrics)
+    }
 
     fn setup() -> (SensorRegistry, TelemetryBus, SensorId, SensorId) {
         let reg = SensorRegistry::new();
         let a = reg.register("/hw/node0/power", SensorKind::Power, Unit::Watts);
         let b = reg.register("/facility/pdu0/power", SensorKind::Power, Unit::Kilowatts);
-        let bus = TelemetryBus::new(reg.clone());
+        let bus = in_memory(reg.clone(), MetricsRegistry::new());
         (reg, bus, a, b)
     }
 
@@ -510,7 +493,7 @@ mod tests {
         let reg = SensorRegistry::new();
         let a = reg.register("/hw/node0/power", SensorKind::Power, Unit::Watts);
         let metrics = MetricsRegistry::new();
-        let bus = TelemetryBus::with_parts(reg, None, metrics.clone());
+        let bus = in_memory(reg, metrics.clone());
         (metrics, bus, a)
     }
 
@@ -570,11 +553,8 @@ mod tests {
     }
 
     #[test]
-    fn store_attached_bus_archives_everything() {
-        let reg = SensorRegistry::new();
-        let a = reg.register("/hw/node0/power", SensorKind::Power, Unit::Watts);
-        let store = Arc::new(TimeSeriesStore::with_capacity(16));
-        let bus = TelemetryBus::with_store(reg, Arc::clone(&store));
+    fn bus_archives_everything() {
+        let (_reg, bus, a, _b) = setup();
         bus.publish(ReadingBatch {
             sensor: a,
             readings: vec![
@@ -582,7 +562,7 @@ mod tests {
                 Reading::new(Timestamp::from_millis(10), 110.0),
             ],
         });
-        assert_eq!(store.series_len(a), 2);
+        assert_eq!(bus.store().series_len(a), 2);
         assert_eq!(bus.published(), 1);
     }
 
@@ -705,7 +685,7 @@ mod tests {
         // lock and the pattern match on every publish, forever.
         let reg = SensorRegistry::new();
         let metrics = MetricsRegistry::new();
-        let bus = TelemetryBus::with_parts(reg.clone(), None, metrics.clone());
+        let bus = in_memory(reg.clone(), metrics.clone());
         let sub = bus.subscription("/facility/**").capacity(8).subscribe();
         let other = reg.register("/hw/node0/power", SensorKind::Power, Unit::Watts);
         for _ in 0..10_000 {
@@ -735,12 +715,8 @@ mod tests {
             let reg = SensorRegistry::new();
             let a = reg.register("/hw/node0/power", SensorKind::Power, Unit::Watts);
             let b = reg.register("/facility/pdu0/power", SensorKind::Power, Unit::Kilowatts);
-            let store = Arc::new(TimeSeriesStore::with_capacity(64));
-            let bus = TelemetryBus::with_parts(
-                reg.clone(),
-                Some(Arc::clone(&store)),
-                MetricsRegistry::new(),
-            );
+            let bus = in_memory(reg.clone(), MetricsRegistry::new());
+            let store = Arc::clone(bus.store());
             let wide = bus.subscription("/**").capacity(64).subscribe();
             let narrow = bus.subscription("/hw/**").capacity(2).subscribe();
             let Subscription { rx, guard, .. } = bus.subscription("/**").capacity(4).subscribe();

@@ -5,8 +5,12 @@
 //! and diagnose *itself* — per-plugin overhead and ingest-latency
 //! accounting were prerequisites for running ODA on a live machine. This
 //! module is that layer: lock-free counters, gauges and log-linear latency
-//! histograms behind a process-wide [`MetricsRegistry`], exposed both as
+//! histograms behind a [`MetricsRegistry`], exposed both as
 //! Prometheus-style text and as a JSON-able snapshot.
+//!
+//! There is no process-wide registry: a component records into the one its
+//! owner hands it at construction, or into a fresh one of its own, so two
+//! sites in one process never see each other's counters.
 //!
 //! Design constraints, in order:
 //!
@@ -31,7 +35,7 @@ use parking_lot::RwLock;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Number of linear sub-buckets per power of two (must be a power of two).
@@ -419,13 +423,6 @@ impl MetricsRegistry {
         MetricsRegistry { inner: None }
     }
 
-    /// The process-wide default registry. Components that are not handed an
-    /// explicit registry record here.
-    pub fn global() -> MetricsRegistry {
-        static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new).clone()
-    }
-
     /// `false` for no-op registries.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
@@ -790,16 +787,6 @@ mod tests {
         let cv = reg.snapshot().count_values();
         assert!(cv.contains(&("a_total".to_owned(), 3)));
         assert!(cv.contains(&("b_ns_count".to_owned(), 1)));
-    }
-
-    #[test]
-    fn global_registry_is_shared() {
-        let a = MetricsRegistry::global();
-        let b = MetricsRegistry::global();
-        let c = a.counter("global_smoke_total", &[]);
-        let before = c.get();
-        b.counter("global_smoke_total", &[]).inc();
-        assert_eq!(c.get(), before + 1);
     }
 
     #[test]

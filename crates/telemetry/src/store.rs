@@ -538,13 +538,13 @@ impl TimeSeriesStore {
     pub const DEFAULT_SHARDS: usize = 16;
 
     /// Creates a store where each sensor retains up to `per_sensor_capacity`
-    /// readings, with the default shard count. Records into the process-wide
-    /// [`MetricsRegistry::global`].
+    /// readings, with the default shard count. Records into a fresh
+    /// registry of its own.
     pub fn with_capacity(per_sensor_capacity: usize) -> Self {
         Self::with_rollups(
             per_sensor_capacity,
             Self::DEFAULT_SHARDS,
-            MetricsRegistry::global(),
+            MetricsRegistry::new(),
             RollupConfig::default(),
         )
     }
@@ -1089,7 +1089,7 @@ mod tests {
     #[test]
     fn store_single_shard_still_works() {
         let store =
-            TimeSeriesStore::with_rollups(8, 1, MetricsRegistry::global(), RollupConfig::default());
+            TimeSeriesStore::with_rollups(8, 1, MetricsRegistry::new(), RollupConfig::default());
         for i in 0..5u32 {
             store.insert(SensorId(i), r(0, i as f64));
         }

@@ -18,7 +18,7 @@ use hpc_oda::core::analytics_type::AnalyticsType;
 use hpc_oda::core::capability::{Artifact, Capability, CapabilityContext};
 use hpc_oda::core::grid::{GridCell, GridFootprint};
 use hpc_oda::core::pipeline::StagedPipeline;
-use hpc_oda::core::runtime::{CapabilityScheduler, RuntimeConfig};
+use hpc_oda::core::runtime::RuntimeConfig;
 use hpc_oda::telemetry::hash::splitmix64;
 use hpc_oda::telemetry::metrics::MetricsRegistry;
 use hpc_oda::telemetry::query::TimeRange;
@@ -144,8 +144,13 @@ struct Observed {
 
 fn run_with_workers(specs: &[CapSpec], seed: u64, workers: usize, passes: usize) -> Observed {
     let metrics = MetricsRegistry::new();
-    let mut pipeline = StagedPipeline::new();
-    pipeline.set_metrics(metrics.clone());
+    let mut pipeline = StagedPipeline::new()
+        .with_config(
+            RuntimeConfig::serial()
+                .with_workers(workers)
+                .with_seed(seed),
+        )
+        .with_metrics(metrics.clone());
     for (i, spec) in specs.iter().enumerate() {
         pipeline.add_stage(
             spec.stage,
@@ -155,12 +160,6 @@ fn run_with_workers(specs: &[CapSpec], seed: u64, workers: usize, passes: usize)
             }),
         );
     }
-    let mut scheduler = CapabilityScheduler::with_metrics(
-        RuntimeConfig::serial()
-            .with_workers(workers)
-            .with_seed(seed),
-        metrics.clone(),
-    );
     let store = Arc::new(TimeSeriesStore::with_capacity(8));
     let registry = SensorRegistry::new();
 
@@ -176,7 +175,7 @@ fn run_with_workers(specs: &[CapSpec], seed: u64, workers: usize, passes: usize)
             TimeRange::all(),
             Timestamp::from_millis(1_000 * (pass as u64 + 1)),
         );
-        let run = scheduler.run(&mut pipeline, ctx);
+        let run = pipeline.run(ctx);
         observed.digests.push(run.output_digest());
         for span in &run.spans {
             observed.spans.push(format!(
@@ -286,8 +285,9 @@ impl Capability for Rendezvous {
 #[test]
 fn a_blocked_capability_strands_no_work_behind_it() {
     let (tx, rx) = channel();
-    let mut pipeline = StagedPipeline::new();
-    pipeline.set_metrics(MetricsRegistry::disabled());
+    let mut pipeline = StagedPipeline::new()
+        .with_config(RuntimeConfig::serial().with_workers(2))
+        .with_metrics(MetricsRegistry::disabled());
     pipeline.add_stage(
         AnalyticsType::Descriptive,
         Box::new(Rendezvous::AwaitPeers(rx, 7)),
@@ -298,19 +298,12 @@ fn a_blocked_capability_strands_no_work_behind_it() {
             Box::new(Rendezvous::Finish(tx.clone())),
         );
     }
-    let mut scheduler = CapabilityScheduler::with_metrics(
-        RuntimeConfig::serial().with_workers(2),
-        MetricsRegistry::disabled(),
-    );
-    let run = scheduler.run(
-        &mut pipeline,
-        CapabilityContext::new(
-            Arc::new(TimeSeriesStore::with_capacity(8)),
-            SensorRegistry::new(),
-            TimeRange::all(),
-            Timestamp::from_millis(1_000),
-        ),
-    );
+    let run = pipeline.run(CapabilityContext::new(
+        Arc::new(TimeSeriesStore::with_capacity(8)),
+        SensorRegistry::new(),
+        TimeRange::all(),
+        Timestamp::from_millis(1_000),
+    ));
     assert_eq!(run.spans.len(), 8);
     assert!(
         run.spans.iter().all(|s| !s.panicked),

@@ -12,7 +12,7 @@ use hpc_oda::core::capability::{Artifact, Capability, CapabilityContext};
 use hpc_oda::core::cells;
 use hpc_oda::core::grid::{GridCell, GridFootprint};
 use hpc_oda::core::pipeline::StagedPipeline;
-use hpc_oda::core::runtime::{CapabilityScheduler, OdaRuntime, RuntimeConfig, SimControlPlane};
+use hpc_oda::core::runtime::{OdaRuntime, RuntimeConfig, SimControlPlane};
 use hpc_oda::sim::prelude::*;
 use hpc_oda::telemetry::metrics::MetricsRegistry;
 use hpc_oda::telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
@@ -153,8 +153,9 @@ fn no_thread_outlives_a_pass() {
     let fleet = dc.sensors().node_temp.clone();
     assert_eq!(fleet.len(), 128);
     let layer = Arc::new(Layer::default());
-    let mut pipeline = StagedPipeline::new();
-    pipeline.set_metrics(MetricsRegistry::disabled());
+    let mut pipeline = StagedPipeline::new()
+        .with_config(RuntimeConfig::serial().with_workers(4))
+        .with_metrics(MetricsRegistry::disabled());
     pipeline.add_stage(
         AnalyticsType::Descriptive,
         Box::new(FleetRead::Probe(Arc::clone(&layer))),
@@ -165,19 +166,12 @@ fn no_thread_outlives_a_pass() {
             Box::new(FleetRead::Peer(Arc::clone(&layer), fleet.clone())),
         );
     }
-    let mut scheduler = CapabilityScheduler::with_metrics(
-        RuntimeConfig::serial().with_workers(4),
-        MetricsRegistry::disabled(),
-    );
-    let run = scheduler.run(
-        &mut pipeline,
-        CapabilityContext::new(
-            Arc::clone(dc.store()),
-            dc.registry().clone(),
-            TimeRange::all(),
-            dc.now(),
-        ),
-    );
+    let run = pipeline.run(CapabilityContext::new(
+        Arc::clone(dc.store()),
+        dc.registry().clone(),
+        TimeRange::all(),
+        dc.now(),
+    ));
     assert!(run.spans.iter().all(|s| !s.panicked), "{:?}", run.spans);
     let max_threads = layer.max_threads.load(SeqCst);
     assert!(

@@ -20,6 +20,7 @@ use hpc_oda::telemetry::plane::LocalPlane;
 use hpc_oda::telemetry::query::{Aggregation, Query, QueryEngine};
 use hpc_oda::telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use hpc_oda::telemetry::sensor::{SensorKind, SensorRegistry, Unit};
+use hpc_oda::telemetry::storage::InMemoryBackend;
 use hpc_oda::telemetry::store::{RollupConfig, TimeSeriesStore};
 use std::sync::Arc;
 
@@ -198,9 +199,10 @@ fn cache_hits_stay_bit_identical_while_rollups_fold_concurrently() {
         MetricsRegistry::new(),
         RollupConfig::default(),
     ));
-    let bus = Arc::new(TelemetryBus::with_store(
+    let bus = Arc::new(TelemetryBus::with_archive(
         registry.clone(),
-        Arc::clone(&store),
+        Arc::new(InMemoryBackend::new(Arc::clone(&store))),
+        MetricsRegistry::new(),
     ));
 
     let net = Arc::new(SimNet::new());
@@ -211,6 +213,7 @@ fn cache_hits_stay_bit_identical_while_rollups_fold_concurrently() {
             store: Arc::clone(&store),
             registry: registry.clone(),
         }),
+        Arc::clone(&bus),
     );
     let wire = Query::sensors("/conc/**")
         .aggregate(Aggregation::Mean)

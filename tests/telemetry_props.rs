@@ -207,13 +207,20 @@ proptest! {
         buffer in 1usize..8,
     ) {
         use hpc_oda::telemetry::bus::TelemetryBus;
+        use hpc_oda::telemetry::metrics::MetricsRegistry;
         use hpc_oda::telemetry::pattern::SensorPattern;
         use hpc_oda::telemetry::reading::ReadingBatch;
         use hpc_oda::telemetry::sensor::{SensorKind, SensorRegistry, Unit};
+        use hpc_oda::telemetry::storage::InMemoryBackend;
+        use std::sync::Arc;
 
         let registry = SensorRegistry::new();
         let sensor = registry.register("/hw/node0/temp_c", SensorKind::Temperature, Unit::Celsius);
-        let bus = TelemetryBus::new(registry);
+        let bus = TelemetryBus::with_archive(
+            registry,
+            Arc::new(InMemoryBackend::new(Arc::new(TimeSeriesStore::with_capacity(64)))),
+            MetricsRegistry::new(),
+        );
         // Never drained: fills after `buffer` batches, sheds afterwards.
         let stalled = bus
             .subscription(SensorPattern::new("/hw/**"))
@@ -714,6 +721,7 @@ fn long_window_fleet_mean_is_served_from_tiers_with_exact_counts() {
     use hpc_oda::telemetry::metrics::MetricsRegistry;
     use hpc_oda::telemetry::reading::ReadingBatch;
     use hpc_oda::telemetry::sensor::{SensorKind, SensorRegistry, Unit};
+    use hpc_oda::telemetry::storage::InMemoryBackend;
     use hpc_oda::telemetry::store::RollupConfig;
     use std::sync::Arc;
 
@@ -741,7 +749,8 @@ fn long_window_fleet_mean_is_served_from_tiers_with_exact_counts() {
             metrics.clone(),
             RollupConfig::default(),
         ));
-        let bus = TelemetryBus::with_parts(registry, Some(Arc::clone(&store)), metrics.clone());
+        let archive = Arc::new(InMemoryBackend::new(Arc::clone(&store)));
+        let bus = TelemetryBus::with_archive(registry, archive, metrics.clone());
         let sub = bus
             .subscription("/hw/**")
             .capacity(2 * SENSORS as usize)
