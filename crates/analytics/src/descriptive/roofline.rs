@@ -7,10 +7,10 @@
 //! against the roof immediately shows whether they are compute- or
 //! memory-bound and how far from the roof they sit.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A machine roof: peak compute and peak memory bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Roofline {
     /// Peak floating-point throughput, GFLOP/s.
     pub peak_gflops: f64,
@@ -19,7 +19,7 @@ pub struct Roofline {
 }
 
 /// Which roof limits a kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Bound {
     /// Limited by memory bandwidth (left of the ridge).
     MemoryBound,
@@ -28,7 +28,7 @@ pub enum Bound {
 }
 
 /// Placement of one measured kernel on the roofline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct KernelPlacement {
     /// Arithmetic intensity, flops/byte.
     pub intensity: f64,

@@ -11,11 +11,11 @@
 //! * [`Knn`] — k-nearest-neighbour votes; more capacity, no training
 //!   beyond remembering examples.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Behavioural features of one job, as accumulated by monitoring.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct JobFeatures {
     /// Mean CPU utilization over the job's life.
     pub mean_cpu: f64,

@@ -11,10 +11,10 @@
 //! the aggressor; flows offering little but crossing the congested link are
 //! victims.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One link's counters for a diagnosis window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LinkSample {
     /// Link identifier (e.g. rack uplink index).
     pub link: usize,
@@ -28,7 +28,7 @@ pub struct LinkSample {
 }
 
 /// Diagnosis of one congested link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Congestion {
     /// The congested link.
     pub link: usize,

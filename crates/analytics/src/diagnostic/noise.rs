@@ -7,10 +7,10 @@
 //! autocorrelation: the lag of the first strong peak is the interference
 //! period, and the excess of the affected samples estimates its cost.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A detected periodic interference source.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Interference {
     /// Period of the interference, in samples.
     pub period: usize,

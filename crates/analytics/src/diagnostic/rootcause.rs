@@ -14,10 +14,10 @@
 //! Scores combine both, normalised into `[0, 1]`.
 
 use crate::descriptive::outlier::{mad_z_scores, median};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Evidence for one candidate sensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CauseScore {
     /// Index of the sensor in the input layout.
     pub sensor: usize,

@@ -9,10 +9,10 @@
 
 use crate::descriptive::stats::linear_fit;
 use crate::predictive::regression::LogisticRegression;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Degradation features extracted from one component's recent telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DegradationFeatures {
     /// Slope of the temperature series, °C per sample.
     pub temp_slope: f64,

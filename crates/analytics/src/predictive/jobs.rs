@@ -7,10 +7,10 @@
 //! et al.). The canonical baseline is a per-user history model with a k-NN
 //! fallback over submission features, which is what this module implements.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What the scheduler knows at submission time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Submission {
     /// Submitting user.
     pub user: u32,
@@ -21,7 +21,7 @@ pub struct Submission {
 }
 
 /// A completed job the predictor can learn from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Outcome {
     /// The submission.
     pub submission: Submission,
@@ -38,7 +38,7 @@ pub struct JobPredictor {
 }
 
 /// A duration/power prediction with its provenance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Prediction {
     /// Predicted runtime, seconds.
     pub runtime_s: f64,

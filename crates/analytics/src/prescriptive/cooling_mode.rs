@@ -7,10 +7,10 @@
 //! dislike short cycles — so a minimum dwell time enforces commitment to a
 //! decision.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Recommended plant mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ModeAdvice {
     /// Run the dry coolers.
     FreeCooling,

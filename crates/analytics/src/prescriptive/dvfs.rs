@@ -18,10 +18,10 @@
 //!   E5 experiment quantifies.
 
 use crate::predictive::forecast::Forecaster;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Governor decision mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum GovernorMode {
     /// Decide from the current sample.
     Reactive,
@@ -30,7 +30,7 @@ pub enum GovernorMode {
 }
 
 /// Frequency policy: a piecewise-linear map from utilization to clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FreqPolicy {
     /// Frequency used at/below `low_util`, GHz.
     pub f_min_ghz: f64,

@@ -7,10 +7,10 @@
 //! improvement recommendation" cells (Bodik et al.'s fingerprint-driven
 //! responses, Zhang et al.'s usage recommendations).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A diagnosis fed into the engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Diagnosis {
     /// Stable kind label (e.g. `"fan-failure"`, `"memory-leak"`).
     pub kind: String,
@@ -21,7 +21,7 @@ pub struct Diagnosis {
 }
 
 /// One recommended action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Recommendation {
     /// What to do, templated with the subject.
     pub action: String,

@@ -55,7 +55,7 @@ pub struct SoakConfig {
     /// *any* worker count — the replay gate runs this soak at 1 and 4.
     pub workers: usize,
     /// Archive backend the site runs over. The digest contract is
-    /// backend-invariant: in-memory, persistent and hybrid must consume
+    /// backend-invariant: in-memory and persistent must consume
     /// identical streams and drive identical passes.
     pub backend: BackendKind,
     /// If set, restart the archive (flush, drop bus + hot store, recover
@@ -516,14 +516,15 @@ mod tests {
     fn soak_digest_is_backend_invariant_and_restart_safe() {
         let ticks = 2_000;
         let base = run_soak(&SoakConfig::clean(5, ticks));
-        let hybrid = run_soak(&SoakConfig::clean(5, ticks).with_backend(BackendKind::Hybrid));
+        let persistent =
+            run_soak(&SoakConfig::clean(5, ticks).with_backend(BackendKind::Persistent));
         assert_eq!(
-            base.digest, hybrid.digest,
+            base.digest, persistent.digest,
             "backend choice must not perturb the pipeline"
         );
         let restarted = run_soak(
             &SoakConfig::clean(5, ticks)
-                .with_backend(BackendKind::Hybrid)
+                .with_backend(BackendKind::Persistent)
                 .with_restart_at_window(1),
         );
         assert_eq!(restarted.restarts, 1);

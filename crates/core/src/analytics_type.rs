@@ -1,7 +1,7 @@
 //! The four types of data analytics (Gartner's staged model; Lepenioti
 //! et al. 2020) — the rows of the ODA framework and Fig. 2 of the paper.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A stage of analytics sophistication.
@@ -10,7 +10,7 @@ use std::fmt;
 /// diagnostic < predictive < prescriptive — increasing *value and
 /// difficulty*, moving from hindsight through insight to foresight. No type
 /// is "better": they answer different operational questions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum AnalyticsType {
     /// *"What happened?"* — visualization, dashboards, KPIs, alerts;
     /// aggregation and normalization but no complex knowledge extraction.

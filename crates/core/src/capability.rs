@@ -14,11 +14,11 @@ use oda_telemetry::query::TimeRange;
 use oda_telemetry::reading::Timestamp;
 use oda_telemetry::sensor::SensorRegistry;
 use oda_telemetry::store::TimeSeriesStore;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Typed output of a capability run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Artifact {
     /// Human-readable report text (dashboards, summaries).
     Report {
@@ -132,13 +132,6 @@ impl CapabilityContext {
             upstream: Vec::new(),
             rng_seed: 0,
         }
-    }
-
-    /// Sets the deterministic RNG seed for this execution. Builder-style.
-    #[must_use]
-    pub fn with_rng_seed(mut self, rng_seed: u64) -> Self {
-        self.rng_seed = rng_seed;
-        self
     }
 
     /// Upstream forecasts of a given quantity.

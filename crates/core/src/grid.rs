@@ -8,11 +8,11 @@
 
 use crate::analytics_type::AnalyticsType;
 use crate::pillar::Pillar;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// One cell of the framework: an (analytics type, pillar) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct GridCell {
     /// The row: what kind of question the analytics answers.
     pub analytics: AnalyticsType,
@@ -76,7 +76,7 @@ impl fmt::Display for GridCell {
 /// let powerstack = oda_core::systems::powerstack().footprint();
 /// assert!(geopm.jaccard(powerstack) > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash, Serialize)]
 pub struct GridFootprint(pub u16);
 
 impl GridFootprint {
@@ -198,7 +198,7 @@ impl GridFootprint {
 }
 
 /// Dense per-cell storage: one `T` for each of the sixteen cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CapabilityGrid<T> {
     cells: Vec<T>,
 }

@@ -2,11 +2,11 @@
 //! Shoukourian, 2014) — the columns of the ODA framework and Fig. 1 of the
 //! paper.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A data-center domain ("pillar").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum Pillar {
     /// Every support infrastructure (cooling, power distribution) needed to
     /// run the HPC systems and the data center as a whole.

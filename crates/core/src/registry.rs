@@ -7,7 +7,7 @@
 //! serve a given pillar or analytics type.
 
 use crate::analytics_type::AnalyticsType;
-use crate::capability::{Artifact, Capability, CapabilityContext};
+use crate::capability::Capability;
 use crate::grid::{CapabilityGrid, GridCell, GridFootprint};
 use crate::pillar::Pillar;
 
@@ -94,34 +94,12 @@ impl CapabilityRegistry {
             union,
         }
     }
-
-    /// Executes every capability covering `cell`, in registration order,
-    /// collecting all artifacts.
-    pub fn execute_cell(&mut self, cell: GridCell, ctx: &CapabilityContext) -> Vec<Artifact> {
-        self.capabilities
-            .iter_mut()
-            .filter(|c| c.footprint().covers(cell))
-            .flat_map(|c| c.execute(ctx))
-            .collect()
-    }
-
-    /// Executes every registered capability, returning `(name, artifacts)`.
-    pub fn execute_all(&mut self, ctx: &CapabilityContext) -> Vec<(String, Vec<Artifact>)> {
-        self.capabilities
-            .iter_mut()
-            .map(|c| (c.name().to_owned(), c.execute(ctx)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oda_telemetry::query::TimeRange;
-    use oda_telemetry::reading::Timestamp;
-    use oda_telemetry::sensor::SensorRegistry;
-    use oda_telemetry::store::TimeSeriesStore;
-    use std::sync::Arc;
+    use crate::capability::{Artifact, CapabilityContext};
 
     struct Fixed {
         name: &'static str,
@@ -139,10 +117,7 @@ mod tests {
             self.footprint
         }
         fn execute(&mut self, _ctx: &CapabilityContext) -> Vec<Artifact> {
-            vec![Artifact::Kpi {
-                name: self.name.into(),
-                value: 1.0,
-            }]
+            Vec::new()
         }
     }
 
@@ -174,15 +149,6 @@ mod tests {
             ]),
         }));
         r
-    }
-
-    fn ctx() -> CapabilityContext {
-        CapabilityContext::new(
-            Arc::new(TimeSeriesStore::with_capacity(8)),
-            SensorRegistry::new(),
-            TimeRange::all(),
-            Timestamp::ZERO,
-        )
     }
 
     #[test]
@@ -220,25 +186,6 @@ mod tests {
         assert!(!cov
             .gaps
             .contains(&cell(AnalyticsType::Predictive, Pillar::SystemHardware)));
-    }
-
-    #[test]
-    fn execute_cell_runs_only_matching() {
-        let mut r = registry();
-        let out = r.execute_cell(
-            cell(AnalyticsType::Diagnostic, Pillar::SystemHardware),
-            &ctx(),
-        );
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].kpi("node-anomaly"), Some(1.0));
-    }
-
-    #[test]
-    fn execute_all_returns_everything() {
-        let mut r = registry();
-        let out = r.execute_all(&ctx());
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].0, "pue-dash");
     }
 
     #[test]

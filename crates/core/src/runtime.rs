@@ -31,11 +31,11 @@ use oda_telemetry::query::TimeRange;
 use oda_telemetry::reading::Timestamp;
 use oda_telemetry::sensor::SensorRegistry;
 use oda_telemetry::store::TimeSeriesStore;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Worker count and RNG root seed of a pipeline's passes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RuntimeConfig {
     /// Most threads a layer runs on (the caller included). `1` (the
     /// [`Self::serial`] preset) runs every capability on the calling
@@ -207,7 +207,7 @@ pub trait ControlPlane {
 }
 
 /// What happened to one prescription during a pass.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum ActionOutcome {
     /// Applied automatically by the control plane.
     Applied,
@@ -218,7 +218,7 @@ pub enum ActionOutcome {
 }
 
 /// Audit record of one prescription.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ActionRecord {
     /// Simulated/real time of the pass.
     pub at: Timestamp,

@@ -24,7 +24,7 @@
 use crate::analytics_type::AnalyticsType;
 use crate::grid::{CapabilityGrid, GridCell, GridFootprint};
 use crate::pillar::Pillar;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One use-case entry of Table I.
@@ -352,7 +352,7 @@ pub fn citation_footprints() -> BTreeMap<u16, GridFootprint> {
 
 /// §V-B statistics: how many cited works stay within one pillar vs span
 /// several.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct PillarStats {
     /// Works confined to a single pillar.
     pub single_pillar: usize,

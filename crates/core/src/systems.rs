@@ -10,10 +10,10 @@
 use crate::analytics_type::AnalyticsType;
 use crate::grid::{GridCell, GridFootprint};
 use crate::pillar::Pillar;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One component of a complex ODA system.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SystemComponent {
     /// What the component does.
     pub description: &'static str,
@@ -22,7 +22,7 @@ pub struct SystemComponent {
 }
 
 /// A complex ODA system mapped on the framework.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ComplexSystem {
     /// System name as used in the paper.
     pub name: &'static str,

@@ -1,4 +1,7 @@
 //! Serving-layer configuration: per-tenant quotas and global limits.
+//!
+//! The poll loop's buffer sizes are constants of the server
+//! (`READ_CHUNK`, `OUT_HIGH_WATER`, `SUB_BUFFER_FRAMES` in `server.rs`).
 
 /// Admission quota for one tenant.
 ///
@@ -52,19 +55,11 @@ pub struct ServingConfig {
     pub tenant_quotas: Vec<(String, TenantQuota)>,
     /// Result-cache capacity in entries; `0` disables caching.
     pub cache_capacity: usize,
-    /// Per-subscriber fan-out buffer, in frames; oldest frames are shed
-    /// when a slow consumer falls this far behind.
-    pub sub_buffer_frames: usize,
     /// Maximum accepted request size (head + body) in bytes.
     pub max_request_bytes: usize,
     /// Maximum simultaneously open connections; beyond this, new
     /// connections are closed immediately.
     pub max_connections: usize,
-    /// Read granularity of the poll loop, bytes.
-    pub read_chunk: usize,
-    /// Per-connection outbound high-water mark, bytes. Streaming frames
-    /// are not copied into a connection whose backlog exceeds this.
-    pub out_high_water: usize,
 }
 
 impl Default for ServingConfig {
@@ -73,11 +68,8 @@ impl Default for ServingConfig {
             default_quota: TenantQuota::default(),
             tenant_quotas: Vec::new(),
             cache_capacity: 1024,
-            sub_buffer_frames: 256,
             max_request_bytes: 64 * 1024,
             max_connections: 4096,
-            read_chunk: 4096,
-            out_high_water: 256 * 1024,
         }
     }
 }

@@ -18,7 +18,7 @@
 //! once, so rendering does not grow with them.
 //!
 //! Backpressure is strictly local: each client owns a bounded frame
-//! buffer ([`crate::config::ServingConfig::sub_buffer_frames`]). When the
+//! buffer (the server's holds `SUB_BUFFER_FRAMES` = 256). When the
 //! serving loop cannot flush a client as fast as the bus produces — a
 //! slow reader, a congested socket — the *oldest* buffered frames for
 //! that client are shed and counted, and every other client is entirely
@@ -253,11 +253,6 @@ impl FanoutHub {
                 group.remove();
             }
         }
-    }
-
-    /// `true` if `key` is currently attached.
-    pub fn is_attached(&self, key: u64) -> bool {
-        self.clients.contains_key(&key)
     }
 
     /// Number of attached clients.

@@ -22,6 +22,10 @@
 //! | GET  | `/api/v1/tenants`   | no  | per-tenant admission counters |
 //! | GET  | `/api/v1/stats`     | no  | server / cache / fan-out counters |
 //!
+//! Every request counts once in `serving_requests_total`, labelled
+//! `endpoint=` its path when the path is in the table and
+//! `endpoint="other"` when it is not.
+//!
 //! *Metered* endpoints pass through the [`AdmissionController`] under the
 //! tenant named by the `X-Tenant` header (`"anonymous"` when absent):
 //! an empty token bucket is `429` with a `Retry-After` hint, a full
@@ -50,6 +54,30 @@ use std::sync::Arc;
 
 /// Tenant charged when a request carries no `X-Tenant` header.
 pub const ANONYMOUS_TENANT: &str = "anonymous";
+
+/// Read granularity of the poll loop, bytes.
+pub(crate) const READ_CHUNK: usize = 4096;
+
+/// Per-connection outbound high-water mark, bytes. Streaming frames are
+/// not copied into a connection whose backlog exceeds this.
+pub(crate) const OUT_HIGH_WATER: usize = 256 * 1024;
+
+/// Per-subscriber fan-out buffer, in frames; the oldest frames are shed
+/// when a slow consumer falls this far behind.
+pub(crate) const SUB_BUFFER_FRAMES: usize = 256;
+
+/// Every path the server routes. `serving_requests_total` labels a request
+/// to one of these with its path and any other request
+/// `endpoint="other"`, so clients cannot grow the label set.
+const ROUTES: [&str; 7] = [
+    "/healthz",
+    "/metrics",
+    "/api/v1/sensors",
+    "/api/v1/query",
+    "/api/v1/subscribe",
+    "/api/v1/tenants",
+    "/api/v1/stats",
+];
 
 /// Monotone whole-server counters (admission, cache and fan-out counters
 /// live on their own subsystems; see [`Server::admission`],
@@ -189,7 +217,7 @@ impl<N: ServerNet> Server<N> {
             };
             let id = conn.id;
             // Drain everything the transport has for us right now.
-            let mut chunk = vec![0u8; self.config.read_chunk.max(1)];
+            let mut chunk = vec![0u8; READ_CHUNK];
             let mut peer_closed = false;
             loop {
                 match self.net.read(id, &mut chunk) {
@@ -257,7 +285,7 @@ impl<N: ServerNet> Server<N> {
             if conn.stream_tenant.is_none() {
                 continue;
             }
-            while conn.unflushed() < self.config.out_high_water {
+            while conn.unflushed() < OUT_HIGH_WATER {
                 match self.fanout.next_frame(key) {
                     Some(frame) => conn.out.extend_from_slice(&frame),
                     None => break,
@@ -331,11 +359,14 @@ impl<N: ServerNet> Server<N> {
             .header("x-tenant")
             .unwrap_or(ANONYMOUS_TENANT)
             .to_string();
-        self.count_metric(
-            "serving_requests_total",
-            &[("endpoint", request.path.as_str())],
-        );
-        match (request.method.as_str(), request.path.as_str()) {
+        let path = request.path.as_str();
+        let endpoint = if ROUTES.contains(&path) {
+            path
+        } else {
+            "other"
+        };
+        self.count_metric("serving_requests_total", &[("endpoint", endpoint)]);
+        match (request.method.as_str(), path) {
             ("GET", "/healthz") => {
                 self.respond(
                     key,
@@ -372,11 +403,7 @@ impl<N: ServerNet> Server<N> {
             ("GET", "/api/v1/subscribe") => self.handle_subscribe(key, &tenant, request),
             ("GET", "/api/v1/tenants") => self.handle_tenants(key),
             ("GET", "/api/v1/stats") => self.handle_stats(key),
-            (
-                _,
-                "/healthz" | "/metrics" | "/api/v1/sensors" | "/api/v1/query" | "/api/v1/subscribe"
-                | "/api/v1/tenants" | "/api/v1/stats",
-            ) => {
+            (_, path) if ROUTES.contains(&path) => {
                 let body = error_body("method not allowed");
                 self.respond(key, 405, "application/json", &[], &body, false);
             }
@@ -510,10 +537,7 @@ impl<N: ServerNet> Server<N> {
             self.respond(key, 400, "application/json", &[], &body, false);
             return;
         }
-        if !self
-            .fanout
-            .attach(key, &pattern, self.config.sub_buffer_frames)
-        {
+        if !self.fanout.attach(key, &pattern, SUB_BUFFER_FRAMES) {
             self.admission.unsubscribe(tenant, now);
             let body = error_body("connection already streaming");
             self.respond(key, 400, "application/json", &[], &body, false);
@@ -1184,6 +1208,52 @@ mod tests {
         assert!(
             text.contains("serving_requests_total{endpoint=\"/healthz\"}"),
             "{text}"
+        );
+    }
+
+    /// Paths the server does not route share one label: 300 distinct
+    /// unknown paths add one `serving_requests_total` series, not 300, in
+    /// the snapshot and at `/metrics` alike, and known routes keep theirs.
+    #[test]
+    fn unknown_paths_share_one_endpoint_label() {
+        let mut w = world(ServingConfig::default());
+        let (status, _, _) = request(&mut w, "GET /healthz HTTP/1.1\r\n\r\n");
+        assert_eq!(status, 200);
+        let series = |w: &World| -> Vec<(String, u64)> {
+            let snap = w.bus.metrics().snapshot();
+            snap.counters
+                .into_iter()
+                .filter(|c| c.id.starts_with("serving_requests_total"))
+                .map(|c| (c.id, c.value))
+                .collect()
+        };
+        let healthz = "serving_requests_total{endpoint=\"/healthz\"}";
+        assert_eq!(series(&w), [(healthz.to_string(), 1)]);
+
+        for i in 0..300 {
+            let raw = format!("GET /no/such/path/{i} HTTP/1.1\r\n\r\n");
+            assert_eq!(request(&mut w, &raw).0, 404);
+        }
+        let other = "serving_requests_total{endpoint=\"other\"}";
+        assert_eq!(
+            series(&w),
+            [(healthz.to_string(), 1), (other.to_string(), 300)]
+        );
+
+        let (status, _, body) = request(&mut w, "GET /metrics HTTP/1.1\r\n\r\n");
+        assert_eq!(status, 200);
+        let text = String::from_utf8_lossy(&body);
+        let rendered: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("serving_requests_total"))
+            .collect();
+        assert_eq!(
+            rendered,
+            [
+                "serving_requests_total{endpoint=\"/healthz\"} 1",
+                "serving_requests_total{endpoint=\"/metrics\"} 1",
+                "serving_requests_total{endpoint=\"other\"} 300",
+            ]
         );
     }
 

@@ -46,11 +46,10 @@ use oda_telemetry::plane::{LocalPlane, QueryPlane};
 use oda_telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use oda_telemetry::sensor::{SensorId, SensorKind, SensorRegistry, Unit};
 use oda_telemetry::storage::{
-    open_backend, BackendKind, FsError, RecoveryReport, SimFs, StorageBackend, StorageConfig,
-    StorageFs,
+    open_backend, FsError, RecoveryReport, SimFs, StorageBackend, StorageConfig, StorageFs,
 };
 use oda_telemetry::store::{RollupConfig, TimeSeriesStore};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -77,11 +76,11 @@ pub struct DataCenterConfig {
     /// buckets maintained online per sensor); [`RollupConfig::none`]
     /// disables tiers for raw-only ablation runs.
     pub rollups: RollupConfig,
-    /// Archive storage backend: in-memory (default), persistent (WAL +
-    /// segment files), or hybrid (hot ring + cold segments). Durable
-    /// backends run over a deterministic in-memory filesystem unless an
-    /// explicit one is injected via
-    /// [`DataCenterBuilder::storage_fs`].
+    /// Archive storage backend: in-memory (default) or persistent (WAL +
+    /// segment files). The persistent backend runs over a deterministic
+    /// in-memory filesystem unless an explicit one is injected via
+    /// [`DataCenterBuilder::storage_fs`]. Its engine tuning is also every
+    /// collector shard's, since shards always archive persistently.
     pub storage: StorageConfig,
     /// Node model parameters.
     pub node: NodeConfig,
@@ -410,7 +409,7 @@ impl Sensors {
 /// This is what Applications-pillar analytics consume for per-job feature
 /// work (fingerprinting, duration prediction): the telemetry-equivalent of
 /// a job-level monitoring summary, without needing one sensor per job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct JobRecord {
     /// Job id.
     pub id: JobId,
@@ -478,7 +477,7 @@ impl JobRecord {
 }
 
 /// Point-in-time operational summary (what a wallboard would show).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Snapshot {
     /// Simulated time.
     pub now: Timestamp,
@@ -581,9 +580,20 @@ pub struct DataCenter {
 ///
 /// Defaults: seed `0`, a fresh [`MetricsRegistry`] of the site's own, a
 /// fresh deterministic [`SimFs`] for durable storage, and the
-/// [`ServingConfig`] defaults for [`DataCenter::serve`]. The `workers`,
-/// `rollups` and `storage` setters override the corresponding
-/// [`DataCenterConfig`] fields in place.
+/// [`ServingConfig`] defaults for [`DataCenter::serve`]. The site's shape
+/// — workers, shards, rollups, storage — is set on the
+/// [`DataCenterConfig`] itself:
+///
+/// ```
+/// use oda_sim::prelude::*;
+///
+/// let dc = DataCenter::builder(DataCenterConfig {
+///     shards: 2,
+///     ..DataCenterConfig::tiny()
+/// })
+/// .build();
+/// assert!(dc.cluster().is_some());
+/// ```
 pub struct DataCenterBuilder {
     config: DataCenterConfig,
     seed: u64,
@@ -627,33 +637,7 @@ impl DataCenterBuilder {
         self
     }
 
-    /// Overrides `config.workers` — the analytics-plane parallelism hint.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Overrides `config.shards` — the collector-shard count. `0` keeps
-    /// the site unsharded; `n > 0` stands up a [`ClusterCoordinator`]
-    /// with `n` message-passing shards alongside the site bus.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
-    /// Overrides `config.rollups` — the store's pre-aggregation tiers.
-    pub fn rollups(mut self, rollups: RollupConfig) -> Self {
-        self.config.rollups = rollups;
-        self
-    }
-
-    /// Overrides `config.storage` — the durable archive backend selection.
-    pub fn storage(mut self, storage: StorageConfig) -> Self {
-        self.config.storage = storage;
-        self
-    }
-
-    /// Sets the quota/cache/fan-out configuration used by
+    /// Sets the quota, cache and connection limits used by
     /// [`DataCenter::serve`].
     pub fn serving(mut self, serving: ServingConfig) -> Self {
         self.serving = serving;
@@ -765,9 +749,9 @@ impl DataCenter {
     }
 
     /// Stands up the collector-shard hierarchy when `config.shards > 0`.
-    /// The shards archive on durable backends even when the site itself is
-    /// in-memory, so a node-failure rebalance can replay the failed
-    /// shard's slice losslessly.
+    /// The shards archive persistently, with the site's engine tuning, even
+    /// when the site itself is in-memory, so a node-failure rebalance can
+    /// replay the failed shard's slice losslessly.
     fn build_cluster(
         config: &DataCenterConfig,
         registry: &SensorRegistry,
@@ -775,17 +759,12 @@ impl DataCenter {
         if config.shards == 0 {
             return Ok(None);
         }
-        let storage = match config.storage.backend {
-            BackendKind::InMemory => StorageConfig::hybrid(),
-            _ => config.storage.clone(),
-        };
         let cluster = ClusterCoordinator::new(
             ClusterConfig {
                 shards: config.shards,
                 per_sensor_capacity: config.store_capacity,
                 rollups: config.rollups.clone(),
-                storage,
-                ..ClusterConfig::default()
+                engine: config.storage.engine.clone(),
             },
             registry.clone(),
         )?;
@@ -892,7 +871,7 @@ impl DataCenter {
     }
 
     /// The sharded collector hierarchy, when the site was built with
-    /// [`DataCenterBuilder::shards`] (or `config.shards`) > 0.
+    /// `config.shards > 0`.
     pub fn cluster(&self) -> Option<&Arc<ClusterCoordinator>> {
         self.cluster.as_ref()
     }
@@ -902,7 +881,7 @@ impl DataCenter {
         self.bus.store()
     }
 
-    /// The archive backend behind the bus (in-memory, persistent or hybrid).
+    /// The archive backend behind the bus (in-memory or persistent).
     pub fn archive(&self) -> &Arc<dyn StorageBackend> {
         self.bus.archive()
     }
@@ -950,11 +929,6 @@ impl DataCenter {
     /// Records of all finished jobs, in completion order.
     pub fn finished_jobs(&self) -> &[JobRecord] {
         &self.finished
-    }
-
-    /// Records of currently-running jobs.
-    pub fn running_jobs(&self) -> Vec<&JobRecord> {
-        self.records.values().collect()
     }
 
     /// Total jobs submitted so far.
@@ -1486,12 +1460,14 @@ mod tests {
         // Never sync on the ingest path: the WAL tail waits for the
         // pre-restart flush.
         storage.engine.wal_sync_every = usize::MAX;
-        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(9)
-            .metrics(metrics.clone())
-            .storage(storage)
-            .storage_fs(Arc::clone(&fs) as Arc<dyn StorageFs>)
-            .build();
+        let mut dc = DataCenter::builder(DataCenterConfig {
+            storage,
+            ..DataCenterConfig::tiny()
+        })
+        .seed(9)
+        .metrics(metrics.clone())
+        .storage_fs(Arc::clone(&fs) as Arc<dyn StorageFs>)
+        .build();
         dc.run_for_hours(0.1);
         let wal_errors = || metrics.snapshot().counter("storage_wal_errors_total");
         assert_eq!(wal_errors().unwrap_or(0), 0);
@@ -1553,11 +1529,13 @@ mod tests {
         });
         let mut storage = StorageConfig::persistent();
         storage.engine.segment_max_readings = 256;
-        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(9)
-            .storage(storage)
-            .storage_fs(Arc::clone(&fs) as Arc<dyn StorageFs>)
-            .build();
+        let mut dc = DataCenter::builder(DataCenterConfig {
+            storage,
+            ..DataCenterConfig::tiny()
+        })
+        .seed(9)
+        .storage_fs(Arc::clone(&fs) as Arc<dyn StorageFs>)
+        .build();
         dc.run_for_hours(0.1);
         // Sealed segments were written, never read: the restart's open
         // reads (and verifies) each once, its replay reads them again.
@@ -1583,10 +1561,12 @@ mod tests {
         let mut storage = StorageConfig::persistent();
         storage.engine.segment_max_readings = 256;
         let site = || {
-            DataCenter::builder(DataCenterConfig::tiny())
-                .seed(9)
-                .storage(storage.clone())
-                .storage_fs(Arc::clone(&fs) as Arc<dyn StorageFs>)
+            DataCenter::builder(DataCenterConfig {
+                storage: storage.clone(),
+                ..DataCenterConfig::tiny()
+            })
+            .seed(9)
+            .storage_fs(Arc::clone(&fs) as Arc<dyn StorageFs>)
         };
         let mut dc = site().try_build().expect("a fresh filesystem opens");
         dc.run_for_hours(0.1);

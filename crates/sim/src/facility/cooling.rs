@@ -17,10 +17,10 @@
 //!   leakage power and fan power on the IT side — giving the optimizer a
 //!   genuine non-trivial optimum.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which plant serves the loop this tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CoolingMode {
     /// Dry coolers only (cheap; limited by outside temperature).
     FreeCooling,
@@ -62,7 +62,7 @@ impl Default for CoolingConfig {
 }
 
 /// Per-tick cooling result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CoolingOutput {
     /// Electrical power drawn by the plant, kW.
     pub power_kw: f64,

@@ -6,7 +6,7 @@
 //! poor at low load, peaking in the 60–90% band — so oversized facilities
 //! running empty show the inflated PUE operators know well.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Static parameters of the distribution chain.
 #[derive(Debug, Clone)]
@@ -39,7 +39,7 @@ impl Default for PowerConfig {
 }
 
 /// Per-tick distribution accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PowerOutput {
     /// Power drawn from the utility, kW (IT + cooling + losses + overhead).
     pub utility_kw: f64,

@@ -15,11 +15,11 @@ use crate::hardware::rack::RackId;
 use oda_telemetry::pattern::SensorPattern;
 use oda_telemetry::reading::{Reading, Timestamp};
 use oda_telemetry::sensor::{SensorId, SensorRegistry};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 
 /// What goes wrong.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum FaultKind {
     /// A node's fan fails: thermal resistance spikes, node heats and
     /// throttles under load. (System Hardware)
@@ -93,7 +93,7 @@ impl FaultKind {
 }
 
 /// A scheduled fault: active during `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Fault {
     /// What happens.
     pub kind: FaultKind,
@@ -188,7 +188,7 @@ impl FaultInjector {
 // faults decide how much evidence it gets to work with.
 
 /// What goes wrong with the monitoring path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum TelemetryFaultKind {
     /// Sensors matching `pattern` publish nothing (dead collector,
     /// unplugged IPMI cable): readings are silently discarded.
@@ -278,7 +278,7 @@ impl TelemetryFaultKind {
 }
 
 /// A scheduled telemetry fault: active during `[start, end)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TelemetryFault {
     /// What happens.
     pub kind: TelemetryFaultKind,
@@ -307,7 +307,7 @@ impl TelemetryFault {
 /// the same simulation with the same schedule produce *identical* corrupted
 /// telemetry — the property chaos tests rely on to compare degraded runs
 /// against clean ones.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultSchedule {
     /// The scheduled faults, in insertion order (also corruption order when
     /// several faults hit the same sensor).

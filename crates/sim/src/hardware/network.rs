@@ -122,11 +122,6 @@ impl Network {
     pub fn link(&self, r: RackId) -> LinkState {
         self.links[r.index()]
     }
-
-    /// Number of rack uplinks.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
 }
 
 #[cfg(test)]

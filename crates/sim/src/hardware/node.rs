@@ -16,10 +16,10 @@
 //! * **Fault hooks**: fan failure pins the fan at a trickle; thermal
 //!   degradation (dust, failed TIM) scales `R_th` up.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of a node within the data center (dense, 0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

@@ -9,10 +9,10 @@
 //! warmer, so placing heat there is more expensive.
 
 use super::node::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of a rack (dense, 0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct RackId(pub u32);
 
 impl RackId {

@@ -11,14 +11,14 @@
 
 use crate::hardware::node::NodeId;
 use oda_telemetry::reading::Timestamp;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of a job (unique per simulation run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct JobId(pub u64);
 
 /// Behavioural class of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum JobClass {
     /// CPU-limited: progress ∝ clock speed, high steady utilization.
     ComputeBound,
@@ -124,7 +124,7 @@ impl JobClass {
 }
 
 /// Lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum JobState {
     /// Waiting in the scheduler queue.
     Queued,
@@ -137,7 +137,7 @@ pub enum JobState {
 }
 
 /// A user job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Job {
     /// Unique id.
     pub id: JobId,

@@ -9,11 +9,11 @@
 
 use crate::reading::Reading;
 use crate::sensor::SensorId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Operator severity of an alert rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum AlertSeverity {
     /// Informational — shown on dashboards.
     Info,
@@ -24,7 +24,7 @@ pub enum AlertSeverity {
 }
 
 /// Level condition on a sensor value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Condition {
     /// Fires while `value > threshold`.
     Above(f64),
@@ -51,7 +51,7 @@ impl Condition {
 }
 
 /// A configured alert rule on one sensor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AlertRule {
     /// Sensor the rule watches.
     pub sensor: SensorId,
@@ -113,7 +113,7 @@ impl AlertRule {
 }
 
 /// Raised/cleared alert notification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AlertEvent {
     /// Name of the rule that produced the event.
     pub rule: String,
@@ -157,11 +157,6 @@ impl AlertEngine {
             by_sensor,
             fired_total: 0,
         }
-    }
-
-    /// Number of configured rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
     }
 
     /// Total fire events (not clears) since creation.

@@ -255,7 +255,7 @@ pub struct TelemetryBus {
 
 impl TelemetryBus {
     /// Creates a bus resolving patterns against `registry`, archiving every
-    /// published batch through `archive` (in-memory, persistent, or hybrid
+    /// published batch through `archive` (in-memory or persistent
     /// [`StorageBackend`]) and recording its instruments into `metrics` —
     /// pass [`MetricsRegistry::disabled`] for a zero-overhead bus.
     pub fn with_archive(

@@ -47,7 +47,7 @@
 
 use crate::cluster::placement::{PlacementMap, ShardId};
 use crate::cluster::shard::{ShardCmd, ShardHandle, ShardHealth};
-use crate::cluster::ClusterConfig;
+use crate::cluster::{ClusterConfig, VNODES_PER_SHARD};
 use crate::metrics::MetricsRegistry;
 use crate::plane::{QueryPlane, ShardStats};
 use crate::query::{
@@ -111,7 +111,7 @@ impl ClusterCoordinator {
     /// # Panics
     /// Panics if `cfg.shards == 0` (a cluster needs at least one shard).
     pub fn new(cfg: ClusterConfig, registry: SensorRegistry) -> Result<Self, FsError> {
-        let placement = PlacementMap::new(cfg.shards, cfg.vnodes_per_shard);
+        let placement = PlacementMap::new(cfg.shards, VNODES_PER_SHARD);
         let mut shards = Vec::with_capacity(cfg.shards);
         for s in 0..cfg.shards {
             let fs: Arc<dyn StorageFs> = Arc::new(SimFs::new());
@@ -374,7 +374,7 @@ impl ClusterCoordinator {
         // failed shard's durable tier holds only its own sensors, so
         // replaying every sensor it stored is precisely the moved set.
         let report = MetricsRegistry::new();
-        match PersistentEngine::open(Arc::clone(&fs), self.cfg.storage.engine.clone(), &report) {
+        match PersistentEngine::open(Arc::clone(&fs), self.cfg.engine.clone(), &report) {
             Ok((engine, recovery)) => {
                 state.handoff_errors += recovery.segments_dropped as u64;
                 for meta in self.registry.all() {
@@ -578,7 +578,7 @@ fn gather<R, T: Clone + Default>(
 mod tests {
     use super::*;
     use crate::sensor::{SensorKind, Unit};
-    use crate::storage::{segment, EngineConfig, StorageConfig};
+    use crate::storage::{segment, EngineConfig};
 
     /// A rebalance that cannot read part of the failed shard's history
     /// says so: a bit flipped in a sealed block makes the reopen drop that
@@ -591,13 +591,10 @@ mod tests {
             .collect();
         let cluster = ClusterCoordinator::new(
             ClusterConfig {
-                storage: StorageConfig {
-                    engine: EngineConfig {
-                        segment_max_readings: 8,
-                        wal_sync_every: 1,
-                        ..EngineConfig::default()
-                    },
-                    ..StorageConfig::hybrid()
+                engine: EngineConfig {
+                    segment_max_readings: 8,
+                    wal_sync_every: 1,
+                    ..EngineConfig::default()
                 },
                 ..ClusterConfig::with_shards(2)
             },

@@ -9,8 +9,9 @@
 //! * [`PlacementMap`] — a consistent-hash ring assigns every sensor to
 //!   exactly one shard; failing a shard remaps only its slice.
 //! * `shard` (internal) — each shard owns a private `TimeSeriesStore`
-//!   (with its rollup tiers) fronted by a durable archive backend, behind
-//!   a command channel; no shared locks across shards.
+//!   (with its rollup tiers) fronted by a persistent archive backend,
+//!   behind a command channel bounded at `SHARD_QUEUE_DEPTH` (1 024
+//!   commands); no shared locks across shards.
 //! * [`ClusterCoordinator`] — routes ingest by placement, executes
 //!   queries via scatter-gather with a shard-id-sorted deterministic
 //!   merge (digests bit-identical at any shard count, including
@@ -28,40 +29,40 @@ pub use coordinator::{ClusterCoordinator, ShardOccupancy};
 pub use placement::{PlacementMap, ShardId};
 pub use shard::ShardHealth;
 
-use crate::storage::StorageConfig;
+use crate::storage::EngineConfig;
 use crate::store::RollupConfig;
+
+/// Virtual nodes per shard on the placement ring: enough for an even
+/// sensor spread at a ring rebuild that stays cheap.
+pub(crate) const VNODES_PER_SHARD: usize = 64;
+
+/// Command-queue depth per shard. A full queue blocks the sender (ingest
+/// backpressure) until the shard's worker takes the next command.
+pub(crate) const SHARD_QUEUE_DEPTH: usize = 1024;
 
 /// Configuration of a collector-shard cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of collector shards (must be ≥ 1).
     pub shards: usize,
-    /// Virtual nodes per shard on the placement ring; more vnodes give a
-    /// more even sensor spread at slightly higher ring-rebuild cost.
-    pub vnodes_per_shard: usize,
     /// Ring-buffer capacity per sensor in each shard's hot store.
     pub per_sensor_capacity: usize,
     /// Rollup tiers each shard maintains online.
     pub rollups: RollupConfig,
-    /// Storage backend per shard. Rebalance-on-failure replays the failed
-    /// shard's durable tier, so recovery without data loss requires a
-    /// durable backend ([`crate::storage::BackendKind::Hybrid`] or
-    /// [`crate::storage::BackendKind::Persistent`]); with an in-memory
-    /// backend a failed shard's slice restarts empty.
-    pub storage: StorageConfig,
-    /// Command-queue depth per shard (ingest backpressure threshold).
-    pub queue_depth: usize,
+    /// Engine tuning of every shard's persistent archive. Each shard
+    /// archives through a [`crate::storage::DurableBackend`] over its own
+    /// filesystem, so rebalance-on-failure replays the failed shard's
+    /// durable tier without losing an accepted reading.
+    pub engine: EngineConfig,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             shards: 2,
-            vnodes_per_shard: 64,
             per_sensor_capacity: 1024,
             rollups: RollupConfig::default(),
-            storage: StorageConfig::hybrid(),
-            queue_depth: 1024,
+            engine: EngineConfig::default(),
         }
     }
 }

@@ -1,12 +1,13 @@
 //! Consistent-hash sensor placement for the collector hierarchy.
 //!
-//! Every shard owns `vnodes_per_shard` pseudo-random points on a `u64`
+//! Every shard owns `vnodes` pseudo-random points on a `u64`
 //! hash ring; a sensor is owned by the shard whose virtual node is the
 //! first at or clockwise-after the sensor's own hash point. Both point
 //! sets come from the same seeded FNV-1a construction, so placement is a
 //! pure function of `(shard count, vnode count, sensor id)` — two
 //! coordinators built from the same [`super::ClusterConfig`] agree on
-//! every owner without exchanging any state.
+//! every owner without exchanging any state. The coordinator builds its
+//! ring with `VNODES_PER_SHARD` (64) points per shard.
 //!
 //! Failing a shard removes only that shard's virtual nodes: sensors it
 //! owned remap to the next surviving point clockwise, while every other
@@ -70,30 +71,28 @@ pub struct PlacementMap {
     ring: Vec<(u64, ShardId)>,
     /// Liveness per shard id.
     alive: Vec<bool>,
-    vnodes_per_shard: usize,
+    /// Virtual nodes per shard.
+    vnodes: usize,
     epoch: u64,
 }
 
 impl PlacementMap {
-    /// Builds the ring for `shards` shards with `vnodes_per_shard` virtual
-    /// nodes each.
+    /// Builds the ring for `shards` shards with `vnodes` virtual nodes
+    /// each.
     ///
     /// # Panics
-    /// Panics if `shards == 0`, `vnodes_per_shard == 0`, or either
+    /// Panics if `shards == 0`, `vnodes == 0`, or either
     /// exceeds `u32::MAX` (shard ids and vnode indexes are `u32` on the
     /// ring so placement digests are identical across `usize` widths).
-    pub fn new(shards: usize, vnodes_per_shard: usize) -> Self {
+    pub fn new(shards: usize, vnodes: usize) -> Self {
         assert!(shards > 0, "placement needs at least one shard");
-        assert!(vnodes_per_shard > 0, "placement needs at least one vnode");
+        assert!(vnodes > 0, "placement needs at least one vnode");
         assert!(shards <= u32::MAX as usize, "shard count exceeds u32");
-        assert!(
-            vnodes_per_shard <= u32::MAX as usize,
-            "vnode count exceeds u32"
-        );
+        assert!(vnodes <= u32::MAX as usize, "vnode count exceeds u32");
         let mut map = PlacementMap {
             ring: Vec::new(),
             alive: vec![true; shards],
-            vnodes_per_shard,
+            vnodes,
             epoch: 0,
         };
         map.rebuild_ring();
@@ -108,7 +107,7 @@ impl PlacementMap {
             }
             // `as u32` is lossless here: `new()` rejects counts above
             // `u32::MAX`, and `s`/`v` index those counts.
-            for v in 0..self.vnodes_per_shard {
+            for v in 0..self.vnodes {
                 self.ring
                     .push((ring_point(s as u32, v as u32), ShardId(s as u32)));
             }

@@ -19,13 +19,13 @@
 //! stays logged and the next successful flush makes it durable.
 
 use crate::cluster::placement::ShardId;
-use crate::cluster::ClusterConfig;
+use crate::cluster::{ClusterConfig, SHARD_QUEUE_DEPTH};
 use crate::health::HealthReport;
 use crate::metrics::MetricsRegistry;
 use crate::query::{Query, QueryEngine, QueryResult};
 use crate::reading::ReadingBatch;
 use crate::sensor::{SensorId, SensorRegistry};
-use crate::storage::{open_backend, FsError, StorageBackend, StorageFs};
+use crate::storage::{DurableBackend, FsError, StorageBackend, StorageFs};
 use crate::store::TimeSeriesStore;
 use crossbeam_channel::{bounded, Receiver, Sender};
 use std::sync::Arc;
@@ -100,8 +100,8 @@ impl ShardHandle {
             MetricsRegistry::new(),
             cfg.rollups.clone(),
         ));
-        let archive = open_backend(&cfg.storage, Arc::clone(&fs), store)?;
-        let (tx, rx) = bounded::<ShardCmd>(cfg.queue_depth.max(1));
+        let archive = DurableBackend::open(Arc::clone(&fs), cfg.engine.clone(), store)?;
+        let (tx, rx) = bounded::<ShardCmd>(SHARD_QUEUE_DEPTH);
         let join = std::thread::Builder::new()
             .name(format!("oda-{id}"))
             .spawn(move || run(id, &rx, &archive, &registry))
@@ -129,12 +129,7 @@ impl ShardHandle {
 
 /// The worker loop: one command at a time, in arrival order, until Stop
 /// or every sender is gone.
-fn run(
-    id: ShardId,
-    rx: &Receiver<ShardCmd>,
-    archive: &Arc<dyn StorageBackend>,
-    registry: &SensorRegistry,
-) {
+fn run(id: ShardId, rx: &Receiver<ShardCmd>, archive: &DurableBackend, registry: &SensorRegistry) {
     let mut published = 0u64;
     // Shares the counter the durable backend bumps for a failed group.
     let wal_errors = archive
@@ -240,7 +235,7 @@ mod tests {
         fs.crash();
         let (engine, report) = crate::storage::PersistentEngine::open(
             fs as Arc<dyn StorageFs>,
-            ClusterConfig::default().storage.engine,
+            ClusterConfig::default().engine,
             &MetricsRegistry::disabled(),
         )
         .unwrap();
@@ -268,7 +263,7 @@ mod tests {
         fs.crash();
         let (_, report) = crate::storage::PersistentEngine::open(
             fs as Arc<dyn StorageFs>,
-            ClusterConfig::default().storage.engine,
+            ClusterConfig::default().engine,
             &MetricsRegistry::disabled(),
         )
         .unwrap();

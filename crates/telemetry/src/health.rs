@@ -9,10 +9,10 @@
 
 use crate::reading::Timestamp;
 use crate::sensor::SensorId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Ingest-side health of one sensor's series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SensorHealth {
     /// The sensor this row describes.
     pub sensor: SensorId,
@@ -52,7 +52,7 @@ impl SensorHealth {
 /// `buckets`/`evicted` are sums across sensors; `capacity` is the
 /// *per-sensor* ring limit, so a store with `n` sensors saturates at
 /// `n * capacity` buckets for the tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TierOccupancy {
     /// Bucket width of the tier, milliseconds.
     pub bucket_ms: u64,
@@ -65,7 +65,7 @@ pub struct TierOccupancy {
 }
 
 /// Point-in-time roll-up of every sensor's ingest health.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct HealthReport {
     /// Per-sensor rows, ordered by sensor index.
     pub sensors: Vec<SensorHealth>,

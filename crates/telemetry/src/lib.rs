@@ -27,9 +27,9 @@
 //!    exceeding human-defined thresholds" that the paper lists as part of
 //!    descriptive ODA.
 //! 6. [`storage`] — the durable tier: a [`storage::StorageBackend`] trait
-//!    over the in-memory store, a WAL + compressed-segment persistent
-//!    engine, and a hybrid of the two, so the archive can survive process
-//!    restarts with bit-identical recovery.
+//!    over the in-memory store and a WAL + compressed-segment persistent
+//!    engine, so the archive can survive process restarts with
+//!    bit-identical recovery.
 //! 7. [`cluster`] — the distribution layer: N collector shards each own a
 //!    consistent-hash slice of the sensor space behind a message-passing
 //!    boundary, with a [`cluster::ClusterCoordinator`] doing placement-

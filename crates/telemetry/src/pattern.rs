@@ -12,16 +12,16 @@
 //! (sensor leaves are short fixed vocabularies, so `cpu*` style matching is
 //! not needed and keeping the grammar small keeps matching allocation-free).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A compiled sensor-name pattern.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SensorPattern {
     components: Vec<Component>,
     source: String,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 enum Component {
     Literal(String),
     AnyOne,

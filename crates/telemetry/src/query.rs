@@ -61,10 +61,10 @@ use crate::pattern::SensorPattern;
 use crate::reading::{Reading, Timestamp};
 use crate::sensor::{SensorId, SensorRegistry};
 use crate::store::{RollupBucket, TierScanResult, TimeSeriesStore};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 /// Half-open query interval `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TimeRange {
     /// Inclusive start.
     pub start: Timestamp,
@@ -96,15 +96,10 @@ impl TimeRange {
             end: now + 1,
         }
     }
-
-    /// Width in milliseconds (saturating).
-    pub fn width_ms(&self) -> u64 {
-        self.end.millis_since(self.start)
-    }
 }
 
 /// Scalar aggregation functions over a range of readings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Aggregation {
     /// Arithmetic mean of values.
     Mean,
@@ -133,7 +128,7 @@ pub enum Aggregation {
 }
 
 /// One downsampled bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Bucket {
     /// Bucket start (aligned to the bucket width).
     pub start: Timestamp,

@@ -5,15 +5,13 @@
 //! than raw integers keeps the millisecond convention from leaking and makes
 //! unit mistakes a type error.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, Sub};
 
 /// A point in time, measured in milliseconds since the epoch of the monitored
 /// system (for simulated data centers: the start of the simulation).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct Timestamp(pub u64);
 
 impl Timestamp {
@@ -121,7 +119,7 @@ impl fmt::Display for Timestamp {
 /// (power, temperature, utilization, counters converted to rates) fit a
 /// double without precision concerns, and a uniform value type keeps the
 /// analytics layer free of generic plumbing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Reading {
     /// When the value was observed.
     pub ts: Timestamp,
@@ -151,7 +149,7 @@ impl Reading {
 ///
 /// Batching amortises channel overhead when a collector flushes a sampling
 /// interval's worth of values at once.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ReadingBatch {
     /// The sensor all readings in `readings` belong to.
     pub sensor: crate::sensor::SensorId,

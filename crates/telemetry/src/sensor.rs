@@ -20,13 +20,13 @@
 //! at 16 bytes.
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// Dense interned identifier of a registered sensor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct SensorId(pub u32);
 
 impl SensorId {
@@ -48,7 +48,7 @@ impl fmt::Display for SensorId {
 /// The kind is advisory metadata used by dashboards and by analytics that
 /// select their inputs semantically (e.g. a thermal model asks for all
 /// `Temperature` sensors under a node).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SensorKind {
     /// Electrical power draw.
     Power,
@@ -71,7 +71,7 @@ pub enum SensorKind {
 }
 
 /// Unit of measure for a sensor's values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Unit {
     /// Watts.
     Watts,
@@ -123,7 +123,7 @@ impl Unit {
 }
 
 /// Immutable metadata describing a registered sensor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SensorMeta {
     /// The interned identifier.
     pub id: SensorId,

@@ -51,11 +51,6 @@ impl BitWriter {
         }
     }
 
-    /// Number of bits written so far.
-    pub fn len_bits(&self) -> usize {
-        self.bits
-    }
-
     /// Finish and return the byte buffer (trailing bits zero-padded).
     pub fn finish(self) -> Vec<u8> {
         self.buf

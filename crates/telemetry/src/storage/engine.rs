@@ -373,13 +373,6 @@ impl PersistentEngine {
         Ok(())
     }
 
-    /// Seal the current memtable into a segment immediately (no-op when the
-    /// memtable is empty). Exposed for tests and shutdown paths.
-    pub fn seal_now(&self) -> Result<(), FsError> {
-        let mut st = self.state.lock();
-        self.seal_locked(&mut st)
-    }
-
     fn seal_locked(&self, st: &mut EngineState) -> Result<(), FsError> {
         if st.memtable_len == 0 {
             return Ok(());

@@ -7,13 +7,14 @@
 //! by fronting the archive with the [`StorageBackend`] trait:
 //!
 //! - [`InMemoryBackend`] — the status quo: hot store only, nothing durable.
-//! - Persistent / Hybrid — a [`PersistentEngine`] (WAL + sealed segments,
+//! - [`DurableBackend`] — a [`PersistentEngine`] (WAL + sealed segments,
 //!   see [`engine`]) paired with a hot store **mirror** that serves planner
 //!   and rollup queries. On open, the engine replays the durable archive
 //!   into the mirror; because replay preserves per-sensor acceptance order,
 //!   the recovered hot state is bit-identical whenever the durable history
-//!   is complete. The two kinds differ in query routing policy
-//!   ([`BackendKind`]) and in how health evictions are attributed.
+//!   is complete. Its trait-level [`StorageBackend::range`] always scans
+//!   the segments and memtable, and its health report counts an eviction
+//!   only when segment retention expires a reading.
 //!
 //! All I/O flows through the injectable [`StorageFs`] shim ([`fs`]), so
 //! crash scenarios — torn writes, short reads, lying fsyncs — are simulated
@@ -46,9 +47,6 @@ pub enum BackendKind {
     /// scan the durable files (honest cold-path latency), with the hot
     /// mirror serving only the planner/rollup interfaces.
     Persistent,
-    /// Hot ring answers range queries whenever it still covers the window;
-    /// the durable engine serves windows the ring has evicted.
-    Hybrid,
 }
 
 impl BackendKind {
@@ -57,7 +55,6 @@ impl BackendKind {
         match self {
             BackendKind::InMemory => "inmemory",
             BackendKind::Persistent => "persistent",
-            BackendKind::Hybrid => "hybrid",
         }
     }
 }
@@ -73,7 +70,9 @@ impl std::fmt::Display for BackendKind {
 pub struct StorageConfig {
     /// Backend selection.
     pub backend: BackendKind,
-    /// Engine tuning (ignored by [`BackendKind::InMemory`]).
+    /// Engine tuning of the persistent archive. An in-memory archive has no
+    /// engine, but a site still hands this tuning to its collector shards,
+    /// which always archive persistently.
     pub engine: EngineConfig,
 }
 
@@ -99,22 +98,14 @@ impl StorageConfig {
             ..Self::default()
         }
     }
-
-    /// Hybrid archive with default engine tuning.
-    pub fn hybrid() -> Self {
-        StorageConfig {
-            backend: BackendKind::Hybrid,
-            ..Self::default()
-        }
-    }
 }
 
-/// Uniform interface over the three archive backends.
+/// Uniform interface over the two archive backends.
 ///
 /// The hot [`TimeSeriesStore`] is always available (it is the store itself
 /// for [`InMemoryBackend`], and a replayed mirror for the durable
 /// backends), so existing consumers — query planner, rollup tiers, alert
-/// evaluation — keep working unchanged over all three.
+/// evaluation — keep working unchanged over both.
 pub trait StorageBackend: Send + Sync {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
@@ -138,8 +129,8 @@ pub trait StorageBackend: Send + Sync {
             .sum()
     }
 
-    /// Range query in `[start, end)` routed according to the backend's
-    /// policy (hot ring, durable scan, or hybrid).
+    /// Range query in `[start, end)`: the hot ring for the in-memory
+    /// backend, a scan of the durable archive for the durable one.
     fn range(&self, sensor: SensorId, start: Timestamp, end: Timestamp) -> Vec<Reading>;
 
     /// Fsync any buffered WAL records.
@@ -215,9 +206,8 @@ impl StorageBackend for InMemoryBackend {
     }
 }
 
-/// Persistent or hybrid backend: hot mirror + [`PersistentEngine`].
+/// Persistent backend: hot mirror + [`PersistentEngine`].
 pub struct DurableBackend {
-    kind: BackendKind,
     store: Arc<TimeSeriesStore>,
     engine: PersistentEngine,
     recovery: RecoveryReport,
@@ -228,7 +218,6 @@ pub struct DurableBackend {
 impl std::fmt::Debug for DurableBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableBackend")
-            .field("kind", &self.kind)
             .field("engine", &self.engine)
             .finish()
     }
@@ -238,7 +227,6 @@ impl DurableBackend {
     /// Open the engine over `fs`, replay the durable archive into `store`,
     /// and serve through it. `store` should be freshly constructed.
     pub fn open(
-        kind: BackendKind,
         fs: Arc<dyn StorageFs>,
         engine_cfg: EngineConfig,
         store: Arc<TimeSeriesStore>,
@@ -247,7 +235,6 @@ impl DurableBackend {
         let (engine, recovery) = PersistentEngine::open(fs, engine_cfg, &metrics)?;
         engine.replay_into(&store)?;
         Ok(DurableBackend {
-            kind,
             store,
             engine,
             recovery,
@@ -288,26 +275,11 @@ impl DurableBackend {
         }
         accepted.len()
     }
-
-    /// Whether the hot ring still covers every reading at or after `start`
-    /// for `sensor` (nothing relevant has been overwritten).
-    fn ring_covers(&self, sensor: SensorId, start: Timestamp) -> bool {
-        match self.store.sensor_health(sensor) {
-            None => false,
-            Some(h) if h.evicted == 0 => true,
-            Some(_) => match self.store.oldest(sensor) {
-                // Evicted readings all precede the retained suffix, so a
-                // strictly-older oldest stamp proves `[start, ..)` intact.
-                Some(oldest) => oldest.ts < start,
-                None => false,
-            },
-        }
-    }
 }
 
 impl StorageBackend for DurableBackend {
     fn kind(&self) -> BackendKind {
-        self.kind
+        BackendKind::Persistent
     }
 
     fn store(&self) -> &Arc<TimeSeriesStore> {
@@ -323,9 +295,6 @@ impl StorageBackend for DurableBackend {
     }
 
     fn range(&self, sensor: SensorId, start: Timestamp, end: Timestamp) -> Vec<Reading> {
-        if self.kind == BackendKind::Hybrid && self.ring_covers(sensor, start) {
-            return self.store.range(sensor, start, end);
-        }
         let mut out = Vec::new();
         // This signature cannot carry the error: a failed archive read is
         // counted, and the caller gets what was read before it.
@@ -379,8 +348,7 @@ pub fn open_backend(
 ) -> Result<Arc<dyn StorageBackend>, FsError> {
     match cfg.backend {
         BackendKind::InMemory => Ok(Arc::new(InMemoryBackend::new(store))),
-        kind => Ok(Arc::new(DurableBackend::open(
-            kind,
+        BackendKind::Persistent => Ok(Arc::new(DurableBackend::open(
             fs,
             cfg.engine.clone(),
             store,
@@ -401,9 +369,9 @@ mod tests {
         }
     }
 
-    fn open_kind(kind: BackendKind, fs: Arc<SimFs>, capacity: usize) -> Arc<dyn StorageBackend> {
+    fn open_persistent(fs: Arc<SimFs>, capacity: usize) -> Arc<dyn StorageBackend> {
         let cfg = StorageConfig {
-            backend: kind,
+            backend: BackendKind::Persistent,
             engine: EngineConfig {
                 segment_max_readings: 8,
                 wal_sync_every: 1,
@@ -437,13 +405,13 @@ mod tests {
     fn durable_backend_survives_reopen() {
         let fs = Arc::new(SimFs::new());
         {
-            let backend = open_kind(BackendKind::Persistent, Arc::clone(&fs), 64);
+            let backend = open_persistent(Arc::clone(&fs), 64);
             for i in 0..20u64 {
                 backend.insert_batch(SensorId(3), &[reading(i * 10, i as f64)]);
             }
             backend.flush().unwrap();
         }
-        let backend = open_kind(BackendKind::Persistent, fs, 64);
+        let backend = open_persistent(fs, 64);
         let rec = backend.recovery().unwrap();
         assert_eq!(rec.readings_recovered, 20);
         assert_eq!(backend.store().series_len(SensorId(3)), 20);
@@ -459,7 +427,7 @@ mod tests {
     fn rejected_readings_never_reach_the_wal() {
         let fs = Arc::new(SimFs::new());
         {
-            let backend = open_kind(BackendKind::Persistent, Arc::clone(&fs), 64);
+            let backend = open_persistent(Arc::clone(&fs), 64);
             let batch = [
                 reading(100, 1.0),
                 reading(50, 2.0), // out of order: rejected
@@ -472,7 +440,7 @@ mod tests {
             assert_eq!(backend.insert_batch(SensorId(1), &batch), 2);
             backend.flush().unwrap();
         }
-        let backend = open_kind(BackendKind::Persistent, fs, 64);
+        let backend = open_persistent(fs, 64);
         let got = backend.range(SensorId(1), Timestamp::ZERO, Timestamp::MAX);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].ts, Timestamp(100));
@@ -498,13 +466,8 @@ mod tests {
             wal_sync_every: 1,
             ..EngineConfig::default()
         };
-        let backend = DurableBackend::open(
-            BackendKind::Persistent,
-            Arc::clone(&fs) as Arc<dyn StorageFs>,
-            cfg,
-            store,
-        )
-        .unwrap();
+        let backend =
+            DurableBackend::open(Arc::clone(&fs) as Arc<dyn StorageFs>, cfg, store).unwrap();
         for i in 0..20u64 {
             backend.insert_batch(SensorId(3), &[reading(i * 10, i as f64)]);
         }
@@ -559,13 +522,8 @@ mod tests {
             wal_sync_every: 1,
             ..EngineConfig::default()
         };
-        let backend = DurableBackend::open(
-            BackendKind::Persistent,
-            Arc::clone(&fs) as Arc<dyn StorageFs>,
-            cfg,
-            store,
-        )
-        .unwrap();
+        let backend =
+            DurableBackend::open(Arc::clone(&fs) as Arc<dyn StorageFs>, cfg, store).unwrap();
         let (a, b) = (SensorId(1), SensorId(2));
         for i in 0..16u64 {
             let sensor = if i % 2 == 0 { a } else { b };
@@ -598,28 +556,9 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_serves_hot_window_from_ring_and_cold_from_segments() {
-        let fs = Arc::new(SimFs::new());
-        // Tiny ring (capacity 4) so early readings are evicted from the
-        // ring but remain durable.
-        let backend = open_kind(BackendKind::Hybrid, fs, 4);
-        for i in 0..32u64 {
-            backend.insert_batch(SensorId(5), &[reading(i * 10, i as f64)]);
-        }
-        // Ring holds the last 4 readings (ts 280..310); everything is
-        // durable. Start 290 > oldest ring stamp 280, so this window is
-        // served from the ring.
-        let hot = backend.range(SensorId(5), Timestamp(290), Timestamp::MAX);
-        assert_eq!(hot.len(), 3);
-        let cold = backend.range(SensorId(5), Timestamp::ZERO, Timestamp::MAX);
-        assert_eq!(cold.len(), 32);
-        assert_eq!(cold[0].ts, Timestamp(0));
-    }
-
-    #[test]
     fn durable_health_does_not_double_count_ring_overwrite_as_eviction() {
         let fs = Arc::new(SimFs::new());
-        let backend = open_kind(BackendKind::Hybrid, fs, 4);
+        let backend = open_persistent(fs, 4);
         for i in 0..32u64 {
             backend.insert_batch(SensorId(7), &[reading(i * 10, i as f64)]);
         }

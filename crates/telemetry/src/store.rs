@@ -39,7 +39,7 @@ use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use crate::reading::{Reading, Timestamp};
 use crate::sensor::SensorId;
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 
 /// Fixed-capacity ring buffer of readings with monotonic timestamps.
@@ -241,7 +241,7 @@ impl RingBuffer {
 /// buckets (or a bucket and a raw-reading edge) merge without loss for the
 /// decomposable aggregations, which is what lets the query planner answer
 /// from tiers with raw-scan-identical results.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RollupBucket {
     /// Bucket start, aligned to the tier width.
     pub start: Timestamp,
@@ -290,7 +290,7 @@ impl RollupBucket {
 }
 
 /// Width and retention of one rollup tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RollupTierSpec {
     /// Bucket width, milliseconds.
     pub bucket_ms: u64,
@@ -299,7 +299,7 @@ pub struct RollupTierSpec {
 }
 
 /// Rollup-tier layout of a store: zero or more strictly-widening tiers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RollupConfig {
     /// Tier specs, strictly increasing in `bucket_ms`.
     pub tiers: Vec<RollupTierSpec>,
@@ -585,11 +585,6 @@ impl TimeSeriesStore {
         }
     }
 
-    /// The rollup-tier layout every sensor in this store maintains.
-    pub fn rollup_config(&self) -> &RollupConfig {
-        &self.rollups
-    }
-
     /// The registry this store's write-path instruments record into.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -672,18 +667,6 @@ impl TimeSeriesStore {
         m.evictions.add(buf.evicted() - ev0);
         m.lock_hold_ns.observe_timer(timer);
         accepted
-    }
-
-    /// Oldest reading still retained in the ring for `sensor`, if any.
-    /// Storage backends use this to decide whether the hot ring still
-    /// covers a query window or the durable tier must serve it.
-    pub fn oldest(&self, sensor: SensorId) -> Option<Reading> {
-        let (s, slot) = self.locate(sensor);
-        let shard = self.shards[s].read();
-        match shard.series.get(slot) {
-            Some(Some(series)) => series.raw.oldest(),
-            _ => None,
-        }
     }
 
     /// Readings for `sensor` with `start <= ts < end`, chronological.

@@ -87,8 +87,13 @@ fn main() {
         TimeRange::new(Timestamp::ZERO, dc.now() + 1),
         dc.now(),
     );
-    for (name, artifacts) in registry.execute_all(&ctx) {
-        println!("  {:<26} → {:2} artifacts", name, artifacts.len());
+    for mut capability in cells::all_sixteen() {
+        let artifacts = capability.execute(&ctx);
+        println!(
+            "  {:<26} → {:2} artifacts",
+            capability.name(),
+            artifacts.len()
+        );
     }
 
     // ----- A staged pipeline: descriptive → ... → prescriptive -----------

@@ -1,12 +1,11 @@
 //! Shim for `serde`: serialization is modelled as conversion to a JSON-like
 //! [`Value`] tree (rendered by the `serde_json` shim). There is no
-//! `Serializer`/`Deserializer` visitor machinery and no `#[serde(...)]`
-//! attribute support — the workspace uses neither. `Deserialize` is a
-//! marker trait so `#[derive(Deserialize)]` keeps compiling.
+//! `Serializer` visitor machinery, no `#[serde(...)]` attribute support
+//! and no decoding side — the workspace uses none of them.
 
 #![forbid(unsafe_code)]
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
@@ -42,15 +41,11 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// Marker trait: the shim supports deriving it but not actually decoding.
-pub trait Deserialize {}
-
 macro_rules! ser_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::I64(*self as i64) }
         }
-        impl Deserialize for $t {}
     )*};
 }
 
@@ -59,7 +54,6 @@ macro_rules! ser_unsigned {
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::U64(*self as u64) }
         }
-        impl Deserialize for $t {}
     )*};
 }
 
@@ -76,28 +70,24 @@ impl Serialize for f64 {
         }
     }
 }
-impl Deserialize for f64 {}
 
 impl Serialize for f32 {
     fn to_value(&self) -> Value {
         (*self as f64).to_value()
     }
 }
-impl Deserialize for f32 {}
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
 }
-impl Deserialize for bool {}
 
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
     }
 }
-impl Deserialize for char {}
 
 impl Serialize for str {
     fn to_value(&self) -> Value {
@@ -110,7 +100,6 @@ impl Serialize for String {
         Value::Str(self.clone())
     }
 }
-impl Deserialize for String {}
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
@@ -144,7 +133,6 @@ impl<T: Serialize> Serialize for Option<T> {
         }
     }
 }
-impl<T: Deserialize> Deserialize for Option<T> {}
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
@@ -163,7 +151,6 @@ impl<T: Serialize> Serialize for Vec<T> {
         self.as_slice().to_value()
     }
 }
-impl<T: Deserialize> Deserialize for Vec<T> {}
 
 impl Serialize for () {
     fn to_value(&self) -> Value {
@@ -216,4 +203,3 @@ impl Serialize for Value {
         self.clone()
     }
 }
-impl Deserialize for Value {}

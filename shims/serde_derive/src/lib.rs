@@ -1,6 +1,5 @@
-//! Shim for `serde_derive`: derives the shim-serde `Serialize` (convert to
-//! `serde::Value`) and marker `Deserialize` traits by parsing the item's
-//! token stream directly — no `syn`/`quote`, so it builds with zero
+//! Shim for `serde_derive`: derives the shim-serde `Serialize` trait
+//! (convert to `serde::Value`) by parsing the item's token stream directly — no `syn`/`quote`, so it builds with zero
 //! dependencies.
 //!
 //! Supported shapes (everything this workspace derives on):
@@ -24,17 +23,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     item.serialize_impl()
         .parse()
         .expect("generated Serialize impl must parse")
-}
-
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = match Item::parse(input) {
-        Ok(item) => item,
-        Err(msg) => return compile_error(&msg),
-    };
-    item.deserialize_impl()
-        .parse()
-        .expect("generated Deserialize impl must parse")
 }
 
 fn compile_error(msg: &str) -> TokenStream {
@@ -110,14 +98,14 @@ impl Item {
         })
     }
 
-    fn impl_header(&self, trait_name: &str) -> (String, String) {
+    fn impl_header(&self) -> (String, String) {
         if self.generics.is_empty() {
             (String::new(), String::new())
         } else {
             let bounded: Vec<String> = self
                 .generics
                 .iter()
-                .map(|g| format!("{g}: ::serde::{trait_name}"))
+                .map(|g| format!("{g}: ::serde::Serialize"))
                 .collect();
             (
                 format!("<{}>", bounded.join(", ")),
@@ -126,16 +114,8 @@ impl Item {
         }
     }
 
-    fn deserialize_impl(&self) -> String {
-        let (bounds, args) = self.impl_header("Deserialize");
-        format!(
-            "impl{bounds} ::serde::Deserialize for {}{args} {{}}",
-            self.name
-        )
-    }
-
     fn serialize_impl(&self) -> String {
-        let (bounds, args) = self.impl_header("Serialize");
+        let (bounds, args) = self.impl_header();
         let name = &self.name;
         let body = match &self.body {
             Body::Unit => "::serde::Value::Null".to_string(),

@@ -295,7 +295,7 @@ fn forecaster_abstains_when_most_of_the_window_is_missing() {
 }
 
 #[test]
-fn hybrid_soak_digest_survives_a_mid_run_archive_restart_at_any_worker_count() {
+fn persistent_soak_digest_survives_a_mid_run_archive_restart_at_any_worker_count() {
     use hpc_oda::telemetry::storage::BackendKind;
     use oda_bench::chaos::{run_soak, SoakConfig};
 
@@ -305,10 +305,10 @@ fn hybrid_soak_digest_survives_a_mid_run_archive_restart_at_any_worker_count() {
     // produces; the durable lanes must reproduce it bit for bit.
     let baseline = run_soak(&soak(1));
     for workers in [1usize, 4] {
-        let hybrid = run_soak(&soak(workers).with_backend(BackendKind::Hybrid));
+        let persistent = run_soak(&soak(workers).with_backend(BackendKind::Persistent));
         let restarted = run_soak(
             &soak(workers)
-                .with_backend(BackendKind::Hybrid)
+                .with_backend(BackendKind::Persistent)
                 .with_restart_at_window(1),
         );
         assert_eq!(restarted.restarts, 1, "the drill must have fired");
@@ -317,13 +317,13 @@ fn hybrid_soak_digest_survives_a_mid_run_archive_restart_at_any_worker_count() {
             "recovery must replay the durable archive"
         );
         assert_eq!(
-            hybrid.digest, restarted.digest,
+            persistent.digest, restarted.digest,
             "workers={workers}: restart-in-the-middle changed the output digest"
         );
         if workers == 1 {
             assert_eq!(
-                baseline.digest, hybrid.digest,
-                "hybrid backend changed the output digest vs in-memory"
+                baseline.digest, persistent.digest,
+                "persistent backend changed the output digest vs in-memory"
             );
         }
     }

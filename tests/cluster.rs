@@ -56,11 +56,13 @@ fn sharded_digests(cluster: &ClusterCoordinator) -> Vec<u64> {
 }
 
 fn build(seed: u64, shards: usize, schedule: Option<FaultSchedule>) -> DataCenter {
-    let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-        .seed(seed)
-        .metrics(MetricsRegistry::new())
-        .shards(shards)
-        .build();
+    let mut dc = DataCenter::builder(DataCenterConfig {
+        shards,
+        ..DataCenterConfig::tiny()
+    })
+    .seed(seed)
+    .metrics(MetricsRegistry::new())
+    .build();
     if let Some(s) = schedule {
         dc.set_fault_schedule(s);
     }

@@ -311,7 +311,7 @@ fn ring_overwrite_of_durable_data_is_not_eviction_and_expiry_counts_once() {
     // Tiny ring: 32 readings overwrite 28 slots while all of them flow to
     // segments; retention keeps the newest 2 segments (8 readings) and
     // expires 6 (24 readings).
-    let backend = backend_over(&fs, BackendKind::Hybrid, cfg, 4);
+    let backend = backend_over(&fs, BackendKind::Persistent, cfg, 4);
     for r in readings(32) {
         backend.insert_batch(S, &[r]);
     }
@@ -465,9 +465,9 @@ fn archive_digest(backend: &dyn StorageBackend, sensors: u32) -> u64 {
     hpc_oda::telemetry::hash::fnv1a64(&bytes)
 }
 
-/// The three backends hold one archive: the same grouped workload digests
-/// identically through each, the durable ones persist every reading and
-/// recover it bit-identically across a crash, and the in-memory one
+/// The two backends hold one archive: the same grouped workload digests
+/// identically through each, the durable one persists every reading and
+/// recovers it bit-identically across a crash, and the in-memory one
 /// persists and recovers nothing.
 #[test]
 fn every_backend_serves_one_archive_and_the_durable_ones_recover_it() {
@@ -482,11 +482,7 @@ fn every_backend_serves_one_archive_and_the_durable_ones_recover_it() {
         ..EngineConfig::default()
     };
     let mut served = Vec::new();
-    for kind in [
-        BackendKind::InMemory,
-        BackendKind::Persistent,
-        BackendKind::Hybrid,
-    ] {
+    for kind in [BackendKind::InMemory, BackendKind::Persistent] {
         let fs = Arc::new(SimFs::new());
         let (before, durable) = {
             let backend = backend_over(&fs, kind, cfg.clone(), per_sensor);
