@@ -5,23 +5,26 @@ Usage: check_lint.py LINT_report.json
 
 `odalint` already exits nonzero on violations; this script is the second
 half of the CI stage: it proves the report the run produced is the
-well-formed `odalint-report/v2` document downstream tooling consumes, and
+well-formed `odalint-report/v3` document downstream tooling consumes, and
 re-asserts the clean invariant from the report itself (defence in depth if
 the exit code is ever swallowed by a pipeline).
 
-v2 adds the `concurrency` section (lock-order graph + channel inventory)
+v2 added the `concurrency` section (lock-order graph + channel inventory)
 produced by the cross-procedural analysis; a v1 report here means the
 concurrency pass silently stopped running, which this gate treats as a
-hard regression.
+hard regression. v3 keys each `allowed` entry by file, rule, enclosing
+item and justification, with the count of findings it suppresses, in
+place of one entry per suppressed line: moving code no longer rewrites
+the report, only adding or removing an allow does.
 """
 
 import json
 import sys
 
-SCHEMA = "odalint-report/v2"
+SCHEMA = "odalint-report/v3"
 
 VIOLATION_KEYS = {"rule", "file", "line", "col", "message"}
-ALLOWED_KEYS = {"rule", "file", "line", "justification"}
+ALLOWED_KEYS = {"rule", "file", "item", "count", "justification"}
 INVENTORY_KEYS = {"file", "line", "col", "safety_comment"}
 SUMMARY_KEYS = {"files_scanned", "violations", "allowed", "unsafe_blocks"}
 EDGE_KEYS = {"from", "to", "file", "line", "via"}
@@ -65,6 +68,22 @@ def check_concurrency(report):
     return len(edges), len(channels)
 
 
+def check_allowed(allowed, total):
+    keys = [(a["file"], a["rule"], a["item"], a["justification"])
+            for a in allowed]
+    if keys != sorted(keys):
+        fail("allowed entries are not sorted by (file, rule, item, "
+             "justification); the report is not canonical")
+    if len(keys) != len(set(keys)):
+        fail("duplicate (file, rule, item, justification) in allowed")
+    for a in allowed:
+        if not isinstance(a["count"], int) or a["count"] < 1:
+            fail(f"allowed entry {a['file']} {a['rule']} {a['item']} has "
+                 f"count {a['count']!r}; every entry suppresses >= 1 finding")
+    if sum(a["count"] for a in allowed) != total:
+        fail("summary.allowed disagrees with the allowed counts")
+
+
 def main():
     if len(sys.argv) != 2:
         fail("usage: check_lint.py LINT_report.json")
@@ -78,6 +97,9 @@ def main():
     if schema == "odalint-report/v1":
         fail("report regressed to odalint-report/v1: the concurrency "
              "analysis did not run")
+    if schema == "odalint-report/v2":
+        fail("report is odalint-report/v2: allows are keyed by line, "
+             "not by enclosing item; regenerate it with odalint")
     if schema != SCHEMA:
         fail(f"schema is {schema!r}, expected {SCHEMA!r}")
     for key in ("tool", "summary", "rules", "violations", "allowed",
@@ -96,8 +118,7 @@ def main():
                 fail(f"{section} entry keys {sorted(entry)} != {sorted(keys)}")
     if summary["violations"] != len(report["violations"]):
         fail("summary.violations disagrees with the violations list")
-    if summary["allowed"] != len(report["allowed"]):
-        fail("summary.allowed disagrees with the allowed list")
+    check_allowed(report["allowed"], summary["allowed"])
     if not report["rules"]:
         fail("empty rule catalogue")
     edge_count, channel_count = check_concurrency(report)

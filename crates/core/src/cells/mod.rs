@@ -24,26 +24,17 @@ use crate::capability::Capability;
 use oda_telemetry::pattern::SensorPattern;
 use oda_telemetry::sensor::{SensorId, SensorRegistry};
 
-/// Resolves all `/hw/node*/<leaf>` sensors, ordered by node index.
+/// Resolves all `/hw/node*/<leaf>` sensors, ordered by node index (stable,
+/// so sensors whose name does not parse keep their match order, last). Each
+/// name is read and parsed once, not once per comparison.
 pub(crate) fn node_sensors(registry: &SensorRegistry, leaf: &str) -> Vec<SensorId> {
     let pattern = SensorPattern::new(&format!("/hw/*/{leaf}"));
     let mut ids = registry.matching(&pattern);
-    ids.sort_by_key(|id| {
-        registry
-            .name(*id)
-            .and_then(|n| {
-                n.trim_start_matches("/hw/node")
-                    .split('/')
-                    .next()
-                    .and_then(|s| s.parse::<u32>().ok())
-            })
-            .unwrap_or(u32::MAX)
-    });
+    ids.sort_by_cached_key(|&id| node_index_of(registry, id).unwrap_or(u32::MAX));
     ids
 }
 
 /// Node index parsed back from a `/hw/node<i>/...` sensor name.
-#[cfg_attr(not(test), allow(dead_code))]
 pub(crate) fn node_index_of(registry: &SensorRegistry, id: SensorId) -> Option<u32> {
     registry.name(id).and_then(|n| {
         n.trim_start_matches("/hw/node")

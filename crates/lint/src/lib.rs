@@ -156,10 +156,27 @@ pub struct Allowed {
     pub rule: String,
     /// Workspace-relative file.
     pub file: String,
+    /// Qualified name of the innermost function spanning the finding
+    /// (`Type::method` or `free_fn`), or [`MODULE_ITEM`] outside any.
+    pub item: String,
     /// 1-indexed line of the suppressed finding.
     pub line: u32,
     /// Justification carried by the allow.
     pub justification: String,
+}
+
+/// The [`Allowed::item`] of a finding outside every function.
+pub const MODULE_ITEM: &str = "(module)";
+
+/// Qualified name of the innermost function of `parsed` whose signature or
+/// body spans `line`; [`MODULE_ITEM`] when none does.
+fn enclosing_item(parsed: &parse::ParsedFile, toks: &[lexer::Tok], line: u32) -> String {
+    parsed
+        .fns
+        .iter()
+        .filter(|f| f.line <= line && toks.get(f.body.1).is_some_and(|t| line <= t.line))
+        .min_by_key(|f| f.body.1 - f.body.0)
+        .map_or_else(|| MODULE_ITEM.to_string(), |f| f.qual.clone())
 }
 
 /// An `unsafe` occurrence, workspace-qualified.
@@ -341,7 +358,17 @@ pub fn lint_sources(files: &[(&str, &str)], cfg: &Config) -> Outcome {
     for (i, (rel, lexed, _)) in lexed_files.iter().enumerate() {
         let mut allows = parse_inline_allows(lexed);
         let findings = std::mem::take(&mut findings_per_file[i]);
-        let hits = apply_allows(rel, findings, &mut allows, cfg, &mut out);
+        // Shim and test files skip the concurrency pass; parse them here.
+        let reparsed;
+        let items = match &parsed[i] {
+            Some(p) => p,
+            None => {
+                reparsed = parse::parse(lexed);
+                &reparsed
+            }
+        };
+        let item_of = |line| enclosing_item(items, &lexed.toks, line);
+        let hits = apply_allows(rel, findings, &mut allows, cfg, &item_of, &mut out);
         out.allowlist_hits.extend(hits);
         for a in &allows {
             if let Some(why) = a.malformed {
@@ -382,6 +409,7 @@ fn apply_allows(
     findings: Vec<Finding>,
     allows: &mut [InlineAllow],
     cfg: &Config,
+    item_of: &dyn Fn(u32) -> String,
     out: &mut Outcome,
 ) -> Vec<u32> {
     let mut hits = Vec::new();
@@ -394,6 +422,7 @@ fn apply_allows(
             out.allowed.push(Allowed {
                 rule: f.rule.into(),
                 file: rel.into(),
+                item: item_of(f.line),
                 line: f.line,
                 justification: a.justification.clone(),
             });
@@ -408,6 +437,7 @@ fn apply_allows(
             out.allowed.push(Allowed {
                 rule: f.rule.into(),
                 file: rel.into(),
+                item: item_of(f.line),
                 line: f.line,
                 justification: e.justification.clone(),
             });
@@ -600,7 +630,8 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Outcome> {
                 message: msg.to_owned(),
             };
             // File-scoped allowlist still applies (no inline form here).
-            for line in apply_allows(&lib_rel, vec![f], &mut [], cfg, &mut out) {
+            let module = |_| MODULE_ITEM.to_string();
+            for line in apply_allows(&lib_rel, vec![f], &mut [], cfg, &module, &mut out) {
                 allowlist_hits.insert(line, true);
             }
         }

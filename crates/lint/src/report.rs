@@ -6,6 +6,7 @@
 
 use crate::rules::RULES;
 use crate::{Outcome, VERSION};
+use std::collections::BTreeMap;
 
 /// JSON-escapes `s` into `out`.
 fn esc(s: &str, out: &mut String) {
@@ -30,7 +31,7 @@ fn esc(s: &str, out: &mut String) {
 pub fn render(outcome: &Outcome) -> String {
     let mut s = String::with_capacity(4096);
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"odalint-report/v2\",\n");
+    s.push_str("  \"schema\": \"odalint-report/v3\",\n");
     s.push_str(&format!(
         "  \"tool\": {{\"name\": \"odalint\", \"version\": \"{VERSION}\"}},\n"
     ));
@@ -78,16 +79,27 @@ pub fn render(outcome: &Outcome) -> String {
     }
     s.push_str("  ],\n");
 
+    // v3: allows are keyed by (file, rule, enclosing item, justification)
+    // with a count, so an edit that only moves code leaves the report as
+    // it was.
+    let mut allowed: BTreeMap<(&str, &str, &str, &str), usize> = BTreeMap::new();
+    for a in &outcome.allowed {
+        *allowed
+            .entry((&a.file, &a.rule, &a.item, &a.justification))
+            .or_default() += 1;
+    }
     s.push_str("  \"allowed\": [\n");
-    for (i, a) in outcome.allowed.iter().enumerate() {
+    for (i, ((file, rule, item, justification), count)) in allowed.iter().enumerate() {
         s.push_str("    {\"rule\": ");
-        esc(&a.rule, &mut s);
+        esc(rule, &mut s);
         s.push_str(", \"file\": ");
-        esc(&a.file, &mut s);
-        s.push_str(&format!(", \"line\": {}, \"justification\": ", a.line));
-        esc(&a.justification, &mut s);
+        esc(file, &mut s);
+        s.push_str(", \"item\": ");
+        esc(item, &mut s);
+        s.push_str(&format!(", \"count\": {count}, \"justification\": "));
+        esc(justification, &mut s);
         s.push('}');
-        if i + 1 < outcome.allowed.len() {
+        if i + 1 < allowed.len() {
             s.push(',');
         }
         s.push('\n');

@@ -267,6 +267,35 @@ fn clean_fixture_has_zero_findings_even_on_hot_digest_path() {
     assert_eq!(out.allowed[0].rule, "panic-unwrap");
 }
 
+/// The report keys a suppressed finding by its enclosing item, with a
+/// count, so moving code inside a file leaves the report as it was.
+#[test]
+fn report_keys_allows_by_enclosing_item_not_line() {
+    let src = "//! doc\n\
+               pub struct Ring { buf: Vec<u64> }\n\
+               impl Ring {\n\
+               pub fn pick(&self, i: usize) -> u64 {\n\
+               // odalint: allow(panic-index) -- i is reduced modulo the length\n\
+               self.buf[i % self.buf.len()]\n\
+               }\n\
+               }\n\
+               pub fn first(v: &[u64]) -> u64 {\n\
+               v[0] // odalint: allow(panic-index) -- callers pass non-empty slices\n\
+               }\n";
+    let out = lint_source(HOT, src, &cfg());
+    assert_eq!(out.violations.len(), 0, "{:?}", out.violations);
+    let items: Vec<&str> = out.allowed.iter().map(|a| a.item.as_str()).collect();
+    assert_eq!(items, ["Ring::pick", "first"]);
+    let report = report::render(&out);
+    let moved = report::render(&lint_source(
+        HOT,
+        &src.replace("//! doc\n", "//! doc\n\n\n"),
+        &cfg(),
+    ));
+    assert_eq!(report, moved, "moving code must not rewrite the report");
+    assert!(report.contains("\"item\": \"Ring::pick\", \"count\": 1"));
+}
+
 #[test]
 fn every_rule_has_a_firing_fixture() {
     let mut fired: Vec<String> = Vec::new();
@@ -308,7 +337,7 @@ fn report_is_byte_stable() {
     let a = report::render(&lint_source(DIGEST, src, &cfg()));
     let b = report::render(&lint_source(DIGEST, src, &cfg()));
     assert_eq!(a, b, "same input must render identical bytes");
-    assert!(a.contains("\"schema\": \"odalint-report/v2\""));
+    assert!(a.contains("\"schema\": \"odalint-report/v3\""));
     assert!(a.contains("\"concurrency\""));
     assert!(a.ends_with('\n'));
 }

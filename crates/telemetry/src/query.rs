@@ -36,7 +36,7 @@
 //!
 //! For the decomposable aggregations (`Mean`/`Min`/`Max`/`Sum`/`Count`/
 //! `First`/`Last`) the planner consults the store's rollup tiers
-//! ([`TimeSeriesStore::tier_scan`]) instead of rescanning raw readings:
+//! (`TimeSeriesStore::read_window`) instead of rescanning raw readings:
 //!
 //! * [`Query::aggregate`] — any tier may serve the aligned core of the range;
 //! * [`Query::downsample`] / [`Query::align`] — only tiers whose bucket
@@ -47,9 +47,13 @@
 //!
 //! Rate queries ([`Query::rate`]), non-decomposable aggregations
 //! (`StdDev`/`Quantile`/`TimeWeightedMean`) and [`Query::raw_scan`] always
-//! scan raw. Planner outcomes are recorded as `query_tier_hit_total` /
-//! `query_tier_miss_total` / `query_readings_avoided_total` /
-//! `query_rollup_buckets_scanned_total`.
+//! scan raw. These and the raw-readings shape copy each sensor's window out
+//! once; every tier-planned shape folds the window where the store lends
+//! it, under the shard's read lock — a scalar straight from the borrowed
+//! runs, a bucketed shape copying a raw piece into the scan's one scratch
+//! buffer only when the ring's wrap point splits it. Planner outcomes are
+//! recorded as `query_tier_hit_total` / `query_tier_miss_total` /
+//! `query_readings_avoided_total` / `query_rollup_buckets_scanned_total`.
 //!
 //! The former method-per-shape API (`range`/`aggregate`/`downsample`/...)
 //! has been removed; the builder is the only query surface. `odalint`'s
@@ -60,7 +64,7 @@ use crate::metrics::{Counter, Histogram};
 use crate::pattern::SensorPattern;
 use crate::reading::{Reading, Timestamp};
 use crate::sensor::{SensorId, SensorRegistry};
-use crate::store::{RollupBucket, TierScanResult, TimeSeriesStore};
+use crate::store::{nth, sub, RollupBucket, Slices, TierView, TimeSeriesStore, Window};
 use serde::{Serialize, Value};
 
 /// Half-open query interval `[start, end)`.
@@ -1034,6 +1038,7 @@ impl<'a> QueryEngine<'a> {
             misses: 0,
             avoided: 0,
             tier_buckets: 0,
+            scratch: Vec::new(),
         };
         // One pass over `sensors`, on the caller: each sensor is fetched,
         // tallied and shaped into its result cell before the next is
@@ -1084,10 +1089,13 @@ struct Scan<'a> {
     misses: u64,
     avoided: u64,
     tier_buckets: u64,
+    /// Where a raw piece the ring's wrap point splits is made contiguous.
+    scratch: Vec<Reading>,
 }
 
 impl Scan<'_> {
-    /// One sensor's raw range, rate-derived when the query asks for it.
+    /// One sensor's raw range, copied out, rate-derived when the query asks
+    /// for it.
     fn raw(&mut self, s: SensorId) -> Vec<Reading> {
         let readings = self.store.range(s, self.range.start, self.range.end);
         self.scanned += readings.len() as u64;
@@ -1099,47 +1107,97 @@ impl Scan<'_> {
         }
     }
 
-    /// One sensor's tier hit, where the plan allows one and a tier serves
-    /// it: `(head, core, tail)` — raw edges around a summary-bucket core.
-    fn tier(&mut self, s: SensorId) -> Option<(Vec<Reading>, Vec<RollupBucket>, Vec<Reading>)> {
-        let (start, end) = (self.range.start, self.range.end);
-        let TierScanResult::Hit {
-            head,
-            core,
-            tail,
-            readings_avoided,
+    /// Lends one sensor's window, tier-served where a tier serves it, to
+    /// `fold` together with the scan's scratch buffer, tallying what it
+    /// lends. Runs under the store's read lock: `fold` only folds.
+    fn window<R>(
+        &mut self,
+        s: SensorId,
+        align_ms: Option<u64>,
+        fold: impl FnOnce(Window<'_>, &mut Vec<Reading>) -> R,
+    ) -> R {
+        let Scan {
+            store,
+            range,
+            scanned,
+            hits,
+            misses,
+            avoided,
+            tier_buckets,
+            scratch,
             ..
-        } = self.store.tier_scan(s, start, end, self.tier_align?)
-        else {
-            return None;
-        };
-        self.scanned += (head.len() + tail.len()) as u64;
-        self.hits += 1;
-        self.avoided += readings_avoided;
-        self.tier_buckets += core.len() as u64;
-        Some((head, core, tail))
+        } = self;
+        store.read_window(s, range.start, range.end, align_ms, |window| {
+            match window {
+                Window::Raw(raw) => {
+                    *scanned += runs_len(raw) as u64;
+                    *misses += 1;
+                }
+                Window::Tiered(t) => {
+                    *scanned += (runs_len(t.head) + runs_len(t.tail)) as u64;
+                    *hits += 1;
+                    *avoided += t.readings_avoided;
+                    *tier_buckets += runs_len(t.core) as u64;
+                }
+            }
+            fold(window, scratch)
+        })
     }
 
     /// One sensor bucketed at `bucket_ms`. Head, core and tail occupy
     /// disjoint bucket ranges (core boundaries are `bucket_ms`-aligned), so
     /// the three pieces concatenate into one sorted bucket list.
     fn buckets(&mut self, s: SensorId, bucket_ms: u64, agg: Aggregation) -> Vec<Bucket> {
-        let Some((head, core, tail)) = self.tier(s) else {
+        let Some(align_ms) = self.tier_align else {
             return bucket_readings(&self.raw(s), bucket_ms, agg);
         };
-        let mut out = bucket_readings(&head, bucket_ms, agg);
-        bucket_rollups(&core, bucket_ms, agg, &mut out);
-        out.extend(bucket_readings(&tail, bucket_ms, agg));
+        let mut out = Vec::new();
+        self.window(s, align_ms, |window, scratch| match window {
+            Window::Raw(raw) => {
+                bucket_readings_into(contiguous(raw, scratch), bucket_ms, agg, &mut out);
+            }
+            Window::Tiered(t) => {
+                bucket_readings_into(contiguous(t.head, scratch), bucket_ms, agg, &mut out);
+                bucket_rollups(t.core, bucket_ms, agg, &mut out);
+                bucket_readings_into(contiguous(t.tail, scratch), bucket_ms, agg, &mut out);
+            }
+        });
         out
     }
 
     /// One sensor aggregated to a scalar.
     fn scalar(&mut self, s: SensorId, agg: Aggregation) -> Option<f64> {
-        match self.tier(s) {
-            Some((head, core, tail)) => combine_tier_scalar(&head, &core, &tail, agg),
-            None => aggregate_readings(&self.raw(s), agg),
-        }
+        let Some(align_ms) = self.tier_align else {
+            return aggregate_readings(&self.raw(s), agg);
+        };
+        self.window(s, align_ms, |window, scratch| match window {
+            Window::Raw(raw) => aggregate_readings(contiguous(raw, scratch), agg),
+            Window::Tiered(t) => combine_tier_scalar(&t, agg),
+        })
     }
+}
+
+/// Elements in both runs.
+fn runs_len<T>((older, newer): Slices<'_, T>) -> usize {
+    older.len() + newer.len()
+}
+
+/// `runs` as one slice: borrowed when the ring's wrap point does not split
+/// them, copied into `scratch` when it does.
+fn contiguous<'s>(
+    (older, newer): Slices<'s, Reading>,
+    scratch: &'s mut Vec<Reading>,
+) -> &'s [Reading] {
+    if newer.is_empty() {
+        return older;
+    }
+    if older.is_empty() {
+        return newer;
+    }
+    scratch.clear();
+    scratch.extend_from_slice(older);
+    scratch.extend_from_slice(newer);
+    scratch
 }
 
 /// Whether rollup tiers can answer `agg` exactly from
@@ -1159,28 +1217,33 @@ fn tier_serves(agg: Aggregation) -> bool {
 
 /// Re-buckets tier summary buckets into `bucket_ms`-wide output buckets.
 /// The planner guarantees the tier width divides `bucket_ms`, so every
-/// summary bucket falls wholly inside one output bucket.
-fn bucket_rollups(core: &[RollupBucket], bucket_ms: u64, agg: Aggregation, out: &mut Vec<Bucket>) {
+/// summary bucket falls wholly inside one output bucket. Each group is
+/// folded left to right across the tier's two runs.
+fn bucket_rollups(
+    core: Slices<'_, RollupBucket>,
+    bucket_ms: u64,
+    agg: Aggregation,
+    out: &mut Vec<Bucket>,
+) {
+    let n = runs_len(core);
     let mut i = 0usize;
-    while i < core.len() {
-        let bstart = core[i].start.bucket(bucket_ms);
-        let mut j = i;
-        while j < core.len() && core[j].start.bucket(bucket_ms) == bstart {
+    while i < n {
+        let bstart = nth(core, i).start.bucket(bucket_ms);
+        let mut j = i + 1;
+        while j < n && nth(core, j).start.bucket(bucket_ms) == bstart {
             j += 1;
         }
-        let group = &core[i..j];
-        let count: u64 = group.iter().map(|b| b.count).sum();
+        let (older, newer) = sub(core, i, j);
+        let group = || older.iter().chain(newer);
+        let count: u64 = group().map(|b| b.count).sum();
         let value = match agg {
-            Aggregation::Mean => group.iter().map(|b| b.sum).sum::<f64>() / count as f64,
-            Aggregation::Min => group.iter().map(|b| b.min).fold(f64::INFINITY, f64::min),
-            Aggregation::Max => group
-                .iter()
-                .map(|b| b.max)
-                .fold(f64::NEG_INFINITY, f64::max),
-            Aggregation::Sum => group.iter().map(|b| b.sum).sum(),
+            Aggregation::Mean => group().map(|b| b.sum).sum::<f64>() / count as f64,
+            Aggregation::Min => group().map(|b| b.min).fold(f64::INFINITY, f64::min),
+            Aggregation::Max => group().map(|b| b.max).fold(f64::NEG_INFINITY, f64::max),
+            Aggregation::Sum => group().map(|b| b.sum).sum(),
             Aggregation::Count => count as f64,
-            Aggregation::First => group[0].first,
-            Aggregation::Last => group[group.len() - 1].last,
+            Aggregation::First => nth(core, i).first,
+            Aggregation::Last => nth(core, j - 1).last,
             _ => unreachable!("non-decomposable aggregation on the tier path"),
         };
         out.push(Bucket {
@@ -1192,51 +1255,46 @@ fn bucket_rollups(core: &[RollupBucket], bucket_ms: u64, agg: Aggregation, out: 
     }
 }
 
-/// Merges raw edges and summary core into one scalar. Head precedes the
-/// core in time and the tail follows it, which settles `First`/`Last`.
-fn combine_tier_scalar(
-    head: &[Reading],
-    core: &[RollupBucket],
-    tail: &[Reading],
-    agg: Aggregation,
-) -> Option<f64> {
-    let count = head.len() as u64 + core.iter().map(|b| b.count).sum::<u64>() + tail.len() as u64;
+/// Merges raw edges and summary core into one scalar, folding head, core
+/// and tail in that order, each left to right across its two runs. Head
+/// precedes the core in time and the tail follows it, which settles
+/// `First`/`Last`.
+fn combine_tier_scalar<'a>(t: &TierView<'a>, agg: Aggregation) -> Option<f64> {
+    let values = |(older, newer): Slices<'a, Reading>| older.iter().chain(newer).map(|r| r.value);
+    let (older, newer) = t.core;
+    let core = || older.iter().chain(newer);
+    let count =
+        runs_len(t.head) as u64 + core().map(|b| b.count).sum::<u64>() + runs_len(t.tail) as u64;
     if count == 0 {
         return None;
     }
     let sum = || {
-        head.iter().map(|r| r.value).sum::<f64>()
-            + core.iter().map(|b| b.sum).sum::<f64>()
-            + tail.iter().map(|r| r.value).sum::<f64>()
+        values(t.head).sum::<f64>()
+            + core().map(|b| b.sum).sum::<f64>()
+            + values(t.tail).sum::<f64>()
     };
     Some(match agg {
         Aggregation::Mean => sum() / count as f64,
         Aggregation::Sum => sum(),
-        Aggregation::Min => head
-            .iter()
-            .map(|r| r.value)
-            .chain(core.iter().map(|b| b.min))
-            .chain(tail.iter().map(|r| r.value))
+        Aggregation::Min => values(t.head)
+            .chain(core().map(|b| b.min))
+            .chain(values(t.tail))
             .fold(f64::INFINITY, f64::min),
-        Aggregation::Max => head
-            .iter()
-            .map(|r| r.value)
-            .chain(core.iter().map(|b| b.max))
-            .chain(tail.iter().map(|r| r.value))
+        Aggregation::Max => values(t.head)
+            .chain(core().map(|b| b.max))
+            .chain(values(t.tail))
             .fold(f64::NEG_INFINITY, f64::max),
         Aggregation::Count => count as f64,
-        Aggregation::First => head
-            .first()
-            .map(|r| r.value)
-            .or_else(|| core.first().map(|b| b.first))
-            .or_else(|| tail.first().map(|r| r.value))
+        Aggregation::First => values(t.head)
+            .next()
+            .or_else(|| core().next().map(|b| b.first))
+            .or_else(|| values(t.tail).next())
             // odalint: allow(panic-unwrap) -- caller checked count > 0 before taking this arm
             .expect("count > 0 implies a first element"),
-        Aggregation::Last => tail
-            .last()
-            .map(|r| r.value)
-            .or_else(|| core.last().map(|b| b.last))
-            .or_else(|| head.last().map(|r| r.value))
+        Aggregation::Last => values(t.tail)
+            .next_back()
+            .or_else(|| core().next_back().map(|b| b.last))
+            .or_else(|| values(t.head).next_back())
             // odalint: allow(panic-unwrap) -- caller checked count > 0 before taking this arm
             .expect("count > 0 implies a last element"),
         _ => unreachable!("non-decomposable aggregation on the tier path"),
@@ -1251,6 +1309,17 @@ fn combine_tier_scalar(
 pub fn bucket_readings(readings: &[Reading], bucket_ms: u64, agg: Aggregation) -> Vec<Bucket> {
     assert!(bucket_ms > 0, "bucket width must be positive");
     let mut out = Vec::new();
+    bucket_readings_into(readings, bucket_ms, agg, &mut out);
+    out
+}
+
+/// As [`bucket_readings`], appending to `out`.
+fn bucket_readings_into(
+    readings: &[Reading],
+    bucket_ms: u64,
+    agg: Aggregation,
+    out: &mut Vec<Bucket>,
+) {
     let mut i = 0usize;
     while i < readings.len() {
         let bstart = readings[i].ts.bucket(bucket_ms);
@@ -1269,7 +1338,6 @@ pub fn bucket_readings(readings: &[Reading], bucket_ms: u64, agg: Aggregation) -
         }
         i = j;
     }
-    out
 }
 
 /// Derives a rate series from a cumulative-counter slice: each output

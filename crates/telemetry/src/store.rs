@@ -28,12 +28,28 @@
 //! the decomposable aggregations (`Mean`/`Min`/`Max`/`Sum`/`Count`/
 //! `First`/`Last`) *exactly* without touching raw readings. The query
 //! planner ([`crate::query`]) consults the tiers through
-//! [`TimeSeriesStore::tier_scan`], which returns summary buckets for the
+//! `TimeSeriesStore::read_window`, which hands it summary buckets for the
 //! aligned core of a range and raw readings for the unaligned edges — all
-//! under one shard lock, with eviction horizons respected so a tier never
-//! answers about data the raw buffer no longer retains (tier answers are
-//! therefore always identical to a raw rescan). Readings rejected at the
-//! door (non-finite, out-of-order) never reach any tier.
+//! borrowed under one shard lock, with eviction horizons respected so a
+//! tier never answers about data the raw buffer no longer retains (tier
+//! answers are therefore always identical to a raw rescan). Readings
+//! rejected at the door (non-finite, out-of-order) never reach any tier.
+//!
+//! ## Finding a window
+//!
+//! A pass reads each sensor's window after ingest has pushed the rings out
+//! of cache, so every key a search reads is a cache miss of its own. Both
+//! the ring and the tiers therefore find a bound with one routine,
+//! `lower_bound`: it starts from an interpolation guess (linear between
+//! the ring's oldest and newest timestamps; `(t − front.start) / width`
+//! for a tier), gallops outward in doubling steps until it has bracketed
+//! the bound, and binary-searches the bracket. On regularly sampled series
+//! the guess is exact or one off, so a bound costs two or three probes
+//! instead of a binary search's twelve over a 4 096-reading ring; on
+//! adversarial spacing it costs at most 2⌈log₂ n⌉ + 2. The answer is the
+//! one a plain binary search gives, by construction. Windows come back as
+//! [`Slices`] — the two contiguous runs either side of the ring's wrap
+//! point — so a read copies nothing it does not have to.
 
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use crate::reading::{Reading, Timestamp};
@@ -42,15 +58,114 @@ use parking_lot::RwLock;
 use serde::Serialize;
 use std::collections::VecDeque;
 
+/// A window of a ring, borrowed as its two contiguous runs: the first holds
+/// the older elements, and either may be empty — the shape of
+/// [`VecDeque::as_slices`]. Read as one sequence, the runs are sorted by
+/// timestamp.
+pub type Slices<'a, T> = (&'a [T], &'a [T]);
+
+/// Element `i` of `runs` read as one sequence (`i` must be in bounds).
+#[inline]
+pub(crate) fn nth<T>((older, newer): Slices<'_, T>, i: usize) -> &T {
+    if i < older.len() {
+        &older[i]
+    } else {
+        &newer[i - older.len()]
+    }
+}
+
+/// Elements `lo..hi` of `runs` read as one sequence, again as two runs
+/// (`lo <= hi <= len` is the caller's).
+#[inline]
+pub(crate) fn sub<T>((older, newer): Slices<'_, T>, lo: usize, hi: usize) -> Slices<'_, T> {
+    let n = older.len();
+    (
+        &older[lo.min(n)..hi.min(n)],
+        &newer[lo.saturating_sub(n)..hi.saturating_sub(n)],
+    )
+}
+
+/// First index in `0..len` whose element is not `below`, for a `below`
+/// that holds on a prefix — the index a plain binary search returns.
+///
+/// Starts at `guess` (clamped to `len`), the caller's interpolation of
+/// where the bound lies; gallops away from it in doubling steps until the
+/// bound is bracketed; then binary-searches the bracket. A guess `d` off
+/// the bound costs about 2⌈log₂ d⌉ + 2 calls of `below`, so an exact guess
+/// costs two and the worst guess 2⌈log₂ len⌉ + 2.
+pub(crate) fn lower_bound(len: usize, guess: usize, below: impl Fn(usize) -> bool) -> usize {
+    #[cfg(test)]
+    let below = |i| {
+        probes::count();
+        below(i)
+    };
+    let guess = guess.min(len);
+    // Invariant of both gallops: the bound lies in `lo..=hi`.
+    let (mut lo, mut hi);
+    if guess < len && below(guess) {
+        (lo, hi) = (guess + 1, len);
+        let mut step = 1;
+        while let Some(probe) = guess.checked_add(step).filter(|&p| p < len) {
+            if !below(probe) {
+                hi = probe;
+                break;
+            }
+            lo = probe + 1;
+            step *= 2;
+        }
+    } else {
+        (lo, hi) = (0, guess);
+        let mut step = 1;
+        while let Some(probe) = guess.checked_sub(step) {
+            if below(probe) {
+                lo = probe + 1;
+                break;
+            }
+            hi = probe;
+            step *= 2;
+        }
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Counts [`lower_bound`]'s probes on the calling thread, for the tests
+/// that hold the search to its probe budget.
+#[cfg(test)]
+mod probes {
+    use std::cell::Cell;
+
+    thread_local!(static PROBES: Cell<usize> = const { Cell::new(0) });
+
+    pub(super) fn count() {
+        PROBES.with(|p| p.set(p.get() + 1));
+    }
+
+    /// Probes made since the last call on this thread.
+    pub(super) fn take() -> usize {
+        PROBES.with(|p| p.replace(0))
+    }
+}
+
 /// Fixed-capacity ring buffer of readings with monotonic timestamps.
 ///
 /// Kept public so analytics code can be tested directly against a buffer
 /// without constructing a full store.
 #[derive(Debug, Clone)]
 pub struct RingBuffer {
+    /// Holds exactly the stored readings: it grows to `capacity` by
+    /// appending, and only then do writes wrap, so `head` stays `0` until
+    /// the ring is full.
     buf: Vec<Reading>,
+    /// Physical index of the oldest reading.
     head: usize,
-    len: usize,
     capacity: usize,
     /// Count of readings ever evicted by wrap-around.
     evicted: u64,
@@ -72,7 +187,6 @@ impl RingBuffer {
         RingBuffer {
             buf: Vec::with_capacity(capacity),
             head: 0,
-            len: 0,
             capacity,
             evicted: 0,
             rejected_out_of_order: 0,
@@ -84,13 +198,13 @@ impl RingBuffer {
     /// Number of readings currently stored.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.buf.len()
     }
 
     /// `true` if no readings are stored.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.buf.is_empty()
     }
 
     /// The configured capacity.
@@ -138,12 +252,11 @@ impl RingBuffer {
     /// (two sensors flushed in one batch, a re-sent sample after a
     /// collector hiccup, sub-resolution bursts), and keeping every one is
     /// what makes the pipeline deterministic end to end: the buffer stays
-    /// sorted (non-decreasing), so `range_into`'s `partition_point` bounds
-    /// pick up a whole same-ts run on the start edge and exclude it on the
-    /// end edge, and the rollup tiers fold the duplicates into their
-    /// buckets in that same stable order — a tier-served aggregate is
-    /// bit-identical to a raw scan even when every reading in the window
-    /// shares one timestamp.
+    /// sorted (non-decreasing), so `range_slices`' lower bounds pick up a
+    /// whole same-ts run on the start edge and exclude it on the end edge,
+    /// and the rollup tiers fold the duplicates into their buckets in that
+    /// same stable order — a tier-served aggregate is bit-identical to a
+    /// raw scan even when every reading in the window shares one timestamp.
     pub fn push(&mut self, r: Reading) -> bool {
         if !r.is_finite() {
             self.rejected_non_finite += 1;
@@ -156,82 +269,88 @@ impl RingBuffer {
             }
             self.max_gap_ms = self.max_gap_ms.max(r.ts.millis_since(last.ts));
         }
-        if self.len < self.capacity {
+        if self.buf.len() < self.capacity {
             // Still filling the initial allocation.
-            let pos = (self.head + self.len) % self.capacity;
-            if pos == self.buf.len() {
-                self.buf.push(r);
-            } else {
-                self.buf[pos] = r;
-            }
-            self.len += 1;
+            self.buf.push(r);
         } else {
             // Overwrite the oldest slot.
             self.buf[self.head] = r;
-            self.head = (self.head + 1) % self.capacity;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
             self.evicted += 1;
         }
         true
     }
 
+    /// The stored readings as two runs, oldest first.
+    #[inline]
+    pub fn as_slices(&self) -> Slices<'_, Reading> {
+        let (newer, older) = self.buf.split_at(self.head);
+        (older, newer)
+    }
+
     /// The oldest stored reading.
     #[inline]
     pub fn oldest(&self) -> Option<Reading> {
-        (self.len > 0).then(|| self.buf[self.head])
+        self.as_slices().0.first().copied()
     }
 
     /// The newest stored reading.
     #[inline]
     pub fn newest(&self) -> Option<Reading> {
-        (self.len > 0).then(|| self.buf[(self.head + self.len - 1) % self.capacity])
+        let (older, newer) = self.as_slices();
+        newer.last().or(older.last()).copied()
     }
 
-    /// Reading at logical position `i` (0 = oldest).
-    #[inline]
-    fn get(&self, i: usize) -> Reading {
-        debug_assert!(i < self.len);
-        self.buf[(self.head + i) % self.capacity]
-    }
-
-    /// Copies all readings with `start <= ts < end` into `out`, in order.
+    /// The readings with `start <= ts < end`, in order, as two runs.
     ///
-    /// Uses binary search over the logically-ordered buffer, so cost is
-    /// O(log n + k) for k results.
+    /// Each bound is an interpolation-guided `lower_bound` between the
+    /// oldest and newest timestamps: two or three probes on a regularly
+    /// sampled ring, at most 2⌈log₂ n⌉ + 2 on any other.
+    pub fn range_slices(&self, start: Timestamp, end: Timestamp) -> Slices<'_, Reading> {
+        let runs = self.as_slices();
+        match (self.oldest(), self.newest()) {
+            (Some(oldest), Some(newest)) if start < end => {
+                let bound = |t: Timestamp| {
+                    if t <= oldest.ts {
+                        return 0;
+                    }
+                    let n = self.len();
+                    if t > newest.ts {
+                        return n;
+                    }
+                    // oldest < t <= newest, so the span is positive.
+                    let guess = u128::from(t.millis_since(oldest.ts)) * (n as u128 - 1)
+                        / u128::from(newest.ts.millis_since(oldest.ts));
+                    lower_bound(n, guess as usize, |i| nth(runs, i).ts < t)
+                };
+                sub(runs, bound(start), bound(end))
+            }
+            _ => (&[], &[]),
+        }
+    }
+
+    /// Copies all readings with `start <= ts < end` into `out`, in order:
+    /// the two bounds of [`Self::range_slices`], then one copy per run.
     pub fn range_into(&self, start: Timestamp, end: Timestamp, out: &mut Vec<Reading>) {
-        if self.len == 0 || start >= end {
-            return;
-        }
-        let lo = self.partition_point(|r| r.ts < start);
-        let hi = self.partition_point(|r| r.ts < end);
-        out.reserve(hi - lo);
-        for i in lo..hi {
-            out.push(self.get(i));
-        }
+        let (older, newer) = self.range_slices(start, end);
+        out.extend_from_slice(older);
+        out.extend_from_slice(newer);
     }
 
     /// All readings in chronological order (mostly for tests and snapshots).
     pub fn to_vec(&self) -> Vec<Reading> {
-        (0..self.len).map(|i| self.get(i)).collect()
-    }
-
-    /// First logical index for which `pred` is false (series is sorted by ts).
-    fn partition_point(&self, pred: impl Fn(&Reading) -> bool) -> usize {
-        let (mut lo, mut hi) = (0usize, self.len);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if pred(&self.get(mid)) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        let (older, newer) = self.as_slices();
+        [older, newer].concat()
     }
 
     /// The most recent `n` readings, oldest-first.
     pub fn last_n(&self, n: usize) -> Vec<Reading> {
-        let take = n.min(self.len);
-        (self.len - take..self.len).map(|i| self.get(i)).collect()
+        let len = self.len();
+        let (older, newer) = sub(self.as_slices(), len - n.min(len), len);
+        [older, newer].concat()
     }
 }
 
@@ -416,11 +535,30 @@ impl RollupTier {
         }
     }
 
+    /// The buckets with `start <= bucket.start < end`, in order, as two
+    /// runs. Each bound is a `lower_bound` guessed at
+    /// `(t − front.start) / bucket_ms`: exact while no bucket in between is
+    /// missing, so a gap-free tier answers in two probes per bound.
+    pub fn range_slices(&self, start: Timestamp, end: Timestamp) -> Slices<'_, RollupBucket> {
+        let runs = self.buckets.as_slices();
+        let Some(front) = self.buckets.front() else {
+            return runs;
+        };
+        let n = self.buckets.len();
+        let bound = |t: Timestamp| {
+            let ahead = t.millis_since(front.start).div_ceil(self.bucket_ms);
+            let guess = usize::try_from(ahead).map_or(n, |g| g.min(n));
+            lower_bound(n, guess, |i| nth(runs, i).start < t)
+        };
+        let lo = bound(start);
+        sub(runs, lo, bound(end).max(lo))
+    }
+
     /// Copies the buckets with `start <= bucket.start < end` into `out`.
     pub fn range_into(&self, start: Timestamp, end: Timestamp, out: &mut Vec<RollupBucket>) {
-        let lo = self.buckets.partition_point(|b| b.start < start);
-        let hi = self.buckets.partition_point(|b| b.start < end);
-        out.extend(self.buckets.iter().skip(lo).take(hi - lo));
+        let (older, newer) = self.range_slices(start, end);
+        out.extend_from_slice(older);
+        out.extend_from_slice(newer);
     }
 }
 
@@ -459,27 +597,107 @@ impl SensorSeries {
         self.version += 1;
         true
     }
+
+    /// The tier-served decomposition of `[start, end)`, if a tier serves
+    /// it; see [`TimeSeriesStore::read_window`] for the rules.
+    fn tier_view(
+        &self,
+        start: Timestamp,
+        end: Timestamp,
+        align_ms: Option<u64>,
+    ) -> Option<TierView<'_>> {
+        if start >= end {
+            return None;
+        }
+        // Coarsest tier first: widest buckets summarise the most readings.
+        for tier in self.tiers.iter().rev() {
+            let tier_ms = tier.bucket_ms();
+            if let Some(req) = align_ms {
+                if req == 0 || req % tier_ms != 0 {
+                    continue;
+                }
+            }
+            if tier.is_empty() {
+                continue;
+            }
+            // Core boundaries must land on the *request* alignment (the
+            // caller's bucket width, or the tier's own for scalar reads) so
+            // the caller's buckets are each served wholly by tiers or
+            // wholly by raw edges — never split.
+            let align = align_ms.unwrap_or(tier_ms);
+            let Some(mut core_start) = start.as_millis().checked_next_multiple_of(align) else {
+                continue;
+            };
+            let core_end = (end.as_millis() / align) * align;
+            // Eviction horizon: the head edge must be fully present in raw.
+            if let (true, Some(oldest)) = (self.raw.evicted() > 0, self.raw.oldest()) {
+                let Some(horizon) = oldest
+                    .ts
+                    .as_millis()
+                    .checked_add(1)
+                    .and_then(|t| t.checked_next_multiple_of(align))
+                else {
+                    continue;
+                };
+                core_start = core_start.max(horizon);
+            }
+            // Tier floor: only retained buckets can serve the core.
+            if let (true, Some(floor)) = (tier.evicted() > 0, tier.oldest_start()) {
+                let Some(floor) = floor.as_millis().checked_next_multiple_of(align) else {
+                    continue;
+                };
+                core_start = core_start.max(floor);
+            }
+            if core_start >= core_end {
+                continue;
+            }
+            let core_start = Timestamp::from_millis(core_start);
+            let core_end = Timestamp::from_millis(core_end);
+            let core = tier.range_slices(core_start, core_end);
+            let (older, newer) = core;
+            let readings_avoided = older
+                .iter()
+                .chain(newer)
+                .map(|b| b.count)
+                .sum::<u64>()
+                .saturating_sub((older.len() + newer.len()) as u64);
+            if readings_avoided == 0 {
+                continue;
+            }
+            return Some(TierView {
+                head: self.raw.range_slices(start, core_start),
+                core,
+                tail: self.raw.range_slices(core_end, end),
+                readings_avoided,
+            });
+        }
+        None
+    }
 }
 
-/// Result of a planner-assisted tier read ([`TimeSeriesStore::tier_scan`]).
-#[derive(Debug, Clone)]
-pub enum TierScanResult {
-    /// No tier could serve any part of the range exactly; scan raw.
-    Miss,
-    /// The range decomposes into raw edges plus a tier-served core.
-    Hit {
-        /// Raw readings in `[start, core_start)`.
-        head: Vec<Reading>,
-        /// Summary buckets covering `[core_start, core_end)`, chronological.
-        core: Vec<RollupBucket>,
-        /// Raw readings in `[core_end, end)`.
-        tail: Vec<Reading>,
-        /// Width of the serving tier, milliseconds.
-        tier_ms: u64,
-        /// Raw readings the core summarises minus the buckets returned —
-        /// the scan work the tier saved.
-        readings_avoided: u64,
-    },
+/// One sensor's window as [`TimeSeriesStore::read_window`] lends it to
+/// its visitor, borrowed from the store under the shard's read lock.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Window<'a> {
+    /// No tier serves the window: its raw readings.
+    Raw(Slices<'a, Reading>),
+    /// Raw edges around a tier-served core.
+    Tiered(TierView<'a>),
+}
+
+/// A window decomposed into a raw head, a tier-served core and a raw tail;
+/// the three are consecutive in time and disjoint.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TierView<'a> {
+    /// Raw readings in `[start, core_start)`.
+    pub(crate) head: Slices<'a, Reading>,
+    /// Summary buckets covering `[core_start, core_end)`, chronological.
+    pub(crate) core: Slices<'a, RollupBucket>,
+    /// Raw readings in `[core_end, end)`.
+    pub(crate) tail: Slices<'a, Reading>,
+    /// Raw readings the core summarises minus the buckets it holds — the
+    /// scan work the tier saved.
+    pub(crate) readings_avoided: u64,
 }
 
 struct Shard {
@@ -692,7 +910,8 @@ impl TimeSeriesStore {
         }
     }
 
-    /// Plans a tier-assisted read of `[start, end)` for `sensor`.
+    /// Lends `sensor`'s window `[start, end)` to `visit`, tier-served
+    /// where a tier can serve it, and returns what `visit` returns.
     ///
     /// `align_ms` is the caller's bucketing requirement: for downsample /
     /// align shapes it is the requested bucket width (only tiers whose
@@ -702,9 +921,8 @@ impl TimeSeriesStore {
     ///
     /// Picks the **coarsest** eligible tier and decomposes the range into a
     /// raw `head` edge, a tier-served aligned `core`, and a raw `tail` edge
-    /// — all captured under one shard read-lock, so the three pieces are a
-    /// consistent snapshot. Correctness constraints (either failing → the
-    /// core shrinks or the scan degrades to [`TierScanResult::Miss`]):
+    /// ([`Window::Tiered`]). Correctness constraints (either failing → the
+    /// core shrinks or the next tier is tried):
     ///
     /// * **eviction horizon** — if the raw ring has evicted, the core may
     ///   only start after the oldest retained raw reading, so edges can
@@ -712,91 +930,32 @@ impl TimeSeriesStore {
     /// * **tier floor** — if the tier ring has evicted buckets, the core may
     ///   only start at the oldest retained bucket.
     ///
-    /// Returns `Miss` when no tier is eligible, the core would be empty, or
-    /// the tier saves nothing (`readings_avoided == 0`), in which case the
-    /// caller should raw-scan.
-    pub fn tier_scan(
+    /// When no tier is eligible, the core would be empty, or the tier saves
+    /// nothing (`readings_avoided == 0`), `visit` gets the raw window
+    /// ([`Window::Raw`]) instead; an unknown sensor's is empty.
+    ///
+    /// **Contract:** `visit` runs under the shard's read lock, which is
+    /// what makes the borrowed pieces one consistent snapshot. It must not
+    /// call back into the store — a read queued behind a waiting writer
+    /// would deadlock — and should only fold what it was lent; the lock is
+    /// then held for less time than copying the window out would hold it.
+    pub(crate) fn read_window<R>(
         &self,
         sensor: SensorId,
         start: Timestamp,
         end: Timestamp,
         align_ms: Option<u64>,
-    ) -> TierScanResult {
-        if start >= end {
-            return TierScanResult::Miss;
-        }
+        visit: impl FnOnce(Window<'_>) -> R,
+    ) -> R {
         let (s, slot) = self.locate(sensor);
         let shard = self.shards[s].read();
         let Some(Some(series)) = shard.series.get(slot) else {
-            return TierScanResult::Miss;
+            return visit(Window::Raw((&[], &[])));
         };
-        // Coarsest tier first: widest buckets summarise the most readings.
-        for tier in series.tiers.iter().rev() {
-            let tier_ms = tier.bucket_ms();
-            if let Some(req) = align_ms {
-                if req == 0 || req % tier_ms != 0 {
-                    continue;
-                }
-            }
-            if tier.is_empty() {
-                continue;
-            }
-            // Core boundaries must land on the *request* alignment (the
-            // caller's bucket width, or the tier's own for scalar reads) so
-            // the caller's buckets are each served wholly by tiers or
-            // wholly by raw edges — never split.
-            let align = align_ms.unwrap_or(tier_ms);
-            let Some(mut core_start) = start.as_millis().checked_next_multiple_of(align) else {
-                continue;
-            };
-            let core_end = (end.as_millis() / align) * align;
-            // Eviction horizon: the head edge must be fully present in raw.
-            if let (true, Some(oldest)) = (series.raw.evicted() > 0, series.raw.oldest()) {
-                let Some(horizon) = oldest
-                    .ts
-                    .as_millis()
-                    .checked_add(1)
-                    .and_then(|t| t.checked_next_multiple_of(align))
-                else {
-                    continue;
-                };
-                core_start = core_start.max(horizon);
-            }
-            // Tier floor: only retained buckets can serve the core.
-            if let (true, Some(floor)) = (tier.evicted() > 0, tier.oldest_start()) {
-                let Some(floor) = floor.as_millis().checked_next_multiple_of(align) else {
-                    continue;
-                };
-                core_start = core_start.max(floor);
-            }
-            if core_start >= core_end {
-                continue;
-            }
-            let core_start = Timestamp::from_millis(core_start);
-            let core_end = Timestamp::from_millis(core_end);
-            let mut core = Vec::new();
-            tier.range_into(core_start, core_end, &mut core);
-            let readings_avoided = core
-                .iter()
-                .map(|b| b.count)
-                .sum::<u64>()
-                .saturating_sub(core.len() as u64);
-            if readings_avoided == 0 {
-                continue;
-            }
-            let mut head = Vec::new();
-            series.raw.range_into(start, core_start, &mut head);
-            let mut tail = Vec::new();
-            series.raw.range_into(core_end, end, &mut tail);
-            return TierScanResult::Hit {
-                head,
-                core,
-                tail,
-                tier_ms,
-                readings_avoided,
-            };
-        }
-        TierScanResult::Miss
+        visit(match series.tier_view(start, end, align_ms) {
+            Some(view) => Window::Tiered(view),
+            None => Window::Raw(series.raw.range_slices(start, end)),
+        })
     }
 
     /// Monotone write-version of `sensor`'s series: starts at `0` for a
@@ -934,6 +1093,28 @@ mod tests {
         Reading::new(Timestamp::from_millis(ts), v)
     }
 
+    /// Head, core and tail of a tier-served read, copied out of the store;
+    /// `None` when the store lends the raw window instead.
+    type Tiered = (Vec<Reading>, Vec<RollupBucket>, Vec<Reading>, u64);
+
+    fn tiered(
+        store: &TimeSeriesStore,
+        s: SensorId,
+        start: Timestamp,
+        end: Timestamp,
+        align_ms: Option<u64>,
+    ) -> Option<Tiered> {
+        store.read_window(s, start, end, align_ms, |w| match w {
+            Window::Tiered(t) => Some((
+                [t.head.0, t.head.1].concat(),
+                [t.core.0, t.core.1].concat(),
+                [t.tail.0, t.tail.1].concat(),
+                t.readings_avoided,
+            )),
+            Window::Raw(_) => None,
+        })
+    }
+
     #[test]
     fn ring_buffer_fills_then_wraps() {
         let mut b = RingBuffer::new(3);
@@ -1025,6 +1206,69 @@ mod tests {
             vec![4.0, 5.0]
         );
         assert_eq!(b.last_n(10).len(), 4);
+    }
+
+    /// Every timestamp in `ts`, one before and one after each, and the
+    /// ends of the axis.
+    fn probe_keys(ts: impl Iterator<Item = u64>) -> Vec<Timestamp> {
+        let mut keys: Vec<u64> = ts.flat_map(|t| [t - 1, t, t + 1]).collect();
+        keys.extend([0, u64::MAX]);
+        keys.sort_unstable();
+        keys.dedup();
+        keys.into_iter().map(Timestamp::from_millis).collect()
+    }
+
+    /// The most probes any bound of `b` costs, over every timestamp it
+    /// holds and every point between two of them.
+    fn max_ring_probes(b: &RingBuffer) -> usize {
+        let keys = probe_keys(b.to_vec().iter().map(|r| r.ts.as_millis()));
+        probes::take();
+        keys.into_iter()
+            .map(|t| {
+                b.range_slices(t, Timestamp::MAX);
+                probes::take()
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn search_stays_within_its_probe_budget() {
+        // Regularly sampled, full and wrapped: the interpolation guess is
+        // exact or one off.
+        let mut regular = RingBuffer::new(4_096);
+        for i in 0..4_096 + 1_234u64 {
+            regular.push(r(1_000 * i, 0.0));
+        }
+        let probes = max_ring_probes(&regular);
+        assert!(probes <= 5, "regular ring: {probes} probes per bound");
+
+        // Geometric spacing sends the guess far off; the gallop bounds the
+        // damage at 2⌈log₂ n⌉ + 2.
+        let mut geometric = RingBuffer::new(4_096);
+        for i in 0..4_096 {
+            geometric.push(r(1.01f64.powi(i) as u64, 0.0));
+        }
+        let probes = max_ring_probes(&geometric);
+        assert!(
+            probes <= 2 * 12 + 2,
+            "geometric ring: {probes} probes per bound"
+        );
+
+        // A gap-free tier: the bucket arithmetic guess is exact.
+        let mut tier = RollupTier::new(RollupTierSpec {
+            bucket_ms: 10_000,
+            capacity: 1_024,
+        });
+        for i in 0..3_000u64 {
+            tier.observe(r(5_000 + 10_000 * i, 0.0));
+        }
+        probes::take();
+        for i in 0..1_100u64 {
+            tier.range_slices(Timestamp::from_millis(i * 9_999), Timestamp::MAX);
+            let probes = probes::take();
+            assert!(probes <= 5, "tier: {probes} probes for one bound");
+        }
     }
 
     #[test]
@@ -1236,18 +1480,21 @@ mod tests {
         store.insert(s, r(200, f64::NAN)); // rejected: non-finite
         store.insert(s, r(300, 2.0));
         store.insert(s, r(50, 99.0)); // rejected: out of order
-        match store.tier_scan(s, Timestamp::ZERO, Timestamp::from_millis(1_000), None) {
-            TierScanResult::Hit { core, .. } => {
-                assert_eq!(core.len(), 1);
-                assert_eq!(core[0].count, 2, "rejected readings must not be folded");
-                assert_eq!(core[0].sum, 3.0);
-            }
-            TierScanResult::Miss => panic!("expected a tier hit"),
-        }
+        let (_, core, _, _) = tiered(
+            &store,
+            s,
+            Timestamp::ZERO,
+            Timestamp::from_millis(1_000),
+            None,
+        )
+        .expect("expected a tier hit");
+        assert_eq!(core.len(), 1);
+        assert_eq!(core[0].count, 2, "rejected readings must not be folded");
+        assert_eq!(core[0].sum, 3.0);
     }
 
     #[test]
-    fn tier_scan_decomposes_into_head_core_tail() {
+    fn tier_view_decomposes_into_head_core_tail() {
         let store = TimeSeriesStore::with_rollups(
             64,
             1,
@@ -1264,40 +1511,31 @@ mod tests {
             store.insert(s, r(t * 100, t as f64)); // 10 readings per bucket
         }
         // [250, 3_250): head = [250,1_000), core = [1_000,3_000), tail = [3_000,3_250)
-        match store.tier_scan(
+        let (head, core, tail, readings_avoided) = tiered(
+            &store,
             s,
             Timestamp::from_millis(250),
             Timestamp::from_millis(3_250),
             None,
-        ) {
-            TierScanResult::Hit {
-                head,
-                core,
-                tail,
-                tier_ms,
-                readings_avoided,
-            } => {
-                assert_eq!(tier_ms, 1_000);
-                assert_eq!(
-                    head.iter().map(|x| x.value).collect::<Vec<_>>(),
-                    vec![3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
-                );
-                assert_eq!(core.len(), 2);
-                assert_eq!(core[0].start, Timestamp::from_millis(1_000));
-                assert_eq!(core[0].count, 10);
-                assert_eq!(core[1].start, Timestamp::from_millis(2_000));
-                assert_eq!(
-                    tail.iter().map(|x| x.value).collect::<Vec<_>>(),
-                    vec![30.0, 31.0, 32.0]
-                );
-                assert_eq!(readings_avoided, 18);
-            }
-            TierScanResult::Miss => panic!("expected a tier hit"),
-        }
+        )
+        .expect("expected a tier hit");
+        assert_eq!(
+            head.iter().map(|x| x.value).collect::<Vec<_>>(),
+            vec![3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
+        );
+        assert_eq!(core.len(), 2);
+        assert_eq!(core[0].start, Timestamp::from_millis(1_000));
+        assert_eq!(core[0].count, 10);
+        assert_eq!(core[1].start, Timestamp::from_millis(2_000));
+        assert_eq!(
+            tail.iter().map(|x| x.value).collect::<Vec<_>>(),
+            vec![30.0, 31.0, 32.0]
+        );
+        assert_eq!(readings_avoided, 18);
     }
 
     #[test]
-    fn tier_scan_honours_alignment_divisibility() {
+    fn tier_view_honours_alignment_divisibility() {
         let store = TimeSeriesStore::with_rollups(
             64,
             1,
@@ -1314,29 +1552,14 @@ mod tests {
             store.insert(s, r(t * 100, t as f64));
         }
         // 2_000 is a multiple of the 1_000 ms tier → eligible.
-        assert!(matches!(
-            store.tier_scan(
-                s,
-                Timestamp::ZERO,
-                Timestamp::from_millis(3_000),
-                Some(2_000)
-            ),
-            TierScanResult::Hit { .. }
-        ));
+        let end = Timestamp::from_millis(3_000);
+        assert!(tiered(&store, s, Timestamp::ZERO, end, Some(2_000)).is_some());
         // 1_500 is not → must miss.
-        assert!(matches!(
-            store.tier_scan(
-                s,
-                Timestamp::ZERO,
-                Timestamp::from_millis(3_000),
-                Some(1_500)
-            ),
-            TierScanResult::Miss
-        ));
+        assert!(tiered(&store, s, Timestamp::ZERO, end, Some(1_500)).is_none());
     }
 
     #[test]
-    fn tier_scan_respects_raw_eviction_horizon() {
+    fn tier_view_respects_raw_eviction_horizon() {
         // Raw retains only the last 12 readings; tiers remember everything.
         let store = TimeSeriesStore::with_rollups(
             12,
@@ -1357,51 +1580,52 @@ mod tests {
         // readings are all still retained.
         let oldest = store.range(s, Timestamp::ZERO, Timestamp::MAX)[0].ts;
         assert_eq!(oldest, Timestamp::from_millis(2_800));
-        match store.tier_scan(s, Timestamp::ZERO, Timestamp::from_millis(4_000), None) {
-            TierScanResult::Hit {
-                head, core, tail, ..
-            } => {
-                for b in &core {
-                    assert!(
-                        b.start > oldest,
-                        "core bucket at {:?} reaches behind the raw eviction horizon",
-                        b.start
-                    );
-                }
-                assert_eq!(core.len(), 1);
-                assert_eq!(core[0].start, Timestamp::from_millis(3_000));
-                // Everything served must re-compose to exactly the raw scan.
-                let raw = store.range(s, Timestamp::ZERO, Timestamp::from_millis(4_000));
-                let served = head.len() as u64
-                    + core.iter().map(|b| b.count).sum::<u64>()
-                    + tail.len() as u64;
-                assert_eq!(served, raw.len() as u64);
-                assert_eq!(
-                    head.iter().map(|x| x.value).collect::<Vec<_>>(),
-                    vec![28.0, 29.0]
-                );
-            }
-            TierScanResult::Miss => panic!("expected a hit for the fully-retained trailing bucket"),
+        let (head, core, tail, _) = tiered(
+            &store,
+            s,
+            Timestamp::ZERO,
+            Timestamp::from_millis(4_000),
+            None,
+        )
+        .expect("expected a hit for the fully-retained trailing bucket");
+        for b in &core {
+            assert!(
+                b.start > oldest,
+                "core bucket at {:?} reaches behind the raw eviction horizon",
+                b.start
+            );
         }
+        assert_eq!(core.len(), 1);
+        assert_eq!(core[0].start, Timestamp::from_millis(3_000));
+        // Everything served must re-compose to exactly the raw scan.
+        let raw = store.range(s, Timestamp::ZERO, Timestamp::from_millis(4_000));
+        let served =
+            head.len() as u64 + core.iter().map(|b| b.count).sum::<u64>() + tail.len() as u64;
+        assert_eq!(served, raw.len() as u64);
+        assert_eq!(
+            head.iter().map(|x| x.value).collect::<Vec<_>>(),
+            vec![28.0, 29.0]
+        );
 
         // A range whose only complete buckets reach behind the horizon must
         // miss rather than answer from summarised-but-evicted data.
-        assert!(matches!(
-            store.tier_scan(s, Timestamp::ZERO, Timestamp::from_millis(2_000), None),
-            TierScanResult::Miss
-        ));
+        assert!(tiered(
+            &store,
+            s,
+            Timestamp::ZERO,
+            Timestamp::from_millis(2_000),
+            None
+        )
+        .is_none());
     }
 
     #[test]
-    fn tier_scan_misses_without_tiers_or_savings() {
+    fn raw_window_without_tiers_or_savings() {
         let store =
             TimeSeriesStore::with_rollups(16, 1, MetricsRegistry::disabled(), RollupConfig::none());
         let s = SensorId(0);
         store.insert(s, r(0, 1.0));
-        assert!(matches!(
-            store.tier_scan(s, Timestamp::ZERO, Timestamp::MAX, None),
-            TierScanResult::Miss
-        ));
+        assert!(tiered(&store, s, Timestamp::ZERO, Timestamp::MAX, None).is_none());
 
         // One reading per bucket → zero savings → miss.
         let sparse = TimeSeriesStore::with_rollups(
@@ -1417,10 +1641,14 @@ mod tests {
         );
         sparse.insert(s, r(500, 1.0));
         sparse.insert(s, r(1_500, 2.0));
-        assert!(matches!(
-            sparse.tier_scan(s, Timestamp::ZERO, Timestamp::from_millis(2_000), None),
-            TierScanResult::Miss
-        ));
+        let end = Timestamp::from_millis(2_000);
+        assert!(tiered(&sparse, s, Timestamp::ZERO, end, None).is_none());
+        // The raw window it lends instead holds both readings.
+        let raw = sparse.read_window(s, Timestamp::ZERO, end, None, |w| match w {
+            Window::Raw((older, newer)) => older.len() + newer.len(),
+            Window::Tiered(_) => 0,
+        });
+        assert_eq!(raw, 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use hpc_oda::telemetry::query::{aggregate_readings, Aggregation, Query, QueryEngine, TimeRange};
 use hpc_oda::telemetry::reading::{Reading, Timestamp};
 use hpc_oda::telemetry::sensor::SensorId;
-use hpc_oda::telemetry::store::{RingBuffer, TimeSeriesStore};
+use hpc_oda::telemetry::store::{RingBuffer, RollupTier, RollupTierSpec, TimeSeriesStore};
 use proptest::prelude::*;
 
 /// Arbitrary valid (monotone-timestamp, finite) reading sequences.
@@ -829,4 +829,123 @@ fn long_window_fleet_mean_is_served_from_tiers_with_exact_counts() {
     let (quiet_answers, _, _, quiet) = run(MetricsRegistry::disabled());
     assert_eq!(quiet_answers, answers);
     assert!(quiet.counters.is_empty() && quiet.histograms.is_empty());
+}
+
+/// Timestamp of the `i`-th reading pushed, for each spacing the store's
+/// window search must answer exactly on: regular, duplicate runs, gaps,
+/// geometric.
+const SPACINGS: [fn(u64) -> u64; 4] = [
+    |i| 10 + 10 * i,
+    |i| 10 + 10 * (i / 3),
+    |i| 10 + 10 * i + 5_000 * (i / 5),
+    |i| 10 + (1.1f64.powi(i as i32) * 10.0) as u64,
+];
+
+fn at(ts: u64) -> Reading {
+    Reading::new(Timestamp::from_millis(ts), ts as f64)
+}
+
+/// Every timestamp in `ts`, one before and one after each, and the ends of
+/// the axis.
+fn probe_keys(ts: impl Iterator<Item = u64>) -> Vec<Timestamp> {
+    let mut keys: Vec<u64> = ts.flat_map(|t| [t - 1, t, t + 1]).collect();
+    keys.extend([0, u64::MAX]);
+    keys.sort_unstable();
+    keys.dedup();
+    keys.into_iter().map(Timestamp::from_millis).collect()
+}
+
+/// `range_slices` against `partition_point` over the ring's contents: the
+/// bound of every key, and the readings from every key to the keys of a
+/// stride that spreads about `ends` of them over the axis.
+fn assert_ring_matches_model(b: &RingBuffer, ends: usize) {
+    let all = b.to_vec();
+    let keys = probe_keys(all.iter().map(|r| r.ts.as_millis()));
+    let stride = keys.len().div_ceil(ends);
+    for (i, &start) in keys.iter().enumerate() {
+        let lo = all.partition_point(|r| r.ts < start);
+        let (older, newer) = b.range_slices(start, Timestamp::MAX);
+        assert_eq!(
+            b.len() - older.len() - newer.len(),
+            lo,
+            "bound of {start:?}"
+        );
+        for &end in keys.iter().skip(i % stride).step_by(stride) {
+            let hi = all.partition_point(|r| r.ts < end);
+            let (older, newer) = b.range_slices(start, end);
+            let want = if start < end { &all[lo..hi] } else { &[][..] };
+            assert_eq!([older, newer].concat(), want, "[{start:?}, {end:?})");
+        }
+    }
+}
+
+/// The ring's interpolation-guided search finds the same bounds as a
+/// binary search, and its two runs hold exactly the readings a copy of the
+/// window would: partial rings, then full rings at every head position.
+#[test]
+fn ring_search_equals_partition_point_at_every_wrap_position() {
+    for spacing in SPACINGS {
+        for cap in 1..=64usize {
+            let mut b = RingBuffer::new(cap);
+            for i in 0..2 * cap as u64 {
+                assert!(b.push(at(spacing(i))));
+                assert_ring_matches_model(&b, if cap <= 8 { usize::MAX } else { 2 });
+            }
+        }
+    }
+}
+
+#[test]
+fn ring_search_equals_partition_point_on_a_4096_ring() {
+    for spacing in [SPACINGS[0], SPACINGS[1], SPACINGS[2]] {
+        let mut b = RingBuffer::new(4_096);
+        for i in 0..8_192u64 {
+            b.push(at(spacing(i)));
+            if i % 512 != 511 && i != 4_096 {
+                continue;
+            }
+            let all = b.to_vec();
+            let keys = probe_keys(all.iter().step_by(61).map(|r| r.ts.as_millis()));
+            for &t in &keys {
+                let want = all.partition_point(|r| r.ts < t);
+                let (older, newer) = b.range_slices(t, Timestamp::MAX);
+                assert_eq!(b.len() - older.len() - newer.len(), want, "bound of {t:?}");
+                let (older, newer) = b.range_slices(Timestamp::from_millis(1), t);
+                assert_eq!([older, newer].concat(), &all[..want]);
+            }
+        }
+    }
+}
+
+/// A tier's search against a model of which buckets it must retain, with
+/// every third bucket left empty and enough buckets opened to evict and to
+/// move the deque's wrap point through each position.
+#[test]
+fn tier_search_equals_partition_point_with_evictions_and_gaps() {
+    for cap in 1..=24usize {
+        let mut tier = RollupTier::new(RollupTierSpec {
+            bucket_ms: 10,
+            capacity: cap,
+        });
+        let mut opened: Vec<Timestamp> = Vec::new();
+        for bucket in (0u64..).filter(|i| i % 3 != 2).take(3 * cap + 7) {
+            let start = 10 + bucket * 10;
+            tier.observe(at(start + 3));
+            tier.observe(at(start + 7));
+            opened.push(Timestamp::from_millis(start));
+            let retained = &opened[opened.len().saturating_sub(cap)..];
+            let keys = probe_keys(retained.iter().map(|t| t.as_millis()));
+            let stride = if cap <= 8 { 1 } else { keys.len().div_ceil(4) };
+            for (i, &start) in keys.iter().enumerate() {
+                let lo = retained.partition_point(|&t| t < start);
+                for &end in keys.iter().skip(i % stride).step_by(stride) {
+                    let hi = retained.partition_point(|&t| t < end).max(lo);
+                    let (older, newer) = tier.range_slices(start, end);
+                    let got: Vec<Timestamp> = older.iter().chain(newer).map(|b| b.start).collect();
+                    assert_eq!(got, &retained[lo..hi], "cap {cap}, [{start:?}, {end:?})");
+                }
+            }
+        }
+        assert!(tier.evicted() > 0);
+    }
 }
