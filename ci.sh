@@ -35,7 +35,7 @@ echo "==> odalint (static determinism / panic-safety / unsafe-audit gate)"
 cargo run -q -p lint --bin odalint
 python3 ci/check_lint.py LINT_report.json
 
-echo "==> dependency edges (every manifest key is named by a source file)"
+echo "==> dependency edges (every manifest key is named by a source file; every workspace dependency and shim has a user)"
 python3 ci/check_deps.py
 
 echo "==> cargo build --release"

@@ -3,11 +3,16 @@
 
 Usage: check_deps.py            (run from the repo root)
 
-For every `[dependencies]` / `[dev-dependencies]` key of the root manifest
-and of every workspace member, some `.rs` file under that crate's `src/`,
-`tests/`, `benches/` or `examples/` must mention the crate's identifier
-(`-` read as `_`). Cargo builds an edge nobody names without a word, so a
-dead one otherwise lingers until somebody sizes the manifest by hand.
+Three checks, each failing on an edge that cargo builds without a word:
+
+- For every `[dependencies]` / `[dev-dependencies]` key of the root manifest
+  and of every workspace member, some `.rs` file under that crate's `src/`,
+  `tests/` or `examples/` must mention the crate's identifier (`-` read as
+  `_`).
+- Every `[workspace.dependencies]` key must be inherited
+  (`<key>.workspace = true`) by the root package or some member.
+- Every `shims/*` member must be depended on by some other manifest; a shim
+  whose last user is gone would otherwise keep building.
 """
 
 import glob
@@ -17,32 +22,51 @@ import sys
 import tomllib
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+DEP_TABLES = ("dependencies", "dev-dependencies")
+
+
+def load(path):
+    with open(os.path.join(ROOT, path), "rb") as f:
+        return tomllib.load(f)
 
 
 def main():
-    with open(os.path.join(ROOT, "Cargo.toml"), "rb") as f:
-        members = tomllib.load(f)["workspace"]["members"]
+    workspace = load("Cargo.toml")["workspace"]
     manifests = ["Cargo.toml"] + sorted(
-        p for m in members for p in glob.glob(os.path.join(m, "Cargo.toml"), root_dir=ROOT))
+        p for m in workspace["members"] for p in glob.glob(os.path.join(m, "Cargo.toml"), root_dir=ROOT))
     dead = []
+    inherited = set()
+    depended_on = set()
+    shims = {}
     for path in manifests:
         crate = os.path.dirname(path)
-        with open(os.path.join(ROOT, path), "rb") as f:
-            manifest = tomllib.load(f)
+        manifest = load(path)
+        if crate.startswith("shims" + os.sep):
+            shims[manifest["package"]["name"]] = crate
         source = ""
-        for sub in ("src", "tests", "benches", "examples"):
+        for sub in ("src", "tests", "examples"):
             for rs in glob.glob(os.path.join(ROOT, crate, sub, "**", "*.rs"), recursive=True):
                 with open(rs, encoding="utf-8") as f:
                     source += f.read()
-        for table in ("dependencies", "dev-dependencies"):
-            for dep in manifest.get(table, {}):
+        for table in DEP_TABLES:
+            for dep, spec in manifest.get(table, {}).items():
+                depended_on.add(dep)
+                if isinstance(spec, dict) and spec.get("workspace"):
+                    inherited.add(dep)
                 if not re.search(rf"\b{dep.replace('-', '_')}\b", source):
-                    dead.append(f"{path}: [{table}] {dep}")
+                    dead.append(f"no source file names {path}: [{table}] {dep}")
+    for dep in workspace.get("dependencies", {}):
+        if dep not in inherited:
+            dead.append(f"no manifest inherits [workspace.dependencies] {dep}")
+    for name, crate in shims.items():
+        if name not in depended_on:
+            dead.append(f"no manifest depends on shim {name} ({crate})")
     for line in dead:
-        print(f"check_deps: FAIL: no source file names {line}", file=sys.stderr)
+        print(f"check_deps: FAIL: {line}", file=sys.stderr)
     if dead:
         sys.exit(1)
-    print(f"check_deps: OK ({len(manifests)} manifests)")
+    print(f"check_deps: OK ({len(manifests)} manifests, "
+          f"{len(workspace.get('dependencies', {}))} workspace dependencies)")
 
 
 if __name__ == "__main__":

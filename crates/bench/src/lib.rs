@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! # oda-bench — experiment harnesses and benchmarks
+//! # oda-bench — experiment harnesses
 //!
 //! This crate regenerates every table and figure of the paper plus the
 //! quantitative demonstration experiments defined in `DESIGN.md`:
@@ -18,8 +18,7 @@
 //! | `scale` | scheduler worker sweep 1/2/4/8 (`BENCH_scale.json`) |
 //!
 //! (Fig. 1 and Fig. 2 are conceptual diagrams; `examples/framework_tour`
-//! prints them.) The `benches/` directory holds Criterion micro/meso
-//! benchmarks for the substrates and the ablations listed in `DESIGN.md`.
+//! prints them.)
 //!
 //! **Timings live in the end-to-end benchmark** (`benchmark/`, four seeded
 //! workloads timed in alternating parent/change pairs). A harness here

@@ -49,7 +49,8 @@ impl TenantQuota {
 /// Configuration for a [`crate::server::Server`].
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
-    /// Quota applied to tenants without an explicit entry.
+    /// Quota applied to tenants without an explicit entry; they all draw
+    /// on one shared admission state.
     pub default_quota: TenantQuota,
     /// Per-tenant quota overrides, matched by exact `X-Tenant` value.
     pub tenant_quotas: Vec<(String, TenantQuota)>,
@@ -82,33 +83,11 @@ impl ServingConfig {
         self.tenant_quotas.push((tenant, quota));
         self
     }
-
-    /// The quota governing `tenant`.
-    pub fn quota_for(&self, tenant: &str) -> &TenantQuota {
-        self.tenant_quotas
-            .iter()
-            .find(|(t, _)| t == tenant)
-            .map(|(_, q)| q)
-            .unwrap_or(&self.default_quota)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quota_lookup_falls_back_to_default() {
-        let cfg = ServingConfig::default().with_tenant(
-            "dashboard",
-            TenantQuota {
-                rate_per_sec: 5.0,
-                ..TenantQuota::default()
-            },
-        );
-        assert!((cfg.quota_for("dashboard").rate_per_sec - 5.0).abs() < 1e-12);
-        assert!((cfg.quota_for("unknown").rate_per_sec - 100.0).abs() < 1e-12);
-    }
 
     #[test]
     fn with_tenant_replaces_existing_entry() {
@@ -128,6 +107,6 @@ mod tests {
                 },
             );
         assert_eq!(cfg.tenant_quotas.len(), 1);
-        assert_eq!(cfg.quota_for("a").max_concurrent, 9);
+        assert_eq!(cfg.tenant_quotas[0].1.max_concurrent, 9);
     }
 }

@@ -15,7 +15,7 @@
 //! holds per tenant at every instant, and `in_flight` is always
 //! `admitted - completed`.
 
-use crate::config::ServingConfig;
+use crate::config::{ServingConfig, TenantQuota};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
@@ -78,10 +78,26 @@ struct TenantState {
 /// above this ceiling as "poll again in a minute".
 pub const RETRY_AFTER_CEILING_MS: u64 = 60_000;
 
-/// Shared admission state for all tenants of one server.
+/// Name under which [`AdmissionController::all_counters`] lists the state
+/// that every tenant without its own quota shares.
+pub const DEFAULT_ACCOUNT: &str = "default";
+
+/// Whose admission state a request draws on. A tenant named in
+/// [`ServingConfig::tenant_quotas`] has its own (by index, so no header
+/// value can collide with it); every other name shares one, the way
+/// unknown paths share `endpoint="other"`. A client therefore cannot grow
+/// the map, or reset its rate limit, by rotating `X-Tenant`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Account {
+    Configured(usize),
+    Default,
+}
+
+/// Shared admission state for all tenants of one server: at most one
+/// entry per configured tenant, plus one for everyone else.
 pub struct AdmissionController {
     config: ServingConfig,
-    tenants: Mutex<BTreeMap<String, TenantState>>,
+    tenants: Mutex<BTreeMap<Account, TenantState>>,
 }
 
 impl AdmissionController {
@@ -93,29 +109,36 @@ impl AdmissionController {
         }
     }
 
+    /// The state `tenant` draws on and the quota that governs it.
+    fn account(&self, tenant: &str) -> (Account, &TenantQuota) {
+        let mut configured = self.config.tenant_quotas.iter().enumerate();
+        match configured.find(|(_, (t, _))| t == tenant) {
+            Some((i, (_, quota))) => (Account::Configured(i), quota),
+            None => (Account::Default, &self.config.default_quota),
+        }
+    }
+
     fn with_tenant<R>(
         &self,
         tenant: &str,
         now_ns: u64,
-        f: impl FnOnce(&mut TenantState, &ServingConfig) -> R,
+        f: impl FnOnce(&mut TenantState, &TenantQuota) -> R,
     ) -> R {
+        let (account, quota) = self.account(tenant);
         let mut tenants = self.tenants.lock();
-        let state = tenants
-            .entry(tenant.to_string())
-            .or_insert_with(|| TenantState {
-                tokens: self.config.quota_for(tenant).burst,
-                last_refill_ns: now_ns,
-                in_flight: 0,
-                subscriptions: 0,
-                counters: TenantCounters::default(),
-            });
-        f(state, &self.config)
+        let state = tenants.entry(account).or_insert_with(|| TenantState {
+            tokens: quota.burst,
+            last_refill_ns: now_ns,
+            in_flight: 0,
+            subscriptions: 0,
+            counters: TenantCounters::default(),
+        });
+        f(state, quota)
     }
 
     /// Attempts to admit one query for `tenant` at logical time `now_ns`.
     pub fn try_admit(&self, tenant: &str, now_ns: u64) -> Admission {
-        self.with_tenant(tenant, now_ns, |state, config| {
-            let quota = config.quota_for(tenant);
+        self.with_tenant(tenant, now_ns, |state, quota| {
             // Refill from elapsed clock time, clamped at the burst depth.
             let elapsed_ns = now_ns.saturating_sub(state.last_refill_ns);
             state.last_refill_ns = now_ns;
@@ -158,7 +181,7 @@ impl AdmissionController {
     /// breaking the ledger invariant the module contract promises.
     pub fn release(&self, tenant: &str, _now_ns: u64) {
         let mut tenants = self.tenants.lock();
-        let Some(state) = tenants.get_mut(tenant) else {
+        let Some(state) = tenants.get_mut(&self.account(tenant).0) else {
             return;
         };
         if state.in_flight == 0 {
@@ -170,8 +193,8 @@ impl AdmissionController {
 
     /// Attempts to open one streaming subscription for `tenant`.
     pub fn try_subscribe(&self, tenant: &str, now_ns: u64) -> bool {
-        self.with_tenant(tenant, now_ns, |state, config| {
-            if state.subscriptions >= config.quota_for(tenant).max_subscriptions {
+        self.with_tenant(tenant, now_ns, |state, quota| {
+            if state.subscriptions >= quota.max_subscriptions {
                 false
             } else {
                 state.subscriptions += 1;
@@ -184,26 +207,35 @@ impl AdmissionController {
     /// tenant that was never seen (no state is fabricated).
     pub fn unsubscribe(&self, tenant: &str, _now_ns: u64) {
         let mut tenants = self.tenants.lock();
-        if let Some(state) = tenants.get_mut(tenant) {
+        if let Some(state) = tenants.get_mut(&self.account(tenant).0) {
             state.subscriptions = state.subscriptions.saturating_sub(1);
         }
     }
 
-    /// Current counters for `tenant` (zeros if never seen).
+    /// Current counters of the state `tenant` draws on (zeros if never
+    /// offered); a tenant without its own quota reads the shared ledger.
     pub fn counters(&self, tenant: &str) -> TenantCounters {
         self.tenants
             .lock()
-            .get(tenant)
+            .get(&self.account(tenant).0)
             .map(|s| s.counters)
             .unwrap_or_default()
     }
 
-    /// Counters for every tenant ever offered, ordered by tenant name.
+    /// Counters for every state ever offered: configured tenants in
+    /// configuration order, then the shared [`DEFAULT_ACCOUNT`].
     pub fn all_counters(&self) -> Vec<(String, TenantCounters)> {
         self.tenants
             .lock()
             .iter()
-            .map(|(t, s)| (t.clone(), s.counters))
+            .map(|(&account, s)| {
+                let name = match account {
+                    Account::Configured(i) => self.config.tenant_quotas.get(i),
+                    Account::Default => None,
+                };
+                let name = name.map_or(DEFAULT_ACCOUNT, |(t, _)| t.as_str());
+                (name.to_string(), s.counters)
+            })
             .collect()
     }
 
@@ -224,7 +256,6 @@ impl AdmissionController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TenantQuota;
 
     fn controller(rate: f64, burst: f64, max_concurrent: u32) -> AdmissionController {
         AdmissionController::new(ServingConfig {
@@ -273,7 +304,17 @@ mod tests {
 
     #[test]
     fn counters_reconcile_and_tenants_are_isolated() {
-        let ac = controller(10.0, 2.0, 1);
+        let quota = TenantQuota {
+            rate_per_sec: 10.0,
+            burst: 2.0,
+            max_concurrent: 1,
+            max_subscriptions: 2,
+        };
+        let ac = AdmissionController::new(
+            ServingConfig::default()
+                .with_tenant("a", quota.clone())
+                .with_tenant("b", quota),
+        );
         let mut now = 0u64;
         for i in 0..50 {
             let t = if i % 2 == 0 { "a" } else { "b" };
@@ -290,6 +331,51 @@ mod tests {
         let total = ac.totals();
         assert!(total.reconciles());
         assert_eq!(total.offered, 50);
+    }
+
+    #[test]
+    fn rotating_unnamed_tenants_share_one_state_and_one_rate_limit() {
+        // Regression: each distinct unnamed `X-Tenant` value used to mint
+        // its own state with a full burst, so rotating the header grew the
+        // map without bound and never met the rate limit.
+        let sheds = |tenant: &dyn Fn(u64) -> String| {
+            let ac = controller(10.0, 5.0, 1_000_000);
+            let mut rate_limited = 0;
+            for i in 0..10_000u64 {
+                let name = tenant(i);
+                match ac.try_admit(&name, i * 1_000_000) {
+                    Admission::Admitted => ac.release(&name, i * 1_000_000),
+                    Admission::RateLimited { .. } => rate_limited += 1,
+                    Admission::Saturated => panic!("no request is in flight"),
+                }
+            }
+            (rate_limited, ac.all_counters())
+        };
+        let (rotating, states) = sheds(&|i| format!("client-{i}"));
+        let (single, _) = sheds(&|_| "client".to_string());
+        assert_eq!(states.len(), 1, "{:?}", &states[..states.len().min(3)]);
+        assert_eq!(states[0].0, DEFAULT_ACCOUNT);
+        assert_eq!(states[0].1.offered, 10_000);
+        assert_eq!(rotating, single);
+        // 1 ms apart at 10/s: the burst of 5, then one admit per 100 ms.
+        assert_eq!(single, 10_000 - 5 - 99);
+    }
+
+    #[test]
+    fn configured_tenant_keeps_its_own_state_beside_the_default() {
+        let ac = AdmissionController::new(
+            ServingConfig::default().with_tenant("default", TenantQuota::unlimited()),
+        );
+        assert_eq!(ac.try_admit("default", 0), Admission::Admitted);
+        assert_eq!(ac.try_admit("someone", 0), Admission::Admitted);
+        assert_eq!(ac.try_admit("someone-else", 0), Admission::Admitted);
+        // A configured name equal to the shared account's listing name
+        // still gets its own state.
+        let states = ac.all_counters();
+        assert_eq!(states.len(), 2, "{states:?}");
+        assert_eq!(states[0].1.offered, 1);
+        assert_eq!(states[1].1.offered, 2);
+        assert_eq!(ac.counters("someone").offered, 2);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! thread fan-out this loop replaced (a scope per query from 64 sensors up,
 //! and an `available_parallelism()` lookup per query at every width) made
 //! a 16-cell, 669-query pass 31.6 ms where this loop makes it 8.5 ms
-//! (EXPERIMENTS.md, *Benchmarks and ablations*). Every executed query
+//! (EXPERIMENTS.md, *Closed ablations*). Every executed query
 //! records `query_total`, `query_scan_ns` and
 //! `query_readings_scanned_total` into the store's metrics registry.
 //!

@@ -1,7 +1,7 @@
 //! Shim for `crossbeam-channel`: a bounded MPMC channel built on a
 //! `Mutex<VecDeque>` + two condvars. Implements the subset used by the
-//! telemetry bus: `bounded`, non-blocking `try_send`/`try_recv`,
-//! blocking `send`/`recv`/`recv_timeout`, `len`, and disconnect
+//! telemetry bus and the cluster: `bounded`, non-blocking
+//! `try_send`/`try_recv`, blocking `send`/`recv`, and disconnect
 //! semantics on drop of the last peer.
 //!
 //! A condvar is notified only when a peer is blocked on it, so the
@@ -10,10 +10,9 @@
 #![forbid(unsafe_code)]
 
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 #[derive(Debug, PartialEq, Eq)]
 pub enum TrySendError<T> {
@@ -31,17 +30,11 @@ pub enum TryRecvError {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    Timeout,
-    Disconnected,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvError;
 
 struct State<T> {
     queue: VecDeque<T>,
-    /// Receivers blocked in `recv`/`recv_timeout`.
+    /// Receivers blocked in `recv`.
     waiting_rx: usize,
     /// Senders blocked in `send`.
     waiting_tx: usize,
@@ -147,14 +140,6 @@ impl<T> Sender<T> {
             st.waiting_tx -= 1;
         }
     }
-
-    pub fn len(&self) -> usize {
-        self.0.lock().queue.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -169,12 +154,6 @@ impl<T> Drop for Sender<T> {
         if self.0.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.0.not_empty.notify_all();
         }
-    }
-}
-
-impl<T> fmt::Debug for Sender<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Sender { .. }")
     }
 }
 
@@ -210,32 +189,6 @@ impl<T> Receiver<T> {
         }
     }
 
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.0.lock();
-        loop {
-            st = match self.0.pop(st) {
-                Ok(v) => return Ok(v),
-                Err(st) => st,
-            };
-            if self.0.disconnected_tx() {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            st.waiting_rx += 1;
-            st = self
-                .0
-                .not_empty
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-            st.waiting_rx -= 1;
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.0.lock().queue.len()
     }
@@ -257,12 +210,6 @@ impl<T> Drop for Receiver<T> {
         if self.0.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.0.not_full.notify_all();
         }
-    }
-}
-
-impl<T> fmt::Debug for Receiver<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Receiver { .. }")
     }
 }
 
@@ -302,30 +249,20 @@ mod tests {
                 tx.send(i).unwrap();
             }
         });
-        let mut got = Vec::new();
-        while got.len() < 100 {
-            if let Ok(v) = rx.recv_timeout(Duration::from_secs(5)) {
-                got.push(v);
-            }
-        }
+        let got: Vec<u32> = (0..100).map(|_| rx.recv().unwrap()).collect();
         h.join().unwrap();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
+        assert_eq!(rx.recv(), Err(RecvError));
     }
 
     #[test]
-    fn blocked_peers_are_woken() {
-        // A receiver blocked with a long timeout must be woken by the send,
-        // not by its deadline.
+    fn blocked_peers_proceed() {
+        // A receiver blocked on an empty channel gets the next send.
         let (tx, rx) = bounded::<u32>(1);
-        let h = std::thread::spawn(move || {
-            let start = Instant::now();
-            (rx.recv_timeout(Duration::from_secs(30)), start.elapsed())
-        });
+        let h = std::thread::spawn(move || rx.recv());
         std::thread::sleep(Duration::from_millis(50));
         tx.try_send(9).unwrap();
-        let (got, waited) = h.join().unwrap();
-        assert_eq!(got, Ok(9));
-        assert!(waited < Duration::from_secs(10), "{waited:?}");
+        assert_eq!(h.join().unwrap(), Ok(9));
 
         // A sender blocked on a full channel proceeds once it drains.
         let (tx, rx) = bounded::<u32>(1);
@@ -334,6 +271,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(rx.try_recv(), Ok(1));
         h.join().unwrap().unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(2));
+        assert_eq!(rx.recv(), Ok(2));
     }
 }

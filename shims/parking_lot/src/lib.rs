@@ -5,8 +5,8 @@
 #![forbid(unsafe_code)]
 
 use std::fmt;
-
-pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+pub use std::sync::RwLockReadGuard;
+use std::sync::{MutexGuard, RwLockWriteGuard};
 
 /// Mutex with parking_lot's panic-free `lock()` API.
 #[derive(Default)]
@@ -16,27 +16,11 @@ impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
         Mutex(std::sync::Mutex::new(value))
     }
-
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -53,10 +37,6 @@ pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
 impl<T> RwLock<T> {
     pub fn new(value: T) -> Self {
         RwLock(std::sync::RwLock::new(value))
-    }
-
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -90,12 +70,6 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,7 +79,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
-        assert_eq!(m.into_inner(), 42);
     }
 
     #[test]

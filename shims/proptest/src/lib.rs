@@ -15,8 +15,8 @@ use std::ops::{Range, RangeInclusive};
 pub mod prelude {
     pub use crate::prop;
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest, Arbitrary,
-        ProptestConfig, Strategy,
+        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest, ProptestConfig,
+        Strategy,
     };
 }
 
@@ -52,7 +52,6 @@ pub fn test_rng(test_name: &str) -> TestRng {
     TestRng(SmallRng::seed_from_u64(h))
 }
 
-#[derive(Debug, Clone)]
 pub struct ProptestConfig {
     pub cases: u32,
 }
@@ -94,22 +93,6 @@ impl<S: Strategy, U, F: Fn(S::Value) -> U> Strategy for Map<S, F> {
 
     fn sample(&self, rng: &mut TestRng) -> U {
         (self.f)(self.inner.sample(rng))
-    }
-}
-
-impl<S: Strategy + ?Sized> Strategy for &S {
-    type Value = S::Value;
-
-    fn sample(&self, rng: &mut TestRng) -> S::Value {
-        (**self).sample(rng)
-    }
-}
-
-impl<S: Strategy + ?Sized> Strategy for Box<S> {
-    type Value = S::Value;
-
-    fn sample(&self, rng: &mut TestRng) -> S::Value {
-        (**self).sample(rng)
     }
 }
 
@@ -168,7 +151,7 @@ macro_rules! signed_int_strategies {
     )*};
 }
 
-signed_int_strategies!(i8, i16, i32, i64, isize);
+signed_int_strategies!(i32, i64);
 
 macro_rules! float_strategies {
     ($($t:ty),*) => {$(
@@ -193,7 +176,7 @@ macro_rules! float_strategies {
     )*};
 }
 
-float_strategies!(f32, f64);
+float_strategies!(f64);
 
 macro_rules! tuple_strategies {
     ($(($($name:ident : $idx:tt),+))*) => {$(
@@ -209,9 +192,7 @@ macro_rules! tuple_strategies {
 tuple_strategies! {
     (A: 0, B: 1)
     (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
     (A: 0, B: 1, C: 2, D: 3, E: 4)
-    (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5)
 }
 
 /// Types with a canonical "any value" strategy.
@@ -229,23 +210,11 @@ macro_rules! arb_ints {
     )*};
 }
 
-arb_ints!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+arb_ints!(u16, u64);
 
 impl Arbitrary for bool {
     fn arbitrary(rng: &mut TestRng) -> Self {
         rng.next_u64() & 1 == 1
-    }
-}
-
-impl Arbitrary for f64 {
-    fn arbitrary(rng: &mut TestRng) -> Self {
-        // Finite, sign-symmetric, wide dynamic range.
-        let mag = (rng.unit_f64() * 40.0 - 20.0).exp2();
-        if rng.next_u64() & 1 == 1 {
-            -mag
-        } else {
-            mag
-        }
     }
 }
 
@@ -314,7 +283,6 @@ pub mod prop {
 }
 
 /// Inclusive length bounds for collection strategies.
-#[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
     pub lo: usize,
     pub hi: usize,

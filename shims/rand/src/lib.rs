@@ -12,17 +12,6 @@ use std::ops::{Range, RangeInclusive};
 /// Low-level source of randomness.
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;
-
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
 }
 
 /// High-level sampling helpers, blanket-implemented for every `RngCore`.
@@ -39,13 +28,6 @@ pub trait Rng: RngCore {
         Self: Sized,
     {
         range.sample(self)
-    }
-
-    fn gen_bool(&mut self, p: f64) -> bool
-    where
-        Self: Sized,
-    {
-        unit_f64(self.next_u64()) < p
     }
 }
 
@@ -74,7 +56,7 @@ pub mod rngs {
     use super::{splitmix64, RngCore, SeedableRng};
 
     /// Small, fast PRNG: xoshiro256++ (Blackman & Vigna).
-    #[derive(Debug, Clone, PartialEq, Eq)]
+    #[derive(Debug)]
     pub struct SmallRng {
         s: [u64; 4],
     }
@@ -124,27 +106,9 @@ impl Standard for u64 {
     }
 }
 
-impl Standard for u32 {
-    fn sample<R: RngCore>(rng: &mut R) -> Self {
-        rng.next_u32()
-    }
-}
-
-impl Standard for bool {
-    fn sample<R: RngCore>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
-
 impl Standard for f64 {
     fn sample<R: RngCore>(rng: &mut R) -> Self {
         unit_f64(rng.next_u64())
-    }
-}
-
-impl Standard for f32 {
-    fn sample<R: RngCore>(rng: &mut R) -> Self {
-        (rng.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 }
 
@@ -202,7 +166,7 @@ macro_rules! int_sample_range {
     )*};
 }
 
-int_sample_range!(u8, u16, u32, u64, usize);
+int_sample_range!(usize);
 
 #[cfg(test)]
 mod tests {
@@ -243,16 +207,6 @@ mod tests {
             assert!((3..=9).contains(&x));
             let y = rng.gen_range(-2.0f64..5.0);
             assert!((-2.0..5.0).contains(&y));
-            let z = rng.gen_range(10u64..20);
-            assert!((10..20).contains(&z));
         }
-    }
-
-    #[test]
-    fn gen_bool_tracks_probability() {
-        let mut rng = SmallRng::seed_from_u64(5);
-        let hits = (0..20_000).filter(|_| rng.gen_bool(0.25)).count();
-        let frac = hits as f64 / 20_000.0;
-        assert!((frac - 0.25).abs() < 0.02, "frac {frac}");
     }
 }

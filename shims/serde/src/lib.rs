@@ -7,8 +7,6 @@
 
 pub use serde_derive::Serialize;
 
-use std::collections::{BTreeMap, HashMap};
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// JSON-shaped data model. Object entries preserve insertion order so
@@ -41,14 +39,6 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-macro_rules! ser_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::I64(*self as i64) }
-        }
-    )*};
-}
-
 macro_rules! ser_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
@@ -57,8 +47,7 @@ macro_rules! ser_unsigned {
     )*};
 }
 
-ser_signed!(i8, i16, i32, i64, isize);
-ser_unsigned!(u8, u16, u32, u64, usize);
+ser_unsigned!(u16, u32, u64, usize);
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
@@ -71,21 +60,9 @@ impl Serialize for f64 {
     }
 }
 
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        (*self as f64).to_value()
-    }
-}
-
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
     }
 }
 
@@ -107,19 +84,7 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
 impl<T: Serialize + ?Sized> Serialize for Arc<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Rc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
@@ -140,21 +105,9 @@ impl<T: Serialize> Serialize for [T] {
     }
 }
 
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        self.as_slice().to_value()
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         self.as_slice().to_value()
-    }
-}
-
-impl Serialize for () {
-    fn to_value(&self) -> Value {
-        Value::Null
     }
 }
 
@@ -169,33 +122,8 @@ macro_rules! ser_tuple {
 }
 
 ser_tuple! {
-    (A: 0)
     (A: 0, B: 1)
     (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
-    (A: 0, B: 1, C: 2, D: 3, E: 4)
-}
-
-impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_value(&self) -> Value {
-        // Sort keys so output is deterministic.
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_value()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(entries)
-    }
 }
 
 impl Serialize for Value {

@@ -1,6 +1,6 @@
 //! Shim for `serde_json`: renders the shim-serde [`Value`] model as JSON
 //! (compact and pretty), parses JSON text back into [`Value`] via
-//! [`from_str`], plus a `json!` macro for flat object/array literals.
+//! [`from_str`], plus a `json!` macro for flat object literals.
 //! Output formatting matches real serde_json where the workspace can
 //! observe it: 2-space pretty indentation, floats always carry a decimal
 //! point or exponent, non-finite floats become `null`. The parser accepts
@@ -22,14 +22,7 @@ impl fmt::Display for Error {
     }
 }
 
-impl std::error::Error for Error {}
-
 pub type Result<T> = std::result::Result<T, Error>;
-
-/// Converts any serializable value into the [`Value`] model.
-pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Result<Value> {
-    Ok(value.to_value())
-}
 
 /// Serializes to compact JSON.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
@@ -332,15 +325,12 @@ impl Parser<'_> {
     }
 }
 
-/// Builds a [`Value`] from a flat JSON-ish literal. Values are arbitrary
-/// serializable expressions; nested containers should themselves be
-/// expressions (arrays work directly, nested maps via another `json!`).
+/// Builds a [`Value`] from a flat JSON-ish object literal or a single
+/// serializable expression. Values are arbitrary serializable expressions;
+/// nested containers should themselves be expressions (a `Vec` works
+/// directly, nested maps via another `json!`).
 #[macro_export]
 macro_rules! json {
-    (null) => { $crate::Value::Null };
-    ([ $($elem:expr),* $(,)? ]) => {
-        $crate::Value::Array(vec![ $( $crate::__to_value(&$elem) ),* ])
-    };
     ({ $($key:tt : $val:expr),* $(,)? }) => {
         $crate::Value::Object(vec![
             $( (($key).to_string(), $crate::__to_value(&$val)) ),*
@@ -453,7 +443,7 @@ mod tests {
             "name": "node0",
             "power": 215.5,
             "count": 3u32,
-            "tags": ["a", "b"],
+            "tags": vec!["a", "b"],
             "gone": f64::NAN,
         });
         assert_eq!(
@@ -464,7 +454,7 @@ mod tests {
 
     #[test]
     fn pretty_rendering_matches_serde_json_shape() {
-        let v = json!({ "a": 1u32, "b": [true, false] });
+        let v = json!({ "a": 1u32, "b": vec![true, false] });
         let expect = "{\n  \"a\": 1,\n  \"b\": [\n    true,\n    false\n  ]\n}";
         assert_eq!(to_string_pretty(&v).unwrap(), expect);
     }
@@ -487,8 +477,8 @@ mod tests {
             "name": "node0",
             "power": 215.5,
             "count": 3u32,
-            "neg": -7i64,
-            "tags": ["a", "b"],
+            "neg": Value::I64(-7),
+            "tags": vec!["a", "b"],
             "nested": json!({ "ok": true, "none": Value::Null }),
         });
         let text = to_string(&v).unwrap();
