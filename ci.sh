@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: everything a PR must pass, in the order fastest-feedback
-# first. Run from the repo root. Mirrors .github/workflows/ci.yml — keep
-# the two in sync. The soak at the end runs the full ODA runtime under
+# first. Run from the repo root. Mirrors .github/workflows/ci.yml: the
+# default lane's commands and the workflow's per-push run steps must be
+# the same set, verbatim, which ci/check_ci_sync.py checks. The soak at the end runs the full ODA runtime under
 # fault injection (replay must be bit-identical at workers=1 and
 # workers=4); the scale bench regenerates BENCH_scale.json, gated against
 # its committed baseline by ci/check_bench.py. Every other timing is the
@@ -37,6 +38,9 @@ python3 ci/check_lint.py LINT_report.json
 
 echo "==> dependency edges (every manifest key is named by a source file; every workspace dependency and shim has a user)"
 python3 ci/check_deps.py
+
+echo "==> CI mirror (ci.sh's default lane and ci.yml's per-push jobs run the same commands)"
+python3 ci/check_ci_sync.py
 
 echo "==> cargo build --release"
 cargo build --release --workspace

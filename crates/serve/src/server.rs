@@ -44,7 +44,7 @@ use crate::http::{error_body, parse_request, response, streaming_head, HttpReque
 use crate::net::{ConnId, IoResult, ServerNet};
 use crate::tenant::{Admission, AdmissionController, TenantCounters};
 use oda_telemetry::bus::TelemetryBus;
-use oda_telemetry::metrics::MetricsRegistry;
+use oda_telemetry::metrics::{Counter, MetricsRegistry};
 use oda_telemetry::pattern::SensorPattern;
 use oda_telemetry::plane::QueryPlane;
 use oda_telemetry::query::Query;
@@ -104,6 +104,10 @@ pub struct ServerStats {
     pub subscriptions_opened: u64,
 }
 
+/// A query's (status, extra headers, body); the body is the cache's own
+/// copy on a hit.
+type QueryReply = (u16, Vec<(&'static str, String)>, Arc<Vec<u8>>);
+
 /// One tracked connection.
 struct Conn {
     id: ConnId,
@@ -136,6 +140,11 @@ pub struct Server<N: ServerNet> {
     /// The bus's registry: `/metrics` renders it, and the server's own
     /// request/shed/cache counters record into it.
     metrics: MetricsRegistry,
+    /// The server's counter handles by (metric name, label value), each
+    /// looked up in `metrics` on first use: a series appears in
+    /// `/metrics` once something counted into it, and a request pays no
+    /// registry lookup. Every label value is one of a fixed set.
+    counters: BTreeMap<(&'static str, &'static str), Counter>,
     admission: AdmissionController,
     cache: QueryCache,
     fanout: FanoutHub,
@@ -164,6 +173,7 @@ impl<N: ServerNet> Server<N> {
             config,
             plane,
             metrics: bus.metrics().clone(),
+            counters: BTreeMap::new(),
             admission,
             cache,
             fanout: FanoutHub::new(bus),
@@ -360,12 +370,11 @@ impl<N: ServerNet> Server<N> {
             .unwrap_or(ANONYMOUS_TENANT)
             .to_string();
         let path = request.path.as_str();
-        let endpoint = if ROUTES.contains(&path) {
-            path
-        } else {
-            "other"
-        };
-        self.count_metric("serving_requests_total", &[("endpoint", endpoint)]);
+        let endpoint = ROUTES
+            .iter()
+            .find(|route| **route == path)
+            .map_or("other", |route| route);
+        self.count("serving_requests_total", ("endpoint", endpoint));
         match (request.method.as_str(), path) {
             ("GET", "/healthz") => {
                 self.respond(
@@ -419,9 +428,9 @@ impl<N: ServerNet> Server<N> {
         let metas = match request.query_param("pattern") {
             Some(p) => {
                 let pattern = SensorPattern::new(&p);
-                let mut ids = registry.matching(&pattern);
-                ids.sort_unstable();
-                ids.iter()
+                registry
+                    .matching(&pattern)
+                    .iter()
                     .filter_map(|id| registry.meta(*id))
                     .collect::<Vec<_>>()
             }
@@ -452,7 +461,7 @@ impl<N: ServerNet> Server<N> {
         match self.admission.try_admit(tenant, self.net.clock_ns()) {
             Admission::Admitted => {}
             Admission::RateLimited { retry_after_ms } => {
-                self.count_metric("serving_shed_total", &[("kind", "rate_limited")]);
+                self.count("serving_shed_total", ("kind", "rate_limited"));
                 let retry_s = retry_after_ms.div_ceil(1000).max(1);
                 let body = error_body("tenant rate limit exceeded");
                 self.respond(
@@ -466,7 +475,7 @@ impl<N: ServerNet> Server<N> {
                 return;
             }
             Admission::Saturated => {
-                self.count_metric("serving_shed_total", &[("kind", "saturated")]);
+                self.count("serving_shed_total", ("kind", "saturated"));
                 let body = error_body("tenant concurrency cap reached");
                 self.respond(key, 503, "application/json", &[], &body, false);
                 return;
@@ -475,9 +484,7 @@ impl<N: ServerNet> Server<N> {
         // From here the request holds a concurrency slot; it drains when
         // the response is fully flushed (or the connection dies).
         let (status, headers, body) = self.execute_query(raw);
-        let header_refs: Vec<(&str, String)> =
-            headers.iter().map(|(n, v)| (*n, v.clone())).collect();
-        self.respond(key, status, "application/json", &header_refs, &body, false);
+        self.respond(key, status, "application/json", &headers, &body, false);
         if let Some(conn) = self.conns.get_mut(&key) {
             conn.pending_releases.push(tenant.to_string());
         } else {
@@ -487,10 +494,13 @@ impl<N: ServerNet> Server<N> {
     }
 
     /// Parses, admits to cache, executes. Returns (status, headers, body).
-    fn execute_query(&mut self, raw: &str) -> (u16, Vec<(&'static str, String)>, Vec<u8>) {
+    ///
+    /// The selector is resolved once: the one id list is the cache entry's
+    /// sensors, the version snapshot's and the executed query's.
+    fn execute_query(&mut self, raw: &str) -> QueryReply {
         let query = match Query::from_json(raw) {
             Ok(q) => q,
-            Err(e) => return (400, Vec::new(), error_body(&e.to_string())),
+            Err(e) => return (400, Vec::new(), Arc::new(error_body(&e.to_string()))),
         };
         // One wire form: the canonical rendering is the cache key, so any
         // two spellings of the same query share an entry.
@@ -500,15 +510,15 @@ impl<N: ServerNet> Server<N> {
         // force a conservative miss later, never a stale hit (cache docs).
         let versions = self.plane.sensor_versions(&sensors);
         if let Some((body, digest)) = self.cache.lookup(&key, &sensors, &versions) {
-            self.count_metric("serving_cache_lookup_total", &[("outcome", "hit")]);
+            self.count("serving_cache_lookup_total", ("outcome", "hit"));
             let headers = vec![
                 ("x-cache", "hit".to_string()),
                 ("x-result-digest", format!("{digest:016x}")),
             ];
-            return (200, headers, body.to_vec());
+            return (200, headers, body);
         }
-        self.count_metric("serving_cache_lookup_total", &[("outcome", "miss")]);
-        let result = self.plane.query(query);
+        self.count("serving_cache_lookup_total", ("outcome", "miss"));
+        let result = self.plane.query(query.pinned(sensors.clone()));
         let digest = result.digest();
         let body = Arc::new(result.to_json().into_bytes());
         self.cache
@@ -517,13 +527,13 @@ impl<N: ServerNet> Server<N> {
             ("x-cache", "miss".to_string()),
             ("x-result-digest", format!("{digest:016x}")),
         ];
-        (200, headers, body.to_vec())
+        (200, headers, body)
     }
 
     fn handle_subscribe(&mut self, key: u64, tenant: &str, request: &HttpRequest) {
         let now = self.net.clock_ns();
         if !self.admission.try_subscribe(tenant, now) {
-            self.count_metric("serving_shed_total", &[("kind", "subscription_quota")]);
+            self.count("serving_shed_total", ("kind", "subscription_quota"));
             let body = error_body("tenant subscription quota reached");
             self.respond(key, 429, "application/json", &[], &body, false);
             return;
@@ -680,10 +690,7 @@ impl<N: ServerNet> Server<N> {
             5 => self.stats.responses_5xx += 1,
             _ => {}
         }
-        self.count_metric(
-            "serving_responses_total",
-            &[("status", status_label(status))],
-        );
+        self.count("serving_responses_total", ("status", status_label(status)));
         if let Some(conn) = self.conns.get_mut(&key) {
             conn.out
                 .extend_from_slice(&response(status, content_type, extra_headers, body));
@@ -693,8 +700,18 @@ impl<N: ServerNet> Server<N> {
         }
     }
 
-    fn count_metric(&self, name: &'static str, labels: &[(&str, &str)]) {
-        self.metrics.counter(name, labels).add(1);
+    /// Adds one to `name{label}`, through the handle `counters` keeps for
+    /// it.
+    fn count(&mut self, name: &'static str, label: (&'static str, &'static str)) {
+        let metrics = &self.metrics;
+        self.counters
+            .entry((name, label.1))
+            .or_insert_with(|| {
+                #[cfg(test)]
+                lookups::count();
+                metrics.counter(name, &[label])
+            })
+            .inc();
     }
 
     // ----- accessors -------------------------------------------------------
@@ -727,6 +744,24 @@ impl<N: ServerNet> Server<N> {
     /// The serving configuration.
     pub fn config(&self) -> &ServingConfig {
         &self.config
+    }
+}
+
+/// Counts the server's metric-registry lookups on the calling thread, for
+/// the test that holds a warmed route to none.
+#[cfg(test)]
+mod lookups {
+    use std::cell::Cell;
+
+    thread_local!(static LOOKUPS: Cell<usize> = const { Cell::new(0) });
+
+    pub(super) fn count() {
+        LOOKUPS.with(|l| l.set(l.get() + 1));
+    }
+
+    /// Lookups made since the last call on this thread.
+    pub(super) fn take() -> usize {
+        LOOKUPS.with(|l| l.replace(0))
     }
 }
 
@@ -923,6 +958,35 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(header(&headers, "x-cache"), Some("hit"));
         assert_eq!(body1, body3);
+    }
+
+    #[test]
+    fn a_request_on_a_warmed_route_looks_up_no_metric() {
+        let mut w = world(ServingConfig::default());
+        let post = |pattern: &str| {
+            let q = Query::sensors(pattern)
+                .aggregate(Aggregation::Mean)
+                .to_json();
+            format!(
+                "POST /api/v1/query HTTP/1.1\r\ncontent-length: {}\r\n\r\n{q}",
+                q.len()
+            )
+        };
+        // Warm the route's series: a miss, then a hit.
+        let fleet = post("/hw/*/power");
+        request(&mut w, &fleet);
+        request(&mut w, &fleet);
+        lookups::take();
+
+        let (_, headers, _) = request(&mut w, &fleet);
+        assert_eq!(header(&headers, "x-cache"), Some("hit"));
+        assert_eq!(lookups::take(), 0, "a repeated request");
+        let (_, headers, _) = request(&mut w, &post("/hw/n0/*"));
+        assert_eq!(header(&headers, "x-cache"), Some("miss"));
+        assert_eq!(lookups::take(), 0, "a new query on the warmed route");
+        let (_, headers, _) = request(&mut w, &post("/hw/n9/*"));
+        assert_eq!(header(&headers, "x-cache"), Some("miss"));
+        assert_eq!(lookups::take(), 0, "a query that resolves to nothing");
     }
 
     #[test]

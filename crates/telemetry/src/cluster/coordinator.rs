@@ -115,12 +115,7 @@ impl ClusterCoordinator {
         let mut shards = Vec::with_capacity(cfg.shards);
         for s in 0..cfg.shards {
             let fs: Arc<dyn StorageFs> = Arc::new(SimFs::new());
-            shards.push(Some(ShardHandle::spawn(
-                ShardId(s as u32),
-                &cfg,
-                registry.clone(),
-                fs,
-            )?));
+            shards.push(Some(ShardHandle::spawn(ShardId(s as u32), &cfg, fs)?));
         }
         Ok(ClusterCoordinator {
             cfg,
@@ -353,7 +348,7 @@ impl ClusterCoordinator {
             // Last alive shard: restart in place. The backend replays the
             // durable tier into a fresh hot store on open, recovering ring
             // and rollup state bit-identically.
-            match ShardHandle::spawn(shard, &self.cfg, self.registry.clone(), fs) {
+            match ShardHandle::spawn(shard, &self.cfg, fs) {
                 Ok(h) => {
                     if let Some(slot) = state.shards.get_mut(shard.index()) {
                         *slot = Some(h);

@@ -24,7 +24,7 @@ use crate::health::HealthReport;
 use crate::metrics::MetricsRegistry;
 use crate::query::{Query, QueryEngine, QueryResult};
 use crate::reading::ReadingBatch;
-use crate::sensor::{SensorId, SensorRegistry};
+use crate::sensor::SensorId;
 use crate::storage::{DurableBackend, FsError, StorageBackend, StorageFs};
 use crate::store::TimeSeriesStore;
 use crossbeam_channel::{bounded, Receiver, Sender};
@@ -52,7 +52,9 @@ pub(crate) enum ShardCmd {
     /// Archive a group of batches (fire-and-forget; ack == durable before
     /// the next command runs).
     Ingest(Vec<ReadingBatch>),
-    /// Execute a sub-query against the shard's local store.
+    /// Execute a sub-query against the shard's local store. The
+    /// coordinator resolves the selector and sends the shard its own ids,
+    /// so a shard never matches names.
     Query {
         query: Query,
         reply: Sender<QueryResult>,
@@ -88,7 +90,6 @@ impl ShardHandle {
     pub(crate) fn spawn(
         id: ShardId,
         cfg: &ClusterConfig,
-        registry: SensorRegistry,
         fs: Arc<dyn StorageFs>,
     ) -> Result<ShardHandle, FsError> {
         // Each shard gets its own metrics registry: shard stores reuse the
@@ -104,7 +105,7 @@ impl ShardHandle {
         let (tx, rx) = bounded::<ShardCmd>(SHARD_QUEUE_DEPTH);
         let join = std::thread::Builder::new()
             .name(format!("oda-{id}"))
-            .spawn(move || run(id, &rx, &archive, &registry))
+            .spawn(move || run(id, &rx, &archive))
             .map_err(|e| FsError::Io(format!("spawn {id}: {e}")))?;
         Ok(ShardHandle {
             tx,
@@ -129,7 +130,7 @@ impl ShardHandle {
 
 /// The worker loop: one command at a time, in arrival order, until Stop
 /// or every sender is gone.
-fn run(id: ShardId, rx: &Receiver<ShardCmd>, archive: &DurableBackend, registry: &SensorRegistry) {
+fn run(id: ShardId, rx: &Receiver<ShardCmd>, archive: &DurableBackend) {
     let mut published = 0u64;
     // Shares the counter the durable backend bumps for a failed group.
     let wal_errors = archive
@@ -151,8 +152,7 @@ fn run(id: ShardId, rx: &Receiver<ShardCmd>, archive: &DurableBackend, registry:
                 flush();
             }
             ShardCmd::Query { query, reply } => {
-                let engine = QueryEngine::new(archive.store()).with_registry(registry.clone());
-                let _ = reply.send(query.run(&engine));
+                let _ = reply.send(query.run(&QueryEngine::new(archive.store())));
             }
             ShardCmd::Versions { sensors, reply } => {
                 let store = archive.store();
@@ -211,7 +211,6 @@ mod tests {
         let shard = ShardHandle::spawn(
             ShardId(0),
             &ClusterConfig::with_shards(1),
-            SensorRegistry::new(),
             Arc::clone(&fs) as Arc<dyn StorageFs>,
         )
         .unwrap();
@@ -249,7 +248,6 @@ mod tests {
         let shard = ShardHandle::spawn(
             ShardId(0),
             &ClusterConfig::with_shards(1),
-            SensorRegistry::new(),
             Arc::clone(&fs) as Arc<dyn StorageFs>,
         )
         .unwrap();

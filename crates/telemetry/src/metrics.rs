@@ -378,6 +378,25 @@ fn escape_label_value(v: &str) -> String {
         .replace('\n', "\\n")
 }
 
+/// Counts instrument lookups ([`MetricsRegistry::counter`], `gauge`,
+/// `histogram`) on the calling thread, for the tests that hold a hot path
+/// to none.
+#[cfg(test)]
+pub(crate) mod lookups {
+    use std::cell::Cell;
+
+    thread_local!(static LOOKUPS: Cell<usize> = const { Cell::new(0) });
+
+    pub(super) fn count() {
+        LOOKUPS.with(|l| l.set(l.get() + 1));
+    }
+
+    /// Lookups made since the last call on this thread.
+    pub(crate) fn take() -> usize {
+        LOOKUPS.with(|l| l.replace(0))
+    }
+}
+
 fn render_labels(labels: &[(&str, &str)]) -> String {
     let mut pairs: Vec<String> = labels
         .iter()
@@ -430,6 +449,8 @@ impl MetricsRegistry {
 
     /// Counter handle for `(name, labels)` (created on first use).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+        #[cfg(test)]
+        lookups::count();
         check_name(name);
         let Some(inner) = &self.inner else {
             return Counter::noop();
@@ -447,6 +468,8 @@ impl MetricsRegistry {
 
     /// Gauge handle for `(name, labels)` (created on first use).
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+        #[cfg(test)]
+        lookups::count();
         check_name(name);
         let Some(inner) = &self.inner else {
             return Gauge::noop();
@@ -464,6 +487,8 @@ impl MetricsRegistry {
 
     /// Histogram handle for `(name, labels)` (created on first use).
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
+        #[cfg(test)]
+        lookups::count();
         check_name(name);
         let Some(inner) = &self.inner else {
             return Histogram::noop();

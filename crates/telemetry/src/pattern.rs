@@ -78,9 +78,32 @@ impl SensorPattern {
         text
     }
 
+    /// The name the pattern's leading literal components spell, followed
+    /// by `/` (`"/hw/node5/"` for `/hw/node5/*`), and whether every
+    /// component is literal; `None` when the first component is a
+    /// wildcard. Every name with no empty components that the pattern
+    /// matches is the prefix without its final `/`, or starts with the
+    /// whole prefix.
+    pub(crate) fn literal_prefix(&self) -> Option<(String, bool)> {
+        let mut prefix = String::from("/");
+        let mut literals = 0;
+        for component in &self.components {
+            let Component::Literal(lit) = component else {
+                break;
+            };
+            prefix.push_str(lit);
+            prefix.push('/');
+            literals += 1;
+        }
+        let all_literal = literals == self.components.len();
+        (literals > 0 || all_literal).then_some((prefix, all_literal))
+    }
+
     /// Tests `name` against the pattern. Empty components (a doubled or
     /// trailing `/`) are ignored, as in the pattern itself.
     pub fn matches(&self, name: &str) -> bool {
+        #[cfg(test)]
+        tally::count();
         Self::match_components(&self.components, name.split('/').filter(|c| !c.is_empty()))
     }
 
@@ -110,6 +133,24 @@ impl SensorPattern {
                 }
             },
         }
+    }
+}
+
+/// Counts [`SensorPattern::matches`] calls on the calling thread, for the
+/// tests that hold name resolution to its budget.
+#[cfg(test)]
+pub(crate) mod tally {
+    use std::cell::Cell;
+
+    thread_local!(static MATCHES: Cell<usize> = const { Cell::new(0) });
+
+    pub(super) fn count() {
+        MATCHES.with(|m| m.set(m.get() + 1));
+    }
+
+    /// `matches` calls made since the last call on this thread.
+    pub(crate) fn take() -> usize {
+        MATCHES.with(|m| m.replace(0))
     }
 }
 

@@ -42,7 +42,10 @@ pub trait QueryPlane: Send + Sync {
     fn registry(&self) -> &SensorRegistry;
 
     /// Resolves `query`'s selector to the concrete ordered sensor list
-    /// [`Self::query`] would scan, without executing anything.
+    /// [`Self::query`] would scan, without executing anything. A caller
+    /// that goes on to execute the query passes
+    /// [`query.pinned(sensors)`](Query::pinned), so a request resolves
+    /// its names once, whichever plane serves it.
     fn resolve(&self, query: &Query) -> Vec<SensorId> {
         query.selector.clone().resolve(Some(self.registry()))
     }

@@ -60,7 +60,7 @@
 //! `deprecated-api` rule keeps the removed names from coming back.
 
 use crate::hash::fnv1a64;
-use crate::metrics::{Counter, Histogram};
+use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use crate::pattern::SensorPattern;
 use crate::reading::{Reading, Timestamp};
 use crate::sensor::{SensorId, SensorRegistry};
@@ -171,9 +171,7 @@ impl SensorSelector {
                         pattern.as_str()
                     )
                 });
-                let mut ids = registry.matching(&pattern);
-                ids.sort_unstable_by_key(|s| s.index());
-                ids
+                registry.matching(&pattern)
             }
         }
     }
@@ -347,6 +345,15 @@ impl Query {
     pub fn align(self, bucket_ms: u64) -> Self {
         assert!(bucket_ms > 0, "bucket width must be positive");
         self.set_shape(Shape::Aligned { bucket_ms })
+    }
+
+    /// Pins the selector to `sensors`, the ids a plane has already
+    /// resolved it to ([`QueryPlane::resolve`](crate::plane::QueryPlane::resolve)),
+    /// so executing the query matches no names again and its result lists
+    /// exactly `sensors`.
+    pub fn pinned(mut self, sensors: Vec<SensorId>) -> Self {
+        self.selector = SensorSelector::Ids(sensors);
+        self
     }
 
     /// Executes the query as one planned scan.
@@ -964,30 +971,43 @@ fn shape_name(d: &ResultData) -> &'static str {
 pub struct QueryEngine<'a> {
     store: &'a TimeSeriesStore,
     registry: Option<SensorRegistry>,
-    m_query_total: Counter,
-    m_readings_scanned: Counter,
-    m_scan_ns: Histogram,
-    m_tier_hit: Counter,
-    m_tier_miss: Counter,
-    m_readings_avoided: Counter,
-    m_rollup_buckets_scanned: Counter,
+    m: &'a QueryInstruments,
+}
+
+/// The read-path instruments of one store, looked up in its registry by
+/// the first [`QueryEngine`] built over it and shared by every later one.
+pub(crate) struct QueryInstruments {
+    query_total: Counter,
+    readings_scanned: Counter,
+    scan_ns: Histogram,
+    tier_hit: Counter,
+    tier_miss: Counter,
+    readings_avoided: Counter,
+    rollup_buckets_scanned: Counter,
+}
+
+impl QueryInstruments {
+    pub(crate) fn new(m: &MetricsRegistry) -> Self {
+        QueryInstruments {
+            query_total: m.counter("query_total", &[]),
+            readings_scanned: m.counter("query_readings_scanned_total", &[]),
+            scan_ns: m.histogram("query_scan_ns", &[]),
+            tier_hit: m.counter("query_tier_hit_total", &[]),
+            tier_miss: m.counter("query_tier_miss_total", &[]),
+            readings_avoided: m.counter("query_readings_avoided_total", &[]),
+            rollup_buckets_scanned: m.counter("query_rollup_buckets_scanned_total", &[]),
+        }
+    }
 }
 
 impl<'a> QueryEngine<'a> {
     /// Creates an engine borrowing `store`. Pattern selectors additionally
     /// need [`Self::with_registry`].
     pub fn new(store: &'a TimeSeriesStore) -> Self {
-        let m = store.metrics();
         QueryEngine {
             store,
             registry: None,
-            m_query_total: m.counter("query_total", &[]),
-            m_readings_scanned: m.counter("query_readings_scanned_total", &[]),
-            m_scan_ns: m.histogram("query_scan_ns", &[]),
-            m_tier_hit: m.counter("query_tier_hit_total", &[]),
-            m_tier_miss: m.counter("query_tier_miss_total", &[]),
-            m_readings_avoided: m.counter("query_readings_avoided_total", &[]),
-            m_rollup_buckets_scanned: m.counter("query_rollup_buckets_scanned_total", &[]),
+            m: store.query_instruments(),
         }
     }
 
@@ -1013,7 +1033,7 @@ impl<'a> QueryEngine<'a> {
     }
 
     fn execute(&self, query: Query) -> QueryResult {
-        let timer = self.m_scan_ns.start_timer();
+        let timer = self.m.scan_ns.start_timer();
         let sensors = query.selector.resolve(self.registry.as_ref());
         // Which store alignment (if any) lets rollup tiers serve this shape
         // exactly: `Some(None)` = any tier width, `Some(Some(w))` = only
@@ -1063,15 +1083,15 @@ impl<'a> QueryEngine<'a> {
                 ResultData::Aligned { grid, matrix }
             }
         };
-        self.m_readings_scanned.add(scan.scanned);
+        self.m.readings_scanned.add(scan.scanned);
         if tier_align.is_some() {
-            self.m_tier_hit.add(scan.hits);
-            self.m_tier_miss.add(scan.misses);
-            self.m_readings_avoided.add(scan.avoided);
-            self.m_rollup_buckets_scanned.add(scan.tier_buckets);
+            self.m.tier_hit.add(scan.hits);
+            self.m.tier_miss.add(scan.misses);
+            self.m.readings_avoided.add(scan.avoided);
+            self.m.rollup_buckets_scanned.add(scan.tier_buckets);
         }
-        self.m_query_total.inc();
-        self.m_scan_ns.observe_timer(timer);
+        self.m.query_total.inc();
+        self.m.scan_ns.observe_timer(timer);
         QueryResult { sensors, shape }
     }
 }

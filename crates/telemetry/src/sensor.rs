@@ -19,10 +19,12 @@
 //! paths (ingest, query) free of string hashing and keeps per-reading memory
 //! at 16 bytes.
 
+use crate::pattern::SensorPattern;
 use parking_lot::RwLock;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// Dense interned identifier of a registered sensor.
@@ -177,12 +179,17 @@ impl SensorRegistry {
     /// Registers `name` (idempotently) and returns its id.
     ///
     /// # Panics
-    /// Panics if `name` is empty or does not start with `/`: sensor names
-    /// are required to be absolute hierarchical paths.
+    /// Panics unless `name` is an absolute hierarchical path in canonical
+    /// form: a `/` before each of one or more non-empty components, so no
+    /// doubled and no trailing `/`. Patterns ignore empty components, so
+    /// a second spelling of a name could only ever be a second id for
+    /// the name every pattern sees.
     pub fn register(&self, name: &str, kind: SensorKind, unit: Unit) -> SensorId {
         assert!(
-            name.starts_with('/') && name.len() > 1,
-            "sensor names must be absolute hierarchical paths, got {name:?}"
+            name.strip_prefix('/')
+                .is_some_and(|path| path.split('/').all(|c| !c.is_empty())),
+            "sensor names must be absolute hierarchical paths without empty \
+             components, got {name:?}"
         );
         let mut inner = self.inner.write();
         if let Some(&id) = inner.by_name.get(name) {
@@ -234,15 +241,46 @@ impl SensorRegistry {
         self.inner.read().metas.clone()
     }
 
-    /// Ids of all sensors whose name matches `pattern`.
-    pub fn matching(&self, pattern: &crate::pattern::SensorPattern) -> Vec<SensorId> {
-        self.inner
-            .read()
-            .metas
-            .iter()
-            .filter(|m| pattern.matches(&m.name))
-            .map(|m| m.id)
-            .collect()
+    /// Ids of all sensors whose name matches `pattern`, in ascending id
+    /// order.
+    ///
+    /// Resolved through the sorted name index: an all-literal pattern is
+    /// one lookup, and a pattern with a literal head (`/hw/node5/*`)
+    /// tests only the head itself and the names under it. Only a pattern
+    /// whose first component is a wildcard tests every name.
+    pub fn matching(&self, pattern: &SensorPattern) -> Vec<SensorId> {
+        let inner = self.inner.read();
+        let Some((prefix, all_literal)) = pattern.literal_prefix() else {
+            return inner
+                .metas
+                .iter()
+                .filter(|m| pattern.matches(&m.name))
+                .map(|m| m.id)
+                .collect();
+        };
+        // Registered names have no empty components, so a name the
+        // pattern matches is the head itself or lies under `head/`.
+        let head = &prefix[..prefix.len() - 1];
+        if all_literal {
+            return inner.by_name.get(head).copied().into_iter().collect();
+        }
+        let mut ids: Vec<SensorId> = inner
+            .by_name
+            .get(head)
+            .filter(|_| pattern.matches(head))
+            .copied()
+            .into_iter()
+            .chain(
+                inner
+                    .by_name
+                    .range::<str, _>((Bound::Included(prefix.as_str()), Bound::Unbounded))
+                    .take_while(|(name, _)| name.starts_with(&prefix))
+                    .filter(|(name, _)| pattern.matches(name))
+                    .map(|(_, &id)| id),
+            )
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Ids of all sensors in a given top-level domain (e.g. `"hw"`).
@@ -271,7 +309,6 @@ impl SensorRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::SensorPattern;
 
     #[test]
     fn register_is_idempotent_and_dense() {
@@ -290,6 +327,18 @@ mod tests {
     #[should_panic(expected = "absolute hierarchical paths")]
     fn relative_names_are_rejected() {
         SensorRegistry::new().register("power", SensorKind::Power, Unit::Watts);
+    }
+
+    #[test]
+    #[should_panic(expected = "without empty components")]
+    fn names_with_a_trailing_slash_are_rejected() {
+        SensorRegistry::new().register("/hw/node0/power/", SensorKind::Power, Unit::Watts);
+    }
+
+    #[test]
+    #[should_panic(expected = "without empty components")]
+    fn names_with_a_doubled_slash_are_rejected() {
+        SensorRegistry::new().register("/hw//node0/power", SensorKind::Power, Unit::Watts);
     }
 
     #[test]
@@ -330,6 +379,101 @@ mod tests {
         assert_eq!(reg.matching(&pat).len(), 2);
         let pat = SensorPattern::new("/hw/node1/**");
         assert_eq!(reg.matching(&pat).len(), 2);
+    }
+
+    /// The names of the benchmark's site (`DataCenterConfig::medium`):
+    /// 17 facility, scheduler and application sensors, seven per node on
+    /// 128 nodes, two per rack on 8 racks.
+    fn medium_site() -> SensorRegistry {
+        let reg = SensorRegistry::new();
+        let add = |name: &str| {
+            reg.register(name, SensorKind::Count, Unit::Dimensionless);
+        };
+        for name in [
+            "/facility/outside_temp",
+            "/facility/cooling/power_kw",
+            "/facility/cooling/setpoint_c",
+            "/facility/cooling/inlet_c",
+            "/facility/cooling/mode",
+            "/facility/cooling/cop",
+            "/facility/power/utility_kw",
+            "/facility/power/it_kw",
+            "/facility/power/loss_kw",
+            "/facility/pue",
+            "/sw/sched/queue_len",
+            "/sw/sched/running",
+            "/sw/sched/utilization",
+            "/sw/sched/completed_total",
+            "/sw/sched/killed_total",
+            "/app/active_jobs",
+            "/app/arrivals_total",
+        ] {
+            add(name);
+        }
+        for leaf in ["power_w", "temp_c", "util", "freq_ghz", "fan", "mem_gib"] {
+            for node in 0..128 {
+                add(&format!("/hw/node{node}/{leaf}"));
+            }
+        }
+        for node in 0..128 {
+            add(&format!("/sw/node{node}/sys_mem_gib"));
+        }
+        for rack in 0..8 {
+            add(&format!("/hw/rack{rack}/uplink_contention"));
+            add(&format!("/hw/rack{rack}/uplink_offered_gbps"));
+        }
+        assert_eq!(reg.len(), 929);
+        reg
+    }
+
+    #[test]
+    fn resolution_tests_only_the_names_a_literal_head_leaves_open() {
+        use crate::pattern::tally;
+        let reg = medium_site();
+        tally::take();
+        assert_eq!(reg.matching(&"/hw/node5/power_w".into()).len(), 1);
+        assert_eq!(tally::take(), 0, "an exact name is one index lookup");
+        let under = reg
+            .all()
+            .iter()
+            .filter(|m| m.name.starts_with("/hw/node5/"))
+            .count();
+        assert_eq!(under, 6);
+        tally::take();
+        assert_eq!(reg.matching(&"/hw/node5/*".into()).len(), under);
+        assert_eq!(tally::take(), under, "only the names under /hw/node5/");
+        assert_eq!(reg.matching(&"/*/node5/power_w".into()).len(), 1);
+        assert_eq!(tally::take(), 929, "a wildcard head tests every name");
+    }
+
+    #[test]
+    fn a_served_query_resolves_once_and_a_warmed_engine_looks_up_no_metric() {
+        use crate::metrics::lookups;
+        use crate::pattern::tally;
+        use crate::plane::{LocalPlane, QueryPlane};
+        use crate::query::{Aggregation, Query};
+        use crate::store::TimeSeriesStore;
+        let plane = LocalPlane {
+            store: Arc::new(TimeSeriesStore::with_capacity(8)),
+            registry: medium_site(),
+        };
+        let query = Query::sensors("/hw/node5/*").aggregate(Aggregation::Mean);
+        // The first query over a store looks its instruments up.
+        plane.query(query.clone());
+        tally::take();
+        lookups::take();
+
+        // A served miss: resolve, snapshot versions, execute pinned.
+        let sensors = plane.resolve(&query);
+        plane.sensor_versions(&sensors);
+        let result = plane.query(query.pinned(sensors.clone()));
+        assert_eq!(result.sensors(), sensors);
+        assert_eq!(
+            tally::take(),
+            6,
+            "each name under /hw/node5/ is tested once"
+        );
+        assert_eq!(lookups::take(), 0, "the store's instruments are reused");
     }
 
     #[test]

@@ -52,11 +52,13 @@
 //! point — so a read copies nothing it does not have to.
 
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
+use crate::query::QueryInstruments;
 use crate::reading::{Reading, Timestamp};
 use crate::sensor::SensorId;
 use parking_lot::RwLock;
 use serde::Serialize;
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// A window of a ring, borrowed as its two contiguous runs: the first holds
 /// the older elements, and either may be empty — the shape of
@@ -747,6 +749,9 @@ pub struct TimeSeriesStore {
     shards: Vec<RwLock<Shard>>,
     shard_metrics: Vec<ShardMetrics>,
     metrics: MetricsRegistry,
+    /// Looked up by the first `QueryEngine` over the store, so the
+    /// read-path series appear in the registry only once something reads.
+    query_instruments: OnceLock<QueryInstruments>,
     per_sensor_capacity: usize,
     rollups: RollupConfig,
 }
@@ -798,6 +803,7 @@ impl TimeSeriesStore {
                 .map(|i| ShardMetrics::new(&metrics, i))
                 .collect(),
             metrics,
+            query_instruments: OnceLock::new(),
             per_sensor_capacity,
             rollups,
         }
@@ -806,6 +812,13 @@ impl TimeSeriesStore {
     /// The registry this store's write-path instruments record into.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
+    }
+
+    /// The read-path instruments every [`crate::query::QueryEngine`] over
+    /// this store records into.
+    pub(crate) fn query_instruments(&self) -> &QueryInstruments {
+        self.query_instruments
+            .get_or_init(|| QueryInstruments::new(&self.metrics))
     }
 
     #[inline]

@@ -16,12 +16,13 @@ use hpc_oda::sim::prelude::*;
 use hpc_oda::telemetry::bus::TelemetryBus;
 use hpc_oda::telemetry::hash::fnv1a64;
 use hpc_oda::telemetry::metrics::MetricsRegistry;
-use hpc_oda::telemetry::plane::LocalPlane;
-use hpc_oda::telemetry::query::{Aggregation, Query, QueryEngine};
+use hpc_oda::telemetry::plane::{LocalPlane, QueryPlane, ShardStats};
+use hpc_oda::telemetry::query::{Aggregation, Query, QueryEngine, QueryResult};
 use hpc_oda::telemetry::reading::{Reading, ReadingBatch, Timestamp};
-use hpc_oda::telemetry::sensor::{SensorKind, SensorRegistry, Unit};
+use hpc_oda::telemetry::sensor::{SensorId, SensorKind, SensorRegistry, Unit};
 use hpc_oda::telemetry::storage::InMemoryBackend;
 use hpc_oda::telemetry::store::{RollupConfig, TimeSeriesStore};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// (status, lowercased headers, body) of one framed response.
@@ -349,4 +350,76 @@ fn subscribe_streams_are_byte_identical_to_pinned_digests() {
     let fanout = server.fanout_stats();
     assert_eq!((fanout.frames_shed, fanout.bus_dropped), (0, 0));
     assert_eq!(fanout.frames_dequeued, 20 * (10 + 10 + 6));
+}
+
+/// Counts the name resolutions a plane is asked for: each `resolve`, and
+/// each `query` whose selector is still a pattern, which the plane then
+/// resolves itself.
+struct CountingPlane {
+    inner: Arc<dyn QueryPlane>,
+    resolutions: AtomicUsize,
+}
+
+impl QueryPlane for CountingPlane {
+    fn registry(&self) -> &SensorRegistry {
+        self.inner.registry()
+    }
+
+    fn resolve(&self, query: &Query) -> Vec<SensorId> {
+        self.resolutions.fetch_add(1, Ordering::Relaxed);
+        self.inner.resolve(query)
+    }
+
+    fn sensor_versions(&self, sensors: &[SensorId]) -> Vec<u64> {
+        self.inner.sensor_versions(sensors)
+    }
+
+    fn query(&self, query: Query) -> QueryResult {
+        if query.to_json().starts_with(r#"{"selector":{"pattern""#) {
+            self.resolutions.fetch_add(1, Ordering::Relaxed);
+        }
+        self.inner.query(query)
+    }
+
+    fn shard_stats(&self) -> Option<ShardStats> {
+        self.inner.shard_stats()
+    }
+}
+
+#[test]
+fn a_served_pattern_miss_resolves_its_names_once_on_either_plane() {
+    for shards in [0, 2] {
+        let mut dc = DataCenter::builder(DataCenterConfig {
+            shards,
+            ..DataCenterConfig::medium()
+        })
+        .build();
+        dc.run_ticks(120);
+        let plane = Arc::new(CountingPlane {
+            inner: dc.plane(),
+            resolutions: AtomicUsize::new(0),
+        });
+        let net = Arc::new(SimNet::new());
+        let mut server = Server::new(
+            Arc::clone(&net),
+            ServingConfig::default(),
+            Arc::clone(&plane) as Arc<dyn QueryPlane>,
+            Arc::clone(dc.bus()),
+        );
+        let engine = QueryEngine::new(dc.store()).with_registry(dc.registry().clone());
+        for pattern in ["/hw/node5/power_w", "/hw/node5/*", "/*/sched/**"] {
+            let query = Query::sensors(pattern).aggregate(Aggregation::Mean);
+            let (status, headers, body) =
+                round_trip(&net, &mut server, &post("t", &query.to_json()));
+            assert_eq!(status, 200);
+            assert_eq!(header(&headers, "x-cache"), Some("miss"));
+            assert_eq!(
+                plane.resolutions.swap(0, Ordering::Relaxed),
+                1,
+                "{pattern} at {shards} shards"
+            );
+            let fresh = query.run(&engine);
+            assert_eq!(body, fresh.to_json().into_bytes(), "{pattern}");
+        }
+    }
 }

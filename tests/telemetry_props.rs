@@ -1,9 +1,10 @@
 //! Property-based tests of the telemetry substrate: the ring-buffer store
 //! against a reference model, and query-layer invariants.
 
+use hpc_oda::telemetry::pattern::SensorPattern;
 use hpc_oda::telemetry::query::{aggregate_readings, Aggregation, Query, QueryEngine, TimeRange};
 use hpc_oda::telemetry::reading::{Reading, Timestamp};
-use hpc_oda::telemetry::sensor::SensorId;
+use hpc_oda::telemetry::sensor::{SensorId, SensorKind, SensorRegistry, Unit};
 use hpc_oda::telemetry::store::{RingBuffer, RollupTier, RollupTierSpec, TimeSeriesStore};
 use proptest::prelude::*;
 
@@ -419,6 +420,71 @@ proptest! {
             let a = Query::sensors(s).aggregate(agg).run(&q).scalar().unwrap();
             let b = aggregate_readings(&fetched, agg).unwrap();
             prop_assert!((a - b).abs() < tol, "{agg:?}: {a} vs {b}");
+        }
+    }
+}
+
+/// Name components that collide on prefixes: `node1` is a string prefix
+/// of `node10` and `node1x`, and `hw` heads most names.
+const NAME_PARTS: [&str; 6] = ["hw", "node1", "node10", "node1x", "power", "sw"];
+
+/// Seeded sensor names of one to four components.
+fn arb_names() -> impl Strategy<Value = Vec<String>> {
+    prop::collection::vec(
+        prop::collection::vec(prop::sample::select(NAME_PARTS.to_vec()), 1..5)
+            .prop_map(|parts| format!("/{}", parts.join("/"))),
+        0..40,
+    )
+}
+
+/// Seeded patterns of zero to five components (zero is the bare `/`):
+/// literals, an absent name, and `*` and `**` at every position.
+fn arb_pattern() -> impl Strategy<Value = String> {
+    let parts = ["hw", "node1", "node10", "power", "absent", "*", "**"];
+    prop::collection::vec(prop::sample::select(parts.to_vec()), 0..6)
+        .prop_map(|parts| format!("/{}", parts.join("/")))
+}
+
+/// The reference: every registered name tested against the pattern, in
+/// id order.
+fn linear_matching(registry: &SensorRegistry, pattern: &SensorPattern) -> Vec<SensorId> {
+    registry
+        .all()
+        .iter()
+        .filter(|m| pattern.matches(&m.name))
+        .map(|m| m.id)
+        .collect()
+}
+
+proptest! {
+    /// Index-backed resolution returns exactly the ascending id list a
+    /// walk over every name does, before and after the registry grows.
+    #[test]
+    fn index_matching_equals_a_linear_walk(
+        first in arb_names(),
+        later in arb_names(),
+        random in prop::collection::vec(arb_pattern(), 1..16),
+    ) {
+        let fixed = [
+            "/", "/**", "/*", "/hw", "/hw/node1", "/hw/node1/*", "/hw/node1/**",
+            "/hw/node1/**/power", "/*/node1/**", "/**/power", "/absent",
+            "/absent/**", "/hw/absent/*",
+        ];
+        let registry = SensorRegistry::new();
+        for names in [&first, &later] {
+            for name in names {
+                registry.register(name, SensorKind::Count, Unit::Dimensionless);
+            }
+            for text in fixed.iter().copied().chain(random.iter().map(String::as_str)) {
+                let pattern = SensorPattern::new(text);
+                prop_assert_eq!(
+                    registry.matching(&pattern),
+                    linear_matching(&registry, &pattern),
+                    "{} over {} names",
+                    text,
+                    registry.len()
+                );
+            }
         }
     }
 }
