@@ -1,7 +1,7 @@
 //! Operational key performance indicators.
 //!
 //! The descriptive row of the paper's Table I is anchored on site-level
-//! indicators: PUE (Yuventi & Mehdizadeh), ITUE/TUE (Patterson et al.,
+//! indicators: PUE (Yuventi & Mehdizadeh), ITUE (Patterson et al.,
 //! ISC'13), the job slowdown (Feitelson, JSSPP'01) and the System
 //! Information Entropy (Hui et al., FTXS'18). All are simple, but getting
 //! the denominators and edge cases right is exactly the kind of thing a
@@ -23,16 +23,6 @@ pub fn pue(total_facility_kw: f64, it_kw: f64) -> Option<f64> {
 /// Same convention as [`pue`]: `None` for a non-positive denominator.
 pub fn itue(total_it_kw: f64, compute_kw: f64) -> Option<f64> {
     (compute_kw > 0.0).then(|| total_it_kw / compute_kw)
-}
-
-/// Total-level Usage Effectiveness: `TUE = PUE × ITUE` (Patterson et al.).
-pub fn tue(pue: f64, itue: f64) -> f64 {
-    pue * itue
-}
-
-/// Energy-reuse effectiveness given reused heat (e.g. district heating).
-pub fn ere(total_facility_kw: f64, reused_kw: f64, it_kw: f64) -> Option<f64> {
-    (it_kw > 0.0).then(|| (total_facility_kw - reused_kw) / it_kw)
 }
 
 /// Bounded slowdown of one job (Feitelson): `max(1, (wait+run)/max(run, τ))`.
@@ -126,16 +116,9 @@ mod tests {
     }
 
     #[test]
-    fn itue_and_tue_compose() {
-        let p = pue(150.0, 100.0).unwrap();
-        let i = itue(100.0, 80.0).unwrap();
-        assert!((tue(p, i) - 150.0 / 80.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ere_subtracts_reuse() {
-        assert_eq!(ere(150.0, 50.0, 100.0), Some(1.0));
-        assert_eq!(ere(150.0, 0.0, 100.0), pue(150.0, 100.0));
+    fn itue_conventions() {
+        assert!((itue(100.0, 80.0).unwrap() - 100.0 / 80.0).abs() < 1e-12);
+        assert_eq!(itue(100.0, 0.0), None);
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! The paper defines this type as normalization, aggregation, outlier
 //! removal and dimensionality reduction feeding visualizations and alerts,
 //! with *no complex knowledge extraction*. These modules are the building
-//! blocks of every dashboard and KPI in the framework.
+//! blocks of the descriptive capabilities' dashboards and KPIs and of the
+//! diagnostic detectors' robust statistics.
 
 pub mod dashboard;
 pub mod kpi;
 pub mod outlier;
-pub mod quantile;
-pub mod roofline;
 pub mod stats;

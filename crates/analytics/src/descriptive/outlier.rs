@@ -1,8 +1,8 @@
 //! Outlier removal — part of the paper's definition of descriptive
 //! analytics ("normalization, aggregation, outlier removal").
 //!
-//! Two robust filters: Tukey's IQR fences and the MAD (median absolute
-//! deviation) rule. Both are resistant to the outliers they remove, unlike
+//! Two robust rules: Tukey's IQR fences and the MAD (median absolute
+//! deviation) z-score. Both are resistant to the outliers they remove, unlike
 //! a naive z-score trim, which matters on monitoring data where a stuck
 //! sensor can emit values that dominate mean and variance.
 
@@ -89,20 +89,6 @@ pub fn mad_z_scores(xs: &[f64]) -> Option<Vec<f64>> {
     Some(xs.iter().map(|&x| 0.6745 * (x - med) / mad).collect())
 }
 
-/// Removes values whose robust z exceeds `threshold` in magnitude. Constant
-/// data comes back unchanged.
-pub fn trim_mad(xs: &[f64], threshold: f64) -> Vec<f64> {
-    match mad_z_scores(xs) {
-        Some(zs) => xs
-            .iter()
-            .zip(&zs)
-            .filter(|(_, &z)| z.abs() <= threshold)
-            .map(|(&x, _)| x)
-            .collect(),
-        None => xs.to_vec(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,15 +133,12 @@ mod tests {
         xs.push(100.0);
         let zs = mad_z_scores(&xs).unwrap();
         assert!(zs.last().unwrap().abs() > 10.0);
-        let trimmed = trim_mad(&xs, 5.0);
-        assert_eq!(trimmed.len(), 20);
     }
 
     #[test]
     fn mad_constant_data_is_untouched() {
         let xs = vec![7.0; 10];
         assert!(mad_z_scores(&xs).is_none());
-        assert_eq!(trim_mad(&xs, 3.0), xs);
     }
 
     #[test]

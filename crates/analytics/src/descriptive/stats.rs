@@ -1,11 +1,8 @@
-//! Streaming and windowed statistics.
+//! Streaming and batch statistics.
 //!
-//! All estimators here are single-pass and allocation-free in steady state,
-//! suitable for per-sample ingest-path use (Welford's algorithm for
-//! mean/variance, EWMA smoothing, fixed-window rolling statistics) plus
-//! batch correlation helpers for multivariate diagnostics.
-
-use std::collections::VecDeque;
+//! Welford's single-pass mean/variance estimator (allocation-free, fit for
+//! per-sample use), batch correlation and line-fit helpers for
+//! multivariate diagnostics, and a fixed-bin histogram.
 
 /// Welford's online mean/variance estimator.
 ///
@@ -75,180 +72,6 @@ impl Welford {
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-}
-
-/// Exponentially-weighted moving average (and variance).
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha: f64,
-    mean: Option<f64>,
-    var: f64,
-    skipped: u64,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha ∈ (0, 1]` (higher =
-    /// faster to react).
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        Ewma {
-            alpha,
-            mean: None,
-            var: 0.0,
-            skipped: 0,
-        }
-    }
-
-    /// Feeds one sample and returns the updated mean. Non-finite samples
-    /// are skipped (the previous mean, or NaN before any sample, is
-    /// returned unchanged).
-    pub fn push(&mut self, x: f64) -> f64 {
-        if !x.is_finite() {
-            self.skipped += 1;
-            return self.mean.unwrap_or(f64::NAN);
-        }
-        match self.mean {
-            None => {
-                self.mean = Some(x);
-                x
-            }
-            Some(m) => {
-                let d = x - m;
-                let new_m = m + self.alpha * d;
-                // EW variance of the residuals.
-                self.var = (1.0 - self.alpha) * (self.var + self.alpha * d * d);
-                self.mean = Some(new_m);
-                new_m
-            }
-        }
-    }
-
-    /// Current smoothed value (None before any sample).
-    pub fn mean(&self) -> Option<f64> {
-        self.mean
-    }
-
-    /// Exponentially-weighted standard deviation of the innovations.
-    pub fn std_dev(&self) -> f64 {
-        self.var.sqrt()
-    }
-
-    /// Number of non-finite samples skipped.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-}
-
-/// Fixed-length sliding-window statistics (mean/var/min/max).
-///
-/// Mean and variance are maintained incrementally; min/max scan the window
-/// on demand (windows are small — dashboards use tens to hundreds of
-/// samples).
-#[derive(Debug, Clone)]
-pub struct RollingStats {
-    window: VecDeque<f64>,
-    capacity: usize,
-    sum: f64,
-    sum_sq: f64,
-    skipped: u64,
-}
-
-impl RollingStats {
-    /// Creates a window of `capacity` samples.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "window capacity must be positive");
-        RollingStats {
-            window: VecDeque::with_capacity(capacity),
-            capacity,
-            sum: 0.0,
-            sum_sq: 0.0,
-            skipped: 0,
-        }
-    }
-
-    /// Feeds one sample, evicting the oldest when full. Non-finite samples
-    /// are skipped and counted — they neither enter nor age the window.
-    pub fn push(&mut self, x: f64) {
-        if !x.is_finite() {
-            self.skipped += 1;
-            return;
-        }
-        if self.window.len() == self.capacity {
-            let old = self.window.pop_front().unwrap();
-            self.sum -= old;
-            self.sum_sq -= old * old;
-        }
-        self.window.push_back(x);
-        self.sum += x;
-        self.sum_sq += x * x;
-    }
-
-    /// Samples currently in the window.
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// `true` when no samples have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
-    }
-
-    /// `true` once the window has reached capacity.
-    pub fn is_full(&self) -> bool {
-        self.window.len() == self.capacity
-    }
-
-    /// Window mean (None when empty).
-    pub fn mean(&self) -> Option<f64> {
-        (!self.window.is_empty()).then(|| self.sum / self.window.len() as f64)
-    }
-
-    /// Window population variance (clamped at 0 against rounding).
-    pub fn variance(&self) -> Option<f64> {
-        let n = self.window.len() as f64;
-        (!self.window.is_empty()).then(|| (self.sum_sq / n - (self.sum / n).powi(2)).max(0.0))
-    }
-
-    /// Window standard deviation.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
-    /// Window minimum.
-    pub fn min(&self) -> Option<f64> {
-        self.window.iter().copied().reduce(f64::min)
-    }
-
-    /// Window maximum.
-    pub fn max(&self) -> Option<f64> {
-        self.window.iter().copied().reduce(f64::max)
-    }
-
-    /// Z-score of `x` against the window (None if fewer than 2 samples or
-    /// zero variance).
-    pub fn z_score(&self, x: f64) -> Option<f64> {
-        if self.window.len() < 2 {
-            return None;
-        }
-        let sd = self.std_dev()?;
-        (sd > 1e-12).then(|| (x - self.mean().unwrap()) / sd)
-    }
-
-    /// Iterates over the window's contents, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.window.iter().copied()
-    }
-
-    /// Number of non-finite samples skipped.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
     }
 }
 
@@ -450,85 +273,6 @@ mod tests {
         assert_eq!(w.skipped(), 3);
         assert!((w.mean() - 4.0).abs() < 1e-12);
         assert!(w.variance().is_finite());
-
-        let mut e = Ewma::new(0.5);
-        assert!(e.push(f64::NAN).is_nan(), "no history yet");
-        e.push(10.0);
-        assert_eq!(e.push(f64::NAN), 10.0, "NaN returns previous mean");
-        assert_eq!(e.mean(), Some(10.0));
-        assert_eq!(e.skipped(), 2);
-
-        let mut r = RollingStats::new(3);
-        r.push(1.0);
-        r.push(f64::NAN);
-        r.push(2.0);
-        r.push(3.0);
-        r.push(f64::NAN);
-        assert_eq!(r.len(), 3, "NaN never entered the window");
-        assert_eq!(r.mean(), Some(2.0));
-        assert_eq!(r.skipped(), 2);
-        r.push(4.0); // evicts 1.0, not a phantom NaN slot
-        assert_eq!(r.mean(), Some(3.0));
-    }
-
-    #[test]
-    fn ewma_converges_to_constant() {
-        let mut e = Ewma::new(0.3);
-        for _ in 0..100 {
-            e.push(5.0);
-        }
-        assert!((e.mean().unwrap() - 5.0).abs() < 1e-9);
-        assert!(e.std_dev() < 1e-6);
-    }
-
-    #[test]
-    fn ewma_tracks_step_change() {
-        let mut e = Ewma::new(0.5);
-        for _ in 0..10 {
-            e.push(0.0);
-        }
-        for _ in 0..10 {
-            e.push(10.0);
-        }
-        assert!(e.mean().unwrap() > 9.9);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_bad_alpha() {
-        Ewma::new(0.0);
-    }
-
-    #[test]
-    fn rolling_stats_window_semantics() {
-        let mut r = RollingStats::new(3);
-        assert!(r.mean().is_none());
-        r.push(1.0);
-        r.push(2.0);
-        r.push(3.0);
-        assert!(r.is_full());
-        assert_eq!(r.mean(), Some(2.0));
-        r.push(10.0); // evicts 1.0 → window [2,3,10]
-        assert_eq!(r.mean(), Some(5.0));
-        assert_eq!(r.min(), Some(2.0));
-        assert_eq!(r.max(), Some(10.0));
-        assert_eq!(r.len(), 3);
-    }
-
-    #[test]
-    fn rolling_z_score() {
-        let mut r = RollingStats::new(100);
-        for i in 0..100 {
-            r.push((i % 2) as f64); // mean 0.5, sd 0.5
-        }
-        let z = r.z_score(1.5).unwrap();
-        assert!((z - 2.0).abs() < 1e-9);
-        // Constant window → None.
-        let mut c = RollingStats::new(10);
-        for _ in 0..10 {
-            c.push(4.0);
-        }
-        assert!(c.z_score(5.0).is_none());
     }
 
     #[test]

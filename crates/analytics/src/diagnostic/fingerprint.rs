@@ -3,13 +3,9 @@
 //!
 //! The paper's Applications-pillar diagnostic cell cites Taxonomist (Ates
 //! et al.) and DeMasi et al., which identify applications (including
-//! cryptominers smuggled into HPC systems) from monitoring features. Two
-//! classic classifiers over the same feature vector:
-//!
-//! * [`NearestCentroid`] — one centroid per class in standardized feature
-//!   space; fast, interpretable, the baseline in the cited works.
-//! * [`Knn`] — k-nearest-neighbour votes; more capacity, no training
-//!   beyond remembering examples.
+//! cryptominers smuggled into HPC systems) from monitoring features.
+//! [`NearestCentroid`] keeps one centroid per class in standardized feature
+//! space; it is fast, interpretable, and the baseline in the cited works.
 
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -145,63 +141,6 @@ impl<L: Clone + Ord> NearestCentroid<L> {
     }
 }
 
-/// k-nearest-neighbour classifier (majority vote, distance ties broken by
-/// order of insertion).
-#[derive(Debug, Clone)]
-pub struct Knn<L> {
-    k: usize,
-    scaler: Scaler,
-    examples: Vec<(L, [f64; 4])>,
-}
-
-impl<L: Clone + Ord> Knn<L> {
-    /// Builds the classifier remembering all examples.
-    ///
-    /// # Panics
-    /// Panics if `examples` is empty or `k == 0`.
-    pub fn fit(examples: &[(L, JobFeatures)], k: usize) -> Self {
-        assert!(!examples.is_empty(), "need training examples");
-        assert!(k > 0, "k must be positive");
-        let raw: Vec<[f64; 4]> = examples.iter().map(|(_, f)| f.to_vec()).collect();
-        let scaler = Scaler::fit(&raw);
-        let examples = examples
-            .iter()
-            .zip(&raw)
-            .map(|((l, _), x)| (l.clone(), scaler.apply(x)))
-            .collect();
-        Knn {
-            k,
-            scaler,
-            examples,
-        }
-    }
-
-    /// Predicts by majority vote among the `k` nearest neighbours.
-    pub fn predict(&self, features: JobFeatures) -> L {
-        let x = self.scaler.apply(&features.to_vec());
-        let mut scored: Vec<(f64, &L)> = self
-            .examples
-            .iter()
-            .map(|(l, e)| (dist2(&x, e), l))
-            .collect();
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut votes: BTreeMap<&L, usize> = BTreeMap::new();
-        for (_, l) in scored.iter().take(self.k) {
-            *votes.entry(l).or_default() += 1;
-        }
-        let mut best: Option<(&L, usize)> = None;
-        // Deterministic tie-break: nearest example wins — walk in distance
-        // order and prefer strictly greater counts.
-        for (_, l) in scored.iter().take(self.k) {
-            let c = votes[l];
-            if best.map(|(_, bc)| c > bc).unwrap_or(true) {
-                best = Some((l, c));
-            }
-        }
-        best.unwrap().0.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,21 +228,6 @@ mod tests {
         let (label, conf) = nc.predict(io_job());
         assert_eq!(label, "only");
         assert_eq!(conf, 1.0);
-    }
-
-    #[test]
-    fn knn_identifies_classes() {
-        let knn = Knn::fit(&training(), 3);
-        assert_eq!(knn.predict(miner()), "miner");
-        assert_eq!(knn.predict(hpc_compute()), "compute");
-        assert_eq!(knn.predict(io_job()), "io");
-    }
-
-    #[test]
-    fn knn_k_larger_than_dataset_still_works() {
-        let ex = vec![("a", miner()), ("a", miner()), ("b", io_job())];
-        let knn = Knn::fit(&ex, 100);
-        assert_eq!(knn.predict(miner()), "a");
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //!
 //! The paper defines this type as systematic extraction of non-obvious
 //! insight from multi-dimensional monitoring data: anomaly detection, root
-//! cause analysis, fingerprinting. Each module here is a canonical member of
-//! one cited technique family.
+//! cause analysis, fingerprinting. The detectors themselves are capabilities
+//! in `oda-core` built on the robust statistics of
+//! [`descriptive`](crate::descriptive); this module holds the two
+//! techniques with state of their own: application fingerprinting and
+//! correlation-wise smoothing (the E9 ablation).
 
-pub mod detector;
 pub mod fingerprint;
-pub mod network_diag;
-pub mod noise;
-pub mod rootcause;
 pub mod smoothing;

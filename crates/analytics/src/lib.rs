@@ -3,34 +3,30 @@
 //! # oda-analytics — the four types of data analytics, from scratch
 //!
 //! The paper's second axis (after the four HPC pillars) is the staged
-//! "Four Types of Data Analytics" model. This crate implements a canonical
-//! algorithm for every technique *family* the paper's survey cites, grouped
-//! by type:
+//! "Four Types of Data Analytics" model. This crate holds the algorithms the
+//! sixteen capabilities in `oda-core` and the experiments in `oda-bench`
+//! call, grouped by type, and nothing else:
 //!
-//! * [`descriptive`] — *"what happened?"*: streaming statistics, quantiles,
-//!   histograms, correlation, KPIs (PUE, ITUE, slowdown, System Information
-//!   Entropy), the roofline model and text dashboards.
-//! * [`diagnostic`] — *"why did it happen?"*: anomaly detectors (z-score,
-//!   IQR, control charts, multivariate voting), correlation-wise-smoothing
-//!   feature extraction, k-NN / nearest-centroid classifiers for
-//!   application fingerprinting, root-cause ranking, network-contention
-//!   diagnosis and periodic-interference (OS noise) detection.
+//! * [`descriptive`] — *"what happened?"*: streaming and batch statistics,
+//!   IQR and MAD outlier rules, KPIs (PUE, ITUE, bounded slowdown, System
+//!   Information Entropy) and text dashboards.
+//! * [`diagnostic`] — *"why did it happen?"*: nearest-centroid application
+//!   fingerprinting and correlation-wise-smoothing feature extraction.
 //! * [`predictive`] — *"what will happen?"*: EWMA / Holt / Holt–Winters
-//!   forecasters, AR(p) models, ridge and logistic regression, k-NN job
-//!   duration prediction, and an FFT with spectral extrapolation for the
-//!   LLNL power-fluctuation use case.
-//! * [`prescriptive`] — *"what should we do?"*: PID control, golden-section
-//!   setpoint optimization, reactive/proactive DVFS governors, a
-//!   cooling-mode switcher, coordinate-descent/simulated-annealing
-//!   auto-tuning and a rule-based recommendation engine.
+//!   forecasters, AR(p) models, per-user / k-NN job-duration prediction,
+//!   and the FFT and harmonic regression behind the LLNL power-fluctuation
+//!   use case.
+//! * [`prescriptive`] — *"what should we do?"*: golden-section setpoint
+//!   search, reactive/proactive DVFS governors, a cooling-mode switcher,
+//!   coordinate-descent auto-tuning and a rule-based recommendation engine.
 //!
 //! Everything is implemented with the standard library plus the workspace's
 //! small approved dependency set — no external ML or linear-algebra crates —
 //! so the algorithms double as readable reference implementations.
 //!
-//! The crate is deliberately independent of the simulator: every algorithm
-//! operates on plain slices, readings, or feature vectors, so it can be
-//! applied to any telemetry source that speaks `oda-telemetry` types.
+//! The crate is deliberately independent of the simulator and of
+//! `oda-telemetry`: every algorithm operates on plain slices or feature
+//! vectors, so it can be applied to any telemetry source.
 
 #![forbid(unsafe_code)]
 
@@ -38,19 +34,4 @@ pub mod descriptive;
 pub mod diagnostic;
 pub mod predictive;
 pub mod prescriptive;
-pub mod util;
-
-/// Convenient re-exports of the most commonly used types.
-pub mod prelude {
-    pub use crate::descriptive::kpi::{self, SystemInformationEntropy};
-    pub use crate::descriptive::quantile::P2Quantile;
-    pub use crate::descriptive::stats::{correlation, Ewma, RollingStats, Welford};
-    pub use crate::diagnostic::detector::{
-        AnomalyDetector, EwmaControlChart, IqrDetector, MultivariateVote, ZScoreDetector,
-    };
-    pub use crate::diagnostic::fingerprint::{JobFeatures, NearestCentroid};
-    pub use crate::predictive::forecast::{Forecaster, GapTolerant, HoltWinters};
-    pub use crate::predictive::regression::RidgeRegression;
-    pub use crate::prescriptive::dvfs::{DvfsGovernor, GovernorMode};
-    pub use crate::prescriptive::pid::Pid;
-}
+pub(crate) mod util;

@@ -8,9 +8,9 @@
 //!
 //! * an in-place iterative radix-2 complex FFT (and inverse),
 //! * a power-spectrum helper with dominant-period extraction,
-//! * [`SpectralForecaster`] — fits the top-k spectral components (plus mean
-//!   and linear trend) to a window of history and extrapolates it forward,
-//!   the textbook "Fourier extrapolation" used for periodic load patterns.
+//! * [`predicted_swings`] — the threshold-crossing test applied to a
+//!   forecast (the forecast itself is
+//!   [`HarmonicModel`](super::harmonic::HarmonicModel)'s).
 
 use std::f64::consts::PI;
 
@@ -112,107 +112,6 @@ pub fn dominant_periods(series: &[f64], top_k: usize) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Fourier extrapolation: mean + linear trend + top-k spectral components.
-#[derive(Debug, Clone)]
-pub struct SpectralForecaster {
-    n: usize,
-    mean: f64,
-    slope: f64,
-    /// `(bin k, amplitude_re, amplitude_im)` of retained components.
-    components: Vec<(usize, f64, f64)>,
-}
-
-impl SpectralForecaster {
-    /// Fits on `series` keeping the `top_k` strongest frequency components.
-    ///
-    /// Returns `None` when fewer than 8 usable samples exist.
-    pub fn fit(series: &[f64], top_k: usize) -> Option<Self> {
-        let n = next_pow2_below(series.len());
-        if n < 8 {
-            return None;
-        }
-        let tail = &series[series.len() - n..];
-        let idx: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        // Backfitting between trend and periodicity. A line fitted to a pure
-        // sinusoid over integer periods has a *nonzero* slope
-        // (Σ i·sin(2πik/N) = −(N/2)·cot(πk/N)), so a single detrend pass
-        // contaminates both the trend and the retained bin amplitudes;
-        // alternating "fit line to (x − periodic)" and "fit spectrum to
-        // (x − line)" converges geometrically.
-        let (mut intercept, mut slope) = crate::descriptive::stats::linear_fit(&idx, tail)
-            .unwrap_or((tail.iter().sum::<f64>() / n as f64, 0.0));
-        let mut components: Vec<(usize, f64, f64)> = Vec::new();
-        for _ in 0..8 {
-            let mut buf: Vec<Complex> = tail
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| (x - intercept - slope * i as f64, 0.0))
-                .collect();
-            fft(&mut buf);
-            let mut bins: Vec<(usize, f64)> = (1..n / 2)
-                .map(|k| (k, buf[k].0.powi(2) + buf[k].1.powi(2)))
-                .collect();
-            bins.sort_by(|a, b| b.1.total_cmp(&a.1));
-            components = bins
-                .into_iter()
-                .take(top_k)
-                .map(|(k, _)| (k, buf[k].0, buf[k].1))
-                .collect();
-            // Re-fit the line on the periodicity-free residual.
-            let periodic_at = |t: f64| -> f64 {
-                components
-                    .iter()
-                    .map(|&(k, re, im)| {
-                        let ang = 2.0 * PI * k as f64 * t / n as f64;
-                        2.0 / n as f64 * (re * ang.cos() - im * ang.sin())
-                    })
-                    .sum()
-            };
-            let residual: Vec<f64> = tail
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| x - periodic_at(i as f64))
-                .collect();
-            if let Some((m2, s2)) = crate::descriptive::stats::linear_fit(&idx, &residual) {
-                intercept = m2;
-                slope = s2;
-            }
-        }
-        Some(SpectralForecaster {
-            n,
-            mean: intercept,
-            slope,
-            components,
-        })
-    }
-
-    /// Value at sample offset `t` from the start of the fitted window
-    /// (`t ≥ n` extrapolates into the future).
-    pub fn value_at(&self, t: f64) -> f64 {
-        let n = self.n as f64;
-        let mut v = self.mean + self.slope * t;
-        for &(k, re, im) in &self.components {
-            let ang = 2.0 * PI * k as f64 * t / n;
-            // Real series: each retained bin pairs with its conjugate, so
-            // the real reconstruction doubles the contribution.
-            v += 2.0 / n * (re * ang.cos() - im * ang.sin());
-        }
-        v
-    }
-
-    /// Forecast `horizon` samples beyond the fitted window.
-    pub fn forecast(&self, horizon: usize) -> Vec<f64> {
-        (0..horizon)
-            .map(|h| self.value_at((self.n + h) as f64))
-            .collect()
-    }
-
-    /// Window length actually used for the fit.
-    pub fn window_len(&self) -> usize {
-        self.n
-    }
-}
-
 /// Detects predicted threshold-crossing swings: returns offsets `h` (in
 /// samples, 0-based from the forecast start) where the forecast moves by
 /// more than `delta` within `window` samples — the "notify the utility"
@@ -282,40 +181,6 @@ mod tests {
             .collect();
         let periods = dominant_periods(&series, 1);
         assert!((periods[0].0 - 32.0).abs() < 1.0, "{periods:?}");
-    }
-
-    #[test]
-    fn spectral_forecaster_extrapolates_periodic_signal() {
-        let gen = |i: usize| {
-            500.0
-                + 200.0 * (2.0 * PI * i as f64 / 64.0).sin()
-                + 50.0 * (2.0 * PI * i as f64 / 16.0).cos()
-        };
-        let history: Vec<f64> = (0..512).map(gen).collect();
-        let f = SpectralForecaster::fit(&history, 4).unwrap();
-        assert_eq!(f.window_len(), 512);
-        let fc = f.forecast(64);
-        for (h, &v) in fc.iter().enumerate() {
-            let truth = gen(512 + h);
-            assert!((v - truth).abs() < 15.0, "h={h}: {v} vs {truth}");
-        }
-    }
-
-    #[test]
-    fn spectral_forecaster_handles_trend() {
-        let gen = |i: usize| 100.0 + 0.5 * i as f64 + 30.0 * (2.0 * PI * i as f64 / 32.0).sin();
-        let history: Vec<f64> = (0..256).map(gen).collect();
-        let f = SpectralForecaster::fit(&history, 2).unwrap();
-        let fc = f.forecast(32);
-        for (h, &v) in fc.iter().enumerate() {
-            let truth = gen(256 + h);
-            assert!((v - truth).abs() < 10.0, "h={h}: {v} vs {truth}");
-        }
-    }
-
-    #[test]
-    fn short_series_cannot_fit() {
-        assert!(SpectralForecaster::fit(&[1.0; 5], 2).is_none());
     }
 
     #[test]

@@ -298,47 +298,6 @@ impl<F: Forecaster> Forecaster for GapTolerant<F> {
     }
 }
 
-/// Rolling forecast-accuracy evaluation: feeds `series` one sample at a
-/// time, recording the absolute error of the `h`-step forecast made before
-/// seeing each sample. Returns `(mae, mape)`; `mape` is `None` if any true
-/// value is ~0.
-pub fn backtest<F: Forecaster>(f: &mut F, series: &[f64], h: usize) -> (f64, Option<f64>) {
-    assert!(h >= 1, "horizon must be >= 1");
-    let mut abs_err = Vec::new();
-    let mut rel_err = Vec::new();
-    let mut relative_ok = true;
-    // After every update, record the model's h-step forecast together with
-    // the index it targets; score each forecast when its target arrives.
-    let mut pending: std::collections::VecDeque<(usize, f64)> = std::collections::VecDeque::new();
-    for (i, &x) in series.iter().enumerate() {
-        while let Some(&(target, fc)) = pending.front() {
-            if target == i {
-                pending.pop_front();
-                abs_err.push((fc - x).abs());
-                if x.abs() > 1e-9 {
-                    rel_err.push(((fc - x) / x).abs());
-                } else {
-                    relative_ok = false;
-                }
-            } else {
-                break;
-            }
-        }
-        f.update(x);
-        if let Some(fc) = f.forecast(h) {
-            pending.push_back((i + h, fc));
-        }
-    }
-    let mae = if abs_err.is_empty() {
-        f64::NAN
-    } else {
-        abs_err.iter().sum::<f64>() / abs_err.len() as f64
-    };
-    let mape = (relative_ok && !rel_err.is_empty())
-        .then(|| rel_err.iter().sum::<f64>() / rel_err.len() as f64);
-    (mae, mape)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,39 +424,5 @@ mod tests {
         // Only real samples reached the inner model: 40, not 50.
         assert_eq!(f.observations(), 40);
         assert!(f.forecast(1).unwrap() < 0.1);
-    }
-
-    #[test]
-    fn backtest_scores_better_model_lower() {
-        let period = 12;
-        let series: Vec<f64> = (0..period * 30)
-            .map(|i| {
-                50.0 + 20.0
-                    * (2.0 * std::f64::consts::PI * (i % period) as f64 / period as f64).cos()
-            })
-            .collect();
-        let (mae_hw, _) = backtest(&mut HoltWinters::new(0.3, 0.05, 0.4, period), &series, 1);
-        let (mae_se, _) = backtest(&mut SimpleExp::new(0.5), &series, 1);
-        assert!(
-            mae_hw < mae_se * 0.5,
-            "seasonal model must beat flat: {mae_hw} vs {mae_se}"
-        );
-    }
-
-    #[test]
-    fn backtest_handles_short_series() {
-        let (mae, mape) = backtest(&mut SimpleExp::new(0.5), &[1.0], 1);
-        assert!(mae.is_nan());
-        assert!(mape.is_none());
-    }
-
-    #[test]
-    fn mape_is_none_on_zero_values() {
-        // A zero appears as a forecast *target*, so relative error is
-        // undefined for that step and MAPE must be withheld.
-        let series = vec![1.0, 2.0, 0.0, 3.0, 4.0, 5.0];
-        let (mae, mape) = backtest(&mut SimpleExp::new(0.9), &series, 1);
-        assert!(mae.is_finite());
-        assert!(mape.is_none());
     }
 }

@@ -1,8 +1,8 @@
 //! Harmonic regression: least-squares Fourier fitting at a *known*
 //! fundamental period.
 //!
-//! The pure-FFT extrapolator ([`crate::predictive::fft`]) needs a
-//! power-of-two window, which almost never holds an integer number of the
+//! A pure-FFT extrapolator (top-k bins of [`crate::predictive::fft`]) needs
+//! a power-of-two window, which almost never holds an integer number of the
 //! physical period (a day of 15-minute samples is 96 buckets — not a power
 //! of two), so spectral leakage smears narrow periodic features. When the
 //! fundamental is known — and operational patterns are daily/weekly, which

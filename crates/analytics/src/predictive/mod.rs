@@ -1,15 +1,12 @@
 //! Predictive analytics — *"what will happen?"*.
 //!
 //! Forecasting (*foresight*) over the hindsight the other types provide:
-//! exponential-smoothing forecasters, autoregressive models, regression on
-//! engineered features, k-NN job prediction from submission metadata,
-//! hazard-based failure prediction, and the FFT toolbox behind the LLNL
-//! power-fluctuation use case (§V-C of the paper).
+//! exponential-smoothing forecasters, autoregressive models, k-NN job
+//! prediction from submission metadata, and the FFT and harmonic-regression
+//! toolbox behind the LLNL power-fluctuation use case (§V-C of the paper).
 
 pub mod ar;
-pub mod failure;
 pub mod fft;
 pub mod forecast;
 pub mod harmonic;
 pub mod jobs;
-pub mod regression;

@@ -3,15 +3,10 @@
 //! The prescriptive Applications cell (Autotune, Miceli et al.; Active
 //! Harmony, Ţăpuş et al.): find the parameter configuration (tile sizes,
 //! thread counts, communication knobs) minimising a measured objective.
-//! Two standard strategies over the same [`ParameterSpace`]:
-//!
-//! * [`coordinate_descent`] — cycle through parameters, line-searching one
-//!   axis at a time; quick and good on separable spaces (Active Harmony's
-//!   core loop is of this family).
-//! * [`simulated_annealing`] — probabilistic hill-climbing that escapes the
-//!   local minima coordinate descent falls into on coupled spaces.
-//!
-//! Both report evaluations spent, since real objective probes are full
+//! [`coordinate_descent`] over a [`ParameterSpace`] cycles through the
+//! parameters, line-searching one axis at a time; it is quick and good on
+//! separable spaces (Active Harmony's core loop is of this family). It
+//! reports the evaluations spent, since real objective probes are full
 //! application runs.
 
 /// A discrete parameter space: each axis has an ordered list of candidate
@@ -121,69 +116,6 @@ pub fn coordinate_descent(
     }
 }
 
-/// Simulated annealing with geometric cooling. Deterministic given `seed`.
-pub fn simulated_annealing(
-    space: &ParameterSpace,
-    start: Vec<usize>,
-    max_evaluations: usize,
-    initial_temp: f64,
-    cooling: f64,
-    seed: u64,
-    mut objective: impl FnMut(&[f64]) -> f64,
-) -> TuneResult {
-    let mut rng = seed.max(1);
-    let mut next_u64 = move || {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        rng
-    };
-    let mut uniform = move || (next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-
-    let mut current = start;
-    let mut evals = 1usize;
-    let mut current_cost = objective(&space.values(&current));
-    let mut best_idx = current.clone();
-    let mut best_cost = current_cost;
-    let mut temp = initial_temp.max(1e-9);
-    let cooling = cooling.clamp(0.5, 0.999_999);
-    while evals < max_evaluations {
-        // Neighbour: move one random axis one step up or down (wrapping
-        // suppressed — clamp at the ends).
-        let axis = (uniform() * space.dims() as f64) as usize % space.dims();
-        let dir = if uniform() < 0.5 { -1isize } else { 1 };
-        let len = space.axis_len(axis) as isize;
-        let cand = (current[axis] as isize + dir).clamp(0, len - 1) as usize;
-        if cand == current[axis] {
-            temp *= cooling;
-            continue;
-        }
-        let mut next = current.clone();
-        next[axis] = cand;
-        evals += 1;
-        let cost = objective(&space.values(&next));
-        let accept = cost < current_cost || {
-            let p = ((current_cost - cost) / temp).exp();
-            uniform() < p
-        };
-        if accept {
-            current = next;
-            current_cost = cost;
-            if cost < best_cost {
-                best_cost = cost;
-                best_idx = current.clone();
-            }
-        }
-        temp *= cooling;
-    }
-    TuneResult {
-        best_values: space.values(&best_idx),
-        best_idx,
-        best_cost,
-        evaluations: evals,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,20 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn annealing_escapes_local_minimum() {
-        // A deceptive 1-D landscape: local minimum at index 1, global at
-        // index 9, separated by a ridge.
-        let costs = [5.0, 1.0, 6.0, 7.0, 8.0, 7.0, 5.0, 3.0, 1.5, 0.1];
-        let s = ParameterSpace::new(vec![(0..10).map(|x| x as f64).collect()]);
-        let obj = |v: &[f64]| costs[v[0] as usize];
-        // Coordinate descent scans the full axis, so use a hill-climbing-
-        // hostile start for annealing and verify it still finds the basin.
-        let r = simulated_annealing(&s, vec![1], 3_000, 8.0, 0.999, 42, obj);
-        assert_eq!(r.best_idx, vec![9], "annealing should cross the ridge");
-        assert!((r.best_cost - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
     fn budgets_are_respected() {
         let s = grid();
         let mut calls = 0usize;
@@ -237,23 +155,6 @@ mod tests {
         });
         assert!(calls <= 7);
         assert_eq!(calls, r.evaluations);
-
-        let mut calls2 = 0usize;
-        let r2 = simulated_annealing(&s, vec![0, 0], 9, 1.0, 0.9, 1, |v| {
-            calls2 += 1;
-            v[0] + v[1]
-        });
-        assert!(calls2 <= 9);
-        assert_eq!(calls2, r2.evaluations);
-    }
-
-    #[test]
-    fn annealing_is_deterministic_per_seed() {
-        let s = grid();
-        let obj = |v: &[f64]| (v[0] - 5.0).abs() + (v[1] - 32.0).abs() / 16.0;
-        let a = simulated_annealing(&s, vec![0, 0], 300, 2.0, 0.99, 7, obj);
-        let b = simulated_annealing(&s, vec![0, 0], 300, 2.0, 0.99, 7, obj);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -70,54 +70,6 @@ pub fn golden_section_min(
     }
 }
 
-/// A stateful re-optimising setpoint controller: periodically re-runs the
-/// search (conditions drift — weather, load) and otherwise holds the last
-/// optimum. `hysteresis` suppresses knob changes smaller than the plant is
-/// worth disturbing for.
-#[derive(Debug, Clone)]
-pub struct SetpointController {
-    lo: f64,
-    hi: f64,
-    tolerance: f64,
-    budget: usize,
-    hysteresis: f64,
-    current: Option<f64>,
-}
-
-impl SetpointController {
-    /// Creates the controller over knob range `[lo, hi]`.
-    pub fn new(lo: f64, hi: f64, tolerance: f64, budget: usize, hysteresis: f64) -> Self {
-        assert!(lo < hi, "range must be non-empty");
-        SetpointController {
-            lo,
-            hi,
-            tolerance,
-            budget,
-            hysteresis: hysteresis.max(0.0),
-            current: None,
-        }
-    }
-
-    /// The currently-held setpoint, if one was ever computed.
-    pub fn current(&self) -> Option<f64> {
-        self.current
-    }
-
-    /// Re-optimises against `objective` and returns the setpoint to apply.
-    /// Returns the previous setpoint unchanged when the new optimum is
-    /// within the hysteresis band.
-    pub fn reoptimize(&mut self, objective: impl FnMut(f64) -> f64) -> f64 {
-        let opt = golden_section_min(self.lo, self.hi, self.tolerance, self.budget, objective);
-        match self.current {
-            Some(cur) if (opt.knob - cur).abs() <= self.hysteresis => cur,
-            _ => {
-                self.current = Some(opt.knob);
-                opt.knob
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,20 +109,6 @@ mod tests {
         let opt = golden_section_min(18.0, 45.0, 0.01, 100, facility_power);
         // Analytic optimum of 400/(x−10) + 0.08(x−18)² near x ≈ 24.
         assert!(opt.knob > 20.0 && opt.knob < 32.0, "{}", opt.knob);
-    }
-
-    #[test]
-    fn controller_applies_hysteresis() {
-        let mut c = SetpointController::new(0.0, 10.0, 1e-4, 100, 0.5);
-        let first = c.reoptimize(|x| (x - 4.0).powi(2));
-        assert!((first - 4.0).abs() < 0.01);
-        // Optimum shifts slightly: inside hysteresis, knob holds.
-        let second = c.reoptimize(|x| (x - 4.2).powi(2));
-        assert_eq!(second, first);
-        // Optimum shifts a lot: knob moves.
-        let third = c.reoptimize(|x| (x - 8.0).powi(2));
-        assert!((third - 8.0).abs() < 0.01);
-        assert_eq!(c.current(), Some(third));
     }
 
     #[test]

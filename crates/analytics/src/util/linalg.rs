@@ -1,12 +1,12 @@
 //! Minimal dense linear algebra: just enough to solve the small normal-
-//! equation systems that ridge regression and AR fitting produce.
+//! equation systems that AR and harmonic-regression fitting produce.
 //!
 //! Systems here are tiny (tens of unknowns), so Gaussian elimination with
 //! partial pivoting is the right tool — no external linear-algebra crate is
 //! justified for this.
 
 /// A dense row-major matrix.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -27,30 +27,6 @@ impl Matrix {
         }
     }
 
-    /// Identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Builds from nested rows.
-    ///
-    /// # Panics
-    /// Panics on ragged input or an empty matrix.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        assert!(!rows.is_empty() && !rows[0].is_empty(), "empty matrix");
-        let cols = rows[0].len();
-        assert!(rows.iter().all(|r| r.len() == cols), "ragged rows");
-        Matrix {
-            rows: rows.len(),
-            cols,
-            data: rows.iter().flatten().copied().collect(),
-        }
-    }
-
     /// Row count.
     pub fn rows(&self) -> usize {
         self.rows
@@ -59,50 +35,6 @@ impl Matrix {
     /// Column count.
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
-    /// Matrix product `self × other`.
-    ///
-    /// # Panics
-    /// Panics on a shape mismatch.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                // odalint: allow(float-eq) -- exact-zero sparsity skip; any nonzero value must be multiplied
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += a * other[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
-    /// Matrix–vector product.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != cols`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(self.cols, v.len(), "shape mismatch");
-        (0..self.rows)
-            .map(|i| (0..self.cols).map(|j| self[(i, j)] * v[j]).sum())
-            .collect()
     }
 
     /// Adds `lambda` to every diagonal entry (ridge regularisation).
@@ -188,10 +120,20 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
 mod tests {
     use super::*;
 
+    fn from_rows(rows: &[&[f64]]) -> Matrix {
+        let mut m = Matrix::zeros(rows.len(), rows[0].len());
+        for (i, row) in rows.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                m[(i, j)] = v;
+            }
+        }
+        m
+    }
+
     #[test]
     fn solve_known_system() {
         // 2x + y = 5; x + 3y = 10 → x = 1, y = 3.
-        let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]);
+        let a = from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
         let x = solve(&a, &[5.0, 10.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
@@ -200,38 +142,28 @@ mod tests {
     #[test]
     fn solve_requires_pivoting() {
         // Leading zero forces a row swap.
-        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
+        let a = from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
         let x = solve(&a, &[2.0, 3.0]).unwrap();
         assert_eq!(x, vec![3.0, 2.0]);
     }
 
     #[test]
     fn singular_system_is_none() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
+        let a = from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert!(solve(&a, &[1.0, 2.0]).is_none());
     }
 
     #[test]
     fn identity_solves_trivially() {
-        let x = solve(&Matrix::identity(3), &[1.0, 2.0, 3.0]).unwrap();
+        let mut id = Matrix::zeros(3, 3);
+        id.add_diagonal(1.0);
+        let x = solve(&id, &[1.0, 2.0, 3.0]).unwrap();
         assert_eq!(x, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
-    fn matmul_and_transpose() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let at = a.transpose();
-        assert_eq!(at[(0, 1)], 3.0);
-        let p = a.matmul(&at);
-        assert_eq!(p[(0, 0)], 5.0);
-        assert_eq!(p[(0, 1)], 11.0);
-        assert_eq!(p[(1, 1)], 25.0);
-    }
-
-    #[test]
-    fn matvec_and_ridge_diagonal() {
-        let mut a = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 2.0]]);
-        assert_eq!(a.matvec(&[3.0, 4.0]), vec![3.0, 8.0]);
+    fn ridge_diagonal() {
+        let mut a = from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]);
         a.add_diagonal(0.5);
         assert_eq!(a[(0, 0)], 1.5);
         assert_eq!(a[(1, 1)], 2.5);
@@ -249,10 +181,17 @@ mod tests {
                 m[(i, j)] = ((seed >> 33) as f64 / (1u64 << 31) as f64) - 0.5;
             }
         }
-        let mut a = m.transpose().matmul(&m);
+        let mut a = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                a[(i, j)] = (0..n).map(|k| m[(k, i)] * m[(k, j)]).sum();
+            }
+        }
         a.add_diagonal(1.0);
         let x_true: Vec<f64> = (0..n).map(|i| i as f64 - 3.0).collect();
-        let b = a.matvec(&x_true);
+        let b: Vec<f64> = (0..n)
+            .map(|i| (0..n).map(|j| a[(i, j)] * x_true[j]).sum())
+            .collect();
         let x = solve(&a, &b).unwrap();
         for (xs, xt) in x.iter().zip(&x_true) {
             assert!((xs - xt).abs() < 1e-9);

@@ -4,17 +4,12 @@ use crate::analytics_type::AnalyticsType;
 use crate::capability::{Artifact, Capability, CapabilityContext};
 use crate::grid::{GridCell, GridFootprint};
 use crate::pillar::Pillar;
-use oda_analytics::descriptive::outlier::mad_z_scores;
+use oda_analytics::descriptive::outlier::{mad_z_scores, median};
 use oda_analytics::descriptive::stats::linear_fit;
 use oda_analytics::diagnostic::fingerprint::{JobFeatures, NearestCentroid};
 use oda_sim::datacenter::JobRecord;
 use oda_sim::scheduler::job::JobClass;
 use oda_telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
-
-/// Median helper shared by the detectors in this module.
-pub(crate) fn median_of(xs: &[f64]) -> Option<f64> {
-    oda_analytics::descriptive::outlier::median(xs)
-}
 
 /// Diagnostic × Building Infrastructure: cooling-plant anomaly detection
 /// (Table I: "Infrastructure anomaly detection \[54\]", "Fingerprinting data
@@ -241,7 +236,7 @@ impl Capability for NodeAnomalyDetector {
             return Vec::new();
         }
         let fleet_z = mad_z_scores(&fleet_values).unwrap_or(vec![0.0; fleet_values.len()]);
-        let fleet_median = crate::cells::diagnostic::median_of(&fleet_values).unwrap_or(f64::NAN);
+        let fleet_median = median(&fleet_values).unwrap_or(f64::NAN);
         let f_recent = Query::sensors(&fans)
             .range(recent)
             .aggregate(Aggregation::Mean)
@@ -260,7 +255,7 @@ impl Capability for NodeAnomalyDetector {
             let split = ((series.len() as f64 * 0.25) as usize)
                 .max(4)
                 .min(series.len() - 1);
-            let baseline_median = crate::cells::diagnostic::median_of(&series[..split]);
+            let baseline_median = median(&series[..split]);
             let zs_self = {
                 let mut baseline = series[..split].to_vec();
                 baseline.push(*r);

@@ -41,8 +41,6 @@ pub struct FnItem {
     pub body: (usize, usize),
     /// 1-indexed line of the `fn` keyword.
     pub line: u32,
-    /// Whether the function is `async`.
-    pub is_async: bool,
     /// Whether every body token is test-only code.
     pub in_test: bool,
 }
@@ -260,8 +258,7 @@ fn parse_items(
                 }
             }
             "fn" => {
-                let is_async = i >= 1 && txt(toks, i - 1) == "async";
-                if let Some((item, next)) = parse_fn(toks, i, self_ty, is_async) {
+                if let Some((item, next)) = parse_fn(toks, i, self_ty) {
                     out.fns.push(item);
                     i = next;
                 } else {
@@ -353,12 +350,7 @@ fn parse_fields(toks: &[Tok], mut i: usize, end: usize, owner: &str, out: &mut P
 
 /// Parses one `fn` starting at the `fn` keyword; returns the item and the
 /// index after its body (or signature, for trait methods without one).
-fn parse_fn(
-    toks: &[Tok],
-    at: usize,
-    self_ty: Option<&str>,
-    is_async: bool,
-) -> Option<(FnItem, usize)> {
+fn parse_fn(toks: &[Tok], at: usize, self_ty: Option<&str>) -> Option<(FnItem, usize)> {
     let name = toks.get(at + 1)?.text.clone();
     if toks.get(at + 1)?.kind != TokKind::Ident {
         return None;
@@ -390,7 +382,6 @@ fn parse_fn(
             params,
             body: (k, k),
             line,
-            is_async,
             in_test: toks[at].in_test,
         };
         return Some((item, k + 1));
@@ -403,7 +394,6 @@ fn parse_fn(
         params,
         body: (k, close),
         line,
-        is_async,
         in_test: toks[at].in_test,
     };
     Some((item, close + 1))

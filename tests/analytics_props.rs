@@ -1,13 +1,11 @@
 //! Property-based tests of the analytics algorithms: streaming estimators
-//! against exact references, transform round-trips, and controller/
-//! optimizer invariants.
+//! against exact references, transform round-trips, and optimizer
+//! invariants.
 
-use hpc_oda::analytics::descriptive::outlier::{quantile, trim_iqr};
-use hpc_oda::analytics::descriptive::quantile::P2Quantile;
+use hpc_oda::analytics::descriptive::outlier::trim_iqr;
 use hpc_oda::analytics::descriptive::stats::{correlation, Welford};
 use hpc_oda::analytics::predictive::fft::{fft, ifft, Complex};
 use hpc_oda::analytics::predictive::forecast::{Forecaster, Holt, SimpleExp};
-use hpc_oda::analytics::prescriptive::pid::Pid;
 use hpc_oda::analytics::prescriptive::setpoint::golden_section_min;
 use proptest::prelude::*;
 
@@ -24,26 +22,6 @@ proptest! {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
         prop_assert!((w.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
         prop_assert!((w.variance() - var).abs() < 1e-5 * (1.0 + var));
-    }
-
-    /// P² stays within the sample range and lands near the exact quantile
-    /// on larger samples.
-    #[test]
-    fn p2_is_bounded_and_close(xs in prop::collection::vec(-1e3f64..1e3, 50..400)) {
-        let mut p = P2Quantile::new(0.5);
-        for &x in &xs {
-            p.push(x);
-        }
-        let est = p.value().unwrap();
-        let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(est >= lo && est <= hi);
-        let exact = quantile(&xs, 0.5).unwrap();
-        let spread = (hi - lo).max(1e-9);
-        prop_assert!(
-            (est - exact).abs() <= 0.25 * spread,
-            "p2 {est} vs exact {exact} (spread {spread})"
-        );
     }
 
     /// FFT∘IFFT is the identity (up to float error) for any signal.
@@ -105,22 +83,6 @@ proptest! {
             prop_assert!(f >= lo - 1e-9 && f <= hi + 1e-9, "SES is an average");
         }
         let _ = holt.forecast(h); // must not panic; value may extrapolate
-    }
-
-    /// PID output always respects its clamp, whatever the gains and
-    /// inputs.
-    #[test]
-    fn pid_respects_clamp(
-        kp in -10f64..10.0,
-        ki in -10f64..10.0,
-        kd in -10f64..10.0,
-        inputs in prop::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 1..100),
-    ) {
-        let mut pid = Pid::new(kp, ki, kd, -5.0, 5.0);
-        for (sp, m) in inputs {
-            let out = pid.update(sp, m, 0.5);
-            prop_assert!((-5.0..=5.0).contains(&out));
-        }
     }
 
     /// Golden-section finds the minimum of a random parabola within
