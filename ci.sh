@@ -4,7 +4,7 @@
 # default lane's commands and the workflow's per-push run steps must be
 # the same set, verbatim, which ci/check_ci_sync.py checks. The soak at the end runs the full ODA runtime under
 # fault injection (replay must be bit-identical at workers=1 and
-# workers=4); the scale bench regenerates BENCH_scale.json, gated against
+# workers=4); the scale bench writes target/BENCH_scale.json, gated against
 # its committed baseline by ci/check_bench.py. Every other timing is the
 # end-to-end benchmark's (benchmark/README.md); the structural gates the
 # retired ingest/storage/serving harnesses carried are workspace tests.
@@ -66,8 +66,8 @@ echo "==> chaos soak (short budget; replay at workers=1 and workers=4)"
 cargo run --release -p oda-bench --bin chaos -- 4000 21 4
 
 echo "==> scale bench (worker sweep 1/2/4/8: digest + fan-out overhead; speed-up informational)"
-cargo run --release -p oda-bench --bin scale > BENCH_scale.json
-python3 ci/check_bench.py BENCH_scale.json ci/baselines/BENCH_scale.json
+cargo run --release -p oda-bench --bin scale > target/BENCH_scale.json
+python3 ci/check_bench.py target/BENCH_scale.json ci/baselines/BENCH_scale.json
 
 if [ "$FULL" = 1 ]; then
   echo "==> miri (undefined-behaviour interpreter; oda-telemetry lib tests)"

@@ -69,14 +69,6 @@ impl IqrFences {
     }
 }
 
-/// Removes IQR outliers, returning the retained values in order.
-pub fn trim_iqr(xs: &[f64], k: f64) -> Vec<f64> {
-    match IqrFences::fit(xs, k) {
-        Some(f) => xs.iter().copied().filter(|&x| !f.is_outlier(x)).collect(),
-        None => Vec::new(),
-    }
-}
-
 /// MAD-based robust z-score: `0.6745 · (x − median) / MAD`.
 /// Returns `None` when MAD is zero (constant data).
 pub fn mad_z_scores(xs: &[f64]) -> Option<Vec<f64>> {
@@ -107,21 +99,6 @@ mod tests {
         assert_eq!(quantile(&xs, 0.0), Some(10.0));
         assert_eq!(quantile(&xs, 1.0), Some(40.0));
         assert_eq!(quantile(&xs, 0.5), Some(25.0));
-    }
-
-    #[test]
-    fn iqr_trim_removes_spike() {
-        let mut xs: Vec<f64> = (0..100).map(|i| 50.0 + (i % 10) as f64).collect();
-        xs.push(10_000.0); // stuck-sensor spike
-        let trimmed = trim_iqr(&xs, 1.5);
-        assert_eq!(trimmed.len(), 100);
-        assert!(trimmed.iter().all(|&x| x < 100.0));
-    }
-
-    #[test]
-    fn iqr_keeps_clean_data() {
-        let xs: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        assert_eq!(trim_iqr(&xs, 1.5).len(), 50);
     }
 
     #[test]

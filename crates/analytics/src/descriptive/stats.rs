@@ -1,79 +1,5 @@
-//! Streaming and batch statistics.
-//!
-//! Welford's single-pass mean/variance estimator (allocation-free, fit for
-//! per-sample use), batch correlation and line-fit helpers for
-//! multivariate diagnostics, and a fixed-bin histogram.
-
-/// Welford's online mean/variance estimator.
-///
-/// Non-finite samples are skipped (and counted): a single NaN from a
-/// degraded sensor must not poison a long-running aggregate.
-#[derive(Debug, Clone, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    skipped: u64,
-}
-
-impl Welford {
-    /// Creates an empty estimator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one sample. Non-finite samples are ignored and counted in
-    /// [`skipped`](Self::skipped).
-    #[inline]
-    pub fn push(&mut self, x: f64) {
-        if !x.is_finite() {
-            self.skipped += 1;
-            return;
-        }
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Number of non-finite samples skipped.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-
-    /// Current mean (0 for the empty estimator).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance.
-    pub fn variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Sample variance (n−1 denominator; 0 for n < 2).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
+//! Batch statistics: correlation and line-fit helpers for multivariate
+//! diagnostics, and a fixed-bin histogram.
 
 /// Pearson correlation coefficient of two equal-length slices.
 ///
@@ -241,39 +167,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_two_pass() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert!((w.std_dev() - 2.0).abs() < 1e-12);
-        assert!((w.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_empty_is_zero() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
-    }
-
-    #[test]
-    fn estimators_skip_non_finite_samples() {
-        let mut w = Welford::new();
-        for x in [2.0, f64::NAN, 4.0, f64::INFINITY, 6.0, f64::NEG_INFINITY] {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 3);
-        assert_eq!(w.skipped(), 3);
-        assert!((w.mean() - 4.0).abs() < 1e-12);
-        assert!(w.variance().is_finite());
-    }
 
     #[test]
     fn correlation_perfect_and_inverse() {

@@ -114,11 +114,6 @@ impl<L: Clone + Ord> NearestCentroid<L> {
         NearestCentroid { scaler, centroids }
     }
 
-    /// Number of classes learned.
-    pub fn classes(&self) -> usize {
-        self.centroids.len()
-    }
-
     /// Predicts the label of `features`, with a confidence in `(0, 1]`
     /// derived from the margin between the best and second-best centroid
     /// (1.0 when only one class exists).
@@ -201,7 +196,6 @@ mod tests {
     #[test]
     fn nearest_centroid_identifies_classes() {
         let nc = NearestCentroid::fit(&training());
-        assert_eq!(nc.classes(), 3);
         assert_eq!(nc.predict(miner()).0, "miner");
         assert_eq!(nc.predict(hpc_compute()).0, "compute");
         assert_eq!(nc.predict(io_job()).0, "io");

@@ -10,7 +10,7 @@ fn main() {
         "site after run: PUE {:.3}, {} jobs completed, {} faults scheduled\n",
         dc.snapshot().pue,
         dc.snapshot().completed,
-        dc.fault_schedule().len()
+        dc.faults().schedule().len()
     );
     for result in e8_cells::run_all(&dc) {
         let cells: Vec<String> = result.cells.iter().map(|c| c.to_string()).collect();

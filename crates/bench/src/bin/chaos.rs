@@ -10,7 +10,7 @@
 //! seed 21, 4 workers. Exits non-zero if any determinism check fails.
 
 use oda_bench::chaos::{demo_schedule, run_soak, SoakConfig, SoakReport};
-use oda_sim::prelude::FaultSchedule;
+use oda_sim::faults::randomized;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -20,16 +20,13 @@ fn main() {
 
     // Hand-built overlap (all seven kinds concurrently active mid-run) plus
     // randomized background faults for variety.
-    let mut schedule = demo_schedule(seed, ticks, 1_000);
-    let extra = FaultSchedule::randomized(
+    let mut schedule = demo_schedule(ticks, 1_000);
+    schedule.extend(randomized(
         seed,
         oda_telemetry::reading::Timestamp::from_millis(ticks * 1_000),
         8,
         5,
-    );
-    for fault in extra.faults {
-        schedule.push(fault);
-    }
+    ));
 
     println!(
         "chaos soak — {ticks} ticks, seed {seed}, {} scheduled faults, runtime workers 1 vs {workers}\n",

@@ -2,7 +2,8 @@
 //!
 //! Sweeps the capability scheduler's worker count over a wide synthetic
 //! registry of CPU-bound capabilities, printing ONE JSON object to stdout
-//! (the `BENCH_scale.json` baseline shape). Exits non-zero if any worker
+//! (the shape of `ci/baselines/BENCH_scale.json`; CI redirects it to
+//! `target/BENCH_scale.json`). Exits non-zero if any worker
 //! count's output diverges from the serial baseline; the fan-out overhead
 //! bound is gated downstream by `ci/check_bench.py`, and the worker
 //! speed-up is informational (read it against `host_parallelism`).

@@ -1,6 +1,6 @@
-//! Chaos soak harness: the full ODA runtime under telemetry-fault injection.
+//! Chaos soak harness: the full ODA runtime under monitoring-path fault injection.
 //!
-//! Drives a [`DataCenter`] tick by tick with a [`FaultSchedule`] installed,
+//! Drives a [`DataCenter`] tick by tick with monitoring-path faults injected,
 //! consumes the (possibly corrupted) sensor streams exactly the way the
 //! analytics layer does — bus subscription → alert engine → gap-tolerant
 //! forecasters — and scores how gracefully the pipeline degrades:
@@ -40,15 +40,15 @@ use std::collections::HashMap;
 /// Configuration of one soak run.
 #[derive(Debug, Clone)]
 pub struct SoakConfig {
-    /// Simulation seed (plant + workload + corruption RNG all derive from
+    /// Site seed (plant + workload + corruption RNG all derive from
     /// their own sub-seeds, so the clean and faulty runs share a plant).
     pub seed: u64,
     /// Number of simulation ticks to run.
     pub ticks: u64,
     /// Evaluation-window length in ticks.
     pub window_ticks: u64,
-    /// Telemetry-fault schedule; `None` runs the clean baseline.
-    pub schedule: Option<FaultSchedule>,
+    /// Faults injected into the site; empty runs the clean baseline.
+    pub schedule: Vec<Fault>,
     /// Worker count for the closed-loop ODA runtime the soak drives
     /// once per evaluation window (wired through
     /// `DataCenterConfig::workers`). The determinism check must hold at
@@ -72,7 +72,7 @@ impl SoakConfig {
             seed,
             ticks,
             window_ticks: 1_000,
-            schedule: None,
+            schedule: Vec::new(),
             workers: 1,
             backend: BackendKind::InMemory,
             restart_at_window: None,
@@ -80,9 +80,9 @@ impl SoakConfig {
     }
 
     /// A faulted run under `schedule`.
-    pub fn faulty(seed: u64, ticks: u64, schedule: FaultSchedule) -> Self {
+    pub fn faulty(seed: u64, ticks: u64, schedule: Vec<Fault>) -> Self {
         SoakConfig {
-            schedule: Some(schedule),
+            schedule,
             ..Self::clean(seed, ticks)
         }
     }
@@ -141,7 +141,7 @@ pub struct SoakReport {
     pub bus_delivered: u64,
     /// Batches the bus shed on full subscriber channels.
     pub bus_dropped: u64,
-    /// Maximum number of telemetry faults simultaneously active.
+    /// Maximum number of faults simultaneously active.
     pub max_concurrent_faults: usize,
     /// Jobs the site completed (burst-load faults must still make progress).
     pub jobs_completed: usize,
@@ -174,65 +174,67 @@ impl SoakReport {
 /// The sensors the soak pipeline watches end to end.
 const WATCHED: [&str; 3] = ["/facility/power/it_kw", "/hw/node0/temp_c", "/facility/pue"];
 
-/// A hand-built schedule with a guaranteed overlap of all seven fault
-/// kinds (every fault is active during `[0.45, 0.46) × horizon`), plus the
-/// kind rotation the randomized generator provides.
-pub fn demo_schedule(seed: u64, ticks: u64, tick_ms: u64) -> FaultSchedule {
+/// A hand-built schedule with a guaranteed overlap of all seven
+/// monitoring-path fault kinds (every fault is active during
+/// `[0.45, 0.46) × horizon`); `bin/chaos` adds `faults::randomized`
+/// background faults on top.
+pub fn demo_schedule(ticks: u64, tick_ms: u64) -> Vec<Fault> {
     let h = ticks.saturating_mul(tick_ms);
     let at = |frac: f64| Timestamp::from_millis((h as f64 * frac) as u64);
-    FaultSchedule::new(seed)
-        .with(
-            TelemetryFaultKind::SensorDropout {
+    vec![
+        Fault::new(
+            FaultKind::SensorDropout {
                 pattern: "/hw/node0/temp_c".to_owned(),
             },
             at(0.10),
             at(0.60),
-        )
-        .with(
-            TelemetryFaultKind::NanBurst {
+        ),
+        Fault::new(
+            FaultKind::NanBurst {
                 pattern: "/hw/*/power_w".to_owned(),
                 p: 0.3,
             },
             at(0.20),
             at(0.70),
-        )
-        .with(
-            TelemetryFaultKind::Spike {
+        ),
+        Fault::new(
+            FaultKind::Spike {
                 pattern: "/facility/power/it_kw".to_owned(),
                 magnitude: 40.0,
                 p: 0.2,
             },
             at(0.25),
             at(0.75),
-        )
-        .with(
-            TelemetryFaultKind::StuckAt {
+        ),
+        Fault::new(
+            FaultKind::StuckAt {
                 pattern: "/hw/node1/util".to_owned(),
             },
             at(0.30),
             at(0.80),
-        )
-        .with(
-            TelemetryFaultKind::ClockJitter {
+        ),
+        Fault::new(
+            FaultKind::ClockJitter {
                 pattern: "/hw/node2/*".to_owned(),
                 max_skew_ms: 15_000,
             },
             at(0.35),
             at(0.65),
-        )
-        .with(
-            TelemetryFaultKind::NodeFailure { node: NodeId(3) },
+        ),
+        Fault::new(
+            FaultKind::NodeFailure { node: NodeId(3) },
             at(0.40),
             at(0.60),
-        )
-        .with(
-            TelemetryFaultKind::BurstLoad {
+        ),
+        Fault::new(
+            FaultKind::BurstLoad {
                 jobs: 4,
                 duration_s: 600.0,
             },
             at(0.45),
             at(0.46),
-        )
+        ),
+    ]
 }
 
 struct Watched {
@@ -255,8 +257,8 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let sample_every = config.sample_every_ticks;
     let window_ms = cfg.window_ticks * config.tick_ms;
     let mut dc = DataCenter::builder(config).seed(cfg.seed).build();
-    if let Some(schedule) = &cfg.schedule {
-        dc.set_fault_schedule(schedule.clone());
+    for fault in &cfg.schedule {
+        dc.inject_fault(fault.clone());
     }
 
     // The closed-loop analytics runtime the soak drives once per evaluation
@@ -371,11 +373,9 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
 
     for tick in 1..=cfg.ticks {
         dc.step();
-        if let Some(tf) = dc.telemetry_faults() {
-            report.max_concurrent_faults = report
-                .max_concurrent_faults
-                .max(tf.active_at(dc.now()).len());
-        }
+        report.max_concurrent_faults = report
+            .max_concurrent_faults
+            .max(dc.faults().active_at(dc.now()).len());
 
         // Consume everything published this tick, in publish order.
         while let Ok(batch) = sub.rx.try_recv() {
@@ -468,10 +468,8 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         }
     }
 
-    if let Some(tf) = dc.telemetry_faults() {
-        report.suppressed = tf.suppressed();
-        report.corrupted = tf.corrupted();
-    }
+    report.suppressed = dc.faults().suppressed();
+    report.corrupted = dc.faults().corrupted();
     let health = dc.store().health_report();
     report.store_rejected = health.total_rejected();
     report.max_gap_ms = health.max_gap_ms();
@@ -500,7 +498,7 @@ mod tests {
     #[test]
     fn soak_digest_is_worker_count_invariant() {
         let ticks = 2_000;
-        let schedule = demo_schedule(9, ticks, 1_000);
+        let schedule = demo_schedule(ticks, 1_000);
         let serial = run_soak(&SoakConfig::faulty(9, ticks, schedule.clone()));
         let parallel = run_soak(&SoakConfig::faulty(9, ticks, schedule).with_workers(4));
         assert_eq!(serial.digest, parallel.digest);
@@ -541,7 +539,7 @@ mod tests {
     #[test]
     fn faulty_soak_is_deterministic_and_degrades_gracefully() {
         let ticks = 3_000;
-        let schedule = demo_schedule(21, ticks, 1_000);
+        let schedule = demo_schedule(ticks, 1_000);
         let a = run_soak(&SoakConfig::faulty(21, ticks, schedule.clone()));
         let b = run_soak(&SoakConfig::faulty(21, ticks, schedule));
         assert_eq!(a.digest, b.digest);

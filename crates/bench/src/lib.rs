@@ -15,7 +15,7 @@
 //! | `llnl` | E7 — §V-C Fourier power-fluctuation forecasting |
 //! | `cs_ablation` | E9 — compressed-sensing vs raw feature ablation |
 //! | `chaos` | fault-injection soak with a replay-determinism digest |
-//! | `scale` | scheduler worker sweep 1/2/4/8 (`BENCH_scale.json`) |
+//! | `scale` | scheduler worker sweep 1/2/4/8 (CI writes `target/BENCH_scale.json`) |
 //!
 //! (Fig. 1 and Fig. 2 are conceptual diagrams; `examples/framework_tour`
 //! prints them.)

@@ -25,10 +25,7 @@ use crate::engine::{SimClock, SimRng};
 use crate::facility::cooling::{CoolingConfig, CoolingMode, CoolingOutput, CoolingPlant};
 use crate::facility::power::{PowerConfig, PowerDistribution};
 use crate::facility::weather::{Weather, WeatherConfig};
-use crate::faults::{
-    Fault, FaultInjector, FaultKind, FaultSchedule, TelemetryFault, TelemetryFaultKind,
-    TelemetryFaultState,
-};
+use crate::faults::{Fault, FaultKind, FaultTimeline};
 use crate::hardware::network::{Network, NetworkConfig};
 use crate::hardware::node::{Node, NodeConfig, NodeId};
 use crate::hardware::rack::{build_racks, rack_of, Rack, RackId};
@@ -531,8 +528,7 @@ pub struct DataCenter {
     network: Network,
     scheduler: Scheduler,
     workload: WorkloadGenerator,
-    injector: FaultInjector,
-    telemetry_faults: Option<TelemetryFaultState>,
+    faults: FaultTimeline,
     registry: SensorRegistry,
     bus: Arc<TelemetryBus>,
     /// Sharded collector hierarchy (built when `config.shards > 0`). Fed
@@ -712,8 +708,7 @@ impl DataCenter {
             power: PowerDistribution::new(config.power.clone()),
             network: Network::new(config.network.clone(), config.racks),
             scheduler: Scheduler::new(node_count, Box::new(FirstFit)),
-            injector: FaultInjector::new(),
-            telemetry_faults: None,
+            faults: FaultTimeline::new(seed),
             leak_extra_gib: vec![0.0; node_count],
             leak_rate_gib_per_min: vec![0.0; node_count],
             contention_severity: vec![0.0; node_count],
@@ -916,14 +911,11 @@ impl DataCenter {
         &self.racks
     }
 
-    /// Ground truth: the fault schedule.
-    pub fn fault_schedule(&self) -> &[Fault] {
-        self.injector.schedule()
-    }
-
-    /// Ground truth: whether `node` has an active fault at `t`.
-    pub fn node_is_faulty(&self, node: NodeId, t: Timestamp) -> bool {
-        self.injector.node_is_faulty(node, t)
+    /// Ground truth: the fault timeline — the schedule, which nodes carry
+    /// an active plant fault, and how many readings the monitoring-path
+    /// faults suppressed or corrupted.
+    pub fn faults(&self) -> &FaultTimeline {
+        &self.faults
     }
 
     /// Records of all finished jobs, in completion order.
@@ -975,25 +967,14 @@ impl DataCenter {
         self.scheduler.set_policy(policy);
     }
 
-    /// Schedules a fault.
-    pub fn inject_fault(&mut self, fault: Fault) {
-        self.injector.inject(fault);
-    }
-
-    /// Installs a telemetry fault schedule, replacing any previous one.
+    /// Schedules a fault on the site's timeline.
     ///
-    /// Patterns are resolved against the site's sensor registry immediately;
-    /// corruption starts affecting published readings from the next tick in
-    /// a schedule window. The plant itself is untouched — only what the
-    /// analytics layer observes degrades.
-    pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        self.telemetry_faults = Some(TelemetryFaultState::new(schedule, &self.registry));
-    }
-
-    /// The installed telemetry fault state, if any (degradation ground
-    /// truth: suppression/corruption counters and the active schedule).
-    pub fn telemetry_faults(&self) -> Option<&TelemetryFaultState> {
-        self.telemetry_faults.as_ref()
+    /// A plant fault mutates the affected models while active. A
+    /// monitoring-path fault leaves the plant untouched: its sensor patterns
+    /// are resolved against the site's registry now, and it corrupts the
+    /// readings published during its window.
+    pub fn inject_fault(&mut self, fault: Fault) {
+        self.faults.inject(fault, &self.registry);
     }
 
     /// Submits a custom job directly (bypassing the workload generator).
@@ -1050,37 +1031,14 @@ impl DataCenter {
         // 1. Weather.
         let outside_c = self.weather.step(now, &mut self.weather_rng);
 
-        // 2. Faults.
-        let (on, off) = self.injector.step(now);
-        for f in on {
-            self.apply_fault(&f.kind, true);
-        }
+        // 2. Faults. Deactivations go first, so a window that ends on the
+        // tick the next one on the same target starts cannot undo it.
+        let (on, off) = self.faults.step(now);
         for f in off {
             self.apply_fault(&f.kind, false);
         }
-        // Telemetry faults: activations may carry load (BurstLoad).
-        if self.telemetry_faults.is_some() {
-            let activated: Vec<TelemetryFault> = self
-                .telemetry_faults
-                .as_mut()
-                .map(|tf| tf.step(now))
-                .unwrap_or_default();
-            for f in activated {
-                match f.kind {
-                    TelemetryFaultKind::BurstLoad { jobs, duration_s } => {
-                        self.submit_stress_test(jobs, duration_s);
-                    }
-                    TelemetryFaultKind::NodeFailure { node } => {
-                        // Chaos-harness node failure: fail the collector
-                        // shard hosted on that node and rebalance its slice
-                        // onto the survivors from the durable tier.
-                        if let Some(cluster) = &self.cluster {
-                            cluster.apply_node_failure(node.index());
-                        }
-                    }
-                    _ => {}
-                }
-            }
+        for f in on {
+            self.apply_fault(&f.kind, true);
         }
         // Memory leaks grow while active.
         for i in 0..self.nodes.len() {
@@ -1341,12 +1299,25 @@ impl DataCenter {
                 self.cooling
                     .set_degradation(if activate { factor } else { 1.0 });
             }
+            FaultKind::BurstLoad { jobs, duration_s } if activate => {
+                self.submit_stress_test(jobs, duration_s);
+            }
+            FaultKind::NodeFailure { node } if activate => {
+                // Fail the collector shard hosted on that node and
+                // rebalance its slice onto the survivors from the durable
+                // tier.
+                if let Some(cluster) = &self.cluster {
+                    cluster.apply_node_failure(node.index());
+                }
+            }
+            // The remaining monitoring-path faults act in `publish`.
+            _ => {}
         }
     }
 
     fn publish(&mut self, now: Timestamp, outside_c: f64) {
         // Collect the nominal readings first, then pass each through the
-        // telemetry-fault corruptor (if installed) on its way to the bus.
+        // fault timeline's corruptor on its way to the bus.
         let mut nominal: Vec<(SensorId, f64)> = Vec::with_capacity(64);
         let mut one = |sensor, value| nominal.push((sensor, value));
         let s = &self.sensors;
@@ -1393,11 +1364,7 @@ impl DataCenter {
         // built once and handed on whole.
         let mut tick: Vec<ReadingBatch> = Vec::with_capacity(nominal.len());
         for (sensor, value) in nominal {
-            let reading = Reading::new(now, value);
-            let reading = match self.telemetry_faults.as_mut() {
-                Some(tf) => tf.corrupt(sensor, reading),
-                None => Some(reading),
-            };
+            let reading = self.faults.corrupt(sensor, Reading::new(now, value));
             tick.extend(reading.map(|r| ReadingBatch::single(sensor, r)));
         }
         self.bus.publish_many(&tick);
@@ -1698,7 +1665,71 @@ mod tests {
             victim > healthy + 3.0,
             "victim {victim} vs healthy {healthy}"
         );
-        assert!(dc.node_is_faulty(NodeId(0), Timestamp::from_mins(30)));
+        assert!(dc
+            .faults()
+            .node_is_faulty(NodeId(0), Timestamp::from_mins(30)));
+    }
+
+    #[test]
+    fn back_to_back_windows_on_one_target_act_as_one() {
+        let temp_at_45_min = |windows: &[(u64, u64)]| {
+            let mut dc = DataCenter::builder(DataCenterConfig::tiny())
+                .seed(4)
+                .build();
+            for &(start, end) in windows {
+                dc.inject_fault(Fault::new(
+                    FaultKind::FanFailure { node: NodeId(0) },
+                    Timestamp::from_mins(start),
+                    Timestamp::from_mins(end),
+                ));
+            }
+            dc.run_for_hours(0.75);
+            dc.node(NodeId(0)).temp_c()
+        };
+        // The first window's deactivation at minute 30 must not undo the
+        // second window's activation on the same tick.
+        assert_eq!(
+            temp_at_45_min(&[(10, 30), (30, 60)]),
+            temp_at_45_min(&[(10, 60)])
+        );
+    }
+
+    #[test]
+    fn plant_and_monitoring_faults_share_one_timeline() {
+        let mins = Timestamp::from_mins;
+        let fan = Fault::new(
+            FaultKind::FanFailure { node: NodeId(1) },
+            mins(10),
+            mins(30),
+        );
+        let dark = Fault::new(
+            FaultKind::NodeFailure { node: NodeId(1) },
+            mins(20),
+            mins(40),
+        );
+        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
+            .seed(6)
+            .build();
+        dc.inject_fault(fan.clone());
+        dc.inject_fault(dark.clone());
+        dc.run_for_hours(1.0);
+        let faults = dc.faults();
+        assert_eq!(faults.schedule(), &[fan, dark]);
+        // Only the plant fault labels the node faulty.
+        for m in [5, 15, 25, 35, 45] {
+            assert_eq!(
+                faults.node_is_faulty(NodeId(1), mins(m)),
+                (10..30).contains(&m),
+                "minute {m}"
+            );
+        }
+        // Only the monitoring-path fault hides the node's telemetry.
+        let temp1 = dc.registry().lookup("/hw/node1/temp_c").unwrap();
+        let archived = |from, to| dc.store().range(temp1, mins(from), mins(to)).len();
+        assert!(archived(10, 20) > 0, "the fan failure hides nothing");
+        assert_eq!(archived(20, 40), 0, "the node failure hides everything");
+        assert!(archived(40, 60) > 0, "telemetry returns after the window");
+        assert!(faults.suppressed() > 0);
     }
 
     #[test]
@@ -1900,23 +1931,22 @@ mod tests {
 
     #[test]
     fn fault_schedule_degrades_telemetry_not_physics() {
-        let sched = |seed| {
-            FaultSchedule::new(seed)
-                .with(
-                    TelemetryFaultKind::SensorDropout {
-                        pattern: "/hw/node0/temp_c".into(),
-                    },
-                    Timestamp::from_mins(10),
-                    Timestamp::from_mins(50),
-                )
-                .with(
-                    TelemetryFaultKind::BurstLoad {
-                        jobs: 4,
-                        duration_s: 600.0,
-                    },
-                    Timestamp::from_mins(20),
-                    Timestamp::from_mins(30),
-                )
+        let sched = |dc: &mut DataCenter| {
+            dc.inject_fault(Fault::new(
+                FaultKind::SensorDropout {
+                    pattern: "/hw/node0/temp_c".into(),
+                },
+                Timestamp::from_mins(10),
+                Timestamp::from_mins(50),
+            ));
+            dc.inject_fault(Fault::new(
+                FaultKind::BurstLoad {
+                    jobs: 4,
+                    duration_s: 600.0,
+                },
+                Timestamp::from_mins(20),
+                Timestamp::from_mins(30),
+            ));
         };
         let mut clean = DataCenter::builder(DataCenterConfig::tiny())
             .seed(9)
@@ -1925,7 +1955,7 @@ mod tests {
         let mut faulty = DataCenter::builder(DataCenterConfig::tiny())
             .seed(9)
             .build();
-        faulty.set_fault_schedule(sched(9));
+        sched(&mut faulty);
         faulty.run_for_hours(1.0);
         // The dropout leaves a hole in the archived series but the physics
         // still ran: the store simply saw fewer samples for that sensor.
@@ -1937,7 +1967,7 @@ mod tests {
         };
         assert_eq!(in_window(&faulty), 0, "dropout window must be empty");
         assert!(in_window(&clean) > 0, "clean run archives the window");
-        let tf = faulty.telemetry_faults().unwrap();
+        let tf = faulty.faults();
         assert!(tf.suppressed() > 0);
         // The burst load reached the scheduler as extra operator jobs.
         assert!(
@@ -1948,12 +1978,9 @@ mod tests {
         let mut again = DataCenter::builder(DataCenterConfig::tiny())
             .seed(9)
             .build();
-        again.set_fault_schedule(sched(9));
+        sched(&mut again);
         again.run_for_hours(1.0);
-        assert_eq!(
-            again.telemetry_faults().unwrap().suppressed(),
-            tf.suppressed()
-        );
+        assert_eq!(again.faults().suppressed(), tf.suppressed());
         let a: Vec<_> = faulty.store().last_n(temp0, 20);
         let b: Vec<_> = again.store().last_n(temp0, 20);
         assert_eq!(a, b);

@@ -23,8 +23,10 @@
 //!   balanced, plus a cryptominer signature for fingerprinting experiments)
 //!   and stochastic arrival processes.
 //!
-//! [`faults`] injects anomalies into any pillar — the ground truth against
-//! which diagnostic ODA is evaluated. [`datacenter::DataCenter`] ties the
+//! [`faults`] schedules anomalies on one seeded timeline per site: plant
+//! faults in any pillar — the ground truth against which diagnostic ODA is
+//! evaluated — and monitoring-path faults that degrade only what the
+//! telemetry shows. [`datacenter::DataCenter`] ties the
 //! pieces together and publishes every modelled quantity to an
 //! [`oda_telemetry::bus::TelemetryBus`] each sampling tick, so analytics
 //! code observes the simulated site exactly as it would observe a real one:
@@ -60,9 +62,7 @@ pub mod prelude {
     pub use crate::datacenter::{DataCenter, DataCenterBuilder, DataCenterConfig, Snapshot};
     pub use crate::engine::SimClock;
     pub use crate::facility::cooling::CoolingMode;
-    pub use crate::faults::{
-        Fault, FaultKind, FaultSchedule, TelemetryFault, TelemetryFaultKind, TelemetryFaultState,
-    };
+    pub use crate::faults::{Fault, FaultKind, FaultTimeline};
     pub use crate::hardware::node::NodeId;
     pub use crate::scheduler::job::{Job, JobClass, JobId, JobState};
     pub use crate::scheduler::placement::PlacementPolicy;

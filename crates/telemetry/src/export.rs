@@ -1,14 +1,9 @@
 //! Telemetry export: CSV serialisation of archived series.
 //!
 //! Production ODA feeds dashboards and offline analysis from its archive;
-//! the portable lowest common denominator is CSV. Two shapes are
-//! supported:
-//!
-//! * **long** — `timestamp_ms,sensor,value`, one row per reading; robust
-//!   to ragged sampling, the shape ingestion tools prefer;
-//! * **wide** — one row per aligned time bucket with one column per
-//!   sensor, the shape spreadsheet/plotting users prefer (missing buckets
-//!   are empty cells).
+//! the portable lowest common denominator is CSV. The export is **wide**:
+//! one row per aligned time bucket with one column per sensor, the shape
+//! spreadsheet/plotting users prefer (missing buckets are empty cells).
 
 use crate::query::{Query, QueryEngine, TimeRange};
 use crate::sensor::{SensorId, SensorRegistry};
@@ -22,28 +17,6 @@ fn field(s: &str) -> String {
     } else {
         s.to_owned()
     }
-}
-
-/// Exports the given sensors over `range` in long form.
-pub fn to_csv_long(
-    store: &TimeSeriesStore,
-    registry: &SensorRegistry,
-    sensors: &[SensorId],
-    range: TimeRange,
-) -> String {
-    let q = QueryEngine::new(store);
-    let series = Query::sensors(sensors).range(range).run(&q).series();
-    let mut out = String::from("timestamp_ms,sensor,value\n");
-    for (&s, readings) in sensors.iter().zip(&series) {
-        let name = registry
-            .name(s)
-            .map(|n| n.to_string())
-            .unwrap_or_else(|| format!("#{}", s.0));
-        for r in readings {
-            let _ = writeln!(out, "{},{},{}", r.ts.as_millis(), field(&name), r.value);
-        }
-    }
-    out
 }
 
 /// Exports the given sensors over `range` in wide form, aligned to
@@ -107,17 +80,6 @@ mod tests {
     }
 
     #[test]
-    fn long_form_lists_every_reading() {
-        let (store, reg, sensors) = setup();
-        let csv = to_csv_long(&store, &reg, &sensors, TimeRange::all());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "timestamp_ms,sensor,value");
-        assert_eq!(lines.len(), 1 + 5);
-        assert!(lines[1].starts_with("0,/hw/node0/power_w,100"));
-        assert!(lines.last().unwrap().contains("/facility/pue,1.5"));
-    }
-
-    #[test]
     fn wide_form_aligns_with_empty_cells() {
         let (store, reg, sensors) = setup();
         let csv = to_csv_wide(&store, &reg, &sensors, TimeRange::all(), 1_000);
@@ -161,20 +123,5 @@ mod tests {
         assert_eq!(lines[1], "0,21,18.5");
         let header_cols = lines[0].matches(',').count() - lines[0].matches(",rear").count();
         assert_eq!(header_cols, 2, "quoted comma must not add a column");
-        // Long form stays consistent with the same escaping.
-        let long = to_csv_long(&store, &reg, &[odd], TimeRange::all());
-        assert!(long.contains("\"/rack0/ambient,rear_c\""));
-    }
-
-    #[test]
-    fn range_filtering_applies() {
-        let (store, reg, sensors) = setup();
-        let csv = to_csv_long(
-            &store,
-            &reg,
-            &sensors[..1],
-            TimeRange::new(Timestamp::from_secs(1), Timestamp::from_secs(3)),
-        );
-        assert_eq!(csv.lines().count(), 1 + 2);
     }
 }

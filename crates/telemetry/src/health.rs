@@ -36,15 +36,6 @@ impl SensorHealth {
     pub fn rejected(&self) -> u64 {
         self.rejected_out_of_order + self.rejected_non_finite
     }
-
-    /// Whether the sensor has been silent for longer than `max_age_ms`
-    /// as of `now`. A sensor that never reported is always stale.
-    pub fn is_stale(&self, now: Timestamp, max_age_ms: u64) -> bool {
-        match self.last_seen {
-            Some(ts) => now.millis_since(ts) > max_age_ms,
-            None => true,
-        }
-    }
 }
 
 /// Occupancy of one rollup tier, aggregated over all sensors.
@@ -102,15 +93,6 @@ impl HealthReport {
         self.sensors.iter().map(|h| h.rejected()).sum()
     }
 
-    /// Sensors silent for longer than `max_age_ms` as of `now`.
-    pub fn stale_sensors(&self, now: Timestamp, max_age_ms: u64) -> Vec<SensorId> {
-        self.sensors
-            .iter()
-            .filter(|h| h.is_stale(now, max_age_ms))
-            .map(|h| h.sensor)
-            .collect()
-    }
-
     /// Largest accepted inter-reading gap across all sensors, milliseconds.
     pub fn max_gap_ms(&self) -> u64 {
         self.sensors.iter().map(|h| h.max_gap_ms).max().unwrap_or(0)
@@ -146,21 +128,6 @@ mod tests {
         assert_eq!(rep.max_gap_ms(), 1_000);
         assert!(rep.sensor(SensorId(1)).is_some());
         assert!(rep.sensor(SensorId(7)).is_none());
-    }
-
-    #[test]
-    fn staleness_thresholds() {
-        let now = Timestamp::from_millis(10_000);
-        let rep = HealthReport {
-            sensors: vec![row(0, Some(1_000)), row(1, Some(9_500)), row(2, None)],
-            rollups: Vec::new(),
-        };
-        let stale = rep.stale_sensors(now, 2_000);
-        assert_eq!(stale, vec![SensorId(0), SensorId(2)]);
-        assert!(
-            rep.stale_sensors(now, 60_000).contains(&SensorId(2)),
-            "never-seen is always stale"
-        );
     }
 
     #[test]

@@ -282,28 +282,6 @@ impl SensorRegistry {
         ids.sort_unstable();
         ids
     }
-
-    /// Ids of all sensors in a given top-level domain (e.g. `"hw"`).
-    pub fn in_domain(&self, domain: &str) -> Vec<SensorId> {
-        self.inner
-            .read()
-            .metas
-            .iter()
-            .filter(|m| m.domain() == domain)
-            .map(|m| m.id)
-            .collect()
-    }
-
-    /// Ids of all sensors of a given kind.
-    pub fn of_kind(&self, kind: SensorKind) -> Vec<SensorId> {
-        self.inner
-            .read()
-            .metas
-            .iter()
-            .filter(|m| m.kind == kind)
-            .map(|m| m.id)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -355,18 +333,6 @@ mod tests {
         assert_eq!(meta.domain(), "facility");
         assert_eq!(meta.leaf(), "power");
         assert_eq!(meta.unit, Unit::Kilowatts);
-    }
-
-    #[test]
-    fn domain_and_kind_filters() {
-        let reg = SensorRegistry::new();
-        reg.register("/hw/node0/power", SensorKind::Power, Unit::Watts);
-        reg.register("/hw/node0/temp", SensorKind::Temperature, Unit::Celsius);
-        reg.register("/facility/pdu0/power", SensorKind::Power, Unit::Kilowatts);
-        assert_eq!(reg.in_domain("hw").len(), 2);
-        assert_eq!(reg.in_domain("facility").len(), 1);
-        assert_eq!(reg.of_kind(SensorKind::Power).len(), 2);
-        assert_eq!(reg.of_kind(SensorKind::Flow).len(), 0);
     }
 
     #[test]

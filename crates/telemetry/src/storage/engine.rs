@@ -574,11 +574,6 @@ impl PersistentEngine {
         self.state.lock().expired.get(&sensor).copied().unwrap_or(0)
     }
 
-    /// Total readings expired by segment retention.
-    pub fn expired_total(&self) -> u64 {
-        self.state.lock().expired.values().sum()
-    }
-
     /// Number of durable segments, `(raw, compacted)`.
     pub fn segment_counts(&self) -> (usize, usize) {
         let st = self.state.lock();
@@ -745,7 +740,6 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(engine.segment_counts().0, 2);
-        assert_eq!(engine.expired_total(), 20);
         assert_eq!(engine.expired_for(SensorId(0)), 10);
         assert_eq!(engine.expired_for(SensorId(1)), 10);
         assert!(!fs.exists(&segment::file_name(1)));

@@ -1,29 +1,13 @@
-//! Property-based tests of the analytics algorithms: streaming estimators
-//! against exact references, transform round-trips, and optimizer
-//! invariants.
+//! Property-based tests of the analytics algorithms: correlation bounds,
+//! transform round-trips, forecaster totality and optimizer invariants.
 
-use hpc_oda::analytics::descriptive::outlier::trim_iqr;
-use hpc_oda::analytics::descriptive::stats::{correlation, Welford};
+use hpc_oda::analytics::descriptive::stats::correlation;
 use hpc_oda::analytics::predictive::fft::{fft, ifft, Complex};
 use hpc_oda::analytics::predictive::forecast::{Forecaster, Holt, SimpleExp};
 use hpc_oda::analytics::prescriptive::setpoint::golden_section_min;
 use proptest::prelude::*;
 
 proptest! {
-    /// Welford matches the naive two-pass computation to high precision.
-    #[test]
-    fn welford_matches_two_pass(xs in prop::collection::vec(-1e4f64..1e4, 1..500)) {
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        prop_assert!((w.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((w.variance() - var).abs() < 1e-5 * (1.0 + var));
-    }
-
     /// FFT∘IFFT is the identity (up to float error) for any signal.
     #[test]
     fn fft_round_trip(xs in prop::collection::vec(-1e3f64..1e3, 1..=64)) {
@@ -50,21 +34,6 @@ proptest! {
         fft(&mut buf);
         let freq_energy: f64 = buf.iter().map(|c| c.0 * c.0 + c.1 * c.1).sum::<f64>() / n as f64;
         prop_assert!((time_energy - freq_energy).abs() < 1e-6 * (1.0 + time_energy));
-    }
-
-    /// IQR trimming never removes more than it keeps on unimodal-ish data
-    /// and is idempotent-ish: trimming the trimmed data removes nothing
-    /// that the fences of the trimmed set accept... we assert the simpler
-    /// invariants: output ⊆ input, order preserved.
-    #[test]
-    fn trim_iqr_is_a_subsequence(xs in prop::collection::vec(-1e3f64..1e3, 4..200)) {
-        let out = trim_iqr(&xs, 1.5);
-        prop_assert!(out.len() <= xs.len());
-        // Subsequence check.
-        let mut it = xs.iter();
-        for v in &out {
-            prop_assert!(it.any(|x| x == v));
-        }
     }
 
     /// Forecasters stay within the data's convex hull on constant-ish

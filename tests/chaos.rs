@@ -1,9 +1,9 @@
-//! Chaos integration suite: one test per telemetry-fault kind, driving the
-//! full pipeline (simulator → bus → store → alerts → forecasts) at a fixed
-//! seed and asserting *bounded degradation* — the pipeline never panics,
-//! non-finite values never become alert evidence, forecasters abstain when
-//! most of their input is missing, and replaying the same seed reproduces
-//! the degraded run bit for bit.
+//! Chaos integration suite: one test per monitoring-path fault kind,
+//! driving the full pipeline (simulator → bus → store → alerts →
+//! forecasts) at a fixed seed and asserting *bounded degradation* — the
+//! pipeline never panics, non-finite values never become alert evidence,
+//! forecasters abstain when most of their input is missing, and replaying
+//! the same seed reproduces the degraded run bit for bit.
 
 use hpc_oda::analytics::predictive::forecast::{Forecaster, GapTolerant, Holt};
 use hpc_oda::sim::prelude::*;
@@ -13,12 +13,12 @@ use hpc_oda::telemetry::reading::Timestamp;
 const TICKS: u64 = 1_800; // 30 simulated minutes at 1 s per tick
 const SAMPLE_EVERY: u64 = 10;
 
-fn run_site(seed: u64, schedule: Option<FaultSchedule>) -> DataCenter {
+fn run_site(seed: u64, schedule: Vec<Fault>) -> DataCenter {
     let mut dc = DataCenter::builder(DataCenterConfig::tiny())
         .seed(seed)
         .build();
-    if let Some(s) = schedule {
-        dc.set_fault_schedule(s);
+    for fault in schedule {
+        dc.inject_fault(fault);
     }
     dc.run_ticks(TICKS);
     dc
@@ -30,14 +30,14 @@ fn mins(m: u64) -> Timestamp {
 
 #[test]
 fn sensor_dropout_leaves_gap_but_other_streams_flow() {
-    let schedule = FaultSchedule::new(7).with(
-        TelemetryFaultKind::SensorDropout {
+    let schedule = vec![Fault::new(
+        FaultKind::SensorDropout {
             pattern: "/hw/node0/temp_c".to_owned(),
         },
         mins(5),
         mins(25),
-    );
-    let dc = run_site(7, Some(schedule));
+    )];
+    let dc = run_site(7, schedule);
     let temp0 = dc.registry().lookup("/hw/node0/temp_c").unwrap();
     let temp1 = dc.registry().lookup("/hw/node1/temp_c").unwrap();
 
@@ -51,19 +51,19 @@ fn sensor_dropout_leaves_gap_but_other_streams_flow() {
         "gap {} ms",
         health.max_gap_ms
     );
-    assert!(dc.telemetry_faults().unwrap().suppressed() > 0);
+    assert!(dc.faults().suppressed() > 0);
 }
 
 #[test]
 fn stuck_at_latches_archived_values() {
-    let schedule = FaultSchedule::new(8).with(
-        TelemetryFaultKind::StuckAt {
+    let schedule = vec![Fault::new(
+        FaultKind::StuckAt {
             pattern: "/facility/outside_temp".to_owned(),
         },
         mins(5),
         mins(30),
-    );
-    let dc = run_site(8, Some(schedule));
+    )];
+    let dc = run_site(8, schedule);
     let outside = dc.registry().lookup("/facility/outside_temp").unwrap();
     let stuck: Vec<f64> = dc
         .store()
@@ -77,7 +77,7 @@ fn stuck_at_latches_archived_values() {
         "stuck sensor must repeat one value"
     );
     // The clean run varies (weather drifts over 25 minutes).
-    let clean = run_site(8, None);
+    let clean = run_site(8, Vec::new());
     let varied: Vec<f64> = clean
         .store()
         .range(outside, mins(6), mins(29))
@@ -89,18 +89,20 @@ fn stuck_at_latches_archived_values() {
 
 #[test]
 fn nan_burst_never_reaches_store_or_alerts() {
-    let schedule = FaultSchedule::new(9).with(
-        TelemetryFaultKind::NanBurst {
+    let schedule = vec![Fault::new(
+        FaultKind::NanBurst {
             pattern: "/hw/node0/power_w".to_owned(),
             p: 1.0,
         },
         mins(5),
         mins(25),
-    );
+    )];
     let mut dc = DataCenter::builder(DataCenterConfig::tiny())
         .seed(9)
         .build();
-    dc.set_fault_schedule(schedule);
+    for fault in schedule {
+        dc.inject_fault(fault);
+    }
     let power0 = dc.registry().lookup("/hw/node0/power_w").unwrap();
     // A rule any finite power reading violates: if NaN carried alert
     // evidence, the fault window would emit events with NaN readings.
@@ -147,12 +149,12 @@ fn spike_raises_false_alerts_that_a_clean_run_does_not() {
             AlertSeverity::Critical,
         )
     };
-    let drive = |schedule: Option<FaultSchedule>| -> u64 {
+    let drive = |schedule: Vec<Fault>| -> u64 {
         let mut dc = DataCenter::builder(DataCenterConfig::tiny())
             .seed(11)
             .build();
-        if let Some(s) = schedule {
-            dc.set_fault_schedule(s);
+        for fault in schedule {
+            dc.inject_fault(fault);
         }
         let mut alerts = AlertEngine::new(vec![pue_rule(&dc)]);
         let sub = dc
@@ -174,30 +176,30 @@ fn spike_raises_false_alerts_that_a_clean_run_does_not() {
         }
         raised
     };
-    let spikes = FaultSchedule::new(11).with(
-        TelemetryFaultKind::Spike {
+    let spikes = vec![Fault::new(
+        FaultKind::Spike {
             pattern: "/facility/pue".to_owned(),
             magnitude: 50.0,
             p: 0.5,
         },
         mins(5),
         mins(25),
-    );
-    assert_eq!(drive(None), 0, "clean PUE must stay plausible");
-    assert!(drive(Some(spikes)) > 0, "spikes must trip the range rule");
+    )];
+    assert_eq!(drive(Vec::new()), 0, "clean PUE must stay plausible");
+    assert!(drive(spikes) > 0, "spikes must trip the range rule");
 }
 
 #[test]
 fn clock_jitter_causes_counted_out_of_order_rejections() {
-    let schedule = FaultSchedule::new(12).with(
-        TelemetryFaultKind::ClockJitter {
+    let schedule = vec![Fault::new(
+        FaultKind::ClockJitter {
             pattern: "/hw/node0/*".to_owned(),
             max_skew_ms: 30_000,
         },
         mins(5),
         mins(25),
-    );
-    let dc = run_site(12, Some(schedule));
+    )];
+    let dc = run_site(12, schedule);
     let health = dc.store().health_report();
     assert!(
         health.total_rejected() > 0,
@@ -211,12 +213,12 @@ fn clock_jitter_causes_counted_out_of_order_rejections() {
 
 #[test]
 fn node_failure_blacks_out_the_node_and_only_the_node() {
-    let schedule = FaultSchedule::new(13).with(
-        TelemetryFaultKind::NodeFailure { node: NodeId(2) },
+    let schedule = vec![Fault::new(
+        FaultKind::NodeFailure { node: NodeId(2) },
         mins(5),
         mins(25),
-    );
-    let dc = run_site(13, Some(schedule));
+    )];
+    let dc = run_site(13, schedule);
     for stream in [
         "/hw/node2/temp_c",
         "/hw/node2/power_w",
@@ -234,21 +236,21 @@ fn node_failure_blacks_out_the_node_and_only_the_node() {
 
 #[test]
 fn burst_load_adds_jobs_without_corrupting_telemetry() {
-    let schedule = FaultSchedule::new(14).with(
-        TelemetryFaultKind::BurstLoad {
+    let schedule = vec![Fault::new(
+        FaultKind::BurstLoad {
             jobs: 6,
             duration_s: 300.0,
         },
         mins(5),
         mins(6),
-    );
-    let faulty = run_site(14, Some(schedule));
-    let clean = run_site(14, None);
+    )];
+    let faulty = run_site(14, schedule);
+    let clean = run_site(14, Vec::new());
     assert!(
         faulty.snapshot().completed > clean.snapshot().completed,
         "burst jobs must run to completion"
     );
-    let tf = faulty.telemetry_faults().unwrap();
+    let tf = faulty.faults();
     assert_eq!(tf.suppressed(), 0);
     assert_eq!(tf.corrupted(), 0);
 }
@@ -257,17 +259,19 @@ fn burst_load_adds_jobs_without_corrupting_telemetry() {
 fn forecaster_abstains_when_most_of_the_window_is_missing() {
     // Dropout covers ~70% of the run; feed the gap-tolerant forecaster one
     // sample (or NaN) per sampling frame, the way the soak harness does.
-    let schedule = FaultSchedule::new(15).with(
-        TelemetryFaultKind::SensorDropout {
+    let schedule = vec![Fault::new(
+        FaultKind::SensorDropout {
             pattern: "/facility/power/it_kw".to_owned(),
         },
         mins(8),
         mins(30),
-    );
+    )];
     let mut dc = DataCenter::builder(DataCenterConfig::tiny())
         .seed(15)
         .build();
-    dc.set_fault_schedule(schedule);
+    for fault in schedule {
+        dc.inject_fault(fault);
+    }
     let it = dc.registry().lookup("/facility/power/it_kw").unwrap();
     let mut forecaster = GapTolerant::new(Holt::new(0.4, 0.1), 3, 40);
     let sub = dc
@@ -332,36 +336,37 @@ fn persistent_soak_digest_survives_a_mid_run_archive_restart_at_any_worker_count
 #[test]
 fn identical_seeds_reproduce_the_degraded_run_exactly() {
     let schedule = || {
-        FaultSchedule::new(16)
-            .with(
-                TelemetryFaultKind::NanBurst {
+        vec![
+            Fault::new(
+                FaultKind::NanBurst {
                     pattern: "/hw/*/power_w".to_owned(),
                     p: 0.4,
                 },
                 mins(3),
                 mins(20),
-            )
-            .with(
-                TelemetryFaultKind::Spike {
+            ),
+            Fault::new(
+                FaultKind::Spike {
                     pattern: "/facility/pue".to_owned(),
                     magnitude: 10.0,
                     p: 0.3,
                 },
                 mins(6),
                 mins(22),
-            )
-            .with(
-                TelemetryFaultKind::SensorDropout {
+            ),
+            Fault::new(
+                FaultKind::SensorDropout {
                     pattern: "/hw/node3/*".to_owned(),
                 },
                 mins(8),
                 mins(18),
-            )
+            ),
+        ]
     };
-    let a = run_site(16, Some(schedule()));
-    let b = run_site(16, Some(schedule()));
-    let ta = a.telemetry_faults().unwrap();
-    let tb = b.telemetry_faults().unwrap();
+    let a = run_site(16, schedule());
+    let b = run_site(16, schedule());
+    let ta = a.faults();
+    let tb = b.faults();
     assert_eq!(ta.suppressed(), tb.suppressed());
     assert_eq!(ta.corrupted(), tb.corrupted());
     for name in ["/facility/pue", "/hw/node0/power_w", "/hw/node3/temp_c"] {

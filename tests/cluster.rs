@@ -55,7 +55,7 @@ fn sharded_digests(cluster: &ClusterCoordinator) -> Vec<u64> {
         .collect()
 }
 
-fn build(seed: u64, shards: usize, schedule: Option<FaultSchedule>) -> DataCenter {
+fn build(seed: u64, shards: usize, schedule: Vec<Fault>) -> DataCenter {
     let mut dc = DataCenter::builder(DataCenterConfig {
         shards,
         ..DataCenterConfig::tiny()
@@ -63,8 +63,8 @@ fn build(seed: u64, shards: usize, schedule: Option<FaultSchedule>) -> DataCente
     .seed(seed)
     .metrics(MetricsRegistry::new())
     .build();
-    if let Some(s) = schedule {
-        dc.set_fault_schedule(s);
+    for fault in schedule {
+        dc.inject_fault(fault);
     }
     dc.run_ticks(TICKS);
     if let Some(cluster) = dc.cluster() {
@@ -75,9 +75,9 @@ fn build(seed: u64, shards: usize, schedule: Option<FaultSchedule>) -> DataCente
 
 #[test]
 fn scatter_gather_digests_are_bit_identical_at_any_shard_count() {
-    let baseline = unsharded_digests(&build(31, 0, None));
+    let baseline = unsharded_digests(&build(31, 0, Vec::new()));
     for shards in [1usize, 2, 4] {
-        let dc = build(31, shards, None);
+        let dc = build(31, shards, Vec::new());
         let cluster = dc.cluster().expect("sharded site has a coordinator");
         assert_eq!(cluster.shard_count(), shards);
         assert_eq!(
@@ -93,19 +93,19 @@ fn scatter_gather_digests_are_bit_identical_at_any_shard_count() {
 
 #[test]
 fn node_failure_rebalance_loses_no_accepted_reading() {
-    let schedule = |seed| {
-        FaultSchedule::new(seed).with(
-            TelemetryFaultKind::NodeFailure { node: NodeId(1) },
+    let schedule = || {
+        vec![Fault::new(
+            FaultKind::NodeFailure { node: NodeId(1) },
             mins(10),
             mins(20),
-        )
+        )]
     };
     // The fault blacks out node1's streams in BOTH worlds; the sharded one
     // additionally loses a collector shard and must rebalance its slice
     // out of the durable tier.
-    let baseline = unsharded_digests(&build(32, 0, Some(schedule(32))));
+    let baseline = unsharded_digests(&build(32, 0, schedule()));
     for shards in [2usize, 4] {
-        let dc = build(32, shards, Some(schedule(32)));
+        let dc = build(32, shards, schedule());
         let cluster = dc.cluster().expect("sharded site has a coordinator");
         assert_eq!(
             cluster.rebalances(),
@@ -130,7 +130,7 @@ fn node_failure_rebalance_loses_no_accepted_reading() {
     // A single-shard cluster cannot shed its last shard: the coordinator
     // restarts it in place over its own durable tier instead, and still
     // answers bit-identically.
-    let dc = build(32, 1, Some(schedule(32)));
+    let dc = build(32, 1, schedule());
     let cluster = dc.cluster().expect("sharded site has a coordinator");
     assert_eq!(
         cluster.rebalances(),
@@ -147,8 +147,8 @@ fn node_failure_rebalance_loses_no_accepted_reading() {
 
 #[test]
 fn per_shard_health_sums_match_the_unsharded_archive() {
-    let unsharded = build(33, 0, None);
-    let dc = build(33, 3, None);
+    let unsharded = build(33, 0, Vec::new());
+    let dc = build(33, 3, Vec::new());
     let cluster = dc.cluster().expect("sharded site has a coordinator");
 
     let expected = unsharded.store().health_report();
@@ -386,7 +386,7 @@ fn write(dc: &DataCenter, batch: ReadingBatch) {
 
 #[test]
 fn query_planes_agree_on_every_shape_and_version_only_accepted_writes() {
-    let unsharded = build(35, 0, None);
+    let unsharded = build(35, 0, Vec::new());
     let expected: Vec<(Vec<SensorId>, u64)> = {
         let plane = unsharded.plane();
         assert!(plane.shard_stats().is_none());
@@ -396,7 +396,7 @@ fn query_planes_agree_on_every_shape_and_version_only_accepted_writes() {
             .collect()
     };
     for shards in [0usize, 1, 2, 4] {
-        let dc = build(35, shards, None);
+        let dc = build(35, shards, Vec::new());
         let plane = dc.plane();
         assert_eq!(
             plane.shard_stats().map(|s| s.count),
@@ -477,8 +477,8 @@ fn try_parse(raw: &[u8]) -> Option<Response> {
 
 #[test]
 fn serving_frontend_fans_out_transparently_over_shards() {
-    let unsharded = build(36, 0, None);
-    let sharded = build(36, 3, None);
+    let unsharded = build(36, 0, Vec::new());
+    let sharded = build(36, 3, Vec::new());
 
     let wire = Query::sensors("/facility/**")
         .aggregate(Aggregation::Mean)

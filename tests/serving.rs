@@ -98,8 +98,8 @@ fn burst_load_run(seed: u64) -> (Vec<u16>, TenantCounters, TenantCounters) {
             .with_tenant("dashboard", TenantQuota::unlimited()),
         )
         .build();
-    dc.set_fault_schedule(FaultSchedule::new(seed).with(
-        TelemetryFaultKind::NodeFailure { node: NodeId(0) },
+    dc.inject_fault(Fault::new(
+        FaultKind::NodeFailure { node: NodeId(0) },
         Timestamp::from_millis(2 * 60_000),
         Timestamp::from_millis(20 * 60_000),
     ));
