@@ -13,6 +13,12 @@ Three checks, each failing on an edge that cargo builds without a word:
   (`<key>.workspace = true`) by the root package or some member.
 - Every `shims/*` member must be depended on by some other manifest; a shim
   whose last user is gone would otherwise keep building.
+
+A fourth check holds the plant/stack boundary: no `.rs` file under
+`crates/sim/src` may name a call that stands up or wires the monitoring
+stack (`STACK_BUILDERS`). The simulated plant samples and hands each tick
+to an `oda_serve::site::Site`, which alone builds the archive, the bus, the
+collector cluster, the local query plane and the server.
 """
 
 import glob
@@ -23,6 +29,9 @@ import tomllib
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 DEP_TABLES = ("dependencies", "dev-dependencies")
+PLANT_SRC = os.path.join("crates", "sim", "src")
+STACK_BUILDERS = ("ClusterCoordinator::new", "open_backend", "TelemetryBus::with_archive",
+                  "LocalPlane {", "Server::new")
 
 
 def load(path):
@@ -61,6 +70,13 @@ def main():
     for name, crate in shims.items():
         if name not in depended_on:
             dead.append(f"no manifest depends on shim {name} ({crate})")
+    for rs in sorted(glob.glob(os.path.join(ROOT, PLANT_SRC, "**", "*.rs"), recursive=True)):
+        with open(rs, encoding="utf-8") as f:
+            text = f.read()
+        for name in STACK_BUILDERS:
+            if name in text:
+                dead.append(f"{os.path.relpath(rs, ROOT)} names `{name}`: only the site "
+                            "(crates/serve/src/site.rs) builds the monitoring stack")
     for line in dead:
         print(f"check_deps: FAIL: {line}", file=sys.stderr)
     if dead:

@@ -8,7 +8,7 @@
 //! call, grouped by type, and nothing else:
 //!
 //! * [`descriptive`] — *"what happened?"*: streaming and batch statistics,
-//!   IQR and MAD outlier rules, KPIs (PUE, ITUE, bounded slowdown, System
+//!   the MAD outlier rule, KPIs (PUE, ITUE, bounded slowdown, System
 //!   Information Entropy) and text dashboards.
 //! * [`diagnostic`] — *"why did it happen?"*: nearest-centroid application
 //!   fingerprinting and correlation-wise-smoothing feature extraction.

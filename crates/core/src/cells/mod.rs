@@ -12,8 +12,15 @@
 //! * inputs are the telemetry archive (plus, for Applications-pillar
 //!   cells, the resource manager's job-accounting feed — the equivalent of
 //!   reading the SLURM database, provided via `set_records`);
-//! * outputs are typed [`crate::capability::Artifact`]s;
-//! * nothing reads simulator internals.
+//! * outputs are typed [`crate::capability::Artifact`]s.
+//!
+//! That job feed is the simulator's own `oda_sim::datacenter::JobRecord`,
+//! handed over outside [`crate::capability::CapabilityContext`]: four cells
+//! read it through `set_records` / `set_training` (`JobDashboard`,
+//! `AppFingerprinter`, `JobDurationPredictor` and `SchedulerDashboard`), and
+//! each record folds the workload class's *demanded* resources, not what
+//! the node sensors report. ROADMAP item 13 moves these cells onto the
+//! monitoring data.
 
 pub mod descriptive;
 pub mod diagnostic;

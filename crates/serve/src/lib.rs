@@ -38,6 +38,10 @@
 //! 7. [`server`] — the [`server::Server`] itself: a single-threaded
 //!    readiness loop (`poll()`) that glues the above into the endpoint set
 //!    documented in the README.
+//! 8. [`site`] — the [`site::Site`]: one site's whole monitoring stack
+//!    (sensor registry, bus, archive, optional collector cluster) with the
+//!    server built over it. A monitored plant owns one and hands it each
+//!    tick of readings; every local-vs-cluster choice is made there.
 //!
 //! A server is built whole: [`server::Server::new`] takes the transport,
 //! the configuration, the query plane and the telemetry bus, streams the
@@ -76,6 +80,7 @@ pub mod fanout;
 pub mod http;
 pub mod net;
 pub mod server;
+pub mod site;
 pub mod tenant;
 
 /// Convenient re-exports of the types used by nearly every consumer.
@@ -85,5 +90,6 @@ pub mod prelude {
     pub use crate::fanout::{FanoutHub, FanoutStats};
     pub use crate::net::{ConnId, IoResult, RealNet, ServerNet, SimNet};
     pub use crate::server::{Server, ServerStats};
+    pub use crate::site::{Site, SiteConfig};
     pub use crate::tenant::{Admission, AdmissionController, TenantCounters};
 }

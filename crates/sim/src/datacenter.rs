@@ -12,14 +12,20 @@
 //!    contention, job progress integrates;
 //! 6. node power/thermal models integrate; the cooling plant and power
 //!    distribution close the loop; PUE and energy accumulate;
-//! 7. on sampling ticks, every modelled quantity is published to the
-//!    telemetry bus (and thereby archived in the store).
+//! 7. on sampling ticks, every modelled quantity is sampled into one tick
+//!    of readings and handed to the site's monitoring stack
+//!    ([`oda_serve::site::Site`]), which publishes and archives it.
 //!
-//! Analytics never reach into the simulation state: they consume the same
-//! sensor streams a real deployment would provide. The only "side channels"
-//! are the explicitly-labelled ground-truth accessors (fault schedule, job
-//! records) used for *scoring* detectors and predictors, never as their
-//! input.
+//! The plant samples; the [`Site`] it owns stores and serves. What crosses
+//! between them is that tick (after the monitoring-path faults have
+//! corrupted it) and the node failures that take a collector shard down.
+//!
+//! Analytics mostly consume the same sensor streams a real deployment would
+//! provide. The fault schedule is ground truth for *scoring* detectors
+//! only. Job records are not: four cells (`JobDashboard`,
+//! `AppFingerprinter`, `JobDurationPredictor`, `SchedulerDashboard`) take
+//! [`JobRecord`]s as *input* through `set_records` / `set_training`, beside
+//! the telemetry. ROADMAP item 13 moves them onto the monitoring data.
 
 use crate::engine::{SimClock, SimRng};
 use crate::facility::cooling::{CoolingConfig, CoolingMode, CoolingOutput, CoolingPlant};
@@ -36,14 +42,14 @@ use crate::workload::{WorkloadConfig, WorkloadGenerator};
 use oda_serve::config::ServingConfig;
 use oda_serve::net::ServerNet;
 use oda_serve::server::Server;
+use oda_serve::site::{Site, SiteConfig};
 use oda_telemetry::bus::TelemetryBus;
-use oda_telemetry::cluster::{ClusterConfig, ClusterCoordinator};
+use oda_telemetry::cluster::ClusterCoordinator;
 use oda_telemetry::metrics::MetricsRegistry;
-use oda_telemetry::plane::{LocalPlane, QueryPlane};
 use oda_telemetry::reading::{Reading, ReadingBatch, Timestamp};
 use oda_telemetry::sensor::{SensorId, SensorKind, SensorRegistry, Unit};
 use oda_telemetry::storage::{
-    open_backend, FsError, RecoveryReport, SimFs, StorageBackend, StorageConfig, StorageFs,
+    FsError, RecoveryReport, SimFs, StorageBackend, StorageConfig, StorageFs,
 };
 use oda_telemetry::store::{RollupConfig, TimeSeriesStore};
 use serde::Serialize;
@@ -244,159 +250,51 @@ pub struct Sensors {
 }
 
 impl Sensors {
+    /// Registers every sensor, in the order the fields are listed here, so
+    /// the ids a site hands out never move.
     fn register(reg: &SensorRegistry, nodes: usize, racks: usize) -> Self {
+        use SensorKind::*;
+        use Unit::*;
         let s = |name: &str, kind, unit| reg.register(name, kind, unit);
+        // One sensor per node (or rack) `i`: `{prefix}{i}/{leaf}`.
+        let each = |n: usize, prefix: &str, leaf: &str, kind, unit| -> Vec<SensorId> {
+            (0..n)
+                .map(|i| s(&format!("{prefix}{i}/{leaf}"), kind, unit))
+                .collect()
+        };
         Sensors {
-            outside_temp: s(
-                "/facility/outside_temp",
-                SensorKind::Temperature,
-                Unit::Celsius,
+            outside_temp: s("/facility/outside_temp", Temperature, Celsius),
+            cooling_power: s("/facility/cooling/power_kw", Power, Kilowatts),
+            cooling_setpoint: s("/facility/cooling/setpoint_c", Temperature, Celsius),
+            cooling_inlet: s("/facility/cooling/inlet_c", Temperature, Celsius),
+            cooling_mode: s("/facility/cooling/mode", Count, Dimensionless),
+            cooling_cop: s("/facility/cooling/cop", Indicator, Dimensionless),
+            utility_power: s("/facility/power/utility_kw", Power, Kilowatts),
+            it_power: s("/facility/power/it_kw", Power, Kilowatts),
+            loss_power: s("/facility/power/loss_kw", Power, Kilowatts),
+            pue: s("/facility/pue", Indicator, Dimensionless),
+            node_power: each(nodes, "/hw/node", "power_w", Power, Watts),
+            node_temp: each(nodes, "/hw/node", "temp_c", Temperature, Celsius),
+            node_util: each(nodes, "/hw/node", "util", Utilization, Fraction),
+            node_freq: each(nodes, "/hw/node", "freq_ghz", Frequency, Megahertz),
+            node_mem: each(nodes, "/hw/node", "mem_gib", Count, Dimensionless),
+            node_fan: each(nodes, "/hw/node", "fan", Utilization, Fraction),
+            node_sys_mem: each(nodes, "/sw/node", "sys_mem_gib", Count, Dimensionless),
+            rack_offered: each(
+                racks,
+                "/hw/rack",
+                "uplink_offered_gbps",
+                Rate,
+                BytesPerSecond,
             ),
-            cooling_power: s(
-                "/facility/cooling/power_kw",
-                SensorKind::Power,
-                Unit::Kilowatts,
-            ),
-            cooling_setpoint: s(
-                "/facility/cooling/setpoint_c",
-                SensorKind::Temperature,
-                Unit::Celsius,
-            ),
-            cooling_inlet: s(
-                "/facility/cooling/inlet_c",
-                SensorKind::Temperature,
-                Unit::Celsius,
-            ),
-            cooling_mode: s(
-                "/facility/cooling/mode",
-                SensorKind::Count,
-                Unit::Dimensionless,
-            ),
-            cooling_cop: s(
-                "/facility/cooling/cop",
-                SensorKind::Indicator,
-                Unit::Dimensionless,
-            ),
-            utility_power: s(
-                "/facility/power/utility_kw",
-                SensorKind::Power,
-                Unit::Kilowatts,
-            ),
-            it_power: s("/facility/power/it_kw", SensorKind::Power, Unit::Kilowatts),
-            loss_power: s(
-                "/facility/power/loss_kw",
-                SensorKind::Power,
-                Unit::Kilowatts,
-            ),
-            pue: s("/facility/pue", SensorKind::Indicator, Unit::Dimensionless),
-            node_power: (0..nodes)
-                .map(|i| {
-                    s(
-                        &format!("/hw/node{i}/power_w"),
-                        SensorKind::Power,
-                        Unit::Watts,
-                    )
-                })
-                .collect(),
-            node_temp: (0..nodes)
-                .map(|i| {
-                    s(
-                        &format!("/hw/node{i}/temp_c"),
-                        SensorKind::Temperature,
-                        Unit::Celsius,
-                    )
-                })
-                .collect(),
-            node_util: (0..nodes)
-                .map(|i| {
-                    s(
-                        &format!("/hw/node{i}/util"),
-                        SensorKind::Utilization,
-                        Unit::Fraction,
-                    )
-                })
-                .collect(),
-            node_freq: (0..nodes)
-                .map(|i| {
-                    s(
-                        &format!("/hw/node{i}/freq_ghz"),
-                        SensorKind::Frequency,
-                        Unit::Megahertz,
-                    )
-                })
-                .collect(),
-            node_mem: (0..nodes)
-                .map(|i| {
-                    s(
-                        &format!("/hw/node{i}/mem_gib"),
-                        SensorKind::Count,
-                        Unit::Dimensionless,
-                    )
-                })
-                .collect(),
-            node_fan: (0..nodes)
-                .map(|i| {
-                    s(
-                        &format!("/hw/node{i}/fan"),
-                        SensorKind::Utilization,
-                        Unit::Fraction,
-                    )
-                })
-                .collect(),
-            node_sys_mem: (0..nodes)
-                .map(|i| {
-                    s(
-                        &format!("/sw/node{i}/sys_mem_gib"),
-                        SensorKind::Count,
-                        Unit::Dimensionless,
-                    )
-                })
-                .collect(),
-            rack_offered: (0..racks)
-                .map(|r| {
-                    s(
-                        &format!("/hw/rack{r}/uplink_offered_gbps"),
-                        SensorKind::Rate,
-                        Unit::BytesPerSecond,
-                    )
-                })
-                .collect(),
-            rack_contention: (0..racks)
-                .map(|r| {
-                    s(
-                        &format!("/hw/rack{r}/uplink_contention"),
-                        SensorKind::Indicator,
-                        Unit::Fraction,
-                    )
-                })
-                .collect(),
-            queue_len: s(
-                "/sw/sched/queue_len",
-                SensorKind::Count,
-                Unit::Dimensionless,
-            ),
-            running: s("/sw/sched/running", SensorKind::Count, Unit::Dimensionless),
-            sched_util: s(
-                "/sw/sched/utilization",
-                SensorKind::Utilization,
-                Unit::Fraction,
-            ),
-            completed_total: s(
-                "/sw/sched/completed_total",
-                SensorKind::Count,
-                Unit::Dimensionless,
-            ),
-            killed_total: s(
-                "/sw/sched/killed_total",
-                SensorKind::Count,
-                Unit::Dimensionless,
-            ),
-            active_jobs: s("/app/active_jobs", SensorKind::Count, Unit::Dimensionless),
-            arrivals_total: s(
-                "/app/arrivals_total",
-                SensorKind::Count,
-                Unit::Dimensionless,
-            ),
+            rack_contention: each(racks, "/hw/rack", "uplink_contention", Indicator, Fraction),
+            queue_len: s("/sw/sched/queue_len", Count, Dimensionless),
+            running: s("/sw/sched/running", Count, Dimensionless),
+            sched_util: s("/sw/sched/utilization", Utilization, Fraction),
+            completed_total: s("/sw/sched/completed_total", Count, Dimensionless),
+            killed_total: s("/sw/sched/killed_total", Count, Dimensionless),
+            active_jobs: s("/app/active_jobs", Count, Dimensionless),
+            arrivals_total: s("/app/arrivals_total", Count, Dimensionless),
         }
     }
 }
@@ -529,17 +427,8 @@ pub struct DataCenter {
     scheduler: Scheduler,
     workload: WorkloadGenerator,
     faults: FaultTimeline,
-    registry: SensorRegistry,
-    bus: Arc<TelemetryBus>,
-    /// Sharded collector hierarchy (built when `config.shards > 0`). Fed
-    /// the same post-corruption stream as the site bus, so either plane
-    /// answers any query with the same digest.
-    cluster: Option<Arc<ClusterCoordinator>>,
-    /// Filesystem the archive backend lives on; held so the archive can be
-    /// restarted (recovery drill) over the same durable state.
-    archive_fs: Arc<dyn StorageFs>,
-    /// Serving-layer configuration applied by [`DataCenter::serve`].
-    serving: ServingConfig,
+    /// The monitoring stack the plant's telemetry goes to.
+    site: Site,
     sensors: Sensors,
     // Fault state applied to models each tick.
     leak_extra_gib: Vec<f64>,
@@ -588,7 +477,7 @@ pub struct DataCenter {
 ///     ..DataCenterConfig::tiny()
 /// })
 /// .build();
-/// assert!(dc.cluster().is_some());
+/// assert!(dc.site().cluster().is_some());
 /// ```
 pub struct DataCenterBuilder {
     config: DataCenterConfig,
@@ -652,40 +541,23 @@ impl DataCenterBuilder {
     /// archive backend failing to open (or replay) over the storage
     /// filesystem, or a collector shard failing to open its own.
     pub fn try_build(self) -> Result<DataCenter, FsError> {
-        let DataCenterBuilder {
-            config,
-            seed,
-            metrics,
-            archive_fs,
-            serving,
-        } = self;
-        let archive_fs = archive_fs.unwrap_or_else(|| Arc::new(SimFs::new()));
-        DataCenter::build(config, seed, metrics, archive_fs, serving)
-    }
-}
-
-impl DataCenter {
-    /// Starts a [`DataCenterBuilder`] over `config`.
-    pub fn builder(config: DataCenterConfig) -> DataCenterBuilder {
-        DataCenterBuilder::new(config)
-    }
-
-    /// Constructor body behind [`DataCenterBuilder::try_build`].
-    fn build(
-        config: DataCenterConfig,
-        seed: u64,
-        metrics: MetricsRegistry,
-        archive_fs: Arc<dyn StorageFs>,
-        serving: ServingConfig,
-    ) -> Result<Self, FsError> {
-        let mut root_rng = SimRng::new(seed);
+        let config = self.config;
+        let mut root_rng = SimRng::new(self.seed);
         let weather_rng = root_rng.fork();
         let mut workload_rng = root_rng.fork();
         let node_count = config.node_count();
-        let registry = SensorRegistry::new();
-        let sensors = Sensors::register(&registry, node_count, config.racks);
-        let bus = Self::build_bus(&config, registry.clone(), metrics, Arc::clone(&archive_fs))?;
-        let cluster = Self::build_cluster(&config, &registry)?;
+        let site = Site::open(
+            SiteConfig {
+                store_capacity: config.store_capacity,
+                rollups: config.rollups.clone(),
+                storage: config.storage.clone(),
+                shards: config.shards,
+                serving: self.serving,
+            },
+            self.metrics,
+            self.archive_fs.unwrap_or_else(|| Arc::new(SimFs::new())),
+        )?;
+        let sensors = Sensors::register(site.registry(), node_count, config.racks);
         let racks = build_racks(
             config.racks,
             config.nodes_per_rack,
@@ -708,7 +580,7 @@ impl DataCenter {
             power: PowerDistribution::new(config.power.clone()),
             network: Network::new(config.network.clone(), config.racks),
             scheduler: Scheduler::new(node_count, Box::new(FirstFit)),
-            faults: FaultTimeline::new(seed),
+            faults: FaultTimeline::new(self.seed),
             leak_extra_gib: vec![0.0; node_count],
             leak_rate_gib_per_min: vec![0.0; node_count],
             contention_severity: vec![0.0; node_count],
@@ -733,114 +605,17 @@ impl DataCenter {
             nodes,
             racks,
             workload,
-            registry,
-            bus,
-            cluster,
-            archive_fs,
+            site,
             sensors,
             config,
-            serving,
         })
     }
+}
 
-    /// Stands up the collector-shard hierarchy when `config.shards > 0`.
-    /// The shards archive persistently, with the site's engine tuning, even
-    /// when the site itself is in-memory, so a node-failure rebalance can
-    /// replay the failed shard's slice losslessly.
-    fn build_cluster(
-        config: &DataCenterConfig,
-        registry: &SensorRegistry,
-    ) -> Result<Option<Arc<ClusterCoordinator>>, FsError> {
-        if config.shards == 0 {
-            return Ok(None);
-        }
-        let cluster = ClusterCoordinator::new(
-            ClusterConfig {
-                shards: config.shards,
-                per_sensor_capacity: config.store_capacity,
-                rollups: config.rollups.clone(),
-                engine: config.storage.engine.clone(),
-            },
-            registry.clone(),
-        )?;
-        Ok(Some(Arc::new(cluster)))
-    }
-
-    /// Builds a multi-tenant query/subscription frontend over `net`, wired
-    /// to this site's query plane ([`Self::plane`]), telemetry bus and
-    /// metrics registry. Quotas and cache sizing come from
-    /// [`DataCenterBuilder::serving`]. Drive it with
-    /// [`Server::poll`] from the experiment loop (or a
-    /// [`oda_serve::net::RealNet`] listener thread).
-    pub fn serve<N: ServerNet>(&self, net: Arc<N>) -> Server<N> {
-        Server::new(
-            net,
-            self.serving.clone(),
-            self.plane(),
-            Arc::clone(&self.bus),
-        )
-    }
-
-    /// The site's query plane: the collector cluster's coordinator on a
-    /// sharded site, the site store otherwise — the one place that choice
-    /// is made (from `config.shards`, via [`Self::cluster`]). The unsharded
-    /// store stays the default because it answers and ingests without the
-    /// shard channel hop and flush-per-command. A plane handed out before
-    /// [`Self::restart_archive`] keeps reading the pre-restart store.
-    pub fn plane(&self) -> Arc<dyn QueryPlane> {
-        match &self.cluster {
-            Some(cluster) => Arc::clone(cluster) as Arc<dyn QueryPlane>,
-            None => Arc::new(LocalPlane {
-                store: Arc::clone(self.store()),
-                registry: self.registry.clone(),
-            }),
-        }
-    }
-
-    /// Builds the archive backend selected by `config.storage` over `fs`
-    /// (replaying any durable state into a fresh hot store) and attaches it
-    /// to a new bus.
-    fn build_bus(
-        config: &DataCenterConfig,
-        registry: SensorRegistry,
-        metrics: MetricsRegistry,
-        fs: Arc<dyn StorageFs>,
-    ) -> Result<Arc<TelemetryBus>, FsError> {
-        let store = Arc::new(TimeSeriesStore::with_rollups(
-            config.store_capacity,
-            TimeSeriesStore::DEFAULT_SHARDS,
-            metrics.clone(),
-            config.rollups.clone(),
-        ));
-        let backend = open_backend(&config.storage, fs, store)?;
-        Ok(Arc::new(TelemetryBus::with_archive(
-            registry, backend, metrics,
-        )))
-    }
-
-    /// Simulates an analytics-plane process restart: flushes the archive,
-    /// drops the bus and hot store, and rebuilds them over the same storage
-    /// filesystem — durable backends recover from WAL + segments, the
-    /// in-memory backend comes back empty. Existing bus subscriptions are
-    /// disconnected and must be re-established. Returns the recovery report
-    /// (all zeros for the in-memory backend, which recovers nothing). A
-    /// failed pre-restart flush does not stop the restart (recovery then
-    /// finds whatever the filesystem kept); it is counted in the site
-    /// registry's `storage_wal_errors_total`. An archive that fails to
-    /// reopen — a segment that no longer verifies during replay — is
-    /// returned as the error, and the site keeps its pre-restart bus.
-    pub fn restart_archive(&mut self) -> Result<RecoveryReport, FsError> {
-        let metrics = self.bus.metrics().clone();
-        if self.archive().flush().is_err() {
-            metrics.counter("storage_wal_errors_total", &[]).inc();
-        }
-        self.bus = Self::build_bus(
-            &self.config,
-            self.registry.clone(),
-            metrics,
-            Arc::clone(&self.archive_fs),
-        )?;
-        Ok(self.archive().recovery().cloned().unwrap_or_default())
+impl DataCenter {
+    /// Starts a [`DataCenterBuilder`] over `config`.
+    pub fn builder(config: DataCenterConfig) -> DataCenterBuilder {
+        DataCenterBuilder::new(config)
     }
 
     // ----- accessors -------------------------------------------------------
@@ -855,35 +630,9 @@ impl DataCenter {
         &self.config
     }
 
-    /// The sensor registry (shared with the bus).
-    pub fn registry(&self) -> &SensorRegistry {
-        &self.registry
-    }
-
-    /// The telemetry bus (subscribe here).
-    pub fn bus(&self) -> &Arc<TelemetryBus> {
-        &self.bus
-    }
-
-    /// The sharded collector hierarchy, when the site was built with
-    /// `config.shards > 0`.
-    pub fn cluster(&self) -> Option<&Arc<ClusterCoordinator>> {
-        self.cluster.as_ref()
-    }
-
-    /// The archive store behind the bus.
-    pub fn store(&self) -> &Arc<TimeSeriesStore> {
-        self.bus.store()
-    }
-
-    /// The archive backend behind the bus (in-memory or persistent).
-    pub fn archive(&self) -> &Arc<dyn StorageBackend> {
-        self.bus.archive()
-    }
-
-    /// The metrics registry the telemetry plane records into.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        self.bus.metrics()
+    /// The monitoring stack this plant's telemetry goes to.
+    pub fn site(&self) -> &Site {
+        &self.site
     }
 
     /// Interned sensor ids.
@@ -974,7 +723,7 @@ impl DataCenter {
     /// are resolved against the site's registry now, and it corrupts the
     /// readings published during its window.
     pub fn inject_fault(&mut self, fault: Fault) {
-        self.faults.inject(fault, &self.registry);
+        self.faults.inject(fault, self.site.registry());
     }
 
     /// Submits a custom job directly (bypassing the workload generator).
@@ -1303,12 +1052,7 @@ impl DataCenter {
                 self.submit_stress_test(jobs, duration_s);
             }
             FaultKind::NodeFailure { node } if activate => {
-                // Fail the collector shard hosted on that node and
-                // rebalance its slice onto the survivors from the durable
-                // tier.
-                if let Some(cluster) = &self.cluster {
-                    cluster.apply_node_failure(node.index());
-                }
+                self.site.fail_node(node.index());
             }
             // The remaining monitoring-path faults act in `publish`.
             _ => {}
@@ -1367,12 +1111,52 @@ impl DataCenter {
             let reading = self.faults.corrupt(sensor, Reading::new(now, value));
             tick.extend(reading.map(|r| ReadingBatch::single(sensor, r)));
         }
-        self.bus.publish_many(&tick);
-        // The shard hierarchy ingests the identical (post-corruption)
-        // stream, so sharded and unsharded queries answer bit-identically.
-        if let Some(cluster) = &self.cluster {
-            cluster.ingest_many(tick);
-        }
+        self.site.ingest(tick);
+    }
+}
+
+// Stack methods the pinned benchmark (`benchmark/src`) calls on the plant,
+// forwarded to its site. ROADMAP item 1a's benchmark change moves those
+// calls to `dc.site()` and deletes this block.
+impl DataCenter {
+    /// [`Site::registry`].
+    pub fn registry(&self) -> &SensorRegistry {
+        self.site.registry()
+    }
+
+    /// [`Site::bus`].
+    pub fn bus(&self) -> &Arc<TelemetryBus> {
+        self.site.bus()
+    }
+
+    /// [`Site::store`].
+    pub fn store(&self) -> &Arc<TimeSeriesStore> {
+        self.site.store()
+    }
+
+    /// [`Site::archive`].
+    pub fn archive(&self) -> &Arc<dyn StorageBackend> {
+        self.site.archive()
+    }
+
+    /// [`Site::metrics`].
+    pub fn metrics(&self) -> &MetricsRegistry {
+        self.site.metrics()
+    }
+
+    /// [`Site::cluster`].
+    pub fn cluster(&self) -> Option<&Arc<ClusterCoordinator>> {
+        self.site.cluster()
+    }
+
+    /// [`Site::serve`].
+    pub fn serve<N: ServerNet>(&self, net: Arc<N>) -> Server<N> {
+        self.site.serve(net)
+    }
+
+    /// [`Site::restart_archive`].
+    pub fn restart_archive(&mut self) -> Result<RecoveryReport, FsError> {
+        self.site.restart_archive()
     }
 }
 
@@ -1380,11 +1164,16 @@ impl DataCenter {
 mod tests {
     use super::*;
 
+    /// A default tiny site under `seed`.
+    fn tiny(seed: u64) -> DataCenter {
+        DataCenter::builder(DataCenterConfig::tiny())
+            .seed(seed)
+            .build()
+    }
+
     #[test]
     fn a_quiet_hour_produces_sane_physics() {
-        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(1)
-            .build();
+        let mut dc = tiny(1);
         dc.run_for_hours(1.0);
         let s = dc.snapshot();
         assert!(
@@ -1400,9 +1189,7 @@ mod tests {
 
     #[test]
     fn workload_flows_through_scheduler() {
-        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(2)
-            .build();
+        let mut dc = tiny(2);
         dc.run_for_hours(6.0);
         assert!(dc.arrivals_total() > 50);
         let s = dc.snapshot();
@@ -1419,169 +1206,59 @@ mod tests {
         assert!(rec.energy_j > 0.0);
     }
 
-    #[test]
-    fn failed_pre_restart_flush_is_counted_and_the_restart_completes() {
-        let fs = Arc::new(SimFs::new());
-        let metrics = MetricsRegistry::new();
-        let mut storage = StorageConfig::persistent();
-        // Never sync on the ingest path: the WAL tail waits for the
-        // pre-restart flush.
-        storage.engine.wal_sync_every = usize::MAX;
-        let mut dc = DataCenter::builder(DataCenterConfig {
-            storage,
-            ..DataCenterConfig::tiny()
-        })
-        .seed(9)
-        .metrics(metrics.clone())
-        .storage_fs(Arc::clone(&fs) as Arc<dyn StorageFs>)
-        .build();
-        dc.run_for_hours(0.1);
-        let wal_errors = || metrics.snapshot().counter("storage_wal_errors_total");
-        assert_eq!(wal_errors().unwrap_or(0), 0);
-        fs.fail_next_syncs(1);
-        let report = dc.restart_archive();
-        assert_eq!(wal_errors(), Some(1));
-        // Nothing crashed, so recovery still reads the unsynced tail.
-        let report = report.expect("the archive reopens");
-        assert!(report.readings_recovered > 0);
-    }
+    /// Fails every read of the write-ahead log, naming it — a disk with a
+    /// bad sector under the WAL.
+    struct UnreadableWal(SimFs);
 
-    /// Serves every `.seg` file's bytes with one bit flipped from its second
-    /// read on — a disk that goes bad between the open that verifies a
-    /// segment and the replay that reads it again.
-    struct RereadRot {
-        inner: SimFs,
-        seen: std::sync::Mutex<std::collections::BTreeSet<String>>,
-    }
-
-    impl StorageFs for RereadRot {
+    impl StorageFs for UnreadableWal {
         fn append(&self, path: &str, bytes: &[u8]) -> Result<(), FsError> {
-            self.inner.append(path, bytes)
+            self.0.append(path, bytes)
         }
         fn sync(&self, path: &str) -> Result<(), FsError> {
-            self.inner.sync(path)
+            self.0.sync(path)
         }
         fn read(&self, path: &str) -> Result<Vec<u8>, FsError> {
-            let mut bytes = self.inner.read(path)?;
-            let reread = !self.seen.lock().unwrap().insert(path.to_string());
-            if reread && path.ends_with(".seg") {
-                if let Some(b) = bytes.get_mut(40) {
-                    *b ^= 0x04;
-                }
+            match path {
+                "wal.log" => Err(FsError::Io(format!("{path}: unreadable sector"))),
+                _ => self.0.read(path),
             }
-            Ok(bytes)
         }
         fn write_atomic(&self, path: &str, bytes: &[u8]) -> Result<(), FsError> {
-            self.inner.write_atomic(path, bytes)
+            self.0.write_atomic(path, bytes)
         }
         fn truncate(&self, path: &str, len: u64) -> Result<(), FsError> {
-            self.inner.truncate(path, len)
+            self.0.truncate(path, len)
         }
         fn remove(&self, path: &str) -> Result<(), FsError> {
-            self.inner.remove(path)
+            self.0.remove(path)
         }
         fn list(&self) -> Result<Vec<String>, FsError> {
-            self.inner.list()
+            self.0.list()
         }
         fn clock_ns(&self) -> u64 {
-            self.inner.clock_ns()
+            self.0.clock_ns()
         }
     }
 
     #[test]
-    fn a_segment_that_rots_before_replay_fails_the_restart_by_name() {
-        let fs = Arc::new(RereadRot {
-            inner: SimFs::new(),
-            seen: Default::default(),
-        });
-        let mut storage = StorageConfig::persistent();
-        storage.engine.segment_max_readings = 256;
-        let mut dc = DataCenter::builder(DataCenterConfig {
-            storage,
+    fn try_build_returns_the_sites_open_error_by_name_instead_of_panicking() {
+        let err = DataCenter::builder(DataCenterConfig {
+            storage: StorageConfig::persistent(),
             ..DataCenterConfig::tiny()
         })
-        .seed(9)
-        .storage_fs(Arc::clone(&fs) as Arc<dyn StorageFs>)
-        .build();
-        dc.run_for_hours(0.1);
-        // Sealed segments were written, never read: the restart's open
-        // reads (and verifies) each once, its replay reads them again.
-        assert!(fs.inner.exists("seg-000000000001.seg"));
-        let published = dc.bus().published();
-        let err = dc
-            .restart_archive()
-            .expect_err("replay must not skip a bad segment");
+        .storage_fs(Arc::new(UnreadableWal(SimFs::new())))
+        .try_build()
+        .err()
+        .expect("an archive that cannot read its WAL does not open");
         assert!(
-            matches!(&err, FsError::Io(msg) if msg.contains("seg-000000000001.seg")),
+            matches!(&err, FsError::Io(msg) if msg.starts_with("wal.log: ")),
             "the error names the file: {err}"
         );
-        // The site keeps its pre-restart bus.
-        assert_eq!(dc.bus().published(), published);
-    }
-
-    #[test]
-    fn try_build_returns_a_bad_segment_by_name_instead_of_panicking() {
-        let fs = Arc::new(RereadRot {
-            inner: SimFs::new(),
-            seen: Default::default(),
-        });
-        let mut storage = StorageConfig::persistent();
-        storage.engine.segment_max_readings = 256;
-        let site = || {
-            DataCenter::builder(DataCenterConfig {
-                storage: storage.clone(),
-                ..DataCenterConfig::tiny()
-            })
-            .seed(9)
-            .storage_fs(Arc::clone(&fs) as Arc<dyn StorageFs>)
-        };
-        let mut dc = site().try_build().expect("a fresh filesystem opens");
-        dc.run_for_hours(0.1);
-        assert!(fs.inner.exists("seg-000000000001.seg"));
-        // A second site over the same files verifies each segment at open
-        // and finds it rotten at replay.
-        let err = site()
-            .try_build()
-            .err()
-            .expect("replay must not skip a bad segment");
-        assert!(
-            matches!(&err, FsError::Io(msg) if msg.contains("seg-000000000001.seg")),
-            "the error names the file: {err}"
-        );
-    }
-
-    #[test]
-    fn default_built_sites_do_not_share_metrics() {
-        let mut a = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(5)
-            .build();
-        let b = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(5)
-            .build();
-        a.run_for_hours(0.1);
-        let published = |dc: &DataCenter| dc.metrics().snapshot().counter("bus_publish_total");
-        let a_count = published(&a).unwrap_or(0);
-        assert!(a_count > 0);
-        assert_eq!(published(&b), Some(0), "B never published");
-        // B's `/metrics` serves B's registry, not A's counts.
-        let net = Arc::new(oda_serve::net::SimNet::new());
-        let mut server = b.serve(Arc::clone(&net));
-        let conn = net.connect();
-        net.client_send(conn, b"GET /metrics HTTP/1.1\r\n\r\n");
-        for _ in 0..16 {
-            server.poll();
-        }
-        let reply = String::from_utf8_lossy(&net.client_recv(conn)).into_owned();
-        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
-        assert!(reply.contains("\nbus_publish_total 0\n"), "{reply}");
-        assert!(!reply.contains(&format!("\nbus_publish_total {a_count}\n")));
     }
 
     #[test]
     fn telemetry_is_archived() {
-        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(3)
-            .build();
+        let mut dc = tiny(3);
         dc.run_for_hours(0.5);
         let store = dc.store();
         let s = dc.sensors();
@@ -1594,9 +1271,7 @@ mod tests {
     fn archive_maintains_rollup_tiers_online() {
         use oda_telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
 
-        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(11)
-            .build();
+        let mut dc = tiny(11);
         dc.run_for_hours(0.5);
         // The default rollup layout is wired through DataCenterConfig, so the
         // archive reports non-empty tier occupancy after half an hour.
@@ -1632,9 +1307,7 @@ mod tests {
     #[test]
     fn same_seed_same_trajectory() {
         let run = |seed| {
-            let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-                .seed(seed)
-                .build();
+            let mut dc = tiny(seed);
             dc.run_for_hours(2.0);
             let s = dc.snapshot();
             (s.it_power_kw, s.completed, s.pue)
@@ -1645,9 +1318,7 @@ mod tests {
 
     #[test]
     fn fan_failure_fault_heats_the_node() {
-        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(4)
-            .build();
+        let mut dc = tiny(4);
         dc.inject_fault(Fault::new(
             FaultKind::FanFailure { node: NodeId(0) },
             Timestamp::from_mins(10),
@@ -1656,9 +1327,7 @@ mod tests {
         dc.run_for_hours(1.0);
         let victim = dc.node(NodeId(0)).temp_c();
         // Compare against the same node position in a fault-free twin.
-        let mut clean = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(4)
-            .build();
+        let mut clean = tiny(4);
         clean.run_for_hours(1.0);
         let healthy = clean.node(NodeId(0)).temp_c();
         assert!(
@@ -1673,9 +1342,7 @@ mod tests {
     #[test]
     fn back_to_back_windows_on_one_target_act_as_one() {
         let temp_at_45_min = |windows: &[(u64, u64)]| {
-            let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-                .seed(4)
-                .build();
+            let mut dc = tiny(4);
             for &(start, end) in windows {
                 dc.inject_fault(Fault::new(
                     FaultKind::FanFailure { node: NodeId(0) },
@@ -1707,9 +1374,7 @@ mod tests {
             mins(20),
             mins(40),
         );
-        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(6)
-            .build();
+        let mut dc = tiny(6);
         dc.inject_fault(fan.clone());
         dc.inject_fault(dark.clone());
         dc.run_for_hours(1.0);
@@ -1734,13 +1399,9 @@ mod tests {
 
     #[test]
     fn dvfs_knob_reduces_it_power() {
-        let mut fast = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(5)
-            .build();
+        let mut fast = tiny(5);
         fast.run_for_hours(2.0);
-        let mut slow = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(5)
-            .build();
+        let mut slow = tiny(5);
         slow.set_all_freq(1.5);
         slow.run_for_hours(2.0);
         assert!(
@@ -1753,9 +1414,7 @@ mod tests {
 
     #[test]
     fn cooling_degradation_fault_raises_pue() {
-        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(5)
-            .build();
+        let mut dc = tiny(5);
         dc.inject_fault(Fault::new(
             FaultKind::CoolingDegradation { factor: 3.0 },
             Timestamp::from_mins(30),
@@ -1770,9 +1429,7 @@ mod tests {
 
     #[test]
     fn custom_jobs_and_stress_tests_run() {
-        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(12)
-            .build();
+        let mut dc = tiny(12);
         let ids = dc.submit_stress_test(8, 300.0);
         assert_eq!(ids.len(), 8);
         // Ids are in the reserved range and unique.
@@ -1837,9 +1494,7 @@ mod tests {
 
     #[test]
     fn network_hog_congests_the_rack_uplink() {
-        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(14)
-            .build();
+        let mut dc = tiny(14);
         dc.inject_fault(Fault::new(
             FaultKind::NetworkHog {
                 rack: RackId(0),
@@ -1898,9 +1553,7 @@ mod tests {
 
     #[test]
     fn memory_leak_grows_system_memory_telemetry() {
-        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(16)
-            .build();
+        let mut dc = tiny(16);
         dc.inject_fault(Fault::new(
             FaultKind::MemoryLeak {
                 node: NodeId(1),
@@ -1948,13 +1601,9 @@ mod tests {
                 Timestamp::from_mins(30),
             ));
         };
-        let mut clean = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(9)
-            .build();
+        let mut clean = tiny(9);
         clean.run_for_hours(1.0);
-        let mut faulty = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(9)
-            .build();
+        let mut faulty = tiny(9);
         sched(&mut faulty);
         faulty.run_for_hours(1.0);
         // The dropout leaves a hole in the archived series but the physics
@@ -1975,9 +1624,7 @@ mod tests {
                 >= clean.scheduler().stats().completed,
         );
         // Same seed + same schedule replays identically.
-        let mut again = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(9)
-            .build();
+        let mut again = tiny(9);
         sched(&mut again);
         again.run_for_hours(1.0);
         assert_eq!(again.faults().suppressed(), tf.suppressed());
@@ -1988,9 +1635,7 @@ mod tests {
 
     #[test]
     fn snapshot_fields_are_consistent() {
-        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(9)
-            .build();
+        let mut dc = tiny(9);
         dc.run_for_hours(1.0);
         let s = dc.snapshot();
         assert!(s.max_node_temp_c >= s.avg_node_temp_c);

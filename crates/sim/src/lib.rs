@@ -27,10 +27,10 @@
 //! faults in any pillar — the ground truth against which diagnostic ODA is
 //! evaluated — and monitoring-path faults that degrade only what the
 //! telemetry shows. [`datacenter::DataCenter`] ties the
-//! pieces together and publishes every modelled quantity to an
-//! [`oda_telemetry::bus::TelemetryBus`] each sampling tick, so analytics
-//! code observes the simulated site exactly as it would observe a real one:
-//! through sensor streams.
+//! pieces together and samples every modelled quantity into one tick each
+//! sampling interval, which it hands to its monitoring stack, an
+//! [`oda_serve::site::Site`], so analytics code observes the simulated site
+//! exactly as it would observe a real one: through sensor streams.
 //!
 //! Determinism: every stochastic element draws from one seeded PRNG, so a
 //! `(config, seed)` pair fully determines a run — experiments are exactly

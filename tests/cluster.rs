@@ -388,7 +388,7 @@ fn write(dc: &DataCenter, batch: ReadingBatch) {
 fn query_planes_agree_on_every_shape_and_version_only_accepted_writes() {
     let unsharded = build(35, 0, Vec::new());
     let expected: Vec<(Vec<SensorId>, u64)> = {
-        let plane = unsharded.plane();
+        let plane = unsharded.site().plane();
         assert!(plane.shard_stats().is_none());
         parity_table(&unsharded)
             .into_iter()
@@ -397,7 +397,7 @@ fn query_planes_agree_on_every_shape_and_version_only_accepted_writes() {
     };
     for shards in [0usize, 1, 2, 4] {
         let dc = build(35, shards, Vec::new());
-        let plane = dc.plane();
+        let plane = dc.site().plane();
         assert_eq!(
             plane.shard_stats().map(|s| s.count),
             (shards > 0).then_some(shards)

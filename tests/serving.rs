@@ -396,7 +396,7 @@ fn a_served_pattern_miss_resolves_its_names_once_on_either_plane() {
         .build();
         dc.run_ticks(120);
         let plane = Arc::new(CountingPlane {
-            inner: dc.plane(),
+            inner: dc.site().plane(),
             resolutions: AtomicUsize::new(0),
         });
         let net = Arc::new(SimNet::new());
