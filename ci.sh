@@ -65,6 +65,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> chaos soak (short budget; replay at workers=1 and workers=4)"
 cargo run --release -p oda-bench --bin chaos -- 4000 21 4
 
+echo "==> prescription examples (the three that apply prescriptions run to completion)"
+cargo run -q --release --example powerstack > /dev/null
+cargo run -q --release --example anomaly_response > /dev/null
+cargo run -q --release --example oda_runtime > /dev/null
+
 echo "==> scale bench (worker sweep 1/2/4/8: digest + fan-out overhead; speed-up informational)"
 cargo run --release -p oda-bench --bin scale > target/BENCH_scale.json
 python3 ci/check_bench.py target/BENCH_scale.json ci/baselines/BENCH_scale.json

@@ -42,9 +42,9 @@ fn short(a: &Artifact) -> String {
         } => {
             format!("{quantity} @ +{horizon_s:.0}s → {value:.2}")
         }
-        Artifact::Prescription {
-            action, setting, ..
-        } => format!("{action} := {setting}"),
+        Artifact::Prescription { action, .. } => {
+            format!("{} := {}", action.knob(), action.setting())
+        }
     }
 }
 

@@ -10,11 +10,13 @@
 //! `Forecast` artifacts from earlier stages and become proactive.
 
 use crate::grid::GridFootprint;
+use oda_analytics::prescriptive::cooling_mode::ModeAdvice;
 use oda_telemetry::query::TimeRange;
 use oda_telemetry::reading::Timestamp;
 use oda_telemetry::sensor::SensorRegistry;
 use oda_telemetry::store::TimeSeriesStore;
 use serde::Serialize;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Typed output of a capability run.
@@ -56,15 +58,113 @@ pub enum Artifact {
     },
     /// A recommended or enacted action.
     Prescription {
-        /// Knob or action identifier.
-        action: String,
-        /// Proposed setting/description.
-        setting: String,
+        /// The knob and the setting proposed for it.
+        action: Action,
         /// Expected impact description.
         expected_impact: String,
-        /// Whether the pipeline may apply it without operator review.
-        automatable: bool,
     },
+}
+
+/// The actuation vocabulary: every knob a prescription can turn, with a
+/// typed setting. A control plane matches on it, so a knob it does not
+/// own is a match arm, not a string it fails to parse.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub enum Action {
+    /// One node's CPU clock (DVFS).
+    NodeClock {
+        /// Node index.
+        node: u32,
+        /// Clock, GHz, to 0.01 GHz.
+        ghz: f64,
+    },
+    /// The cooling-loop inlet setpoint, °C, to 0.1 °C.
+    CoolingSetpoint(f64),
+    /// The cooling plant's mode.
+    CoolingMode(ModeAdvice),
+    /// The scheduler's placement policy.
+    Placement(Placement),
+    /// An application's tuned parameters.
+    AppParameters {
+        /// Thread count.
+        threads: f64,
+        /// Tile size.
+        tile: f64,
+    },
+    /// Operator-only advice: a maintenance request.
+    ServiceTicket(String),
+    /// Operator-only advice: a change to the application's code.
+    CodeRecommendation(String),
+}
+
+/// Placement policies a prescription can select.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum Placement {
+    /// The lowest-numbered free nodes.
+    FirstFit,
+    /// The coolest free nodes.
+    CoolingAware,
+    /// As few racks as possible.
+    PackRacks,
+}
+
+impl Action {
+    /// The knob's identifier, as logs and the pass digest spell it.
+    pub fn knob(&self) -> String {
+        match self {
+            Action::NodeClock { node, .. } => return format!("node{node}/freq_ghz"),
+            Action::CoolingSetpoint(_) => "cooling_setpoint_c",
+            Action::CoolingMode(_) => "cooling_mode",
+            Action::Placement(_) => "placement_policy",
+            Action::AppParameters { .. } => "app_parameters",
+            Action::ServiceTicket(_) => "service_ticket",
+            Action::CodeRecommendation(_) => "code_recommendation",
+        }
+        .into()
+    }
+
+    /// The proposed setting, as logs and the pass digest spell it.
+    pub fn setting(&self) -> String {
+        match self {
+            Action::NodeClock { ghz, .. } => format!("{ghz:.2}"),
+            Action::CoolingSetpoint(c) => format!("{c:.1}"),
+            Action::CoolingMode(ModeAdvice::FreeCooling) => "free-cooling".into(),
+            Action::CoolingMode(ModeAdvice::Chiller) => "chiller".into(),
+            Action::Placement(Placement::FirstFit) => "first-fit".into(),
+            Action::Placement(Placement::CoolingAware) => "cooling-aware".into(),
+            Action::Placement(Placement::PackRacks) => "pack-racks".into(),
+            Action::AppParameters { threads, tile } => format!("threads={threads}, tile={tile}"),
+            Action::ServiceTicket(text) | Action::CodeRecommendation(text) => text.clone(),
+        }
+    }
+
+    /// Whether a control plane may apply it without operator review:
+    /// everything but advice.
+    pub fn automatable(&self) -> bool {
+        !matches!(
+            self,
+            Action::ServiceTicket(_) | Action::CodeRecommendation(_)
+        )
+    }
+}
+
+/// `x` rounded to `decimals` places the way `format!("{x:.decimals$}")`
+/// rounds it (to nearest on `x`'s exact binary value, ties to even), so
+/// the result is bit-identical to parsing that string back. Producers
+/// store clocks and setpoints this way: the value applied is the value
+/// [`Action::setting`] prints.
+pub(crate) fn round_to(x: f64, decimals: i32) -> f64 {
+    let scale = 10f64.powi(decimals);
+    let a = x.abs();
+    let p = a * scale;
+    // `a * scale` is exactly `p + err`. Only a `p` half-way between two
+    // integers can round the wrong way, and then `err` decides.
+    let err = a.mul_add(scale, -p);
+    let n = match (p - p.floor()).total_cmp(&0.5).then(err.total_cmp(&0.0)) {
+        Ordering::Less => p.floor(),
+        Ordering::Greater => p.ceil(),
+        Ordering::Equal => p.round_ties_even(),
+    };
+    (n / scale).copysign(x)
 }
 
 impl Artifact {
@@ -265,5 +365,107 @@ mod tests {
         let diags = ctx.upstream_diagnoses();
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].0, "fan-failure");
+    }
+
+    /// The pass digest folds these strings: a digest break points at the
+    /// variant whose row changed.
+    #[test]
+    fn actions_spell_their_knob_and_setting() {
+        let table = [
+            (
+                Action::NodeClock { node: 0, ghz: 1.2 },
+                "node0/freq_ghz",
+                "1.20",
+                true,
+            ),
+            (
+                Action::CoolingSetpoint(18.0),
+                "cooling_setpoint_c",
+                "18.0",
+                true,
+            ),
+            (
+                Action::CoolingMode(ModeAdvice::FreeCooling),
+                "cooling_mode",
+                "free-cooling",
+                true,
+            ),
+            (
+                Action::CoolingMode(ModeAdvice::Chiller),
+                "cooling_mode",
+                "chiller",
+                true,
+            ),
+            (
+                Action::Placement(Placement::FirstFit),
+                "placement_policy",
+                "first-fit",
+                true,
+            ),
+            (
+                Action::Placement(Placement::CoolingAware),
+                "placement_policy",
+                "cooling-aware",
+                true,
+            ),
+            (
+                Action::Placement(Placement::PackRacks),
+                "placement_policy",
+                "pack-racks",
+                true,
+            ),
+            (
+                Action::AppParameters {
+                    threads: 16.0,
+                    tile: 64.0,
+                },
+                "app_parameters",
+                "threads=16, tile=64",
+                true,
+            ),
+            (
+                Action::ServiceTicket("call someone".into()),
+                "service_ticket",
+                "call someone",
+                false,
+            ),
+            (
+                Action::CodeRecommendation("call someone".into()),
+                "code_recommendation",
+                "call someone",
+                false,
+            ),
+        ];
+        for (action, knob, setting, automatable) in table {
+            assert_eq!(action.knob(), knob, "{action:?}");
+            assert_eq!(action.setting(), setting, "{action:?}");
+            assert_eq!(action.automatable(), automatable, "{action:?}");
+        }
+    }
+
+    /// `round_to` must agree bit for bit with printing at the precision
+    /// and reading back, on exact ties (odd multiples of 1/8 and 1/4) and
+    /// on values one ulp either side of a half-way point.
+    #[test]
+    fn round_to_matches_print_and_reparse() {
+        let mut xs = Vec::new();
+        for k in 0..4_000u32 {
+            let k = f64::from(k);
+            xs.extend([k / 8.0, k / 4.0, k / 200.0, k / 20.0, -k / 8.0]);
+            for half in [(k + 0.5) / 100.0, (k + 0.5) / 10.0] {
+                xs.extend([half, half.next_up(), half.next_down()]);
+            }
+        }
+        xs.extend([0.0, -0.0, 1e-9, 44.999_999, 3.004_999_999_999_999]);
+        for x in xs {
+            for decimals in [1, 2] {
+                let printed: f64 = format!("{x:.*}", decimals as usize).parse().unwrap();
+                assert_eq!(
+                    round_to(x, decimals).to_bits(),
+                    printed.to_bits(),
+                    "{x:?} to {decimals} places"
+                );
+            }
+        }
     }
 }

@@ -7,11 +7,11 @@
 //! the §V-A pattern.
 
 use crate::analytics_type::AnalyticsType;
-use crate::capability::{Artifact, Capability, CapabilityContext};
+use crate::capability::{round_to, Action, Artifact, Capability, CapabilityContext, Placement};
 use crate::grid::{GridCell, GridFootprint};
 use crate::pillar::Pillar;
 use oda_analytics::prescriptive::autotune::{coordinate_descent, ParameterSpace};
-use oda_analytics::prescriptive::cooling_mode::{CoolingModeSwitcher, ModeAdvice, PlantModel};
+use oda_analytics::prescriptive::cooling_mode::{CoolingModeSwitcher, PlantModel};
 use oda_analytics::prescriptive::dvfs::FreqPolicy;
 use oda_telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
 
@@ -79,16 +79,12 @@ impl Capability for CoolingOptimizer {
             .any(|(kind, _, _)| *kind == "cooling-degradation");
         if degraded {
             out.push(Artifact::Prescription {
-                action: "cooling_setpoint_c".into(),
-                setting: format!("{:.1}", self.setpoint_range_c.1),
+                action: Action::CoolingSetpoint(round_to(self.setpoint_range_c.1, 1)),
                 expected_impact: "reduce load on degraded plant until serviced".into(),
-                automatable: true,
             });
             out.push(Artifact::Prescription {
-                action: "service_ticket".into(),
-                setting: "cooling-plant inspection".into(),
+                action: Action::ServiceTicket("cooling-plant inspection".into()),
                 expected_impact: "restore plant efficiency".into(),
-                automatable: false,
             });
             return out;
         }
@@ -130,8 +126,7 @@ impl Capability for CoolingOptimizer {
             .clamp(self.setpoint_range_c.0, self.setpoint_range_c.1);
         let mode = self.switcher.advise(setpoint, outside, it_kw);
         out.push(Artifact::Prescription {
-            action: "cooling_setpoint_c".into(),
-            setting: format!("{setpoint:.1}"),
+            action: Action::CoolingSetpoint(round_to(setpoint, 1)),
             expected_impact: format!(
                 "{} free cooling at outside {outside:.1} °C",
                 if proactive {
@@ -140,16 +135,10 @@ impl Capability for CoolingOptimizer {
                     "hold"
                 }
             ),
-            automatable: true,
         });
         out.push(Artifact::Prescription {
-            action: "cooling_mode".into(),
-            setting: match mode {
-                ModeAdvice::FreeCooling => "free-cooling".into(),
-                ModeAdvice::Chiller => "chiller".into(),
-            },
+            action: Action::CoolingMode(mode),
             expected_impact: "cheapest feasible plant mode".into(),
-            automatable: true,
         });
         out
     }
@@ -229,12 +218,13 @@ impl Capability for DvfsTuner {
             let target = self.policy.frequency_for(basis);
             if (target - cur).abs() > self.deadband_ghz {
                 out.push(Artifact::Prescription {
-                    action: format!("node{i}/freq_ghz"),
-                    setting: format!("{target:.2}"),
+                    action: Action::NodeClock {
+                        node: i as u32,
+                        ghz: round_to(target, 2),
+                    },
                     expected_impact: format!(
                         "match clock to utilization {basis:.2} (cubic dynamic-power saving)"
                     ),
-                    automatable: true,
                 });
             }
         }
@@ -325,22 +315,23 @@ impl Capability for SchedulerTuner {
         };
         let (policy, why) = if mean_contention < self.contention_threshold {
             (
-                "pack-racks",
+                Placement::PackRacks,
                 format!("uplink contention {mean_contention:.3} — minimise inter-rack traffic"),
             )
         } else if skew > self.thermal_skew_c {
             (
-                "cooling-aware",
+                Placement::CoolingAware,
                 format!("node temperature skew {skew:.1} °C — place heat where cooling is cheap"),
             )
         } else {
-            ("first-fit", "no contention or thermal pressure".into())
+            (
+                Placement::FirstFit,
+                "no contention or thermal pressure".into(),
+            )
         };
         vec![Artifact::Prescription {
-            action: "placement_policy".into(),
-            setting: policy.into(),
+            action: Action::Placement(policy),
             expected_impact: why,
-            automatable: true,
         }]
     }
 }
@@ -436,25 +427,21 @@ impl Capability for AppAutoTuner {
             Self::runtime_model(v[0], v[1], clock.max(0.1))
         });
         let mut out = vec![Artifact::Prescription {
-            action: "app_parameters".into(),
-            setting: format!(
-                "threads={}, tile={}",
-                result.best_values[0], result.best_values[1]
-            ),
+            action: Action::AppParameters {
+                threads: result.best_values[0],
+                tile: result.best_values[1],
+            },
             expected_impact: format!(
                 "modelled runtime {:.2} s after {} probes",
                 result.best_cost, result.evaluations
             ),
-            automatable: true,
         }];
         // Code recommendation: if adding threads past the bandwidth wall no
         // longer helps, the kernel is memory-bound.
         if result.best_values[0] >= 16.0 {
             out.push(Artifact::Prescription {
-                action: "code_recommendation".into(),
-                setting: "improve data locality / blocking".into(),
+                action: Action::CodeRecommendation("improve data locality / blocking".into()),
                 expected_impact: "kernel saturates memory bandwidth at 16 threads".into(),
-                automatable: false,
             });
         }
         out
@@ -466,29 +453,31 @@ mod tests {
     use super::*;
     use crate::cells::testutil::sim_context;
 
-    fn prescriptions(out: &[Artifact]) -> Vec<(String, String)> {
+    fn actions(out: &[Artifact]) -> Vec<&Action> {
         out.iter()
             .filter_map(|a| match a {
-                Artifact::Prescription {
-                    action, setting, ..
-                } => Some((action.clone(), setting.clone())),
+                Artifact::Prescription { action, .. } => Some(action),
                 _ => None,
             })
             .collect()
+    }
+
+    fn setpoint(out: &[Artifact]) -> Option<f64> {
+        actions(out).into_iter().find_map(|a| match a {
+            Action::CoolingSetpoint(c) => Some(*c),
+            _ => None,
+        })
     }
 
     #[test]
     fn cooling_optimizer_tracks_outside_temperature() {
         let (_dc, ctx) = sim_context(2.0, 41);
         let out = CoolingOptimizer::new().execute(&ctx);
-        let p = prescriptions(&out);
-        let sp: f64 = p
-            .iter()
-            .find(|(a, _)| a == "cooling_setpoint_c")
-            .map(|(_, s)| s.parse().unwrap())
-            .expect("setpoint prescription");
+        let sp = setpoint(&out).expect("setpoint prescription");
         assert!((18.0..=45.0).contains(&sp), "setpoint {sp}");
-        assert!(p.iter().any(|(a, _)| a == "cooling_mode"));
+        assert!(actions(&out)
+            .iter()
+            .any(|a| matches!(a, Action::CoolingMode(_))));
     }
 
     #[test]
@@ -500,12 +489,7 @@ mod tests {
             horizon_s: 3_600.0,
             value: 38.0,
         });
-        let out = CoolingOptimizer::new().execute(&ctx);
-        let sp: f64 = prescriptions(&out)
-            .iter()
-            .find(|(a, _)| a == "cooling_setpoint_c")
-            .map(|(_, s)| s.parse().unwrap())
-            .unwrap();
+        let sp = setpoint(&CoolingOptimizer::new().execute(&ctx)).unwrap();
         // Must hold free cooling against the *forecast* 38 °C: ≥ 43.
         assert!(sp >= 42.9, "proactive setpoint {sp}");
     }
@@ -520,14 +504,14 @@ mod tests {
             evidence: String::new(),
         });
         let out = CoolingOptimizer::new().execute(&ctx);
-        let p = prescriptions(&out);
-        assert!(p.iter().any(|(a, _)| a == "service_ticket"));
-        let sp: f64 = p
+        assert!(actions(&out)
             .iter()
-            .find(|(a, _)| a == "cooling_setpoint_c")
-            .map(|(_, s)| s.parse().unwrap())
-            .unwrap();
-        assert_eq!(sp, 45.0, "conservative setpoint under degradation");
+            .any(|a| matches!(a, Action::ServiceTicket(_))));
+        assert_eq!(
+            setpoint(&out),
+            Some(45.0),
+            "conservative setpoint under degradation"
+        );
     }
 
     #[test]
@@ -536,12 +520,13 @@ mod tests {
         // should be prescribed the minimum clock.
         let (dc, ctx) = sim_context(0.5, 44);
         let out = DvfsTuner::new().execute(&ctx);
-        let p = prescriptions(&out);
+        let p = actions(&out);
         assert!(!p.is_empty(), "idle nodes at max clock must be downclocked");
-        for (action, setting) in &p {
-            assert!(action.ends_with("/freq_ghz"));
-            let f: f64 = setting.parse().unwrap();
-            assert!((1.2..=3.0).contains(&f));
+        for action in p {
+            let Action::NodeClock { ghz, .. } = action else {
+                panic!("not a clock: {action:?}");
+            };
+            assert!((1.2..=3.0).contains(ghz));
         }
         let _ = dc;
     }
@@ -568,22 +553,28 @@ mod tests {
             dc.now(),
         );
         let out = SchedulerTuner::new().execute(&ctx);
-        let p = prescriptions(&out);
-        assert_eq!(p[0].0, "placement_policy");
-        assert_eq!(p[0].1, "pack-racks", "congestion should prescribe packing");
+        assert_eq!(
+            actions(&out),
+            [&Action::Placement(Placement::PackRacks)],
+            "congestion should prescribe packing"
+        );
     }
 
     #[test]
     fn app_tuner_finds_interior_optimum() {
         let (_dc, ctx) = sim_context(0.5, 46);
         let out = AppAutoTuner::new().execute(&ctx);
-        let p = prescriptions(&out);
-        let setting = &p.iter().find(|(a, _)| a == "app_parameters").unwrap().1;
+        let p = actions(&out);
         // The modelled kernel's best tile is 64; threads should hit the
         // bandwidth wall at 16 (not 32 — overhead) for any clock.
-        assert!(setting.contains("tile=64"), "{setting}");
-        assert!(setting.contains("threads=16"), "{setting}");
+        assert_eq!(
+            p[0],
+            &Action::AppParameters {
+                threads: 16.0,
+                tile: 64.0
+            }
+        );
         // Memory-bound recommendation accompanies the wall.
-        assert!(p.iter().any(|(a, _)| a == "code_recommendation"));
+        assert!(p.iter().any(|a| matches!(a, Action::CodeRecommendation(_))));
     }
 }

@@ -155,15 +155,13 @@ impl PipelineRun {
                     }
                     Artifact::Prescription {
                         action,
-                        setting,
                         expected_impact,
-                        automatable,
                     } => {
                         fold(b"prescription");
-                        fold(action.as_bytes());
-                        fold(setting.as_bytes());
+                        fold(action.knob().as_bytes());
+                        fold(action.setting().as_bytes());
                         fold(expected_impact.as_bytes());
-                        fold(&[*automatable as u8]);
+                        fold(&[action.automatable() as u8]);
                     }
                 }
             }
@@ -459,6 +457,7 @@ impl StagedPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capability::Action;
     use crate::grid::{GridCell, GridFootprint};
     use crate::pillar::Pillar;
     use oda_telemetry::query::TimeRange;
@@ -522,15 +521,13 @@ mod tests {
             let forecasts = ctx.upstream_forecasts("it_power");
             self.saw_forecast = !forecasts.is_empty();
             vec![Artifact::Prescription {
-                action: "dvfs".into(),
-                setting: if self.saw_forecast {
+                action: Action::NodeClock { node: 0, ghz: 2.0 },
+                expected_impact: if self.saw_forecast {
                     "proactive"
                 } else {
                     "reactive"
                 }
                 .into(),
-                expected_impact: String::new(),
-                automatable: true,
             }]
         }
     }
@@ -551,7 +548,9 @@ mod tests {
         let presc = run.stage_artifacts(AnalyticsType::Prescriptive);
         assert_eq!(presc.len(), 1);
         match presc[0] {
-            Artifact::Prescription { setting, .. } => assert_eq!(setting, "proactive"),
+            Artifact::Prescription {
+                expected_impact, ..
+            } => assert_eq!(expected_impact, "proactive"),
             other => panic!("unexpected artifact {other:?}"),
         }
     }
@@ -566,7 +565,9 @@ mod tests {
         );
         let run = p.run(ctx());
         match run.stage_artifacts(AnalyticsType::Prescriptive)[0] {
-            Artifact::Prescription { setting, .. } => assert_eq!(setting, "reactive"),
+            Artifact::Prescription {
+                expected_impact, ..
+            } => assert_eq!(expected_impact, "reactive"),
             other => panic!("unexpected artifact {other:?}"),
         }
     }

@@ -23,7 +23,7 @@
 //! bit-identical at any worker count.
 
 use crate::analytics_type::AnalyticsType;
-use crate::capability::{Artifact, Capability, CapabilityContext};
+use crate::capability::{Action, Artifact, Capability, CapabilityContext};
 use crate::grid::GridFootprint;
 use crate::pipeline::{elapsed_ns, PipelineRun, StagedPipeline};
 use oda_telemetry::metrics::MetricsRegistry;
@@ -199,11 +199,10 @@ impl CapabilityDag {
 
 /// The actuation surface prescriptions are applied to.
 pub trait ControlPlane {
-    /// Attempts to apply `action := setting`. Returns `true` when the
-    /// action was recognised and applied, `false` when the control plane
-    /// does not own that knob (the prescription is then deferred to the
-    /// operator).
-    fn apply(&mut self, action: &str, setting: &str) -> bool;
+    /// Attempts to apply `action`. Returns `true` when it was applied,
+    /// `false` when the control plane does not own that knob or refuses
+    /// the setting (the prescription is then deferred to the operator).
+    fn apply(&mut self, action: &Action) -> bool;
 }
 
 /// What happened to one prescription during a pass.
@@ -224,10 +223,8 @@ pub struct ActionRecord {
     pub at: Timestamp,
     /// Capability that produced the prescription.
     pub source: String,
-    /// Knob or action identifier.
-    pub action: String,
-    /// Proposed setting.
-    pub setting: String,
+    /// The knob and its proposed setting.
+    pub action: Action,
     /// What the runtime did with it.
     pub outcome: ActionOutcome,
 }
@@ -275,9 +272,6 @@ pub struct OdaRuntime {
     pipeline: StagedPipeline,
     /// Width of the telemetry window each pass analyses, ms.
     pub window_ms: u64,
-    /// Whether automatable prescriptions are applied (`false` = advisory
-    /// mode: everything goes to the audit log as `NeedsOperator`).
-    pub autopilot: bool,
     audit: Vec<ActionRecord>,
 }
 
@@ -295,7 +289,6 @@ impl OdaRuntime {
         OdaRuntime {
             pipeline: StagedPipeline::new().with_config(config),
             window_ms,
-            autopilot: true,
             audit: Vec::new(),
         }
     }
@@ -366,14 +359,9 @@ impl OdaRuntime {
         for (_, source, artifacts) in &run.stages {
             for artifact in artifacts {
                 match artifact {
-                    Artifact::Prescription {
-                        action,
-                        setting,
-                        automatable,
-                        ..
-                    } => {
-                        let outcome = if *automatable && self.autopilot {
-                            if control.apply(action, setting) {
+                    Artifact::Prescription { action, .. } => {
+                        let outcome = if action.automatable() {
+                            if control.apply(action) {
                                 applied += 1;
                                 ActionOutcome::Applied
                             } else {
@@ -388,7 +376,6 @@ impl OdaRuntime {
                             at: now,
                             source: source.clone(),
                             action: action.clone(),
-                            setting: setting.clone(),
                             outcome,
                         });
                     }
@@ -420,83 +407,42 @@ impl OdaRuntime {
     }
 }
 
-/// Control plane over the simulated data center: owns the DVFS, fan,
-/// cooling and placement knobs, addressed by the action vocabulary the
-/// prescriptive cells emit.
+/// Control plane over the simulated data center: owns the DVFS, cooling
+/// and placement knobs.
 pub struct SimControlPlane<'a> {
     /// The site being actuated.
     pub dc: &'a mut oda_sim::datacenter::DataCenter,
 }
 
 impl ControlPlane for SimControlPlane<'_> {
-    fn apply(&mut self, action: &str, setting: &str) -> bool {
+    fn apply(&mut self, action: &Action) -> bool {
+        use crate::capability::Placement;
+        use oda_analytics::prescriptive::cooling_mode::ModeAdvice;
         use oda_sim::facility::cooling::CoolingMode;
         use oda_sim::hardware::node::NodeId;
-        use oda_sim::scheduler::placement::{CoolingAware, FirstFit, PackRacks, PowerAware};
-        if let Some(rest) = action.strip_suffix("/freq_ghz") {
-            let Some(idx) = rest
-                .strip_prefix("node")
-                .and_then(|s| s.parse::<u32>().ok())
-            else {
-                return false;
-            };
-            let Ok(ghz) = setting.parse::<f64>() else {
-                return false;
-            };
-            if (idx as usize) >= self.dc.node_count() {
-                return false;
-            }
-            self.dc.set_node_freq(NodeId(idx), ghz);
-            return true;
-        }
-        if let Some(rest) = action.strip_suffix("/fan") {
-            let Some(idx) = rest
-                .strip_prefix("node")
-                .and_then(|s| s.parse::<u32>().ok())
-            else {
-                return false;
-            };
-            let Ok(speed) = setting.parse::<f64>() else {
-                return false;
-            };
-            if (idx as usize) >= self.dc.node_count() {
-                return false;
-            }
-            self.dc.set_node_fan(NodeId(idx), speed);
-            return true;
-        }
-        match action {
-            "cooling_setpoint_c" => match setting.parse::<f64>() {
-                Ok(sp) => {
-                    self.dc.set_cooling_setpoint(sp);
-                    true
+        use oda_sim::scheduler::placement::{CoolingAware, FirstFit, PackRacks};
+        match *action {
+            Action::NodeClock { node, ghz } => {
+                if node as usize >= self.dc.node_count() {
+                    return false;
                 }
-                Err(_) => false,
-            },
-            "cooling_mode" => {
-                let mode = match setting {
-                    "free-cooling" => CoolingMode::FreeCooling,
-                    "chiller" => CoolingMode::Chiller,
-                    "auto" => CoolingMode::Auto,
-                    _ => return false,
-                };
-                self.dc.set_cooling_mode(mode);
-                true
+                self.dc.set_node_freq(NodeId(node), ghz);
             }
-            "placement_policy" => {
-                let policy: Box<dyn oda_sim::scheduler::placement::PlacementPolicy> = match setting
-                {
-                    "first-fit" => Box::new(FirstFit),
-                    "cooling-aware" => Box::new(CoolingAware),
-                    "pack-racks" => Box::new(PackRacks),
-                    "power-aware" => Box::new(PowerAware),
-                    _ => return false,
-                };
-                self.dc.set_placement_policy(policy);
-                true
-            }
-            _ => false,
+            Action::CoolingSetpoint(c) => self.dc.set_cooling_setpoint(c),
+            Action::CoolingMode(mode) => self.dc.set_cooling_mode(match mode {
+                ModeAdvice::FreeCooling => CoolingMode::FreeCooling,
+                ModeAdvice::Chiller => CoolingMode::Chiller,
+            }),
+            Action::Placement(policy) => self.dc.set_placement_policy(match policy {
+                Placement::FirstFit => Box::new(FirstFit),
+                Placement::CoolingAware => Box::new(CoolingAware),
+                Placement::PackRacks => Box::new(PackRacks),
+            }),
+            Action::AppParameters { .. }
+            | Action::ServiceTicket(_)
+            | Action::CodeRecommendation(_) => return false,
         }
+        true
     }
 }
 
@@ -553,37 +499,10 @@ mod tests {
     }
 
     #[test]
-    fn advisory_mode_applies_nothing() {
-        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
-            .seed(52)
-            .build();
-        dc.run_for_hours(0.5);
-        let mut runtime = full_runtime();
-        runtime.autopilot = false;
-        let store = std::sync::Arc::clone(dc.store());
-        let registry = dc.registry().clone();
-        let now = dc.now();
-        let freq_before: Vec<f64> = (0..dc.node_count())
-            .map(|i| dc.node(NodeId(i as u32)).freq_ghz())
-            .collect();
-        let report = runtime.pass(store, registry, now, &mut SimControlPlane { dc: &mut dc });
-        assert_eq!(report.applied, 0);
-        assert!(report.deferred > 0);
-        let freq_after: Vec<f64> = (0..dc.node_count())
-            .map(|i| dc.node(NodeId(i as u32)).freq_ghz())
-            .collect();
-        assert_eq!(freq_before, freq_after, "advisory mode must not actuate");
-        assert!(runtime
-            .audit_log()
-            .iter()
-            .all(|r| r.outcome == ActionOutcome::NeedsOperator));
-    }
-
-    #[test]
     fn unknown_actions_are_deferred_not_lost() {
         struct DeafControlPlane;
         impl ControlPlane for DeafControlPlane {
-            fn apply(&mut self, _: &str, _: &str) -> bool {
+            fn apply(&mut self, _: &Action) -> bool {
                 false
             }
         }
@@ -773,7 +692,7 @@ mod tests {
     fn standalone_pipeline_runs_hand_out_the_runtime_pass_seeds() {
         struct NoKnobs;
         impl ControlPlane for NoKnobs {
-            fn apply(&mut self, _: &str, _: &str) -> bool {
+            fn apply(&mut self, _: &Action) -> bool {
                 false
             }
         }
@@ -813,19 +732,23 @@ mod tests {
     }
 
     #[test]
-    fn sim_control_plane_validates_inputs() {
+    fn sim_control_plane_refuses_what_it_cannot_apply() {
         let mut dc = DataCenter::builder(DataCenterConfig::tiny())
             .seed(54)
             .build();
         let mut cp = SimControlPlane { dc: &mut dc };
-        assert!(cp.apply("node0/freq_ghz", "2.0"));
-        assert!(!cp.apply("node999/freq_ghz", "2.0"), "out-of-range node");
-        assert!(!cp.apply("node0/freq_ghz", "fast"), "non-numeric setting");
-        assert!(cp.apply("cooling_mode", "chiller"));
-        assert!(!cp.apply("cooling_mode", "magic"));
-        assert!(cp.apply("placement_policy", "pack-racks"));
-        assert!(!cp.apply("warp_drive", "on"));
-        assert!(cp.apply("node1/fan", "0.8"));
-        assert!((dc.node(oda_sim::prelude::NodeId(1)).fan_speed() - 0.8).abs() < 1e-9);
+        assert!(cp.apply(&Action::NodeClock { node: 0, ghz: 2.0 }));
+        assert!(
+            !cp.apply(&Action::NodeClock {
+                node: 999,
+                ghz: 2.0
+            }),
+            "out-of-range node"
+        );
+        assert!(!cp.apply(&Action::AppParameters {
+            threads: 16.0,
+            tile: 64.0
+        }));
+        assert_eq!(dc.node(NodeId(0)).freq_ghz(), 2.0);
     }
 }

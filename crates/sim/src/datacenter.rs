@@ -684,18 +684,6 @@ impl DataCenter {
         self.nodes[node.index()].set_freq_ghz(ghz);
     }
 
-    /// Sets every node's DVFS frequency, GHz.
-    pub fn set_all_freq(&mut self, ghz: f64) {
-        for n in &mut self.nodes {
-            n.set_freq_ghz(ghz);
-        }
-    }
-
-    /// Sets one node's fan speed (fraction).
-    pub fn set_node_fan(&mut self, node: NodeId, speed: f64) {
-        self.nodes[node.index()].set_fan_speed(speed);
-    }
-
     /// Sets the cooling-loop inlet setpoint, °C.
     pub fn set_cooling_setpoint(&mut self, c: f64) {
         self.cooling.set_setpoint_c(c);
@@ -1402,7 +1390,9 @@ mod tests {
         let mut fast = tiny(5);
         fast.run_for_hours(2.0);
         let mut slow = tiny(5);
-        slow.set_all_freq(1.5);
+        for i in 0..slow.node_count() {
+            slow.set_node_freq(NodeId(i as u32), 1.5);
+        }
         slow.run_for_hours(2.0);
         assert!(
             slow.snapshot().it_energy_kwh < fast.snapshot().it_energy_kwh * 0.95,

@@ -349,7 +349,8 @@ impl RealFs {
     /// Open (creating if needed) a store rooted at `root`.
     pub fn new(root: impl Into<PathBuf>) -> Result<Self, FsError> {
         let root = root.into();
-        std::fs::create_dir_all(&root).map_err(|e| FsError::Io(e.to_string()))?;
+        std::fs::create_dir_all(&root)
+            .map_err(|e| FsError::Io(format!("{}: {e}", root.display())))?;
         Ok(Self {
             root,
             ops: AtomicU64::new(0),
@@ -364,7 +365,7 @@ impl RealFs {
         if e.kind() == std::io::ErrorKind::NotFound {
             FsError::NotFound(path.to_string())
         } else {
-            FsError::Io(e.to_string())
+            FsError::Io(format!("{path}: {e}"))
         }
     }
 }
@@ -439,9 +440,9 @@ impl StorageFs for RealFs {
     fn list(&self) -> Result<Vec<String>, FsError> {
         self.ops.fetch_add(1, Ordering::Relaxed);
         let mut names = Vec::new();
-        let entries = std::fs::read_dir(&self.root).map_err(|e| FsError::Io(e.to_string()))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| FsError::Io(e.to_string()))?;
+        let root_err = |e| FsError::Io(format!("{}: {e}", self.root.display()));
+        for entry in std::fs::read_dir(&self.root).map_err(root_err)? {
+            let entry = entry.map_err(root_err)?;
             let is_file = entry.file_type().map(|t| t.is_file()).unwrap_or(false);
             if !is_file {
                 continue;

@@ -361,6 +361,7 @@ mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
     use crate::store::RollupConfig;
+    use wal::WAL_FILE;
 
     fn reading(ts: u64, v: f64) -> Reading {
         Reading {
@@ -380,6 +381,22 @@ mod tests {
         };
         let store = Arc::new(TimeSeriesStore::with_capacity(capacity));
         open_backend(&cfg, fs as Arc<dyn StorageFs>, store).unwrap()
+    }
+
+    #[test]
+    // Touches the real filesystem, which Miri's isolation rejects.
+    #[cfg_attr(miri, ignore)]
+    fn real_fs_errors_name_the_file() {
+        let dir = std::env::temp_dir().join(format!("oda-wal-dir-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join(WAL_FILE)).unwrap();
+        let fs = Arc::new(RealFs::new(&dir).unwrap());
+        let store = Arc::new(TimeSeriesStore::with_capacity(8));
+        let err = open_backend(&StorageConfig::persistent(), fs, store)
+            .err()
+            .expect("a directory is not a WAL");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(err.to_string().contains(WAL_FILE), "{err}");
     }
 
     #[test]

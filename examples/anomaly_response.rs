@@ -14,7 +14,7 @@
 
 use hpc_oda::analytics::prescriptive::recommend::{recommend, Diagnosis};
 use hpc_oda::core::analytics_type::AnalyticsType;
-use hpc_oda::core::capability::{Artifact, CapabilityContext};
+use hpc_oda::core::capability::{Action, Artifact, CapabilityContext};
 use hpc_oda::core::cells::diagnostic::InfraAnomalyDetector;
 use hpc_oda::core::cells::prescriptive::CoolingOptimizer;
 use hpc_oda::core::pipeline::StagedPipeline;
@@ -73,26 +73,18 @@ fn main() {
                     }]);
                     events.push(format!("RECOMMEND: {}", recs[0].action));
                 }
-                Artifact::Prescription {
-                    action,
-                    setting,
-                    automatable,
-                    ..
-                } => {
-                    // The control plane applies automatable prescriptions.
-                    // Once the anomaly response fired, the conservative
-                    // setting is latched until the plant is serviced —
-                    // normal operation must not silently override it.
-                    if *automatable && action == "cooling_setpoint_c" && !responded {
-                        if let Ok(sp) = setting.parse::<f64>() {
-                            dc.set_cooling_setpoint(sp);
-                        }
-                    }
-                    if action == "service_ticket" && !responded {
-                        events.push(format!("RESPONSE latched: {setting}"));
+                // The control plane applies the setpoint. Once the anomaly
+                // response fired, the conservative setting is latched until
+                // the plant is serviced — normal operation must not
+                // silently override it.
+                Artifact::Prescription { action, .. } if !responded => match action {
+                    Action::CoolingSetpoint(sp) => dc.set_cooling_setpoint(*sp),
+                    Action::ServiceTicket(text) => {
+                        events.push(format!("RESPONSE latched: {text}"));
                         responded = true;
                     }
-                }
+                    _ => {}
+                },
                 _ => {}
             }
         }

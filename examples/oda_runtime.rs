@@ -43,7 +43,7 @@ fn main() {
     println!("parsed {} jobs from the SWF trace", trace.len());
 
     // The runtime: forecasting feeding cooling control, DVFS, and the
-    // scheduler tuner — audit-logged, autopilot on.
+    // scheduler tuner — audit-logged.
     let mut runtime = OdaRuntime::new(2 * 3_600_000)
         .with_capability(
             AnalyticsType::Diagnostic,
@@ -87,7 +87,11 @@ fn main() {
     for rec in runtime.audit_log().iter().rev().take(8).rev() {
         println!(
             "  [{}] {:<18} {} := {}  ({:?})",
-            rec.at, rec.source, rec.action, rec.setting, rec.outcome
+            rec.at,
+            rec.source,
+            rec.action.knob(),
+            rec.action.setting(),
+            rec.outcome
         );
     }
 

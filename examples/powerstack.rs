@@ -16,43 +16,20 @@ use hpc_oda::core::cells::predictive::HardwareForecaster;
 use hpc_oda::core::cells::prescriptive::{AppAutoTuner, DvfsTuner, SchedulerTuner};
 use hpc_oda::core::grid::GridFootprint;
 use hpc_oda::core::pipeline::StagedPipeline;
+use hpc_oda::core::runtime::{ControlPlane, SimControlPlane};
 use hpc_oda::core::systems;
 use hpc_oda::sim::prelude::*;
-use hpc_oda::sim::scheduler::placement::{CoolingAware, FirstFit, PackRacks, PowerAware};
 use hpc_oda::telemetry::query::TimeRange;
 use hpc_oda::telemetry::reading::Timestamp;
 use std::sync::Arc;
 
-fn apply_prescriptions(dc: &mut DataCenter, artifacts: &[&Artifact]) -> Vec<String> {
-    let mut applied = Vec::new();
+/// Applies the prescriptions the site owns a knob for; returns how many.
+fn apply_prescriptions(dc: &mut DataCenter, artifacts: &[&Artifact]) -> usize {
+    let mut control = SimControlPlane { dc };
+    let mut applied = 0;
     for a in artifacts {
-        if let Artifact::Prescription {
-            action,
-            setting,
-            automatable: true,
-            ..
-        } = a
-        {
-            if let Some(node_part) = action.strip_suffix("/freq_ghz") {
-                if let (Some(idx), Ok(f)) = (
-                    node_part
-                        .strip_prefix("node")
-                        .and_then(|s| s.parse::<u32>().ok()),
-                    setting.parse::<f64>(),
-                ) {
-                    dc.set_node_freq(NodeId(idx), f);
-                    applied.push(format!("{action}={setting}"));
-                }
-            } else if action == "placement_policy" {
-                let policy: Box<dyn PlacementPolicy> = match setting.as_str() {
-                    "cooling-aware" => Box::new(CoolingAware),
-                    "pack-racks" => Box::new(PackRacks),
-                    "power-aware" => Box::new(PowerAware),
-                    _ => Box::new(FirstFit),
-                };
-                dc.set_placement_policy(policy);
-                applied.push(format!("placement={setting}"));
-            }
+        if let Artifact::Prescription { action, .. } = a {
+            applied += usize::from(control.apply(action));
         }
     }
     applied
@@ -106,10 +83,9 @@ fn main() {
         let run = pipeline.run(ctx);
         let applied = apply_prescriptions(&mut controlled, &run.artifacts());
         println!(
-            "{hour:>4}   {:>15.2}   {:>11.2}   {} actions",
+            "{hour:>4}   {:>15.2}   {:>11.2}   {applied} actions",
             controlled.snapshot().it_energy_kwh,
             twin.snapshot().it_energy_kwh,
-            applied.len(),
         );
     }
     let c = controlled.snapshot();

@@ -2,10 +2,11 @@
 //! framework capabilities → closed-loop actuation.
 
 use hpc_oda::core::analytics_type::AnalyticsType;
-use hpc_oda::core::capability::{Artifact, Capability, CapabilityContext};
+use hpc_oda::core::capability::{Action, Artifact, Capability, CapabilityContext};
 use hpc_oda::core::cells;
 use hpc_oda::core::pipeline::StagedPipeline;
 use hpc_oda::core::registry::CapabilityRegistry;
+use hpc_oda::core::runtime::{ControlPlane, SimControlPlane};
 use hpc_oda::sim::prelude::*;
 use hpc_oda::telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
 use hpc_oda::telemetry::reading::Timestamp;
@@ -139,17 +140,16 @@ fn closed_loop_dvfs_actually_reduces_power() {
         .map(|i| dc.node(NodeId(i as u32)).freq_ghz())
         .sum();
     let out = cells::prescriptive::DvfsTuner::new().execute(&ctx_for(&dc));
+    let mut control = SimControlPlane { dc: &mut dc };
     let mut applied = 0;
     for a in &out {
         if let Artifact::Prescription {
-            action, setting, ..
+            action: action @ Action::NodeClock { .. },
+            ..
         } = a
         {
-            if let Some(rest) = action.strip_suffix("/freq_ghz") {
-                let idx: u32 = rest.trim_start_matches("node").parse().unwrap();
-                dc.set_node_freq(NodeId(idx), setting.parse().unwrap());
-                applied += 1;
-            }
+            assert!(control.apply(action), "{action:?}");
+            applied += 1;
         }
     }
     assert!(applied > 0, "an active site must yield DVFS prescriptions");
@@ -188,10 +188,9 @@ fn staged_pipeline_makes_prescriptive_proactive() {
             .iter()
             .find_map(|a| match a {
                 Artifact::Prescription {
-                    action,
+                    action: Action::CoolingSetpoint(_),
                     expected_impact,
-                    ..
-                } if action == "cooling_setpoint_c" => Some(expected_impact.clone()),
+                } => Some(expected_impact.clone()),
                 _ => None,
             })
             .unwrap()
