@@ -65,7 +65,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> chaos soak (short budget; replay at workers=1 and workers=4)"
 cargo run --release -p oda-bench --bin chaos -- 4000 21 4
 
-echo "==> prescription examples (the three that apply prescriptions run to completion)"
+echo "==> runtime examples (the three that apply prescriptions, and the framework tour, run to completion)"
+cargo run -q --release --example framework_tour > /dev/null
 cargo run -q --release --example powerstack > /dev/null
 cargo run -q --release --example anomaly_response > /dev/null
 cargo run -q --release --example oda_runtime > /dev/null

@@ -50,8 +50,7 @@ pub struct SoakConfig {
     /// Faults injected into the site; empty runs the clean baseline.
     pub schedule: Vec<Fault>,
     /// Worker count for the closed-loop ODA runtime the soak drives
-    /// once per evaluation window (wired through
-    /// `DataCenterConfig::workers`). The determinism check must hold at
+    /// once per evaluation window. The determinism check must hold at
     /// *any* worker count — the replay gate runs this soak at 1 and 4.
     pub workers: usize,
     /// Archive backend the site runs over. The digest contract is
@@ -249,7 +248,6 @@ struct Watched {
 /// Runs one soak and scores it.
 pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let mut config = DataCenterConfig::tiny();
-    config.workers = cfg.workers;
     config.storage = StorageConfig {
         backend: cfg.backend,
         ..StorageConfig::default()
@@ -269,7 +267,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let mut runtime = OdaRuntime::with_config(
         window_ms,
         RuntimeConfig::serial()
-            .with_workers(dc.config().workers)
+            .with_workers(cfg.workers)
             .with_seed(cfg.seed),
     )
     .with_metrics(MetricsRegistry::disabled())

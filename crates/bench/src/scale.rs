@@ -19,8 +19,7 @@ use oda_core::analytics_type::AnalyticsType;
 use oda_core::capability::{Artifact, Capability, CapabilityContext};
 use oda_core::grid::{GridCell, GridFootprint};
 use oda_core::pillar::Pillar;
-use oda_core::pipeline::StagedPipeline;
-use oda_core::runtime::RuntimeConfig;
+use oda_core::runtime::{OdaRuntime, RuntimeConfig};
 use oda_telemetry::hash::{fnv1a_fold, splitmix64, FNV_OFFSET};
 use oda_telemetry::metrics::MetricsRegistry;
 use oda_telemetry::query::TimeRange;
@@ -150,18 +149,18 @@ const PILLARS: [Pillar; 4] = [
     Pillar::Applications,
 ];
 
-fn build_pipeline(cfg: &ScaleConfig, workers: usize) -> StagedPipeline {
-    let mut pipeline = StagedPipeline::new()
-        .with_config(
-            RuntimeConfig::serial()
-                .with_workers(workers)
-                .with_seed(cfg.seed),
-        )
-        .with_metrics(MetricsRegistry::disabled());
+fn build_runtime(cfg: &ScaleConfig, workers: usize) -> OdaRuntime {
+    let mut runtime = OdaRuntime::with_config(
+        0,
+        RuntimeConfig::serial()
+            .with_workers(workers)
+            .with_seed(cfg.seed),
+    )
+    .with_metrics(MetricsRegistry::disabled());
     for i in 0..cfg.caps {
         let stage = STAGES[i % STAGES.len()];
         let pillar = PILLARS[(i / STAGES.len()) % PILLARS.len()];
-        pipeline.add_stage(
+        runtime.add_capability(
             stage,
             Box::new(SyntheticCollector {
                 name: format!("scale-cap-{i:02}"),
@@ -169,7 +168,7 @@ fn build_pipeline(cfg: &ScaleConfig, workers: usize) -> StagedPipeline {
             }),
         );
     }
-    pipeline
+    runtime
 }
 
 fn percentile_ns(sorted: &[u64], pct: usize) -> u64 {
@@ -180,7 +179,7 @@ fn percentile_ns(sorted: &[u64], pct: usize) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Runs the sweep: for each worker count, a fresh pipeline replays the
+/// Runs the sweep: for each worker count, a fresh runtime replays the
 /// same seed over the same registry; per-pass output digests are folded
 /// into a sequence digest that must match across all worker counts.
 pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
@@ -189,7 +188,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
 
     let mut points: Vec<WorkerPoint> = Vec::with_capacity(cfg.worker_counts.len());
     for &workers in &cfg.worker_counts {
-        let mut pipeline = build_pipeline(cfg, workers);
+        let mut runtime = build_runtime(cfg, workers);
         let mut digest = FNV_OFFSET;
         let mut samples: Vec<u64> = Vec::with_capacity(cfg.passes);
         // Pass 0 is the untimed warm-up; it still folds into the digest so
@@ -202,7 +201,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
                 Timestamp::from_millis(1_000 * (pass as u64 + 1)),
             );
             let start = Instant::now();
-            let run = pipeline.run(ctx);
+            let run = runtime.run(ctx);
             let wall_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             if pass > 0 {
                 samples.push(wall_ns);

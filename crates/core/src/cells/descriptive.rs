@@ -635,13 +635,14 @@ mod tests {
 
     #[test]
     fn alert_board_shares_cells_with_dashboards() {
-        use crate::registry::CapabilityRegistry;
-        let mut reg = CapabilityRegistry::new();
-        reg.register(Box::new(FacilityDashboard::new()));
-        reg.register(Box::new(AlertBoard::new()));
+        use crate::grid::Coverage;
+        let cov = Coverage::of([
+            FacilityDashboard::new().footprint(),
+            AlertBoard::new().footprint(),
+        ]);
         let cell = GridCell::new(AnalyticsType::Descriptive, Pillar::BuildingInfrastructure);
         assert_eq!(
-            reg.coverage().per_cell.get(cell),
+            cov.per_cell.get(cell),
             &2usize,
             "two capabilities in one cell"
         );

@@ -113,31 +113,24 @@ pub(crate) mod testutil {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::GridCell;
-    use crate::registry::CapabilityRegistry;
+    use crate::grid::{Coverage, GridCell};
 
     #[test]
     fn sixteen_capabilities_cover_the_whole_grid() {
-        let mut reg = CapabilityRegistry::new();
-        for c in all_sixteen() {
-            reg.register(c);
-        }
-        let cov = reg.coverage();
+        let caps = all_sixteen();
+        assert_eq!(caps.len(), 16);
+        let cov = Coverage::of(caps.iter().map(|c| c.footprint()));
         assert!(cov.gaps.is_empty(), "uncovered cells: {:?}", cov.gaps);
-        assert_eq!(reg.len(), 16);
         for cell in GridCell::all() {
-            assert!(!reg.in_cell(cell).is_empty(), "nothing in {cell}");
+            assert!(*cov.per_cell.get(cell) > 0, "nothing in {cell}");
         }
     }
 
     #[test]
     fn extended_set_deepens_cells_without_new_gaps() {
-        let mut reg = CapabilityRegistry::new();
-        for c in extended_set() {
-            reg.register(c);
-        }
-        assert_eq!(reg.len(), 18);
-        let cov = reg.coverage();
+        let caps = extended_set();
+        assert_eq!(caps.len(), 18);
+        let cov = Coverage::of(caps.iter().map(|c| c.footprint()));
         assert!(cov.gaps.is_empty());
         // The deepened cells hold two capabilities each.
         use crate::analytics_type::AnalyticsType;

@@ -4,7 +4,9 @@
 //! [`GridFootprint`] is the set of cells an ODA system covers (the shaded
 //! regions of the paper's Fig. 3); a [`CapabilityGrid`] stores one `T` per
 //! cell for table-shaped data (Table I itself is a
-//! `CapabilityGrid<Vec<SurveyEntry>>`).
+//! `CapabilityGrid<Vec<SurveyEntry>>`); a [`Coverage`] is the coverage/gap
+//! analysis the paper performs on the ODA landscape, computed over any set
+//! of footprints.
 
 use crate::analytics_type::AnalyticsType;
 use crate::pillar::Pillar;
@@ -197,6 +199,39 @@ impl GridFootprint {
     }
 }
 
+/// Coverage summary of a set of footprints over the sixteen cells: the
+/// paper's "areas that are rich, as well as gaps in the ODA landscape".
+#[derive(Debug, Clone, PartialEq)]
+pub struct Coverage {
+    /// Number of footprints touching each cell.
+    pub per_cell: CapabilityGrid<usize>,
+    /// Cells no footprint covers — the gaps.
+    pub gaps: Vec<GridCell>,
+    /// Union of all footprints.
+    pub union: GridFootprint,
+}
+
+impl Coverage {
+    /// Computes the coverage/gap analysis of `footprints` (one per
+    /// capability or system).
+    pub fn of(footprints: impl IntoIterator<Item = GridFootprint>) -> Self {
+        let mut per_cell: CapabilityGrid<usize> = CapabilityGrid::new();
+        let mut union = GridFootprint::EMPTY;
+        for f in footprints {
+            union = union.union(f);
+            for cell in f.cells() {
+                *per_cell.get_mut(cell) += 1;
+            }
+        }
+        let gaps = GridCell::all().filter(|c| !union.covers(*c)).collect();
+        Coverage {
+            per_cell,
+            gaps,
+            union,
+        }
+    }
+}
+
 /// Dense per-cell storage: one `T` for each of the sixteen cells.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CapabilityGrid<T> {
@@ -316,6 +351,41 @@ mod tests {
         assert!(lines[1].contains("[x]"));
         assert!(lines[4].starts_with("Descriptive"));
         assert!(!lines[4].contains("[x]"));
+    }
+
+    #[test]
+    fn coverage_counts_and_gaps() {
+        let cell = GridCell::new;
+        let cov = Coverage::of([
+            GridFootprint::single(cell(
+                AnalyticsType::Descriptive,
+                Pillar::BuildingInfrastructure,
+            )),
+            GridFootprint::single(cell(AnalyticsType::Diagnostic, Pillar::SystemHardware)),
+            GridFootprint::from_cells(&[
+                cell(AnalyticsType::Predictive, Pillar::SystemHardware),
+                cell(AnalyticsType::Prescriptive, Pillar::SystemSoftware),
+            ]),
+        ]);
+        assert_eq!(cov.union.count(), 4);
+        assert_eq!(cov.gaps.len(), 12);
+        assert_eq!(
+            *cov.per_cell.get(cell(
+                AnalyticsType::Descriptive,
+                Pillar::BuildingInfrastructure
+            )),
+            1
+        );
+        assert!(!cov
+            .gaps
+            .contains(&cell(AnalyticsType::Predictive, Pillar::SystemHardware)));
+    }
+
+    #[test]
+    fn no_footprints_leave_sixteen_gaps() {
+        let cov = Coverage::of([]);
+        assert_eq!(cov.gaps.len(), 16);
+        assert_eq!(cov.union, GridFootprint::EMPTY);
     }
 
     #[test]

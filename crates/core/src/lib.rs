@@ -23,13 +23,14 @@
 //! * [`capability::Capability`] is the unit of ODA — a component with a
 //!   grid footprint that consumes telemetry and produces typed artifacts
 //!   (reports, KPIs, diagnoses, forecasts, prescriptions);
-//! * [`registry::CapabilityRegistry`] indexes capabilities by cell and
-//!   computes the coverage/gap analysis the paper performs on the ODA
-//!   landscape;
-//! * [`pipeline::StagedPipeline`] wires capabilities along the
-//!   hindsight→foresight staircase of Fig. 2, so diagnostic stages see
-//!   descriptive output, prescriptive stages see forecasts, and the
-//!   reactive/proactive distinction of §V-A becomes executable;
+//! * [`grid::Coverage`] computes the coverage/gap analysis the paper
+//!   performs on the ODA landscape, over any set of footprints;
+//! * [`runtime::OdaRuntime`] owns the registered capabilities and runs
+//!   them along the hindsight→foresight staircase of Fig. 2, so
+//!   diagnostic stages see descriptive output, prescriptive stages see
+//!   forecasts, and the reactive/proactive distinction of §V-A becomes
+//!   executable; its passes apply the automatable prescriptions through a
+//!   [`runtime::ControlPlane`];
 //! * [`cells`] provides a working reference capability for **each of the
 //!   sixteen cells**, built from `oda-analytics` algorithms over an
 //!   `oda-sim` data center;
@@ -47,7 +48,6 @@ pub mod cells;
 pub mod grid;
 pub mod pillar;
 pub mod pipeline;
-pub mod registry;
 pub mod runtime;
 pub mod survey;
 pub mod systems;
@@ -56,9 +56,7 @@ pub mod systems;
 pub mod prelude {
     pub use crate::analytics_type::AnalyticsType;
     pub use crate::capability::{Artifact, Capability, CapabilityContext};
-    pub use crate::grid::{CapabilityGrid, GridCell, GridFootprint};
+    pub use crate::grid::{CapabilityGrid, Coverage, GridCell, GridFootprint};
     pub use crate::pillar::Pillar;
-    pub use crate::pipeline::StagedPipeline;
-    pub use crate::registry::CapabilityRegistry;
-    pub use crate::runtime::{ControlPlane, OdaRuntime, SimControlPlane};
+    pub use crate::runtime::{ControlPlane, OdaRuntime, RuntimeConfig, SimControlPlane};
 }

@@ -13,13 +13,16 @@
 //!
 //! # One executor
 //!
-//! [`StagedPipeline::run`] is the only pass executor. It turns the
-//! registered capabilities into a [`CapabilityDag`], layers it
-//! topologically, and runs each layer on scoped threads that pull tasks off
-//! the layer and are joined at its barrier — no thread is resident between
-//! passes. The pipeline owns everything a pass needs: its capabilities, its
-//! [`RuntimeConfig`] (worker count and RNG root seed), its pass counter and
-//! the one [`MetricsRegistry`] every pass records into.
+//! [`OdaRuntime::run`](crate::runtime::OdaRuntime::run) is the only pass
+//! executor. It turns the registered capabilities into a
+//! [`CapabilityDag`], layers it topologically, and runs each layer on
+//! scoped threads that pull tasks off the layer and are joined at its
+//! barrier — no thread is resident between passes. The runtime owns
+//! everything a pass needs: its capabilities, its
+//! [`RuntimeConfig`](crate::runtime::RuntimeConfig) (worker count and RNG
+//! root seed), its pass counter and the one [`MetricsRegistry`] every pass
+//! records into. This module holds the executor's internals and the
+//! [`PipelineRun`] trace a pass returns.
 //!
 //! # Determinism contract
 //!
@@ -49,7 +52,7 @@
 use crate::analytics_type::AnalyticsType;
 use crate::capability::{Artifact, Capability, CapabilityContext};
 use crate::grid::GridFootprint;
-use crate::runtime::{CapabilityDag, RuntimeConfig};
+use crate::runtime::CapabilityDag;
 use oda_telemetry::hash::{fnv1a_fold, splitmix64, FNV_OFFSET};
 use oda_telemetry::metrics::MetricsRegistry;
 use serde::Serialize;
@@ -176,10 +179,10 @@ impl PipelineRun {
 
 /// One registered capability and its stage — the executor's unit of
 /// dispatch. Workers borrow the capability in place, so the slot index is
-/// a stable identity for the whole pipeline lifetime.
-struct PipelineSlot {
-    stage: AnalyticsType,
-    cap: Box<dyn Capability>,
+/// a stable identity for the whole runtime lifetime.
+pub(crate) struct PipelineSlot {
+    pub(crate) stage: AnalyticsType,
+    pub(crate) cap: Box<dyn Capability>,
 }
 
 /// The slot-addressed outcome of one capability execution.
@@ -256,201 +259,115 @@ fn run_layer<'a>(threads: usize, tasks: impl Iterator<Item = Task<'a>> + Send) -
     })
 }
 
-/// A pipeline of capabilities organised by analytics type, and the
-/// deterministic parallel executor of its passes (see the
-/// [module docs](self)).
+/// Runs one pass of `slots` over `ctx` (whose `upstream` is used as the
+/// initial blackboard, normally empty): builds the [`CapabilityDag`] fresh
+/// (capability registration may change between passes), then runs each
+/// layer on `min(workers, layer width)` scoped threads, the caller among
+/// them, with per-task RNG streams derived from `pass_seed`. Outputs are
+/// bit-identical at every worker count.
 ///
-/// Within one stage, capabilities are peers and do *not* see each other's
-/// artifacts; across stages, later stages see everything earlier stages
-/// produced.
-///
-/// Every pass records into the pipeline's one registry: per capability a
-/// [`StageSpan`] plus `pipeline_stage_ns{capability}`,
-/// `pipeline_artifacts_total{capability}` and
-/// `runtime_capability_panics_total{capability}`; per layer
-/// `runtime_layer_span` and `runtime_worker_busy_ns{worker}`. A pipeline
-/// built without [`Self::with_metrics`] records into a fresh registry of
-/// its own.
-pub struct StagedPipeline {
-    slots: Vec<PipelineSlot>,
-    config: RuntimeConfig,
-    metrics: MetricsRegistry,
-    passes: u64,
-}
+/// Records per capability a [`StageSpan`] plus
+/// `pipeline_stage_ns{capability}`, `pipeline_artifacts_total{capability}`
+/// and `runtime_capability_panics_total{capability}`; per layer
+/// `runtime_layer_span` and `runtime_worker_busy_ns{worker}`.
+pub(crate) fn run(
+    slots: &mut [PipelineSlot],
+    workers: usize,
+    metrics: &MetricsRegistry,
+    pass_seed: u64,
+    ctx: CapabilityContext,
+) -> PipelineRun {
+    // odalint: allow(wall-clock) -- pass duration telemetry only; never feeds output digests
+    let run_start = Instant::now();
+    let mut run = PipelineRun {
+        stages: Vec::new(),
+        spans: Vec::new(),
+        wall_ns: 0,
+    };
+    let meta: Vec<(AnalyticsType, GridFootprint)> =
+        slots.iter().map(|s| (s.stage, s.cap.footprint())).collect();
+    let dag = CapabilityDag::build(&meta);
 
-impl Default for StagedPipeline {
-    fn default() -> Self {
-        StagedPipeline {
-            slots: Vec::new(),
-            config: RuntimeConfig::serial(),
-            metrics: MetricsRegistry::new(),
-            passes: 0,
-        }
-    }
-}
-
-impl StagedPipeline {
-    /// Creates an empty pipeline: serial ([`RuntimeConfig::serial`]), RNG
-    /// root seed 0, recording into a fresh registry of its own.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a capability at a stage. Builder-style.
-    #[must_use]
-    pub fn with_stage(mut self, stage: AnalyticsType, capability: Box<dyn Capability>) -> Self {
-        self.add_stage(stage, capability);
-        self
-    }
-
-    /// Runs passes on `config.workers` threads and derives their RNG
-    /// streams from `config.seed`. Builder-style.
-    #[must_use]
-    pub fn with_config(mut self, config: RuntimeConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Records every pass into `metrics`. Builder-style.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Adds a capability at a stage.
-    pub fn add_stage(&mut self, stage: AnalyticsType, capability: Box<dyn Capability>) {
-        self.slots.push(PipelineSlot {
-            stage,
-            cap: capability,
-        });
-    }
-
-    /// Number of capabilities in the pipeline.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` when the pipeline has no stages.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// The worker count and RNG root seed passes run with.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
-    /// The registry every pass records into.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Runs one pass over `ctx` (whose `upstream` is used as the initial
-    /// blackboard, normally empty): builds the [`CapabilityDag`] fresh
-    /// (capability registration may change between passes), then runs each
-    /// layer on `min(workers, layer width)` scoped threads, the caller among
-    /// them. Each run advances the pass seed. Outputs are bit-identical at
-    /// every worker count.
-    pub fn run(&mut self, ctx: CapabilityContext) -> PipelineRun {
-        let pass_seed = splitmix64(self.config.seed ^ splitmix64(self.passes));
-        self.passes += 1;
-        // odalint: allow(wall-clock) -- pass duration telemetry only; never feeds output digests
-        let run_start = Instant::now();
-        let mut run = PipelineRun {
-            stages: Vec::new(),
-            spans: Vec::new(),
-            wall_ns: 0,
-        };
-        let meta: Vec<(AnalyticsType, GridFootprint)> = self
-            .slots
-            .iter()
-            .map(|s| (s.stage, s.cap.footprint()))
-            .collect();
-        let dag = CapabilityDag::build(&meta);
-
-        let mut results: Vec<Option<SlotResult>> = meta.iter().map(|_| None).collect();
-        let mut upstream = ctx.upstream.clone();
-        for stage_layers in dag.layers.chunk_by(|a, b| a.stage == b.stage) {
-            // Peers never see each other: every layer of the stage runs
-            // against the artifacts of the stages before it.
-            let snapshot = upstream.clone();
-            for layer in stage_layers {
-                // odalint: allow(wall-clock) -- layer duration telemetry only; never feeds output digests
-                let layer_start = Instant::now();
-                // `layer.slots` is ascending, so the tasks come off in slot
-                // order, each holding its own capability and result slot.
-                let tasks = self
-                    .slots
-                    .iter_mut()
-                    .zip(results.iter_mut())
-                    .enumerate()
-                    .filter(|(slot, _)| layer.slots.binary_search(slot).is_ok())
-                    .map(|(slot, (entry, out))| Task {
-                        stage: layer.stage,
-                        cap: &mut entry.cap,
-                        ctx: CapabilityContext {
-                            store: Arc::clone(&ctx.store),
-                            registry: ctx.registry.clone(),
-                            window: ctx.window,
-                            now: ctx.now,
-                            upstream: snapshot.clone(),
-                            rng_seed: splitmix64(pass_seed ^ (slot as u64 + 1)),
-                        },
-                        out,
-                    });
-                let busy = run_layer(self.config.workers.min(layer.slots.len()), tasks);
-                self.metrics
-                    .histogram("runtime_layer_span", &[])
-                    .record(elapsed_ns(layer_start));
-                // Scheduling telemetry: varies run to run and is explicitly
-                // *outside* the determinism contract.
-                for (worker, busy_ns) in busy.into_iter().enumerate().filter(|&(_, ns)| ns > 0) {
-                    let idx = worker.to_string();
-                    self.metrics
-                        .histogram("runtime_worker_busy_ns", &[("worker", idx.as_str())])
-                        .record(busy_ns);
-                }
-            }
-            Self::emit_stage(&mut run, &mut upstream, &mut results, &self.metrics);
-        }
-        run.wall_ns = elapsed_ns(run_start);
-        run
-    }
-
-    /// Stage barrier: emits every result the finished stage left in
-    /// `results` — spans, per-capability metrics and downstream artifact
-    /// visibility — in slot order, never in completion order.
-    fn emit_stage(
-        run: &mut PipelineRun,
-        upstream: &mut Vec<Artifact>,
-        results: &mut [Option<SlotResult>],
-        metrics: &MetricsRegistry,
-    ) {
-        for done in results.iter_mut().filter_map(Option::take) {
-            let name = done.name;
-            let labels: &[(&str, &str)] = &[("capability", name.as_str())];
+    let mut results: Vec<Option<SlotResult>> = meta.iter().map(|_| None).collect();
+    let mut upstream = ctx.upstream.clone();
+    for stage_layers in dag.layers.chunk_by(|a, b| a.stage == b.stage) {
+        // Peers never see each other: every layer of the stage runs
+        // against the artifacts of the stages before it.
+        let snapshot = upstream.clone();
+        for layer in stage_layers {
+            // odalint: allow(wall-clock) -- layer duration telemetry only; never feeds output digests
+            let layer_start = Instant::now();
+            // `layer.slots` is ascending, so the tasks come off in slot
+            // order, each holding its own capability and result slot.
+            let tasks = slots
+                .iter_mut()
+                .zip(results.iter_mut())
+                .enumerate()
+                .filter(|(slot, _)| layer.slots.binary_search(slot).is_ok())
+                .map(|(slot, (entry, out))| Task {
+                    stage: layer.stage,
+                    cap: &mut entry.cap,
+                    ctx: CapabilityContext {
+                        store: Arc::clone(&ctx.store),
+                        registry: ctx.registry.clone(),
+                        window: ctx.window,
+                        now: ctx.now,
+                        upstream: snapshot.clone(),
+                        rng_seed: splitmix64(pass_seed ^ (slot as u64 + 1)),
+                    },
+                    out,
+                });
+            let busy = run_layer(workers.min(layer.slots.len()), tasks);
             metrics
-                .histogram("pipeline_stage_ns", labels)
-                .record(done.wall_ns);
-            metrics
-                .counter("pipeline_artifacts_total", labels)
-                .add(done.artifacts.len() as u64);
-            if done.panicked {
+                .histogram("runtime_layer_span", &[])
+                .record(elapsed_ns(layer_start));
+            // Scheduling telemetry: varies run to run and is explicitly
+            // *outside* the determinism contract.
+            for (worker, busy_ns) in busy.into_iter().enumerate().filter(|&(_, ns)| ns > 0) {
+                let idx = worker.to_string();
                 metrics
-                    .counter("runtime_capability_panics_total", labels)
-                    .inc();
+                    .histogram("runtime_worker_busy_ns", &[("worker", idx.as_str())])
+                    .record(busy_ns);
             }
-            run.spans.push(StageSpan {
-                stage: done.stage,
-                capability: name.clone(),
-                wall_ns: done.wall_ns,
-                artifacts: done.artifacts.len(),
-                panicked: done.panicked,
-            });
-            upstream.extend(done.artifacts.iter().cloned());
-            run.stages.push((done.stage, name, done.artifacts));
         }
+        emit_stage(&mut run, &mut upstream, &mut results, metrics);
+    }
+    run.wall_ns = elapsed_ns(run_start);
+    run
+}
+
+/// Stage barrier: emits every result the finished stage left in
+/// `results` — spans, per-capability metrics and downstream artifact
+/// visibility — in slot order, never in completion order.
+fn emit_stage(
+    run: &mut PipelineRun,
+    upstream: &mut Vec<Artifact>,
+    results: &mut [Option<SlotResult>],
+    metrics: &MetricsRegistry,
+) {
+    for done in results.iter_mut().filter_map(Option::take) {
+        let name = done.name;
+        let labels: &[(&str, &str)] = &[("capability", name.as_str())];
+        metrics
+            .histogram("pipeline_stage_ns", labels)
+            .record(done.wall_ns);
+        metrics
+            .counter("pipeline_artifacts_total", labels)
+            .add(done.artifacts.len() as u64);
+        if done.panicked {
+            metrics
+                .counter("runtime_capability_panics_total", labels)
+                .inc();
+        }
+        run.spans.push(StageSpan {
+            stage: done.stage,
+            capability: name.clone(),
+            wall_ns: done.wall_ns,
+            artifacts: done.artifacts.len(),
+            panicked: done.panicked,
+        });
+        upstream.extend(done.artifacts.iter().cloned());
+        run.stages.push((done.stage, name, done.artifacts));
     }
 }
 
@@ -460,6 +377,7 @@ mod tests {
     use crate::capability::Action;
     use crate::grid::{GridCell, GridFootprint};
     use crate::pillar::Pillar;
+    use crate::runtime::{OdaRuntime, RuntimeConfig};
     use oda_telemetry::query::TimeRange;
     use oda_telemetry::reading::Timestamp;
     use oda_telemetry::sensor::SensorRegistry;
@@ -473,6 +391,10 @@ mod tests {
             TimeRange::all(),
             Timestamp::ZERO,
         )
+    }
+
+    fn serial() -> OdaRuntime {
+        OdaRuntime::with_config(0, RuntimeConfig::serial())
     }
 
     /// Emits a forecast.
@@ -534,14 +456,14 @@ mod tests {
 
     #[test]
     fn later_stages_see_earlier_artifacts() {
-        let mut p = StagedPipeline::new()
-            .with_stage(
+        let mut p = serial()
+            .with_capability(
                 AnalyticsType::Prescriptive,
                 Box::new(Governor {
                     saw_forecast: false,
                 }),
             )
-            .with_stage(AnalyticsType::Predictive, Box::new(Predictor));
+            .with_capability(AnalyticsType::Predictive, Box::new(Predictor));
         // Insertion order deliberately reversed: the pipeline must order by
         // stage, not insertion.
         let run = p.run(ctx());
@@ -557,7 +479,7 @@ mod tests {
 
     #[test]
     fn prescriptive_without_predictor_is_reactive() {
-        let mut p = StagedPipeline::new().with_stage(
+        let mut p = serial().with_capability(
             AnalyticsType::Prescriptive,
             Box::new(Governor {
                 saw_forecast: false,
@@ -599,9 +521,9 @@ mod tests {
 
     #[test]
     fn peers_do_not_see_each_other() {
-        let mut p = StagedPipeline::new()
-            .with_stage(AnalyticsType::Descriptive, Box::new(Peer { name: "a" }))
-            .with_stage(AnalyticsType::Descriptive, Box::new(Peer { name: "b" }));
+        let mut p = serial()
+            .with_capability(AnalyticsType::Descriptive, Box::new(Peer { name: "a" }))
+            .with_capability(AnalyticsType::Descriptive, Box::new(Peer { name: "b" }));
         let run = p.run(ctx());
         let kpis: Vec<String> = run
             .artifacts()
@@ -617,10 +539,10 @@ mod tests {
     #[test]
     fn run_records_spans_and_stage_metrics() {
         let m = MetricsRegistry::new();
-        let mut p = StagedPipeline::new()
+        let mut p = serial()
             .with_metrics(m.clone())
-            .with_stage(AnalyticsType::Predictive, Box::new(Predictor))
-            .with_stage(
+            .with_capability(AnalyticsType::Predictive, Box::new(Predictor))
+            .with_capability(
                 AnalyticsType::Prescriptive,
                 Box::new(Governor {
                     saw_forecast: false,
@@ -648,12 +570,12 @@ mod tests {
     #[test]
     fn a_parallel_pass_records_into_the_pipeline_registry() {
         let m = MetricsRegistry::new();
-        let mut p = StagedPipeline::new()
-            .with_config(RuntimeConfig::serial().with_workers(2))
+        let mut p = serial()
+            .with_workers(2)
             .with_metrics(m.clone())
-            .with_stage(AnalyticsType::Descriptive, Box::new(Peer { name: "a" }))
-            .with_stage(AnalyticsType::Descriptive, Box::new(Peer { name: "b" }))
-            .with_stage(AnalyticsType::Predictive, Box::new(Predictor));
+            .with_capability(AnalyticsType::Descriptive, Box::new(Peer { name: "a" }))
+            .with_capability(AnalyticsType::Descriptive, Box::new(Peer { name: "b" }))
+            .with_capability(AnalyticsType::Predictive, Box::new(Predictor));
         p.run(ctx());
         let snap = m.snapshot();
         // Executor instruments: one span per layer, busy time per worker.
@@ -678,15 +600,15 @@ mod tests {
 
     #[test]
     fn run_trace_is_ordered_by_stage() {
-        let mut p = StagedPipeline::new()
-            .with_stage(
+        let mut p = serial()
+            .with_capability(
                 AnalyticsType::Prescriptive,
                 Box::new(Governor {
                     saw_forecast: false,
                 }),
             )
-            .with_stage(AnalyticsType::Predictive, Box::new(Predictor))
-            .with_stage(AnalyticsType::Descriptive, Box::new(Peer { name: "p" }));
+            .with_capability(AnalyticsType::Predictive, Box::new(Predictor))
+            .with_capability(AnalyticsType::Descriptive, Box::new(Peer { name: "p" }));
         let run = p.run(ctx());
         let order: Vec<AnalyticsType> = run.stages.iter().map(|(s, _, _)| *s).collect();
         assert_eq!(

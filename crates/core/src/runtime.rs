@@ -9,23 +9,24 @@
 //!   the simulator in this reproduction, a BMC/Redfish/SLURM adapter in a
 //!   real deployment;
 //! * [`CapabilityDag`] is the dependency DAG a pass runs as, and
-//!   [`RuntimeConfig`] its worker count and RNG root seed; the pass
-//!   executor itself is [`StagedPipeline::run`] (see [`crate::pipeline`]
-//!   for its determinism contract);
-//! * [`OdaRuntime`] holds a pipeline, runs a pass over a window of
-//!   telemetry, routes prescriptions, and keeps an audit log of every
-//!   action taken or deferred (prescriptions are outward-facing: a system
-//!   that cannot say what it did and why is not deployable). Its worker
-//!   count, seed and metrics registry are the pipeline's, set once.
+//!   [`RuntimeConfig`] its worker count and RNG root seed;
+//! * [`OdaRuntime`] is the one owner of registered capabilities. It runs
+//!   a pass over a window of telemetry ([`OdaRuntime::run`], the pass
+//!   executor; see [`crate::pipeline`] for its determinism contract),
+//!   routes prescriptions, and reports an audit record of every action
+//!   taken or deferred (prescriptions are outward-facing: a system that
+//!   cannot say what it did and why is not deployable). Its worker count,
+//!   seed and metrics registry are set once.
 //!
-//! The audit log inherits the executor's determinism: prescriptions are
-//! routed in the pass's slot-sequenced stage order, so the log is
-//! bit-identical at any worker count.
+//! The audit records inherit the executor's determinism: prescriptions
+//! are routed in the pass's slot-sequenced stage order, so each pass's
+//! [`PassReport::actions`] is bit-identical at any worker count.
 
 use crate::analytics_type::AnalyticsType;
 use crate::capability::{Action, Artifact, Capability, CapabilityContext};
 use crate::grid::GridFootprint;
-use crate::pipeline::{elapsed_ns, PipelineRun, StagedPipeline};
+use crate::pipeline::{self, elapsed_ns, PipelineRun, PipelineSlot};
+use oda_telemetry::hash::splitmix64;
 use oda_telemetry::metrics::MetricsRegistry;
 use oda_telemetry::query::TimeRange;
 use oda_telemetry::reading::Timestamp;
@@ -34,7 +35,7 @@ use oda_telemetry::store::TimeSeriesStore;
 use serde::Serialize;
 use std::sync::Arc;
 
-/// Worker count and RNG root seed of a pipeline's passes.
+/// Worker count and RNG root seed of a runtime's passes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RuntimeConfig {
     /// Most threads a layer runs on (the caller included). `1` (the
@@ -239,13 +240,17 @@ pub struct PassReport {
     pub applied: usize,
     /// Prescriptions deferred to the operator.
     pub deferred: usize,
+    /// Audit record of every prescription routed this pass, applied and
+    /// deferred, in routing order.
+    pub actions: Vec<ActionRecord>,
     /// Diagnoses raised this pass.
     pub diagnoses: usize,
     /// Wall time of the whole pass (pipeline + prescription routing), ns.
     pub wall_ns: u64,
 }
 
-/// Periodic ODA driver.
+/// Periodic ODA driver: the one owner of registered capabilities and the
+/// executor of their passes (see [`crate::pipeline`]).
 ///
 /// ```
 /// use oda_core::analytics_type::AnalyticsType;
@@ -266,13 +271,19 @@ pub struct PassReport {
 ///     &mut SimControlPlane { dc: &mut dc },
 /// );
 /// // Idle nodes at max clock get downclocked, and every action is audited.
-/// assert_eq!(runtime.audit_log().len(), report.applied + report.deferred);
+/// assert_eq!(report.actions.len(), report.applied + report.deferred);
 /// ```
+///
+/// Within one stage, capabilities are peers and do *not* see each other's
+/// artifacts; across stages, later stages see everything earlier stages
+/// produced.
 pub struct OdaRuntime {
-    pipeline: StagedPipeline,
+    slots: Vec<PipelineSlot>,
+    config: RuntimeConfig,
+    metrics: MetricsRegistry,
+    passes: u64,
     /// Width of the telemetry window each pass analyses, ms.
     pub window_ms: u64,
-    audit: Vec<ActionRecord>,
 }
 
 impl OdaRuntime {
@@ -287,50 +298,62 @@ impl OdaRuntime {
     /// used.
     pub fn with_config(window_ms: u64, config: RuntimeConfig) -> Self {
         OdaRuntime {
-            pipeline: StagedPipeline::new().with_config(config),
+            slots: Vec::new(),
+            config,
+            metrics: MetricsRegistry::new(),
+            passes: 0,
             window_ms,
-            audit: Vec::new(),
         }
     }
 
     /// Sets the worker count (1 = serial). Builder-style.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
-        let config = self.pipeline.config().clone().with_workers(workers);
-        self.pipeline = self.pipeline.with_config(config);
+        self.config = self.config.with_workers(workers);
         self
     }
 
     /// The configuration in effect.
     pub fn config(&self) -> &RuntimeConfig {
-        self.pipeline.config()
+        &self.config
     }
 
     /// Records pass metrics (`runtime_pass_total`, `runtime_pass_ns`,
     /// `runtime_prescriptions_{applied,deferred}_total`,
-    /// `runtime_diagnoses_total`) and everything the pipeline records per
-    /// pass into `metrics`. Builder-style.
+    /// `runtime_diagnoses_total`) and everything [`Self::run`] records
+    /// per pass into `metrics`. Builder-style.
     #[must_use]
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
-        self.pipeline = self.pipeline.with_metrics(metrics);
+        self.metrics = metrics;
         self
     }
 
     /// Adds a capability at its stage. Builder-style.
     #[must_use]
     pub fn with_capability(mut self, stage: AnalyticsType, c: Box<dyn Capability>) -> Self {
-        self.pipeline.add_stage(stage, c);
+        self.add_capability(stage, c);
         self
     }
 
     /// Adds a capability at its stage.
-    pub fn add_capability(&mut self, stage: AnalyticsType, c: Box<dyn Capability>) {
-        self.pipeline.add_stage(stage, c);
+    pub fn add_capability(&mut self, stage: AnalyticsType, cap: Box<dyn Capability>) {
+        self.slots.push(PipelineSlot { stage, cap });
     }
 
-    /// The audit log of every prescription ever routed.
-    pub fn audit_log(&self) -> &[ActionRecord] {
-        &self.audit
+    /// Runs the registered capabilities once over `ctx`, without routing
+    /// anything: the pass executor behind [`Self::pass`], for callers that
+    /// build their own context. Each run advances the pass seed; outputs
+    /// are bit-identical at every worker count.
+    pub fn run(&mut self, ctx: CapabilityContext) -> PipelineRun {
+        let pass_seed = splitmix64(self.config.seed ^ splitmix64(self.passes));
+        self.passes += 1;
+        pipeline::run(
+            &mut self.slots,
+            self.config.workers,
+            &self.metrics,
+            pass_seed,
+            ctx,
+        )
     }
 
     /// Runs one pass at time `now` over the trailing window, applying
@@ -342,8 +365,7 @@ impl OdaRuntime {
         now: Timestamp,
         control: &mut dyn ControlPlane,
     ) -> PassReport {
-        let metrics = self.pipeline.metrics().clone();
-        let pass_timer = metrics.histogram("runtime_pass_ns", &[]).start_timer();
+        let pass_timer = self.metrics.histogram("runtime_pass_ns", &[]).start_timer();
         // odalint: allow(wall-clock) -- pass duration telemetry only; never feeds output digests
         let pass_start = std::time::Instant::now();
         let ctx = CapabilityContext::new(
@@ -352,7 +374,8 @@ impl OdaRuntime {
             TimeRange::trailing(now, self.window_ms),
             now,
         );
-        let run = self.pipeline.run(ctx);
+        let run = self.run(ctx);
+        let mut actions = Vec::new();
         let mut applied = 0;
         let mut deferred = 0;
         let mut diagnoses = 0;
@@ -372,7 +395,7 @@ impl OdaRuntime {
                             deferred += 1;
                             ActionOutcome::NeedsOperator
                         };
-                        self.audit.push(ActionRecord {
+                        actions.push(ActionRecord {
                             at: now,
                             source: source.clone(),
                             action: action.clone(),
@@ -384,6 +407,7 @@ impl OdaRuntime {
                 }
             }
         }
+        let metrics = &self.metrics;
         metrics.counter("runtime_pass_total", &[]).inc();
         metrics
             .counter("runtime_prescriptions_applied_total", &[])
@@ -401,6 +425,7 @@ impl OdaRuntime {
             run,
             applied,
             deferred,
+            actions,
             diagnoses,
             wall_ns: elapsed_ns(pass_start),
         }
@@ -490,12 +515,38 @@ mod tests {
         let after = dc.cooling_setpoint();
         let _ = before_setpoint;
         assert!((18.0..=45.0).contains(&after));
-        // Audit log recorded everything with outcomes.
-        assert_eq!(runtime.audit_log().len(), report.applied + report.deferred);
-        assert!(runtime
-            .audit_log()
+        // The report audits everything with outcomes.
+        assert_eq!(report.actions.len(), report.applied + report.deferred);
+        assert!(report
+            .actions
             .iter()
             .all(|r| r.at == now && !r.source.is_empty()));
+    }
+
+    #[test]
+    fn every_report_audits_exactly_its_own_pass() {
+        let mut dc = DataCenter::builder(DataCenterConfig::tiny())
+            .seed(52)
+            .build();
+        let mut runtime = full_runtime();
+        let mut routed = 0;
+        for _ in 0..4 {
+            dc.run_for_hours(0.5);
+            let now = dc.now();
+            let report = runtime.pass(
+                std::sync::Arc::clone(dc.store()),
+                dc.registry().clone(),
+                now,
+                &mut SimControlPlane { dc: &mut dc },
+            );
+            assert_eq!(report.actions.len(), report.applied + report.deferred);
+            assert!(report.actions.iter().all(|r| r.at == now));
+            routed += report.actions.len();
+        }
+        assert!(
+            routed > 0,
+            "four passes over a live site prescribe something"
+        );
     }
 
     #[test]
@@ -518,8 +569,8 @@ mod tests {
             &mut DeafControlPlane,
         );
         assert_eq!(report.applied, 0);
-        assert!(runtime
-            .audit_log()
+        assert!(report
+            .actions
             .iter()
             .all(|r| r.outcome != ActionOutcome::Applied));
     }
@@ -602,13 +653,13 @@ mod tests {
                 report.run.output_digest(),
                 report.applied,
                 report.deferred,
-                runtime.audit_log().to_vec(),
+                report.actions,
             ));
         }
         assert_eq!(outputs[0].0, outputs[1].0, "pipeline outputs must match");
         assert_eq!(outputs[0].1, outputs[1].1, "applied counts must match");
         assert_eq!(outputs[0].2, outputs[1].2, "deferred counts must match");
-        assert_eq!(outputs[0].3, outputs[1].3, "audit logs must match");
+        assert_eq!(outputs[0].3, outputs[1].3, "audit records must match");
     }
 
     /// A capability that always panics: the executor must isolate it.
@@ -700,9 +751,8 @@ mod tests {
         for seed in [0, 0x5eed] {
             let config = RuntimeConfig::serial().with_seed(seed);
             let standalone = Arc::default();
-            let mut pipeline = StagedPipeline::new()
-                .with_config(config.clone())
-                .with_stage(
+            let mut standalone_runtime = OdaRuntime::with_config(3_600_000, config.clone())
+                .with_capability(
                     AnalyticsType::Descriptive,
                     Box::new(SeedProbe(Arc::clone(&standalone))),
                 );
@@ -712,7 +762,7 @@ mod tests {
                 Box::new(SeedProbe(Arc::clone(&in_runtime))),
             );
             for _ in 0..3 {
-                pipeline.run(CapabilityContext::new(
+                standalone_runtime.run(CapabilityContext::new(
                     Arc::clone(&store),
                     SensorRegistry::new(),
                     TimeRange::all(),

@@ -4,8 +4,9 @@
 //! several cells; Fig. 3 shades those footprints. This module encodes each
 //! system's components and cells so the figure can be regenerated, and —
 //! because this reproduction also *implements* every cell — each system
-//! can be instantiated as a runnable [`crate::pipeline::StagedPipeline`]
-//! (see `oda-bench`'s `figure3` binary and the examples).
+//! can be instantiated as capabilities registered on a runnable
+//! [`crate::runtime::OdaRuntime`] (see `oda-bench`'s `figure3` binary and
+//! the examples).
 
 use crate::analytics_type::AnalyticsType;
 use crate::grid::{GridCell, GridFootprint};

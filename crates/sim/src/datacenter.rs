@@ -99,11 +99,10 @@ pub struct DataCenterConfig {
     pub network: NetworkConfig,
     /// Workload parameters.
     pub workload: WorkloadConfig,
-    /// Worker count for analytics runtimes driven against this site
-    /// (`oda_core::runtime::RuntimeConfig::workers`). The simulator
-    /// itself stays single-threaded and deterministic; this field plumbs
-    /// the site's analytics parallelism to soaks, benches and examples so
-    /// site + runtime are configured in one place. `1` = serial.
+    /// Unread: neither the plant nor its site reads this field, and an
+    /// analytics runtime takes its worker count from
+    /// `oda_core::runtime::RuntimeConfig::workers`. It stays only because
+    /// the benchmark package's site config sets it.
     pub workers: usize,
     /// Collector-shard count for the distributed collector hierarchy.
     /// `0` (the default) runs unsharded: the site bus alone archives
@@ -460,13 +459,13 @@ pub struct DataCenter {
 ///
 /// // A default site, deterministic under its seed.
 /// let dc = DataCenter::builder(DataCenterConfig::tiny()).seed(42).build();
-/// assert_eq!(dc.config().workers, DataCenterConfig::tiny().workers);
+/// assert_eq!(dc.config().shards, DataCenterConfig::tiny().shards);
 /// ```
 ///
 /// Defaults: seed `0`, a fresh [`MetricsRegistry`] of the site's own, a
 /// fresh deterministic [`SimFs`] for durable storage, and the
 /// [`ServingConfig`] defaults for [`DataCenter::serve`]. The site's shape
-/// — workers, shards, rollups, storage — is set on the
+/// — shards, rollups, storage — is set on the
 /// [`DataCenterConfig`] itself:
 ///
 /// ```

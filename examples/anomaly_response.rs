@@ -3,10 +3,10 @@
 //! *prescriptive* component responds — both inside the Building
 //! Infrastructure pillar, but requiring two different disciplines.
 //!
-//! A cooling-plant degradation is injected mid-run; the staged pipeline
-//! detects it from the plant's specific power and prescribes a response,
-//! which the control plane applies. The example prints the KPI trajectory
-//! so the detection → response → relief sequence is visible.
+//! A cooling-plant degradation is injected mid-run; the runtime detects it
+//! from the plant's specific power and prescribes a response, which the
+//! control plane applies. The example prints the KPI trajectory so the
+//! detection → response → relief sequence is visible.
 //!
 //! ```text
 //! cargo run --release --example anomaly_response
@@ -17,7 +17,7 @@ use hpc_oda::core::analytics_type::AnalyticsType;
 use hpc_oda::core::capability::{Action, Artifact, CapabilityContext};
 use hpc_oda::core::cells::diagnostic::InfraAnomalyDetector;
 use hpc_oda::core::cells::prescriptive::CoolingOptimizer;
-use hpc_oda::core::pipeline::StagedPipeline;
+use hpc_oda::core::runtime::{OdaRuntime, RuntimeConfig};
 use hpc_oda::sim::prelude::*;
 use hpc_oda::telemetry::query::TimeRange;
 use hpc_oda::telemetry::reading::Timestamp;
@@ -34,12 +34,12 @@ fn main() {
         Timestamp::from_hours(48),
     ));
 
-    let mut pipeline = StagedPipeline::new()
-        .with_stage(
+    let mut runtime = OdaRuntime::with_config(0, RuntimeConfig::serial())
+        .with_capability(
             AnalyticsType::Diagnostic,
             Box::new(InfraAnomalyDetector::new()),
         )
-        .with_stage(
+        .with_capability(
             AnalyticsType::Prescriptive,
             Box::new(CoolingOptimizer::new()),
         );
@@ -54,7 +54,7 @@ fn main() {
             TimeRange::new(Timestamp::ZERO, dc.now() + 1),
             dc.now(),
         );
-        let run = pipeline.run(ctx);
+        let run = runtime.run(ctx);
         let mut events = Vec::new();
         for artifact in run.artifacts() {
             match artifact {

@@ -9,9 +9,9 @@
 use hpc_oda::core::analytics_type::AnalyticsType;
 use hpc_oda::core::capability::CapabilityContext;
 use hpc_oda::core::cells;
+use hpc_oda::core::grid::Coverage;
 use hpc_oda::core::pillar::Pillar;
-use hpc_oda::core::pipeline::StagedPipeline;
-use hpc_oda::core::registry::CapabilityRegistry;
+use hpc_oda::core::runtime::{OdaRuntime, RuntimeConfig};
 use hpc_oda::core::survey;
 use hpc_oda::core::systems;
 use hpc_oda::sim::prelude::*;
@@ -68,14 +68,11 @@ fn main() {
         .build();
     dc.run_for_hours(3.0);
 
-    let mut registry = CapabilityRegistry::new();
-    for c in cells::all_sixteen() {
-        registry.register(c);
-    }
-    let coverage = registry.coverage();
+    let capabilities = cells::all_sixteen();
+    let coverage = Coverage::of(capabilities.iter().map(|c| c.footprint()));
     println!(
         "registered {} capabilities; union footprint covers {}/16 cells ({} gaps)\n{}",
-        registry.len(),
+        capabilities.len(),
         coverage.union.count(),
         coverage.gaps.len(),
         coverage.union.render()
@@ -87,7 +84,7 @@ fn main() {
         TimeRange::new(Timestamp::ZERO, dc.now() + 1),
         dc.now(),
     );
-    for mut capability in cells::all_sixteen() {
+    for mut capability in capabilities {
         let artifacts = capability.execute(&ctx);
         println!(
             "  {:<26} → {:2} artifacts",
@@ -98,20 +95,20 @@ fn main() {
 
     // ----- A staged pipeline: descriptive → ... → prescriptive -----------
     println!("\nSTAGED PIPELINE — §V-A wiring, predictive output feeding prescriptive\n");
-    let mut pipeline = StagedPipeline::new()
-        .with_stage(
+    let mut runtime = OdaRuntime::with_config(0, RuntimeConfig::serial())
+        .with_capability(
             AnalyticsType::Descriptive,
             Box::new(cells::descriptive::FacilityDashboard::new()),
         )
-        .with_stage(
+        .with_capability(
             AnalyticsType::Diagnostic,
             Box::new(cells::diagnostic::InfraAnomalyDetector::new()),
         )
-        .with_stage(
+        .with_capability(
             AnalyticsType::Predictive,
             Box::new(cells::predictive::InfraForecaster::new()),
         )
-        .with_stage(
+        .with_capability(
             AnalyticsType::Prescriptive,
             Box::new(cells::prescriptive::CoolingOptimizer::new()),
         );
@@ -121,7 +118,7 @@ fn main() {
         TimeRange::new(Timestamp::ZERO, dc.now() + 1),
         dc.now(),
     );
-    let run = pipeline.run(ctx);
+    let run = runtime.run(ctx);
     for (stage, name, artifacts) in &run.stages {
         println!("  [{stage}] {name}: {} artifacts", artifacts.len());
         for a in artifacts.iter().take(3) {

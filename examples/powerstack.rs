@@ -2,46 +2,34 @@
 //! power management — predictive techniques informing prescriptive control
 //! of hardware knobs, scheduling, and application settings at once.
 //!
-//! The example composes four of the reference cells into one pipeline,
-//! runs it against a live site, applies the prescriptions, and reports the
-//! power-management outcome against an uncontrolled twin.
+//! The example registers four of the reference cells on one runtime, runs
+//! its passes against a live site, which apply the prescriptions, and
+//! reports the power-management outcome against an uncontrolled twin.
 //!
 //! ```text
 //! cargo run --release --example powerstack
 //! ```
 
 use hpc_oda::core::analytics_type::AnalyticsType;
-use hpc_oda::core::capability::{Artifact, CapabilityContext};
+use hpc_oda::core::capability::Capability;
 use hpc_oda::core::cells::predictive::HardwareForecaster;
 use hpc_oda::core::cells::prescriptive::{AppAutoTuner, DvfsTuner, SchedulerTuner};
-use hpc_oda::core::grid::GridFootprint;
-use hpc_oda::core::pipeline::StagedPipeline;
-use hpc_oda::core::runtime::{ControlPlane, SimControlPlane};
+use hpc_oda::core::grid::Coverage;
+use hpc_oda::core::runtime::{OdaRuntime, RuntimeConfig, SimControlPlane};
 use hpc_oda::core::systems;
 use hpc_oda::sim::prelude::*;
-use hpc_oda::telemetry::query::TimeRange;
-use hpc_oda::telemetry::reading::Timestamp;
 use std::sync::Arc;
 
-/// Applies the prescriptions the site owns a knob for; returns how many.
-fn apply_prescriptions(dc: &mut DataCenter, artifacts: &[&Artifact]) -> usize {
-    let mut control = SimControlPlane { dc };
-    let mut applied = 0;
-    for a in artifacts {
-        if let Artifact::Prescription { action, .. } = a {
-            applied += usize::from(control.apply(action));
-        }
-    }
-    applied
-}
+/// Hours the controlled site runs; each pass analyses all of them.
+const HOURS: u64 = 10;
 
 fn main() {
     println!("Powerstack-style cross-pillar power management\n");
     let blueprint = systems::powerstack();
     println!("{}\n", blueprint.render());
 
-    // Controlled site: the pipeline runs hourly and its prescriptions are
-    // applied. Uncontrolled twin: same seed, no ODA.
+    // Controlled site: the runtime passes hourly and applies its
+    // prescriptions. Uncontrolled twin: same seed, no ODA.
     let mut controlled = DataCenter::builder(DataCenterConfig::small())
         .seed(99)
         .build();
@@ -49,39 +37,39 @@ fn main() {
         .seed(99)
         .build();
 
-    let mut pipeline = StagedPipeline::new()
-        .with_stage(
+    let mut runtime = OdaRuntime::with_config(HOURS * 3_600_000, RuntimeConfig::serial())
+        .with_capability(
             AnalyticsType::Predictive,
             Box::new(HardwareForecaster::new()),
         )
-        .with_stage(AnalyticsType::Prescriptive, Box::new(DvfsTuner::new()))
-        .with_stage(AnalyticsType::Prescriptive, Box::new(SchedulerTuner::new()))
-        .with_stage(AnalyticsType::Prescriptive, Box::new(AppAutoTuner::new()));
+        .with_capability(AnalyticsType::Prescriptive, Box::new(DvfsTuner::new()))
+        .with_capability(AnalyticsType::Prescriptive, Box::new(SchedulerTuner::new()))
+        .with_capability(AnalyticsType::Prescriptive, Box::new(AppAutoTuner::new()));
 
     // The composed system's own grid footprint:
-    let mut footprint = GridFootprint::EMPTY;
-    for f in [
-        HardwareForecaster::new().footprint_of(),
-        DvfsTuner::new().footprint_of(),
-        SchedulerTuner::new().footprint_of(),
-        AppAutoTuner::new().footprint_of(),
-    ] {
-        footprint = footprint.union(f);
-    }
+    let footprint = Coverage::of([
+        HardwareForecaster::new().footprint(),
+        DvfsTuner::new().footprint(),
+        SchedulerTuner::new().footprint(),
+        AppAutoTuner::new().footprint(),
+    ])
+    .union;
     println!("our composition's footprint:\n{}", footprint.render());
 
     println!("hour   controlled IT kWh   twin IT kWh   applied");
-    for hour in 1..=10 {
+    for hour in 1..=HOURS {
         controlled.run_for_hours(1.0);
         twin.run_for_hours(1.0);
-        let ctx = CapabilityContext::new(
-            Arc::clone(controlled.store()),
-            controlled.registry().clone(),
-            TimeRange::new(Timestamp::ZERO, controlled.now() + 1),
-            controlled.now(),
-        );
-        let run = pipeline.run(ctx);
-        let applied = apply_prescriptions(&mut controlled, &run.artifacts());
+        let applied = runtime
+            .pass(
+                Arc::clone(controlled.store()),
+                controlled.registry().clone(),
+                controlled.now(),
+                &mut SimControlPlane {
+                    dc: &mut controlled,
+                },
+            )
+            .applied;
         println!(
             "{hour:>4}   {:>15.2}   {:>11.2}   {applied} actions",
             controlled.snapshot().it_energy_kwh,
@@ -110,15 +98,4 @@ fn main() {
         c.it_energy_kwh / (wc / 1_000.0),
         t.it_energy_kwh / (wt / 1_000.0),
     );
-}
-
-/// Local helper: expose a capability's footprint without consuming it.
-trait FootprintOf {
-    fn footprint_of(&self) -> GridFootprint;
-}
-
-impl<T: hpc_oda::core::capability::Capability> FootprintOf for T {
-    fn footprint_of(&self) -> GridFootprint {
-        self.footprint()
-    }
 }

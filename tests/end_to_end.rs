@@ -4,9 +4,9 @@
 use hpc_oda::core::analytics_type::AnalyticsType;
 use hpc_oda::core::capability::{Action, Artifact, Capability, CapabilityContext};
 use hpc_oda::core::cells;
-use hpc_oda::core::pipeline::StagedPipeline;
-use hpc_oda::core::registry::CapabilityRegistry;
-use hpc_oda::core::runtime::{ControlPlane, SimControlPlane};
+use hpc_oda::core::grid::Coverage;
+use hpc_oda::core::pipeline::PipelineRun;
+use hpc_oda::core::runtime::{ControlPlane, OdaRuntime, RuntimeConfig, SimControlPlane};
 use hpc_oda::sim::prelude::*;
 use hpc_oda::telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
 use hpc_oda::telemetry::reading::Timestamp;
@@ -88,13 +88,12 @@ fn full_sixteen_cell_pass_on_a_live_site() {
         .seed(7)
         .build();
     dc.run_for_hours(3.0);
-    let mut registry = CapabilityRegistry::new();
-    for c in cells::all_sixteen() {
-        registry.register(c);
-    }
-    assert!(registry.coverage().gaps.is_empty());
+    let capabilities = cells::all_sixteen();
+    assert!(Coverage::of(capabilities.iter().map(|c| c.footprint()))
+        .gaps
+        .is_empty());
     let ctx = ctx_for(&dc);
-    let results: Vec<(String, Vec<Artifact>)> = cells::all_sixteen()
+    let results: Vec<(String, Vec<Artifact>)> = capabilities
         .into_iter()
         .map(|mut c| (c.name().to_owned(), c.execute(&ctx)))
         .collect();
@@ -167,23 +166,24 @@ fn staged_pipeline_makes_prescriptive_proactive() {
     dc.run_for_hours(2.0);
     // Without the predictive stage: the optimizer reacts to current
     // weather.
-    let mut reactive_only = StagedPipeline::new().with_stage(
+    let serial = || OdaRuntime::with_config(0, RuntimeConfig::serial());
+    let mut reactive_only = serial().with_capability(
         AnalyticsType::Prescriptive,
         Box::new(cells::prescriptive::CoolingOptimizer::new()),
     );
     let run_r = reactive_only.run(ctx_for(&dc));
     // With it: the optimizer consumes the forecast.
-    let mut proactive = StagedPipeline::new()
-        .with_stage(
+    let mut proactive = serial()
+        .with_capability(
             AnalyticsType::Predictive,
             Box::new(cells::predictive::InfraForecaster::new()),
         )
-        .with_stage(
+        .with_capability(
             AnalyticsType::Prescriptive,
             Box::new(cells::prescriptive::CoolingOptimizer::new()),
         );
     let run_p = proactive.run(ctx_for(&dc));
-    let impact = |run: &hpc_oda::core::pipeline::PipelineRun| {
+    let impact = |run: &PipelineRun| {
         run.stage_artifacts(AnalyticsType::Prescriptive)
             .iter()
             .find_map(|a| match a {

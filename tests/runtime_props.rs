@@ -17,8 +17,7 @@
 use hpc_oda::core::analytics_type::AnalyticsType;
 use hpc_oda::core::capability::{Artifact, Capability, CapabilityContext};
 use hpc_oda::core::grid::{GridCell, GridFootprint};
-use hpc_oda::core::pipeline::StagedPipeline;
-use hpc_oda::core::runtime::RuntimeConfig;
+use hpc_oda::core::runtime::{OdaRuntime, RuntimeConfig};
 use hpc_oda::telemetry::hash::splitmix64;
 use hpc_oda::telemetry::metrics::MetricsRegistry;
 use hpc_oda::telemetry::query::TimeRange;
@@ -144,15 +143,15 @@ struct Observed {
 
 fn run_with_workers(specs: &[CapSpec], seed: u64, workers: usize, passes: usize) -> Observed {
     let metrics = MetricsRegistry::new();
-    let mut pipeline = StagedPipeline::new()
-        .with_config(
-            RuntimeConfig::serial()
-                .with_workers(workers)
-                .with_seed(seed),
-        )
-        .with_metrics(metrics.clone());
+    let mut runtime = OdaRuntime::with_config(
+        0,
+        RuntimeConfig::serial()
+            .with_workers(workers)
+            .with_seed(seed),
+    )
+    .with_metrics(metrics.clone());
     for (i, spec) in specs.iter().enumerate() {
-        pipeline.add_stage(
+        runtime.add_capability(
             spec.stage,
             Box::new(SyntheticCap {
                 name: format!("prop-cap-{i:02}"),
@@ -175,7 +174,7 @@ fn run_with_workers(specs: &[CapSpec], seed: u64, workers: usize, passes: usize)
             TimeRange::all(),
             Timestamp::from_millis(1_000 * (pass as u64 + 1)),
         );
-        let run = pipeline.run(ctx);
+        let run = runtime.run(ctx);
         observed.digests.push(run.output_digest());
         for span in &run.spans {
             observed.spans.push(format!(
@@ -285,20 +284,19 @@ impl Capability for Rendezvous {
 #[test]
 fn a_blocked_capability_strands_no_work_behind_it() {
     let (tx, rx) = channel();
-    let mut pipeline = StagedPipeline::new()
-        .with_config(RuntimeConfig::serial().with_workers(2))
+    let mut runtime = OdaRuntime::with_config(0, RuntimeConfig::serial().with_workers(2))
         .with_metrics(MetricsRegistry::disabled());
-    pipeline.add_stage(
+    runtime.add_capability(
         AnalyticsType::Descriptive,
         Box::new(Rendezvous::AwaitPeers(rx, 7)),
     );
     for _ in 0..7 {
-        pipeline.add_stage(
+        runtime.add_capability(
             AnalyticsType::Descriptive,
             Box::new(Rendezvous::Finish(tx.clone())),
         );
     }
-    let run = pipeline.run(CapabilityContext::new(
+    let run = runtime.run(CapabilityContext::new(
         Arc::new(TimeSeriesStore::with_capacity(8)),
         SensorRegistry::new(),
         TimeRange::all(),

@@ -11,7 +11,6 @@ use hpc_oda::core::analytics_type::AnalyticsType;
 use hpc_oda::core::capability::{Artifact, Capability, CapabilityContext};
 use hpc_oda::core::cells;
 use hpc_oda::core::grid::{GridCell, GridFootprint};
-use hpc_oda::core::pipeline::StagedPipeline;
 use hpc_oda::core::runtime::{OdaRuntime, RuntimeConfig, SimControlPlane};
 use hpc_oda::sim::prelude::*;
 use hpc_oda::telemetry::metrics::MetricsRegistry;
@@ -153,20 +152,19 @@ fn no_thread_outlives_a_pass() {
     let fleet = dc.sensors().node_temp.clone();
     assert_eq!(fleet.len(), 128);
     let layer = Arc::new(Layer::default());
-    let mut pipeline = StagedPipeline::new()
-        .with_config(RuntimeConfig::serial().with_workers(4))
+    let mut runtime = OdaRuntime::with_config(0, RuntimeConfig::serial().with_workers(4))
         .with_metrics(MetricsRegistry::disabled());
-    pipeline.add_stage(
+    runtime.add_capability(
         AnalyticsType::Descriptive,
         Box::new(FleetRead::Probe(Arc::clone(&layer))),
     );
     for _ in 0..PEERS {
-        pipeline.add_stage(
+        runtime.add_capability(
             AnalyticsType::Descriptive,
             Box::new(FleetRead::Peer(Arc::clone(&layer), fleet.clone())),
         );
     }
-    let run = pipeline.run(CapabilityContext::new(
+    let run = runtime.run(CapabilityContext::new(
         Arc::clone(dc.store()),
         dc.registry().clone(),
         TimeRange::all(),
