@@ -65,11 +65,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> chaos soak (short budget; replay at workers=1 and workers=4)"
 cargo run --release -p oda-bench --bin chaos -- 4000 21 4
 
-echo "==> runtime examples (the three that apply prescriptions, and the framework tour, run to completion)"
+echo "==> examples (all eight run to completion)"
+cargo run -q --release --example quickstart > /dev/null
 cargo run -q --release --example framework_tour > /dev/null
 cargo run -q --release --example powerstack > /dev/null
 cargo run -q --release --example anomaly_response > /dev/null
 cargo run -q --release --example oda_runtime > /dev/null
+cargo run -q --release --example llnl_power_forecast > /dev/null
+cargo run -q --release --example policy_whatif > /dev/null
+cargo run -q --release --example proactive_vs_reactive > /dev/null
 
 echo "==> scale bench (worker sweep 1/2/4/8: digest + fan-out overhead; speed-up informational)"
 cargo run --release -p oda-bench --bin scale > target/BENCH_scale.json

@@ -39,6 +39,7 @@ fn main() {
             (w / base.2 - 1.0) * 100.0
         );
     }
-    println!("\nExpected shape (paper §V-A): governed < static on energy; proactive");
-    println!("recovers throughput the reactive governor loses at phase transitions.");
+    println!("\nExpected shape (paper §V-A): governed < static on energy, proactive < reactive");
+    println!("on energy. Not reproduced: proactive does not recover the throughput the");
+    println!("reactive governor loses (both lose about the same completed work).");
 }

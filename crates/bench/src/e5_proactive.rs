@@ -18,15 +18,19 @@
 //!   a one-interval-ahead Holt forecast of utilization, anticipating
 //!   transitions.
 //!
-//! Expected shape: both governed regimes use less energy per unit of work
-//! than static-max; proactive recovers most of the reactive regime's
-//! throughput loss while keeping (almost all of) its energy savings.
+//! Expected shape: both governed regimes use less IT energy than
+//! static-max (the tests below check this), and proactive a little less
+//! than reactive over the three seeds `proactive` runs — the energy
+//! direction holds. The throughput half of the claim is not reproduced:
+//! proactive does not recover the completed work the reactive regime
+//! loses (both lose about the same; EXPERIMENTS.md, E5), and no test
+//! checks it.
 
 use crate::control::{metrics, run_with_controller, RunMetrics};
 use oda_analytics::predictive::forecast::Holt;
 use oda_analytics::prescriptive::dvfs::{DvfsGovernor, FreqPolicy, GovernorMode};
 use oda_sim::prelude::*;
-use oda_telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
+use oda_telemetry::query::{Aggregation, Query, TimeRange};
 
 /// DVFS regime under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,16 +83,13 @@ pub fn run_regime(regime: Regime, hours: f64, seed: u64, control_every_s: u64) -
                 .map(|i| dc.registry().lookup(&format!("/hw/node{i}/util")).unwrap())
                 .collect();
             run_with_controller(&mut dc, hours, control_every_s, |dc| {
-                let store = std::sync::Arc::clone(dc.store());
-                let q = QueryEngine::new(&store);
+                let plane = dc.site().plane();
                 let window = TimeRange::trailing(dc.now(), control_every_s * 1_000);
                 for (i, governor) in governors.iter_mut().enumerate() {
-                    let util = Query::sensors(util_sensors[i])
+                    let query = Query::sensors(util_sensors[i])
                         .range(window)
-                        .aggregate(Aggregation::Mean)
-                        .run(&q)
-                        .scalar()
-                        .unwrap_or(0.0);
+                        .aggregate(Aggregation::Mean);
+                    let util = plane.query(query).scalar().unwrap_or(0.0);
                     let freq = governor.decide(util);
                     dc.set_node_freq(NodeId(i as u32), freq);
                 }

@@ -31,7 +31,7 @@ use oda_analytics::prescriptive::cooling_mode::PlantModel;
 use oda_analytics::prescriptive::setpoint::golden_section_min;
 use oda_sim::prelude::*;
 use oda_sim::scheduler::placement::CoolingAware;
-use oda_telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
+use oda_telemetry::query::{Aggregation, Query, TimeRange};
 
 /// Experiment configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,17 +78,15 @@ fn site_config() -> DataCenterConfig {
 /// free-cooling region plant power is flat in the setpoint, so "lowest
 /// setpoint that still admits free cooling" is the silo's optimum.
 fn tune_cooling_silo(dc: &mut DataCenter) {
-    let store = std::sync::Arc::clone(dc.store());
-    let q = QueryEngine::new(&store);
+    let plane = dc.site().plane();
     let outside = dc
         .registry()
         .lookup("/facility/outside_temp")
         .and_then(|s| {
-            Query::sensors(s)
+            let query = Query::sensors(s)
                 .range(TimeRange::trailing(dc.now(), 900_000))
-                .aggregate(Aggregation::Max)
-                .run(&q)
-                .scalar()
+                .aggregate(Aggregation::Max);
+            plane.query(query).scalar()
         });
     if let Some(outside) = outside {
         // Free cooling needs outside + approach ≤ setpoint; 1 °C margin.
@@ -103,16 +101,12 @@ fn tune_cooling_silo(dc: &mut DataCenter) {
 /// loop setpoint) and the silicon's leakage coefficient — hardware-pillar
 /// knowledge a facility silo does not have.
 fn tune_cooling_cross_pillar(dc: &mut DataCenter, leak_w_per_c: f64, leak_onset_c: f64) {
-    let store = std::sync::Arc::clone(dc.store());
-    let q = QueryEngine::new(&store);
+    let plane = dc.site().plane();
     let recent = TimeRange::trailing(dc.now(), 900_000);
     let lookup = |name: &str, agg| {
         dc.registry().lookup(name).and_then(|s| {
-            Query::sensors(s)
-                .range(recent)
-                .aggregate(agg)
-                .run(&q)
-                .scalar()
+            let query = Query::sensors(s).range(recent).aggregate(agg);
+            plane.query(query).scalar()
         })
     };
     let Some(outside) = lookup("/facility/outside_temp", Aggregation::Max) else {

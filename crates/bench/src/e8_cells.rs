@@ -8,7 +8,6 @@ use oda_core::grid::GridCell;
 use oda_sim::prelude::*;
 use oda_telemetry::query::TimeRange;
 use oda_telemetry::reading::Timestamp;
-use std::sync::Arc;
 
 /// Result of one cell's run.
 #[derive(Debug, Clone)]
@@ -80,8 +79,7 @@ pub fn build_site(hours: f64, seed: u64) -> DataCenter {
 /// Runs all sixteen reference capabilities against the site's telemetry.
 pub fn run_all(dc: &DataCenter) -> Vec<CellResult> {
     let ctx = CapabilityContext::new(
-        Arc::clone(dc.store()),
-        dc.registry().clone(),
+        dc.site().plane(),
         TimeRange::new(Timestamp::ZERO, dc.now() + 1),
         dc.now(),
     );

@@ -22,6 +22,7 @@ use oda_core::pillar::Pillar;
 use oda_core::runtime::{OdaRuntime, RuntimeConfig};
 use oda_telemetry::hash::{fnv1a_fold, splitmix64, FNV_OFFSET};
 use oda_telemetry::metrics::MetricsRegistry;
+use oda_telemetry::plane::{LocalPlane, QueryPlane};
 use oda_telemetry::query::TimeRange;
 use oda_telemetry::reading::Timestamp;
 use oda_telemetry::sensor::SensorRegistry;
@@ -183,8 +184,10 @@ fn percentile_ns(sorted: &[u64], pct: usize) -> u64 {
 /// same seed over the same registry; per-pass output digests are folded
 /// into a sequence digest that must match across all worker counts.
 pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
-    let store = Arc::new(TimeSeriesStore::with_capacity(64));
-    let registry = SensorRegistry::new();
+    let plane: Arc<dyn QueryPlane> = Arc::new(LocalPlane {
+        store: Arc::new(TimeSeriesStore::with_capacity(64)),
+        registry: SensorRegistry::new(),
+    });
 
     let mut points: Vec<WorkerPoint> = Vec::with_capacity(cfg.worker_counts.len());
     for &workers in &cfg.worker_counts {
@@ -195,8 +198,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
         // the pass-seed sequence stays aligned across worker counts.
         for pass in 0..=cfg.passes {
             let ctx = CapabilityContext::new(
-                Arc::clone(&store),
-                registry.clone(),
+                Arc::clone(&plane),
                 TimeRange::all(),
                 Timestamp::from_millis(1_000 * (pass as u64 + 1)),
             );

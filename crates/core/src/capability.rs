@@ -11,10 +11,9 @@
 
 use crate::grid::GridFootprint;
 use oda_analytics::prescriptive::cooling_mode::ModeAdvice;
+use oda_telemetry::plane::QueryPlane;
 use oda_telemetry::query::TimeRange;
 use oda_telemetry::reading::Timestamp;
-use oda_telemetry::sensor::SensorRegistry;
-use oda_telemetry::store::TimeSeriesStore;
 use serde::Serialize;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -190,14 +189,18 @@ impl Artifact {
 
 /// Everything a capability may read during a run.
 ///
-/// Capabilities see telemetry (store + registry) and the artifacts produced
-/// by *earlier stages of the same pipeline run* — never simulator
-/// internals. `window` is the analysis range; `now` its upper edge.
+/// Capabilities read telemetry only through the site's query plane, the
+/// read interface the serving layer also holds, so on a sharded site they
+/// read the collector cluster. They also see the artifacts produced by
+/// *earlier stages of the same pipeline run*. `window` is the analysis
+/// range; `now` its upper edge. The four Applications-pillar cells also
+/// take the simulator's job records, outside the context, through
+/// `set_records` (see [`crate::cells`]).
 pub struct CapabilityContext {
-    /// Archive to query.
-    pub store: Arc<TimeSeriesStore>,
-    /// Registry for name→id resolution.
-    pub registry: SensorRegistry,
+    /// The site's read interface: queries, and the registry for name→id
+    /// resolution. Take it from the site once per pass: a plane taken
+    /// before an archive restart keeps reading the pre-restart store.
+    pub plane: Arc<dyn QueryPlane>,
     /// The analysis window.
     pub window: TimeRange,
     /// Current time (upper edge of the window).
@@ -218,15 +221,9 @@ pub struct CapabilityContext {
 
 impl CapabilityContext {
     /// Creates a context with no upstream artifacts.
-    pub fn new(
-        store: Arc<TimeSeriesStore>,
-        registry: SensorRegistry,
-        window: TimeRange,
-        now: Timestamp,
-    ) -> Self {
+    pub fn new(plane: Arc<dyn QueryPlane>, window: TimeRange, now: Timestamp) -> Self {
         CapabilityContext {
-            store,
-            registry,
+            plane,
             window,
             now,
             upstream: Vec::new(),
@@ -296,6 +293,9 @@ mod tests {
     use crate::analytics_type::AnalyticsType;
     use crate::grid::GridCell;
     use crate::pillar::Pillar;
+    use oda_telemetry::plane::LocalPlane;
+    use oda_telemetry::sensor::SensorRegistry;
+    use oda_telemetry::store::TimeSeriesStore;
 
     struct Dummy;
 
@@ -322,8 +322,10 @@ mod tests {
 
     fn ctx() -> CapabilityContext {
         CapabilityContext::new(
-            Arc::new(TimeSeriesStore::with_capacity(8)),
-            SensorRegistry::new(),
+            Arc::new(LocalPlane {
+                store: Arc::new(TimeSeriesStore::with_capacity(8)),
+                registry: SensorRegistry::new(),
+            }),
             TimeRange::all(),
             Timestamp::ZERO,
         )

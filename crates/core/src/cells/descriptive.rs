@@ -8,10 +8,10 @@ use crate::pillar::Pillar;
 use oda_analytics::descriptive::dashboard::{gauge, sparkline, stat_line, Table};
 use oda_analytics::descriptive::kpi::{self, SystemInformationEntropy};
 use oda_sim::datacenter::JobRecord;
-use oda_telemetry::query::{Aggregation, Query, QueryEngine};
+use oda_telemetry::query::{Aggregation, Query};
 
 fn resolve(ctx: &CapabilityContext, name: &str) -> Option<oda_telemetry::sensor::SensorId> {
-    ctx.registry.lookup(name)
+    ctx.plane.registry().lookup(name)
 }
 
 /// Descriptive × Building Infrastructure: PUE calculation and a facility
@@ -44,15 +44,13 @@ impl Capability for FacilityDashboard {
     }
 
     fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
-        let q = QueryEngine::new(&ctx.store);
         let mut out = Vec::new();
         let get_mean = |name: &str| {
             resolve(ctx, name).and_then(|s| {
-                Query::sensors(s)
+                let query = Query::sensors(s)
                     .range(ctx.window)
-                    .aggregate(Aggregation::Mean)
-                    .run(&q)
-                    .scalar()
+                    .aggregate(Aggregation::Mean);
+                ctx.plane.query(query).scalar()
             })
         };
         let utility = get_mean("/facility/power/utility_kw");
@@ -80,11 +78,10 @@ impl Capability for FacilityDashboard {
             body.push('\n');
         }
         if let Some(s) = resolve(ctx, "/facility/outside_temp") {
-            let buckets = Query::sensors(s)
+            let query = Query::sensors(s)
                 .range(ctx.window)
-                .downsample(600_000, Aggregation::Mean)
-                .run(&q)
-                .buckets();
+                .downsample(600_000, Aggregation::Mean);
+            let buckets = ctx.plane.query(query).buckets();
             let series: Vec<f64> = buckets
                 .iter()
                 .rev()
@@ -147,18 +144,16 @@ impl Capability for HardwareDashboard {
     }
 
     fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
-        let q = QueryEngine::new(&ctx.store);
         let mut out = Vec::new();
-        let powers = super::node_sensors(&ctx.registry, "power_w");
-        let temps = super::node_sensors(&ctx.registry, "temp_c");
-        let utils = super::node_sensors(&ctx.registry, "util");
-        let fans = super::node_sensors(&ctx.registry, "fan");
+        let powers = super::node_sensors(ctx.plane.registry(), "power_w");
+        let temps = super::node_sensors(ctx.plane.registry(), "temp_c");
+        let utils = super::node_sensors(ctx.plane.registry(), "util");
+        let fans = super::node_sensors(ctx.plane.registry(), "fan");
         let mean_of = |ids: &[oda_telemetry::sensor::SensorId]| {
-            Query::sensors(ids)
+            let query = Query::sensors(ids)
                 .range(ctx.window)
-                .aggregate(Aggregation::Mean)
-                .run(&q)
-                .scalars()
+                .aggregate(Aggregation::Mean);
+            ctx.plane.query(query).scalars()
         };
         let p_means = mean_of(&powers);
         let t_means = mean_of(&temps);
@@ -251,15 +246,11 @@ impl Capability for SchedulerDashboard {
     }
 
     fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
-        let q = QueryEngine::new(&ctx.store);
         let mut out = Vec::new();
         let scalar = |name: &str, agg: Aggregation| {
             resolve(ctx, name).and_then(|s| {
-                Query::sensors(s)
-                    .range(ctx.window)
-                    .aggregate(agg)
-                    .run(&q)
-                    .scalar()
+                let query = Query::sensors(s).range(ctx.window).aggregate(agg);
+                ctx.plane.query(query).scalar()
             })
         };
         let mean = |name: &str| scalar(name, Aggregation::Mean);
@@ -299,11 +290,10 @@ impl Capability for SchedulerDashboard {
             }
         }
         if let Some(s) = resolve(ctx, "/sw/sched/queue_len") {
-            let buckets = Query::sensors(s)
+            let query = Query::sensors(s)
                 .range(ctx.window)
-                .downsample(600_000, Aggregation::Mean)
-                .run(&q)
-                .buckets();
+                .downsample(600_000, Aggregation::Mean);
+            let buckets = ctx.plane.query(query).buckets();
             let series: Vec<f64> = buckets
                 .iter()
                 .rev()
@@ -466,13 +456,13 @@ impl Capability for AlertBoard {
     fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
         use oda_telemetry::alert::{AlertEngine, AlertRule};
         use oda_telemetry::pattern::SensorPattern;
-        let q = QueryEngine::new(&ctx.store);
         // Expand patterns to concrete sensors, build the engine.
+        let registry = ctx.plane.registry();
         let mut rules = Vec::new();
         for (name, sensor_pat, condition, severity) in &self.rules {
-            for sensor in ctx.registry.matching(&SensorPattern::new(sensor_pat)) {
+            for sensor in registry.matching(&SensorPattern::new(sensor_pat)) {
                 let label = if sensor_pat.contains('*') {
-                    let full = ctx.registry.name(sensor).unwrap_or_default();
+                    let full = registry.name(sensor).unwrap_or_default();
                     format!("{name} ({full})")
                 } else {
                     name.clone()
@@ -490,7 +480,8 @@ impl Capability for AlertBoard {
         // level rules need).
         let mut fired_log = Vec::new();
         for sensor in sensors {
-            let readings = Query::sensors(sensor).range(ctx.window).run(&q).readings();
+            let query = Query::sensors(sensor).range(ctx.window);
+            let readings = ctx.plane.query(query).readings();
             for reading in readings {
                 for ev in engine.observe(sensor, reading) {
                     if ev.active {
@@ -611,8 +602,7 @@ mod tests {
         dc.submit_stress_test(8, 3_600.0);
         dc.run_for_hours(1.0);
         let ctx = crate::capability::CapabilityContext::new(
-            std::sync::Arc::clone(dc.store()),
-            dc.registry().clone(),
+            dc.site().plane(),
             oda_telemetry::query::TimeRange::new(
                 oda_telemetry::reading::Timestamp::ZERO,
                 dc.now() + 1,
@@ -651,8 +641,10 @@ mod tests {
     #[test]
     fn dashboards_survive_empty_telemetry() {
         let ctx = crate::capability::CapabilityContext::new(
-            std::sync::Arc::new(oda_telemetry::store::TimeSeriesStore::with_capacity(4)),
-            oda_telemetry::sensor::SensorRegistry::new(),
+            std::sync::Arc::new(oda_telemetry::plane::LocalPlane {
+                store: std::sync::Arc::new(oda_telemetry::store::TimeSeriesStore::with_capacity(4)),
+                registry: oda_telemetry::sensor::SensorRegistry::new(),
+            }),
             oda_telemetry::query::TimeRange::all(),
             oda_telemetry::reading::Timestamp::ZERO,
         );

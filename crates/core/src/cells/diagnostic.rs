@@ -9,7 +9,7 @@ use oda_analytics::descriptive::stats::linear_fit;
 use oda_analytics::diagnostic::fingerprint::{JobFeatures, NearestCentroid};
 use oda_sim::datacenter::JobRecord;
 use oda_sim::scheduler::job::JobClass;
-use oda_telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
+use oda_telemetry::query::{Aggregation, Query, TimeRange};
 
 /// Diagnostic × Building Infrastructure: cooling-plant anomaly detection
 /// (Table I: "Infrastructure anomaly detection \[54\]", "Fingerprinting data
@@ -59,19 +59,17 @@ impl Capability for InfraAnomalyDetector {
     }
 
     fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
-        let q = QueryEngine::new(&ctx.store);
         let (Some(cooling), Some(it)) = (
-            ctx.registry.lookup("/facility/cooling/power_kw"),
-            ctx.registry.lookup("/facility/power/it_kw"),
+            ctx.plane.registry().lookup("/facility/cooling/power_kw"),
+            ctx.plane.registry().lookup("/facility/power/it_kw"),
         ) else {
             return Vec::new();
         };
         // Specific power series on a common 1-minute grid.
-        let (grid, m) = Query::sensors([cooling, it])
+        let query = Query::sensors([cooling, it])
             .range(ctx.window)
-            .align(60_000)
-            .run(&q)
-            .aligned();
+            .align(60_000);
+        let (grid, m) = ctx.plane.query(query).aligned();
         if grid.len() < 16 {
             return Vec::new();
         }
@@ -181,23 +179,20 @@ impl Capability for NodeAnomalyDetector {
     }
 
     fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
-        let q = QueryEngine::new(&ctx.store);
-        let temps = super::node_sensors(&ctx.registry, "temp_c");
-        let powers = super::node_sensors(&ctx.registry, "power_w");
-        let fans = super::node_sensors(&ctx.registry, "fan");
+        let temps = super::node_sensors(ctx.plane.registry(), "temp_c");
+        let powers = super::node_sensors(ctx.plane.registry(), "power_w");
+        let fans = super::node_sensors(ctx.plane.registry(), "fan");
         if temps.len() < 4 {
             return Vec::new();
         }
         let recent = TimeRange::trailing(ctx.now, self.recent_ms);
         let inlet = ctx
-            .registry
+            .plane
+            .registry()
             .lookup("/facility/cooling/inlet_c")
             .and_then(|s| {
-                Query::sensors(s)
-                    .range(recent)
-                    .aggregate(Aggregation::Mean)
-                    .run(&q)
-                    .scalar()
+                let query = Query::sensors(s).range(recent).aggregate(Aggregation::Mean);
+                ctx.plane.query(query).scalar()
             })
             .unwrap_or(25.0);
         // Per-node thermal-resistance *series* over the full window, on a
@@ -207,11 +202,8 @@ impl Capability for NodeAnomalyDetector {
             .iter()
             .zip(&powers)
             .map(|(&t, &p)| {
-                let (grid, m) = Query::sensors([t, p])
-                    .range(ctx.window)
-                    .align(bucket_ms)
-                    .run(&q)
-                    .aligned();
+                let query = Query::sensors([t, p]).range(ctx.window).align(bucket_ms);
+                let (grid, m) = ctx.plane.query(query).aligned();
                 let _ = grid;
                 m[0].iter()
                     .zip(&m[1])
@@ -237,11 +229,10 @@ impl Capability for NodeAnomalyDetector {
         }
         let fleet_z = mad_z_scores(&fleet_values).unwrap_or(vec![0.0; fleet_values.len()]);
         let fleet_median = median(&fleet_values).unwrap_or(f64::NAN);
-        let f_recent = Query::sensors(&fans)
+        let query = Query::sensors(&fans)
             .range(recent)
-            .aggregate(Aggregation::Mean)
-            .run(&q)
-            .scalars();
+            .aggregate(Aggregation::Mean);
+        let f_recent = ctx.plane.query(query).scalars();
         let mut out = Vec::new();
         let mut vi = 0usize;
         for (node_pos, r) in recent_r.iter().enumerate() {
@@ -353,18 +344,18 @@ impl Capability for NetworkContentionDiagnostics {
     }
 
     fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
-        let q = QueryEngine::new(&ctx.store);
         let pattern = oda_telemetry::pattern::SensorPattern::new("/hw/*/uplink_contention");
         let mut out = Vec::new();
-        for sensor in ctx.registry.matching(&pattern) {
-            let name = ctx.registry.name(sensor).unwrap_or_default();
+        for sensor in ctx.plane.registry().matching(&pattern) {
+            let name = ctx.plane.registry().name(sensor).unwrap_or_default();
             let rack = name
                 .trim_start_matches("/hw/")
                 .split('/')
                 .next()
                 .unwrap_or("rack?")
                 .to_owned();
-            let samples = Query::sensors(sensor).range(ctx.window).run(&q).readings();
+            let query = Query::sensors(sensor).range(ctx.window);
+            let samples = ctx.plane.query(query).readings();
             if samples.len() < 10 {
                 continue;
             }
@@ -435,14 +426,14 @@ impl Capability for SoftwareAnomalyDetector {
     }
 
     fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
-        let q = QueryEngine::new(&ctx.store);
         // System (daemon/kernel) memory is reported separately from job
         // memory, as production node exporters do — job churn would
         // otherwise mask a daemon leak completely.
         let pattern = oda_telemetry::pattern::SensorPattern::new("/sw/*/sys_mem_gib");
-        let mut mems = ctx.registry.matching(&pattern);
+        let mut mems = ctx.plane.registry().matching(&pattern);
         mems.sort_by_key(|id| {
-            ctx.registry
+            ctx.plane
+                .registry()
                 .name(*id)
                 .and_then(|n| {
                     n.trim_start_matches("/sw/node")
@@ -452,7 +443,7 @@ impl Capability for SoftwareAnomalyDetector {
                 })
                 .unwrap_or(u32::MAX)
         });
-        let utils = super::node_sensors(&ctx.registry, "util");
+        let utils = super::node_sensors(ctx.plane.registry(), "util");
         let mut out = Vec::new();
         // Memory leaks: *monotone* growth of the system-memory floor.
         // Discriminator: the minimum of each quarter of the window must be
@@ -460,11 +451,10 @@ impl Capability for SoftwareAnomalyDetector {
         // leak-rate threshold — a one-off allocation raises one quarter
         // and then plateaus.
         for (i, &sensor) in mems.iter().enumerate() {
-            let buckets = Query::sensors(sensor)
+            let query = Query::sensors(sensor)
                 .range(ctx.window)
-                .downsample(60_000, Aggregation::Min)
-                .run(&q)
-                .buckets();
+                .downsample(60_000, Aggregation::Min);
+            let buckets = ctx.plane.query(query).buckets();
             if buckets.len() < 16 {
                 continue;
             }
@@ -497,21 +487,24 @@ impl Capability for SoftwareAnomalyDetector {
         // capacity. Scheduler-allocated work shows phase dips; a rogue
         // process is a constant floor.
         let fleet_util = ctx
-            .registry
+            .plane
+            .registry()
             .lookup("/sw/sched/utilization")
             .and_then(|s| {
-                Query::sensors(s)
+                let query = Query::sensors(s)
                     .range(ctx.window)
-                    .aggregate(Aggregation::Mean)
-                    .run(&q)
-                    .scalar()
+                    .aggregate(Aggregation::Mean);
+                ctx.plane.query(query).scalar()
             })
             .unwrap_or(1.0);
         if fleet_util < 0.8 {
             for (i, &sensor) in utils.iter().enumerate() {
                 let util = Query::sensors(sensor).range(ctx.window);
-                let min = util.clone().aggregate(Aggregation::Min).run(&q).scalar();
-                let mean = util.aggregate(Aggregation::Mean).run(&q).scalar();
+                let min = ctx
+                    .plane
+                    .query(util.clone().aggregate(Aggregation::Min))
+                    .scalar();
+                let mean = ctx.plane.query(util.aggregate(Aggregation::Mean)).scalar();
                 if let (Some(min), Some(mean)) = (min, mean) {
                     if min > self.rogue_util_floor && mean < 0.95 {
                         out.push(Artifact::Diagnosis {
@@ -642,8 +635,7 @@ mod tests {
         ));
         dc.run_for_hours(2.0);
         let ctx = crate::capability::CapabilityContext::new(
-            std::sync::Arc::clone(dc.store()),
-            dc.registry().clone(),
+            dc.site().plane(),
             oda_telemetry::query::TimeRange::new(Timestamp::ZERO, dc.now() + 1),
             dc.now(),
         );
@@ -681,8 +673,7 @@ mod tests {
         ));
         dc.run_for_hours(2.0);
         let ctx = crate::capability::CapabilityContext::new(
-            std::sync::Arc::clone(dc.store()),
-            dc.registry().clone(),
+            dc.site().plane(),
             oda_telemetry::query::TimeRange::new(Timestamp::ZERO, dc.now() + 1),
             dc.now(),
         );
@@ -723,8 +714,7 @@ mod tests {
         ));
         dc.run_for_hours(4.0);
         let ctx = crate::capability::CapabilityContext::new(
-            std::sync::Arc::clone(dc.store()),
-            dc.registry().clone(),
+            dc.site().plane(),
             oda_telemetry::query::TimeRange::new(Timestamp::ZERO, dc.now() + 1),
             dc.now(),
         );
@@ -753,8 +743,7 @@ mod tests {
         ));
         dc.run_for_hours(3.0);
         let ctx = crate::capability::CapabilityContext::new(
-            std::sync::Arc::clone(dc.store()),
-            dc.registry().clone(),
+            dc.site().plane(),
             oda_telemetry::query::TimeRange::new(Timestamp::ZERO, dc.now() + 1),
             dc.now(),
         );
@@ -819,8 +808,10 @@ mod tests {
         cap.set_training(training);
         cap.set_records(suspects);
         let ctx = crate::capability::CapabilityContext::new(
-            std::sync::Arc::new(oda_telemetry::store::TimeSeriesStore::with_capacity(4)),
-            oda_telemetry::sensor::SensorRegistry::new(),
+            std::sync::Arc::new(oda_telemetry::plane::LocalPlane {
+                store: std::sync::Arc::new(oda_telemetry::store::TimeSeriesStore::with_capacity(4)),
+                registry: oda_telemetry::sensor::SensorRegistry::new(),
+            }),
             oda_telemetry::query::TimeRange::all(),
             Timestamp::ZERO,
         );

@@ -9,9 +9,12 @@
 //!
 //! Conventions shared by all cells:
 //!
-//! * inputs are the telemetry archive (plus, for Applications-pillar
-//!   cells, the resource manager's job-accounting feed — the equivalent of
-//!   reading the SLURM database, provided via `set_records`);
+//! * inputs are the site's telemetry, read only through the context's
+//!   query plane (`ctx.plane.query(..)`, `ctx.plane.registry()`), so a
+//!   cell reads the collector cluster on a sharded site; Applications-
+//!   pillar cells also take the resource manager's job-accounting feed —
+//!   the equivalent of reading the SLURM database, provided via
+//!   `set_records`;
 //! * outputs are typed [`crate::capability::Artifact`]s.
 //!
 //! That job feed is the simulator's own `oda_sim::datacenter::JobRecord`,
@@ -91,7 +94,6 @@ pub(crate) mod testutil {
     use crate::capability::CapabilityContext;
     use oda_sim::prelude::*;
     use oda_telemetry::query::TimeRange;
-    use std::sync::Arc;
 
     /// Runs a tiny data center for `hours` and wraps its telemetry in a
     /// capability context covering the full run.
@@ -101,8 +103,7 @@ pub(crate) mod testutil {
             .build();
         dc.run_for_hours(hours);
         let ctx = CapabilityContext::new(
-            Arc::clone(dc.store()),
-            dc.registry().clone(),
+            dc.site().plane(),
             TimeRange::new(oda_telemetry::reading::Timestamp::ZERO, dc.now() + 1),
             dc.now(),
         );

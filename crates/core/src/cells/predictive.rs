@@ -8,7 +8,7 @@ use oda_analytics::predictive::ar::ArModel;
 use oda_analytics::predictive::forecast::{Forecaster, Holt, HoltWinters};
 use oda_analytics::predictive::jobs::{JobPredictor, Outcome, Submission};
 use oda_sim::datacenter::JobRecord;
-use oda_telemetry::query::{Aggregation, Query, QueryEngine};
+use oda_telemetry::query::{Aggregation, Query};
 
 /// Diurnal-period Holt–Winters over a sensor downsampled to `bucket_ms`;
 /// falls back to Holt's trend method while less than one full season of
@@ -20,13 +20,11 @@ fn seasonal_forecast(
     bucket_ms: u64,
     horizon_buckets: usize,
 ) -> Option<Vec<(f64, f64)>> {
-    let sensor = ctx.registry.lookup(sensor_name)?;
-    let q = QueryEngine::new(&ctx.store);
-    let buckets = Query::sensors(sensor)
+    let sensor = ctx.plane.registry().lookup(sensor_name)?;
+    let query = Query::sensors(sensor)
         .range(ctx.window)
-        .downsample(bucket_ms, Aggregation::Mean)
-        .run(&q)
-        .buckets();
+        .downsample(bucket_ms, Aggregation::Mean);
+    let buckets = ctx.plane.query(query).buckets();
     let period = (24 * 3_600_000 / bucket_ms) as usize;
     let mut model: Box<dyn Forecaster> = if buckets.len() >= period + 4 {
         Box::new(HoltWinters::new(0.3, 0.02, 0.3, period))
@@ -160,16 +158,14 @@ impl Capability for HardwareForecaster {
     }
 
     fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
-        let q = QueryEngine::new(&ctx.store);
-        let temps = super::node_sensors(&ctx.registry, "temp_c");
+        let temps = super::node_sensors(ctx.plane.registry(), "temp_c");
         let mut out = Vec::new();
         let mut fleet_max: Option<f64> = None;
         for (i, &sensor) in temps.iter().enumerate() {
-            let buckets = Query::sensors(sensor)
+            let query = Query::sensors(sensor)
                 .range(ctx.window)
-                .downsample(self.bucket_ms, Aggregation::Mean)
-                .run(&q)
-                .buckets();
+                .downsample(self.bucket_ms, Aggregation::Mean);
+            let buckets = ctx.plane.query(query).buckets();
             let series: Vec<f64> = buckets.iter().map(|b| b.value).collect();
             let Some(model) = ArModel::fit(&series, self.order) else {
                 continue;

@@ -13,7 +13,7 @@ use crate::pillar::Pillar;
 use oda_analytics::prescriptive::autotune::{coordinate_descent, ParameterSpace};
 use oda_analytics::prescriptive::cooling_mode::{CoolingModeSwitcher, PlantModel};
 use oda_analytics::prescriptive::dvfs::FreqPolicy;
-use oda_telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
+use oda_telemetry::query::{Aggregation, Query, TimeRange};
 
 /// Prescriptive × Building Infrastructure: cooling setpoint and mode
 /// tuning (Table I: "Switching between types of cooling \[12\]", "Tuning of
@@ -69,7 +69,6 @@ impl Capability for CoolingOptimizer {
     }
 
     fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
-        let q = QueryEngine::new(&ctx.store);
         let mut out = Vec::new();
         // Anomaly response dominates: with a degraded plant, run warm and
         // call service.
@@ -98,26 +97,29 @@ impl Capability for CoolingOptimizer {
                 .map(|&(_, v)| v)
                 .fold(f64::NEG_INFINITY, f64::max)
         } else {
-            match ctx.registry.lookup("/facility/outside_temp").and_then(|s| {
-                Query::sensors(s)
-                    .range(TimeRange::trailing(ctx.now, 600_000))
-                    .aggregate(Aggregation::Last)
-                    .run(&q)
-                    .scalar()
-            }) {
+            match ctx
+                .plane
+                .registry()
+                .lookup("/facility/outside_temp")
+                .and_then(|s| {
+                    let query = Query::sensors(s)
+                        .range(TimeRange::trailing(ctx.now, 600_000))
+                        .aggregate(Aggregation::Last);
+                    ctx.plane.query(query).scalar()
+                }) {
                 Some(v) => v,
                 None => return out,
             }
         };
         let it_kw = ctx
-            .registry
+            .plane
+            .registry()
             .lookup("/facility/power/it_kw")
             .and_then(|s| {
-                Query::sensors(s)
+                let query = Query::sensors(s)
                     .range(TimeRange::trailing(ctx.now, 600_000))
-                    .aggregate(Aggregation::Mean)
-                    .run(&q)
-                    .scalar()
+                    .aggregate(Aggregation::Mean);
+                ctx.plane.query(query).scalar()
             })
             .unwrap_or(0.0);
         // Lowest setpoint that keeps free cooling feasible against the
@@ -190,20 +192,17 @@ impl Capability for DvfsTuner {
     }
 
     fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
-        let q = QueryEngine::new(&ctx.store);
-        let utils = super::node_sensors(&ctx.registry, "util");
-        let freqs = super::node_sensors(&ctx.registry, "freq_ghz");
+        let utils = super::node_sensors(ctx.plane.registry(), "util");
+        let freqs = super::node_sensors(ctx.plane.registry(), "freq_ghz");
         let recent = TimeRange::trailing(ctx.now, 5 * 60 * 1_000);
-        let u = Query::sensors(&utils)
+        let query = Query::sensors(&utils)
             .range(recent)
-            .aggregate(Aggregation::Mean)
-            .run(&q)
-            .scalars();
-        let f = Query::sensors(&freqs)
+            .aggregate(Aggregation::Mean);
+        let u = ctx.plane.query(query).scalars();
+        let query = Query::sensors(&freqs)
             .range(recent)
-            .aggregate(Aggregation::Last)
-            .run(&q)
-            .scalars();
+            .aggregate(Aggregation::Last);
+        let f = ctx.plane.query(query).scalars();
         let mut out = Vec::new();
         for (i, (util, cur)) in u.iter().zip(&f).enumerate() {
             let (Some(util), Some(cur)) = (util, cur) else {
@@ -280,14 +279,15 @@ impl Capability for SchedulerTuner {
     }
 
     fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
-        let q = QueryEngine::new(&ctx.store);
         // Mean contention across rack uplinks.
         let pattern = oda_telemetry::pattern::SensorPattern::new("/hw/*/uplink_contention");
-        let links = ctx.registry.matching(&pattern);
-        let contention: Vec<f64> = Query::sensors(&links)
+        let links = ctx.plane.registry().matching(&pattern);
+        let query = Query::sensors(&links)
             .range(ctx.window)
-            .aggregate(Aggregation::Mean)
-            .run(&q)
+            .aggregate(Aggregation::Mean);
+        let contention: Vec<f64> = ctx
+            .plane
+            .query(query)
             .scalars()
             .into_iter()
             .flatten()
@@ -298,11 +298,13 @@ impl Capability for SchedulerTuner {
             contention.iter().sum::<f64>() / contention.len() as f64
         };
         // Thermal skew across nodes.
-        let temps = super::node_sensors(&ctx.registry, "temp_c");
-        let t_means: Vec<f64> = Query::sensors(&temps)
+        let temps = super::node_sensors(ctx.plane.registry(), "temp_c");
+        let query = Query::sensors(&temps)
             .range(ctx.window)
-            .aggregate(Aggregation::Mean)
-            .run(&q)
+            .aggregate(Aggregation::Mean);
+        let t_means: Vec<f64> = ctx
+            .plane
+            .query(query)
             .scalars()
             .into_iter()
             .flatten()
@@ -407,12 +409,13 @@ impl Capability for AppAutoTuner {
     fn execute(&mut self, ctx: &CapabilityContext) -> Vec<Artifact> {
         // Machine state affects measured runtimes: read the fleet's mean
         // clock so the tuned optimum reflects the deployment.
-        let q = QueryEngine::new(&ctx.store);
-        let freqs = super::node_sensors(&ctx.registry, "freq_ghz");
-        let clocks: Vec<f64> = Query::sensors(&freqs)
+        let freqs = super::node_sensors(ctx.plane.registry(), "freq_ghz");
+        let query = Query::sensors(&freqs)
             .range(TimeRange::trailing(ctx.now, 600_000))
-            .aggregate(Aggregation::Last)
-            .run(&q)
+            .aggregate(Aggregation::Last);
+        let clocks: Vec<f64> = ctx
+            .plane
+            .query(query)
             .scalars()
             .into_iter()
             .flatten()
@@ -544,8 +547,7 @@ mod tests {
         ));
         dc.run_for_hours(2.0);
         let ctx = crate::capability::CapabilityContext::new(
-            std::sync::Arc::clone(dc.store()),
-            dc.registry().clone(),
+            dc.site().plane(),
             oda_telemetry::query::TimeRange::new(
                 oda_telemetry::reading::Timestamp::ZERO,
                 dc.now() + 1,

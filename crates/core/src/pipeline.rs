@@ -308,8 +308,7 @@ pub(crate) fn run(
                     stage: layer.stage,
                     cap: &mut entry.cap,
                     ctx: CapabilityContext {
-                        store: Arc::clone(&ctx.store),
-                        registry: ctx.registry.clone(),
+                        plane: Arc::clone(&ctx.plane),
                         window: ctx.window,
                         now: ctx.now,
                         upstream: snapshot.clone(),
@@ -378,6 +377,7 @@ mod tests {
     use crate::grid::{GridCell, GridFootprint};
     use crate::pillar::Pillar;
     use crate::runtime::{OdaRuntime, RuntimeConfig};
+    use oda_telemetry::plane::LocalPlane;
     use oda_telemetry::query::TimeRange;
     use oda_telemetry::reading::Timestamp;
     use oda_telemetry::sensor::SensorRegistry;
@@ -386,8 +386,10 @@ mod tests {
 
     fn ctx() -> CapabilityContext {
         CapabilityContext::new(
-            Arc::new(TimeSeriesStore::with_capacity(8)),
-            SensorRegistry::new(),
+            Arc::new(LocalPlane {
+                store: Arc::new(TimeSeriesStore::with_capacity(8)),
+                registry: SensorRegistry::new(),
+            }),
             TimeRange::all(),
             Timestamp::ZERO,
         )

@@ -28,6 +28,7 @@ use crate::grid::GridFootprint;
 use crate::pipeline::{self, elapsed_ns, PipelineRun, PipelineSlot};
 use oda_telemetry::hash::splitmix64;
 use oda_telemetry::metrics::MetricsRegistry;
+use oda_telemetry::plane::LocalPlane;
 use oda_telemetry::query::TimeRange;
 use oda_telemetry::reading::Timestamp;
 use oda_telemetry::sensor::SensorRegistry;
@@ -357,7 +358,10 @@ impl OdaRuntime {
     }
 
     /// Runs one pass at time `now` over the trailing window, applying
-    /// automatable prescriptions through `control`.
+    /// automatable prescriptions through `control`. Capabilities read
+    /// through one [`LocalPlane`] over `store` and `registry`, built per
+    /// pass; once ROADMAP item 1a lands, `pass` takes the site's plane
+    /// instead.
     pub fn pass(
         &mut self,
         store: Arc<TimeSeriesStore>,
@@ -369,8 +373,7 @@ impl OdaRuntime {
         // odalint: allow(wall-clock) -- pass duration telemetry only; never feeds output digests
         let pass_start = std::time::Instant::now();
         let ctx = CapabilityContext::new(
-            store,
-            registry,
+            Arc::new(LocalPlane { store, registry }),
             TimeRange::trailing(now, self.window_ms),
             now,
         );
@@ -763,8 +766,10 @@ mod tests {
             );
             for _ in 0..3 {
                 standalone_runtime.run(CapabilityContext::new(
-                    Arc::clone(&store),
-                    SensorRegistry::new(),
+                    Arc::new(LocalPlane {
+                        store: Arc::clone(&store),
+                        registry: SensorRegistry::new(),
+                    }),
                     TimeRange::all(),
                     Timestamp::ZERO,
                 ));

@@ -21,7 +21,6 @@ use hpc_oda::core::runtime::{OdaRuntime, RuntimeConfig};
 use hpc_oda::sim::prelude::*;
 use hpc_oda::telemetry::query::TimeRange;
 use hpc_oda::telemetry::reading::Timestamp;
-use std::sync::Arc;
 
 fn main() {
     let mut dc = DataCenter::builder(DataCenterConfig::small())
@@ -49,8 +48,7 @@ fn main() {
     for hour in 1..=8 {
         dc.run_for_hours(1.0);
         let ctx = CapabilityContext::new(
-            Arc::clone(dc.store()),
-            dc.registry().clone(),
+            dc.site().plane(),
             TimeRange::new(Timestamp::ZERO, dc.now() + 1),
             dc.now(),
         );

@@ -17,7 +17,6 @@ use hpc_oda::core::systems;
 use hpc_oda::sim::prelude::*;
 use hpc_oda::telemetry::query::TimeRange;
 use hpc_oda::telemetry::reading::Timestamp;
-use std::sync::Arc;
 
 fn main() {
     // ----- Figure 1: the four pillars -----------------------------------
@@ -79,8 +78,7 @@ fn main() {
     );
 
     let ctx = CapabilityContext::new(
-        Arc::clone(dc.store()),
-        dc.registry().clone(),
+        dc.site().plane(),
         TimeRange::new(Timestamp::ZERO, dc.now() + 1),
         dc.now(),
     );
@@ -113,8 +111,7 @@ fn main() {
             Box::new(cells::prescriptive::CoolingOptimizer::new()),
         );
     let ctx = CapabilityContext::new(
-        Arc::clone(dc.store()),
-        dc.registry().clone(),
+        dc.site().plane(),
         TimeRange::new(Timestamp::ZERO, dc.now() + 1),
         dc.now(),
     );

@@ -10,43 +10,12 @@
 use hpc_oda::analytics::descriptive::dashboard::sparkline;
 use hpc_oda::analytics::predictive::fft::{dominant_periods, predicted_swings};
 use hpc_oda::analytics::predictive::harmonic::HarmonicModel;
-use hpc_oda::sim::prelude::*;
 
 fn main() {
     // Six days of 15-minute site power samples: a small simulated site,
     // smoothed to model the aggregate of a large one, plus the periodic
     // operational loads whose patterns the LLNL analysis discovered.
-    let days = 6.0;
-    let mut dc = DataCenter::builder(DataCenterConfig::small())
-        .seed(5)
-        .build();
-    let buckets = (days * 96.0) as usize;
-    let ticks_per_bucket = 900_000 / dc.config().tick_ms;
-    let mut raw = Vec::with_capacity(buckets);
-    for _ in 0..buckets {
-        let mut acc = 0.0;
-        for _ in 0..ticks_per_bucket {
-            dc.step();
-            acc += dc.snapshot().total_power_kw;
-        }
-        raw.push(acc / ticks_per_bucket as f64);
-    }
-    let trace: Vec<f64> = (0..buckets)
-        .map(|b| {
-            let lo = b.saturating_sub(4);
-            let hi = (b + 5).min(buckets);
-            let base = raw[lo..hi].iter().sum::<f64>() / (hi - lo) as f64;
-            let hour = (b as f64 * 0.25) % 24.0;
-            let mut v = base;
-            if (2.0..2.75).contains(&hour) {
-                v += base * 0.5; // nightly backup window
-            }
-            if (b % 24) < 2 {
-                v += base * 0.2; // 6-hourly scrub pulse
-            }
-            v
-        })
-        .collect();
+    let trace = oda_bench::e7_llnl::build_trace(6.0, 5);
 
     println!("site power, day 1 (96 × 15-min buckets):");
     println!("  {}", sparkline(&trace[..96]));
@@ -64,7 +33,7 @@ fn main() {
 
     // Step 2 (predictive): harmonic fit at the daily fundamental, forecast
     // the last day, and flag notification-worthy swings.
-    let split = buckets - 96;
+    let split = trace.len() - 96;
     let model = HarmonicModel::fit(&trace[..split], 96.0, 40).expect("five days of history");
     let forecast = model.forecast(96);
     let mean = trace.iter().sum::<f64>() / trace.len() as f64;

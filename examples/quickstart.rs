@@ -10,7 +10,6 @@ use hpc_oda::core::cells::descriptive::{FacilityDashboard, HardwareDashboard, Sc
 use hpc_oda::sim::prelude::*;
 use hpc_oda::telemetry::query::TimeRange;
 use hpc_oda::telemetry::reading::Timestamp;
-use std::sync::Arc;
 
 fn main() {
     // 1. A small simulated data center: 4 racks × 8 nodes, with weather,
@@ -27,8 +26,7 @@ fn main() {
     // 3. Point capabilities at the telemetry, exactly as a real ODA stack
     //    would read a monitoring database.
     let ctx = CapabilityContext::new(
-        Arc::clone(dc.store()),
-        dc.registry().clone(),
+        dc.site().plane(),
         TimeRange::new(Timestamp::ZERO, dc.now() + 1),
         dc.now(),
     );

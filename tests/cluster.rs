@@ -5,6 +5,9 @@
 //! through the serving frontend — while per-shard health sums account for
 //! exactly the readings the unsharded archive holds.
 
+use hpc_oda::core::capability::CapabilityContext;
+use hpc_oda::core::cells;
+use hpc_oda::core::runtime::{OdaRuntime, RuntimeConfig};
 use hpc_oda::serve::net::SimNet;
 use hpc_oda::serve::server::Server;
 use hpc_oda::sim::prelude::*;
@@ -433,6 +436,57 @@ fn query_planes_agree_on_every_shape_and_version_only_accepted_writes() {
             plane.sensor_versions(&watched),
             accepted,
             "rejected writes @ {shards}"
+        );
+    }
+}
+
+// ----- analytics through the plane ------------------------------------------
+
+/// Output digest of one run of the sixteen reference capabilities at
+/// `workers`, reading `dc`'s query plane over its whole history.
+fn cells_digest(dc: &DataCenter, workers: usize) -> u64 {
+    let mut runtime = OdaRuntime::with_config(0, RuntimeConfig::serial().with_workers(workers))
+        .with_metrics(MetricsRegistry::new());
+    for capability in cells::all_sixteen() {
+        let stage = capability.footprint().types()[0];
+        runtime.add_capability(stage, capability);
+    }
+    let window = TimeRange::new(Timestamp::ZERO, dc.now() + 1);
+    let run = runtime.run(CapabilityContext::new(dc.site().plane(), window, dc.now()));
+    assert!(run.spans.iter().all(|s| !s.panicked), "{:?}", run.spans);
+    run.output_digest()
+}
+
+#[test]
+fn capabilities_read_the_same_answers_from_the_cluster() {
+    let unsharded = build(37, 0, Vec::new());
+    let sharded = build(37, 2, Vec::new());
+    // The site store records every query it answers into the site
+    // registry; shard stores record into their own.
+    let site_queries = |dc: &DataCenter| dc.metrics().counter("query_total", &[]).get();
+    let expected = cells_digest(&unsharded, 1);
+    for workers in [1, 4] {
+        let before = site_queries(&unsharded);
+        assert_eq!(
+            cells_digest(&unsharded, workers),
+            expected,
+            "unsharded, workers = {workers}"
+        );
+        assert!(
+            site_queries(&unsharded) > before,
+            "the unsharded run read the site store"
+        );
+
+        let before = site_queries(&sharded);
+        assert_eq!(
+            cells_digest(&sharded, workers),
+            expected,
+            "2 shards, workers = {workers}"
+        );
+        assert_eq!(
+            site_queries(&sharded),
+            before,
+            "the sharded run read the site store"
         );
     }
 }

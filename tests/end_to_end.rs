@@ -10,12 +10,10 @@ use hpc_oda::core::runtime::{ControlPlane, OdaRuntime, RuntimeConfig, SimControl
 use hpc_oda::sim::prelude::*;
 use hpc_oda::telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
 use hpc_oda::telemetry::reading::Timestamp;
-use std::sync::Arc;
 
 fn ctx_for(dc: &DataCenter) -> CapabilityContext {
     CapabilityContext::new(
-        Arc::clone(dc.store()),
-        dc.registry().clone(),
+        dc.site().plane(),
         TimeRange::new(Timestamp::ZERO, dc.now() + 1),
         dc.now(),
     )

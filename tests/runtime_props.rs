@@ -20,6 +20,7 @@ use hpc_oda::core::grid::{GridCell, GridFootprint};
 use hpc_oda::core::runtime::{OdaRuntime, RuntimeConfig};
 use hpc_oda::telemetry::hash::splitmix64;
 use hpc_oda::telemetry::metrics::MetricsRegistry;
+use hpc_oda::telemetry::plane::{LocalPlane, QueryPlane};
 use hpc_oda::telemetry::query::TimeRange;
 use hpc_oda::telemetry::reading::Timestamp;
 use hpc_oda::telemetry::sensor::SensorRegistry;
@@ -159,8 +160,10 @@ fn run_with_workers(specs: &[CapSpec], seed: u64, workers: usize, passes: usize)
             }),
         );
     }
-    let store = Arc::new(TimeSeriesStore::with_capacity(8));
-    let registry = SensorRegistry::new();
+    let plane: Arc<dyn QueryPlane> = Arc::new(LocalPlane {
+        store: Arc::new(TimeSeriesStore::with_capacity(8)),
+        registry: SensorRegistry::new(),
+    });
 
     let mut observed = Observed {
         digests: Vec::with_capacity(passes),
@@ -169,8 +172,7 @@ fn run_with_workers(specs: &[CapSpec], seed: u64, workers: usize, passes: usize)
     };
     for pass in 0..passes {
         let ctx = CapabilityContext::new(
-            Arc::clone(&store),
-            registry.clone(),
+            Arc::clone(&plane),
             TimeRange::all(),
             Timestamp::from_millis(1_000 * (pass as u64 + 1)),
         );
@@ -297,8 +299,10 @@ fn a_blocked_capability_strands_no_work_behind_it() {
         );
     }
     let run = runtime.run(CapabilityContext::new(
-        Arc::new(TimeSeriesStore::with_capacity(8)),
-        SensorRegistry::new(),
+        Arc::new(LocalPlane {
+            store: Arc::new(TimeSeriesStore::with_capacity(8)),
+            registry: SensorRegistry::new(),
+        }),
         TimeRange::all(),
         Timestamp::from_millis(1_000),
     ));

@@ -14,7 +14,7 @@ use hpc_oda::core::grid::{GridCell, GridFootprint};
 use hpc_oda::core::runtime::{OdaRuntime, RuntimeConfig, SimControlPlane};
 use hpc_oda::sim::prelude::*;
 use hpc_oda::telemetry::metrics::MetricsRegistry;
-use hpc_oda::telemetry::query::{Aggregation, Query, QueryEngine, TimeRange};
+use hpc_oda::telemetry::query::{Aggregation, Query, TimeRange};
 use hpc_oda::telemetry::sensor::SensorId;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
@@ -91,14 +91,12 @@ impl Capability for FleetRead {
                 assert!(abreast, "the peers never ran beside the probe");
             }
             FleetRead::Peer(layer, fleet) => {
-                let engine = QueryEngine::new(&ctx.store);
                 let mut first = true;
                 while !layer.sampled.load(SeqCst) && Instant::now() < deadline {
-                    let means = Query::sensors(&*fleet)
+                    let query = Query::sensors(&*fleet)
                         .range(ctx.window)
-                        .aggregate(Aggregation::Mean)
-                        .run(&engine)
-                        .scalars();
+                        .aggregate(Aggregation::Mean);
+                    let means = ctx.plane.query(query).scalars();
                     assert_eq!(means.len(), fleet.len());
                     layer.queries.fetch_add(1, SeqCst);
                     if std::mem::take(&mut first) {
@@ -165,8 +163,7 @@ fn no_thread_outlives_a_pass() {
         );
     }
     let run = runtime.run(CapabilityContext::new(
-        Arc::clone(dc.store()),
-        dc.registry().clone(),
+        dc.site().plane(),
         TimeRange::all(),
         dc.now(),
     ));
